@@ -16,6 +16,7 @@ from .coulomb import MottParams, critical_eta, curvature_at_90, identical_cross_
 from .errors import DomainError
 from .hardsphere import HardSphereParams, hs_identical_cross_section
 from .kinematics import critical_energy, energy_from_eta
+from .numerics import five_point_second_derivative, half_angle_curvature
 from .species import ParticleSpecies, Polarization, Spin, Statistics
 
 # |curvature| below 1e-6 a^2 counts as flat when classifying 90 degrees.
@@ -129,8 +130,8 @@ def angle_grid(start: float = 1.0, stop: float = 179.0, step: float = 0.5) -> tu
     """Uniform angle grid in degrees; endpoints must stay inside (0, 180)."""
     if not 0.0 < start < stop < 180.0:
         raise DomainError(f"grid must lie strictly inside (0, 180): [{start}, {stop}]")
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"step must be positive and finite, got {step}")
     n = round((stop - start) / step)
     if abs(start + n * step - stop) > 1e-9:
         raise DomainError(f"step {step} does not divide [{start}, {stop}] evenly")
@@ -189,15 +190,14 @@ def _grid_curvature_at_90(curve: CrossSectionCurve, i90: int) -> float:
     for k in (-2, -1, 1, 2):
         if abs(curve.thetas[i90 + k] - (90.0 + k * h)) > 1e-9:
             raise DomainError("grid must be uniform around 90 degrees")
-    v = [curve.values[i90 + k] for k in (-2, -1, 0, 1, 2)]
-    d2_per_deg2 = (-v[0] + 16.0 * v[1] - 30.0 * v[2] + 16.0 * v[3] - v[4]) / (12.0 * h * h)
-    return 4.0 * d2_per_deg2 / math.radians(1.0) ** 2
+    samples = curve.values[i90 - 2 : i90 + 3]
+    return half_angle_curvature(five_point_second_derivative(samples, h))
 
 
 def plateau(curve: CrossSectionCurve, epsilon: float) -> PlateauReport:
     """Scan outward from 90 deg for the largest band with |sigma/sigma90 - 1| <= eps."""
-    if epsilon <= 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     if not curve.is_symmetric_grid():
         raise DomainError("plateau needs a grid symmetric about 90 degrees")
     i90 = _index_of_90(curve)

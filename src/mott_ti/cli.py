@@ -13,7 +13,6 @@ physical constants.
 from __future__ import annotations
 
 import os
-import sys
 
 import click
 
@@ -85,13 +84,6 @@ def _catalog(path: str | None, constants: PhysicalConstants):
         raise click.UsageError(f"cannot load catalog {path}: {exc}")
 
 
-def _grid(theta_min: float, theta_max: float, theta_step: float):
-    try:
-        return angle_grid(theta_min, theta_max, theta_step)
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
-
-
 def _statistics(spin: Spin, stat: str | None) -> Statistics:
     derived = spin.statistics
     if stat is not None and Statistics(stat) is not derived:
@@ -121,7 +113,30 @@ def add_options(options):
     return wrap
 
 
-@click.group()
+class _Command(click.Command):
+    """A subcommand whose library errors become the documented exit codes.
+
+    DomainError, ConsistencyError and an unknown catalog species exit 2
+    with the subcommand's usage line; RootNotFoundError exits 3.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (DomainError, ConsistencyError) as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except KeyError as exc:  # find_species: name not in the catalog
+            raise click.UsageError(str(exc.args[0]), ctx) from exc
+        except RootNotFoundError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(EXIT_NUMERICAL_FAILURE)
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 @click.version_option(__version__, prog_name="mott-ti")
 def main():
     """Identical-particle scattering cross sections and transverse isotropy."""
@@ -140,11 +155,7 @@ def critical(spin: Spin, numeric: bool, bracket, fmt: str):
     eta_c = critical_eta(spin)
     scalars = {"eta_critical": eta_c}
     if numeric:
-        try:
-            eta_num = critical_eta_numeric(spin, bracket)
-        except RootNotFoundError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL_FAILURE)
+        eta_num = critical_eta_numeric(spin, bracket)
         scalars["eta_critical_numeric"] = eta_num
         scalars["difference"] = eta_num - eta_c
     params = {"command": "critical", "spin": str(spin), "numeric": numeric,
@@ -174,7 +185,7 @@ def angular(system_name, energy, eta, spin, stat, polarization, incoherent_only,
             normalize, theta_min, theta_max, theta_step, catalog, fmt):
     """Angular distribution of the symmetrized Coulomb cross section."""
     constants = _constants()
-    grid = _grid(theta_min, theta_max, theta_step)
+    grid = angle_grid(theta_min, theta_max, theta_step)
     params = {"command": "angular"}
 
     if system_name is not None:
@@ -189,16 +200,10 @@ def angular(system_name, energy, eta, spin, stat, polarization, incoherent_only,
                     f"only identical pairs are supported, got {system_name!r}"
                 )
             system_name = parts[0]
-        try:
-            species = find_species(system_name, _catalog(catalog, constants))
-        except KeyError as exc:
-            raise click.UsageError(str(exc.args[0]))
-        try:
-            system = CollisionSystem(species=species, energy_cm=energy)
-            a = half_closest_approach(system, constants)
-            eta_val = sommerfeld_eta(system, constants)
-        except DomainError as exc:
-            raise click.UsageError(str(exc))
+        species = find_species(system_name, _catalog(catalog, constants))
+        system = CollisionSystem(species=species, energy_cm=energy)
+        a = half_closest_approach(system, constants)
+        eta_val = sommerfeld_eta(system, constants)
         spin = species.spin
         params.update(system=species.name, energy_kev=energy,
                       mass_mev=species.mass, z=species.z)
@@ -215,16 +220,13 @@ def angular(system_name, energy, eta, spin, stat, polarization, incoherent_only,
                   normalize=normalize or "none",
                   theta_min=theta_min, theta_max=theta_max, theta_step=theta_step)
 
-    try:
-        if incoherent_only:
-            values = tuple(sigma_inc_coulomb(t, a) for t in grid)
-        else:
-            statistics = _statistics(spin, stat)
-            mott = MottParams(a=a, eta=eta_val, spin=spin, polarization=pol)
-            values = build_curve(mott, grid).values
-            params.update(spin=str(spin), statistics=statistics.value)
-    except (DomainError, ConsistencyError) as exc:
-        raise click.UsageError(str(exc))
+    if incoherent_only:
+        values = tuple(sigma_inc_coulomb(t, a) for t in grid)
+    else:
+        statistics = _statistics(spin, stat)
+        mott = MottParams(a=a, eta=eta_val, spin=spin, polarization=pol)
+        values = build_curve(mott, grid).values
+        params.update(spin=str(spin), statistics=statistics.value)
 
     if normalize == "rutherford90":
         columns = ["theta_deg", "sigma_over_ruth90"]
@@ -274,28 +276,25 @@ def plateau(spin, eta, eta_critical, kr, stat, polarization, epsilon,
             theta_min, theta_max, theta_step, fmt):
     """Flatness plateau around 90 degrees for a Coulomb or hard-sphere curve."""
     constants = _constants()
-    grid = _grid(theta_min, theta_max, theta_step)
+    grid = angle_grid(theta_min, theta_max, theta_step)
     pol = Polarization(polarization)
     params = {"command": "plateau", "spin": str(spin), "polarization": pol.value,
               "epsilon": epsilon, "theta_min": theta_min, "theta_max": theta_max,
               "theta_step": theta_step}
-    try:
-        statistics = _statistics(spin, stat)
-        if kr is not None:
-            if eta is not None or eta_critical:
-                raise click.UsageError("--kr and --eta/--eta-critical are mutually exclusive")
-            model = HardSphereParams(kR=kr, spin=spin, statistics=statistics,
-                                     polarization=pol)
-            params.update(model="hard-sphere", kR=kr)
-        else:
-            if eta_critical == (eta is not None):
-                raise click.UsageError("provide exactly one of --eta or --eta-critical")
-            eta_val = critical_eta(spin) if eta_critical else eta
-            model = MottParams(a=1.0, eta=eta_val, spin=spin, polarization=pol)
-            params.update(model="mott-coulomb", eta=eta_val, a_fm=1.0)
-        report = plateau_op(build_curve(model, grid), epsilon)
-    except (DomainError, ConsistencyError) as exc:
-        raise click.UsageError(str(exc))
+    statistics = _statistics(spin, stat)
+    if kr is not None:
+        if eta is not None or eta_critical:
+            raise click.UsageError("--kr and --eta/--eta-critical are mutually exclusive")
+        model = HardSphereParams(kR=kr, spin=spin, statistics=statistics,
+                                 polarization=pol)
+        params.update(model="hard-sphere", kR=kr)
+    else:
+        if eta_critical == (eta is not None):
+            raise click.UsageError("provide exactly one of --eta or --eta-critical")
+        eta_val = critical_eta(spin, pol) if eta_critical else eta
+        model = MottParams(a=1.0, eta=eta_val, spin=spin, polarization=pol)
+        params.update(model="mott-coulomb", eta=eta_val, a_fm=1.0)
+    report = plateau_op(build_curve(model, grid), epsilon)
     scalars = {
         "theta_lo_deg": report.theta_lo,
         "theta_hi_deg": report.theta_hi,
@@ -315,11 +314,7 @@ def plateau(spin, eta, eta_critical, kr, stat, polarization, epsilon,
 def sweep(spin, delta, theta_min, theta_max, theta_step, fmt):
     """Shape sensitivity: curves at eta_C (1 +- delta) with min/flat/max labels."""
     constants = _constants()
-    grid = _grid(theta_min, theta_max, theta_step)
-    try:
-        result = sensitivity_sweep(spin, delta, grid)
-    except (DomainError, ConsistencyError) as exc:
-        raise click.UsageError(str(exc))
+    result = sensitivity_sweep(spin, delta, angle_grid(theta_min, theta_max, theta_step))
     params = {"command": "sweep", "spin": str(spin), "delta": delta,
               "theta_min": theta_min, "theta_max": theta_max, "theta_step": theta_step}
     scalars = {
@@ -357,28 +352,25 @@ def hardsphere(kr, spin, stat, polarization, critical_scan, step,
     """Hard-sphere cross sections (units of R^2) and the critical-kR scan."""
     constants = _constants()
     pol = Polarization(polarization)
-    try:
-        statistics = _statistics(spin, stat)
-        if critical_scan is not None and kr is not None:
-            raise click.UsageError("--kr and --critical-scan are mutually exclusive")
-        if critical_scan is not None:
-            params = {"command": "hardsphere", "spin": str(spin),
-                      "statistics": statistics.value, "polarization": pol.value,
-                      "scan_lo": critical_scan[0], "scan_hi": critical_scan[1],
-                      "step": step}
-            root = find_critical_kR(spin, statistics, tuple(critical_scan), step,
-                                    polarization=pol)
-            _emit(OutputEnvelope(params=params, constants=constants,
-                                 scalars={"critical_kR": root}), fmt)
-            return
-        if kr is None:
-            raise click.UsageError("provide either --kr or --critical-scan")
-        grid = _grid(theta_min, theta_max, theta_step)
-        model = HardSphereParams(kR=kr, spin=spin, statistics=statistics,
-                                 polarization=pol)
-        curve = build_curve(model, grid)
-    except (DomainError, ConsistencyError) as exc:
-        raise click.UsageError(str(exc))
+    statistics = _statistics(spin, stat)
+    if critical_scan is not None and kr is not None:
+        raise click.UsageError("--kr and --critical-scan are mutually exclusive")
+    if critical_scan is not None:
+        params = {"command": "hardsphere", "spin": str(spin),
+                  "statistics": statistics.value, "polarization": pol.value,
+                  "scan_lo": critical_scan[0], "scan_hi": critical_scan[1],
+                  "step": step}
+        root = find_critical_kR(spin, statistics, tuple(critical_scan), step,
+                                polarization=pol)
+        _emit(OutputEnvelope(params=params, constants=constants,
+                             scalars={"critical_kR": root}), fmt)
+        return
+    if kr is None:
+        raise click.UsageError("provide either --kr or --critical-scan")
+    grid = angle_grid(theta_min, theta_max, theta_step)
+    model = HardSphereParams(kR=kr, spin=spin, statistics=statistics,
+                             polarization=pol)
+    curve = build_curve(model, grid)
     params = {"command": "hardsphere", "kR": kr, "spin": str(spin),
               "statistics": statistics.value, "polarization": pol.value,
               "theta_min": theta_min, "theta_max": theta_max,

@@ -6,10 +6,11 @@ rather than returned as inf.  Cross sections are fm^2/sr for a in fm.
 
 Curvature convention: curvature_at_90 is the second derivative of the
 cross section with respect to the HALF-angle theta/2, i.e. 4 times
-d^2(sigma)/d(theta)^2.  With that convention the unpolarized-boson closed
-form is 16 a^2 [(1-2 eta^2)/(2s+1) + 3], which vanishes at
-eta = sqrt(3s+2); the sign classifies 90 degrees as a local minimum (> 0)
-or maximum (< 0).
+d^2(sigma)/d(theta)^2.  One closed form covers both statistics and both
+polarizations, 16 a^2 [3 + eps w (1 - 2 eta^2)] (eps = +1 for bosons, -1
+for fermions; w = 1 aligned, 1/(2s+1) unpolarized); its sign classifies
+90 degrees as a local minimum (> 0) or maximum (< 0).  Finite differences
+(curvature_at_90_fd) serve only as the independent check of that form.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import DivergenceError, DomainError
-from .numerics import bisect_root, second_derivative
-from .species import Polarization, Spin, Statistics, check_statistics, symmetrized_combination
+from .numerics import bisect_root, half_angle_curvature, second_derivative
+from .species import Polarization, Spin, Statistics, symmetrized_combination
 
-# Finite-difference stencil used wherever no closed curvature form exists.
+# Angle step (degrees) of the finite-difference cross-check curvature_at_90_fd.
 CURVATURE_STEP_DEG = 0.25
 
 
@@ -35,10 +36,10 @@ class MottParams:
     polarization: Polarization = Polarization.UNPOLARIZED
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0:
-            raise DomainError(f"a must be positive, got {self.a}")
-        if self.eta <= 0.0:
-            raise DomainError(f"eta must be positive, got {self.eta}")
+        if not (math.isfinite(self.a) and self.a > 0.0):
+            raise DomainError(f"a must be positive and finite, got {self.a}")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise DomainError(f"eta must be positive and finite, got {self.eta}")
 
 
 def _half_angle(theta_deg: float) -> float:
@@ -49,12 +50,21 @@ def _half_angle(theta_deg: float) -> float:
     return math.radians(theta_deg) / 2.0
 
 
+def _overflow(theta_deg: float) -> DivergenceError:
+    return DivergenceError(
+        f"theta = {theta_deg} deg: Coulomb cross section overflows next to the pole"
+    )
+
+
 def sigma_inc_coulomb(theta_deg: float, a: float) -> float:
     """Incoherent (distinguishable-particle) sum, (a^2/4)[sin^-4 + cos^-4](theta/2)."""
     if a <= 0.0:
         raise DomainError(f"a must be positive, got {a}")
     t = _half_angle(theta_deg)
-    return (a * a / 4.0) * (math.sin(t) ** -4 + math.cos(t) ** -4)
+    try:
+        return (a * a / 4.0) * (math.sin(t) ** -4 + math.cos(t) ** -4)
+    except OverflowError:
+        raise _overflow(theta_deg) from None
 
 
 def sigma_int_coulomb(theta_deg: float, a: float, eta: float) -> float:
@@ -67,7 +77,10 @@ def sigma_int_coulomb(theta_deg: float, a: float, eta: float) -> float:
     if eta <= 0.0:
         raise DomainError(f"eta must be positive, got {eta}")
     t = _half_angle(theta_deg)
-    prefactor = (a * a / 4.0) * 2.0 / (math.sin(t) ** 2 * math.cos(t) ** 2)
+    try:
+        prefactor = (a * a / 4.0) * 2.0 / (math.sin(t) ** 2 * math.cos(t) ** 2)
+    except ZeroDivisionError:
+        raise _overflow(theta_deg) from None
     return prefactor * math.cos(2.0 * eta * math.log(math.tan(t)))
 
 
@@ -77,38 +90,52 @@ def identical_cross_section(
     statistics: Statistics,
 ) -> float:
     """Symmetrized Coulomb cross section of an identical pair, fm^2/sr."""
-    check_statistics(params.spin, statistics)
     inc = sigma_inc_coulomb(theta_deg, params.a)
     intf = sigma_int_coulomb(theta_deg, params.a, params.eta)
     return symmetrized_combination(inc, intf, params.spin, statistics, params.polarization)
 
 
 def curvature_at_90_fd(params: MottParams, statistics: Statistics) -> float:
-    """Half-angle curvature at 90 deg from finite differences of the cross section."""
-    check_statistics(params.spin, statistics)
+    """Half-angle curvature at 90 deg from finite differences of the cross section.
+
+    The independent check of curvature_at_90; production paths use the
+    closed form.
+    """
 
     def f(theta_deg: float) -> float:
         return identical_cross_section(theta_deg, params, statistics)
 
-    d2_per_deg2 = second_derivative(f, 90.0, CURVATURE_STEP_DEG, richardson=True)
-    return 4.0 * d2_per_deg2 / math.radians(1.0) ** 2
+    return half_angle_curvature(second_derivative(f, 90.0, CURVATURE_STEP_DEG))
 
 
 def curvature_at_90(params: MottParams, statistics: Statistics) -> float:
-    """Half-angle curvature of the cross section at 90 deg.
+    """Half-angle curvature of the cross section at 90 deg, 16 a^2 [3 + eps w (1 - 2 eta^2)].
 
-    Unpolarized bosons use the closed form 16 a^2 [(1-2 eta^2)/(2s+1) + 3];
-    every other combination falls back to finite differences.
+    At 90 deg the incoherent sum has half-angle curvature 48 a^2 and the
+    interference term 16 a^2 (1 - 2 eta^2); they combine with the same
+    sign eps and weight w as the cross sections themselves.
     """
-    check_statistics(params.spin, statistics)
-    if statistics is Statistics.BOSON and params.polarization is Polarization.UNPOLARIZED:
-        bracket = (1.0 - 2.0 * params.eta**2) / params.spin.multiplicity + 3.0
-        return 16.0 * params.a**2 * bracket
-    return curvature_at_90_fd(params, statistics)
+    a2 = params.a**2
+    return symmetrized_combination(
+        48.0 * a2,
+        16.0 * a2 * (1.0 - 2.0 * params.eta**2),
+        params.spin,
+        statistics,
+        params.polarization,
+    )
 
 
-def critical_eta(spin: Spin) -> float:
-    """Critical Sommerfeld parameter sqrt(3s+2) at which the 90 deg curvature vanishes."""
+def critical_eta(
+    spin: Spin,
+    polarization: Polarization = Polarization.UNPOLARIZED,
+) -> float:
+    """Critical Sommerfeld parameter at which the boson 90 deg curvature vanishes.
+
+    eta_C^2 = (1 + 3/w)/2: sqrt(3s+2) for unpolarized pairs (w = 1/(2s+1))
+    and sqrt(2) for aligned pairs (w = 1), whatever the spin.
+    """
+    if polarization is Polarization.ALIGNED:
+        return math.sqrt(2.0)
     return math.sqrt(3.0 * spin.value + 2.0)
 
 

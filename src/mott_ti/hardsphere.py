@@ -3,6 +3,11 @@
 The only physical parameter is kR (R = sum of the two radii).  Phase
 shifts follow tan(delta_l) = j_l(kR)/y_l(kR); cross sections are reported
 in units of R^2, i.e. with R = 1 and k = kR.
+
+The 90 deg curvature is exact: with x = cos(theta), f and its theta
+derivatives at 90 deg are partial-wave sums over P_l(0), P_l'(0) =
+l P_{l-1}(0) and P_l''(0) = -l(l+1) P_l(0) (DLMF 14.10, 18.9), so no
+finite differences enter the critical-kR scan.
 """
 
 from __future__ import annotations
@@ -12,9 +17,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coulomb import CURVATURE_STEP_DEG
 from .errors import DomainError
-from .numerics import bisect_root, second_derivative
+from .numerics import bisect_root
 from .species import Polarization, Spin, Statistics, check_statistics, symmetrized_combination
 from .special import legendre_p_table, spherical_bessel_j_table, spherical_bessel_y_table
 
@@ -47,10 +51,10 @@ class HardSphereParams:
     truncation_tol: float = DEFAULT_TRUNCATION_TOL
 
     def __post_init__(self) -> None:
-        if self.kR <= 0.0:
-            raise DomainError(f"kR must be positive, got {self.kR}")
-        if self.truncation_tol <= 0.0:
-            raise DomainError("truncation_tol must be positive")
+        if not (math.isfinite(self.kR) and self.kR > 0.0):
+            raise DomainError(f"kR must be positive and finite, got {self.kR}")
+        if not (math.isfinite(self.truncation_tol) and self.truncation_tol > 0.0):
+            raise DomainError("truncation_tol must be positive and finite")
         check_statistics(self.spin, self.statistics)
 
 
@@ -128,7 +132,6 @@ def hs_identical_cross_section(theta_deg: float, params: HardSphereParams) -> fl
     f1 = hs_amplitude(theta_deg, shifts, k)
     f2 = hs_amplitude(180.0 - theta_deg, shifts, k)
     if params.polarization is Polarization.ALIGNED:
-        check_statistics(params.spin, params.statistics)
         combined = f1 + f2 if params.statistics is Statistics.BOSON else f1 - f2
         return abs(combined) ** 2
     inc = abs(f1) ** 2 + abs(f2) ** 2
@@ -137,17 +140,33 @@ def hs_identical_cross_section(theta_deg: float, params: HardSphereParams) -> fl
 
 
 def hs_curvature_at_90(params: HardSphereParams) -> float:
-    """Half-angle curvature of the symmetrized cross section at 90 deg.
+    """Half-angle curvature of the symmetrized cross section at 90 deg (exact).
 
-    Same stencil and convention as the Coulomb module (finite differences,
-    4 x d^2/d theta^2); only the sign and zero matter for the transition.
+    Same convention as the Coulomb module, 4 x d^2(sigma)/d(theta)^2.  At
+    90 deg f(180 - theta) has the value and second derivative of f(theta)
+    and the opposite slope, so the incoherent and interference terms have
+    second derivatives 4 (Re f'' f* + |f'|^2) and 4 (Re f'' f* - |f'|^2),
+    combined like the cross sections themselves.
     """
-
-    def f(theta_deg: float) -> float:
-        return hs_identical_cross_section(theta_deg, params)
-
-    d2_per_deg2 = second_derivative(f, 90.0, CURVATURE_STEP_DEG, richardson=True)
-    return 4.0 * d2_per_deg2 / math.radians(1.0) ** 2
+    shifts = _shifts_for(params)
+    p = legendre_p_table(shifts.l_max, 0.0)
+    f = df = d2f = 0.0 + 0.0j  # k f and its x-derivatives at x = 0
+    for l, d in enumerate(shifts.deltas):
+        c = (2 * l + 1) * cmath.exp(1j * d) * math.sin(d)
+        f += c * p[l]
+        if l > 0:
+            df += c * l * p[l - 1]
+        d2f -= c * l * (l + 1) * p[l]
+    re_f2f = (d2f * f.conjugate()).real
+    slope2 = abs(df) ** 2
+    d2 = symmetrized_combination(
+        4.0 * (re_f2f + slope2),
+        4.0 * (re_f2f - slope2),
+        params.spin,
+        params.statistics,
+        params.polarization,
+    )
+    return 4.0 * d2 / params.kR**2
 
 
 def find_critical_kR(
@@ -165,9 +184,8 @@ def find_critical_kR(
     lo, hi = scan
     if not 0.0 < lo < hi <= 10.0:
         raise DomainError(f"scan range must lie within (0, 10], got {scan}")
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step}")
-    check_statistics(spin, statistics)
+    if not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"step must be positive and finite, got {step}")
 
     def curv(kR: float) -> float:
         return hs_curvature_at_90(

@@ -2,37 +2,40 @@
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import Callable, Sequence
 
 from .errors import RootNotFoundError
 
 
-def second_derivative(
-    f: Callable[[float], float],
-    x0: float,
-    step: float,
-    richardson: bool = True,
-) -> float:
-    """Second derivative by the 5-point central stencil, O(step^4).
+def five_point_second_derivative(samples: Sequence[float], h: float) -> float:
+    """Second derivative at the middle of five samples spaced h apart, O(h^4)."""
+    m2, m1, mid, p1, p2 = samples
+    return (-m2 + 16.0 * m1 - 30.0 * mid + 16.0 * p1 - p2) / (12.0 * h * h)
 
-    With richardson=True the stencil is evaluated at step and step/2 and
-    extrapolated, removing the leading error term.
+
+def second_derivative(f: Callable[[float], float], x0: float, step: float) -> float:
+    """Second derivative by the 5-point central stencil with Richardson extrapolation.
+
+    The stencil is evaluated at step and step/2 and extrapolated, removing
+    the leading O(step^4) error term.
     """
 
     def stencil(h: float) -> float:
-        return (
-            -f(x0 - 2.0 * h)
-            + 16.0 * f(x0 - h)
-            - 30.0 * f(x0)
-            + 16.0 * f(x0 + h)
-            - f(x0 + 2.0 * h)
-        ) / (12.0 * h * h)
+        return five_point_second_derivative([f(x0 + k * h) for k in (-2, -1, 0, 1, 2)], h)
 
     coarse = stencil(step)
-    if not richardson:
-        return coarse
     fine = stencil(step / 2.0)
     return (16.0 * fine - coarse) / 15.0
+
+
+def half_angle_curvature(d2_per_deg2: float) -> float:
+    """Convert d^2(sigma)/d(theta)^2 in per-degree^2 to the half-angle curvature.
+
+    The half-angle convention differentiates with respect to theta/2 in
+    radians, which is 4 times d^2(sigma)/d(theta)^2 per radian^2.
+    """
+    return 4.0 * d2_per_deg2 / math.radians(1.0) ** 2
 
 
 def bisect_root(

@@ -7,6 +7,7 @@ statistics is always derived from the spin: integer spin pairs symmetrize
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -135,8 +136,8 @@ class CollisionSystem:
     energy_cm: float  # keV
 
     def __post_init__(self) -> None:
-        if self.energy_cm <= 0.0:
-            raise DomainError(f"energy_cm must be positive, got {self.energy_cm}")
+        if not (math.isfinite(self.energy_cm) and self.energy_cm > 0.0):
+            raise DomainError(f"energy_cm must be positive and finite, got {self.energy_cm}")
 
 
 def _parse_catalog_lines(

@@ -48,6 +48,9 @@ def test_angle_grid_rejects_endpoints():
         angle_grid(0.0, 179.0, 0.5)
     with pytest.raises(DomainError):
         angle_grid(1.0, 180.0, 0.5)
+    for step in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            angle_grid(1.0, 179.0, step)
 
 
 # ----------------------------------------------------------------- build_curve
@@ -131,6 +134,12 @@ def test_plateau_requires_90_on_grid():
     )
     with pytest.raises(DomainError, match="90"):
         plateau(curve, 0.05)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, math.nan, math.inf])
+def test_plateau_rejects_bad_epsilon(epsilon):
+    with pytest.raises(DomainError):
+        plateau(critical_curve(0), epsilon)
 
 
 def test_plateau_widest_near_critical_eta():

@@ -223,6 +223,22 @@ def test_hardsphere_requires_mode(runner):
     assert runner.invoke(main, ["hardsphere", "--spin", "0"]).exit_code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["angular", "--eta", "inf", "--spin", "0"],
+    ["angular", "--eta", "1", "--spin", "0", "--theta-step", "nan"],
+    ["angular", "--system", "alpha", "--energy", "nan", "--incoherent-only"],
+    ["hardsphere", "--kr", "nan", "--spin", "0"],
+    ["hardsphere", "--spin", "0", "--critical-scan", "0.2", "3", "--step", "nan"],
+    ["plateau", "--spin", "0", "--kr", "inf"],
+    ["plateau", "--spin", "0", "--eta", "1", "--epsilon", "nan"],
+    ["critical", "--spin", "0", "--numeric", "--bracket", "-1", "4"],
+])
+def test_invalid_numbers_exit_2(runner, argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
 # ------------------------------------------------------- envelope and formats
 
 def test_outputs_are_deterministic(runner):

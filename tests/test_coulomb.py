@@ -66,6 +66,13 @@ def test_sigma_int_symmetric_pairs():
         )
 
 
+def test_overflow_next_to_pole_diverges():
+    with pytest.raises(DivergenceError):
+        sigma_inc_coulomb(1e-80, 1.0)
+    with pytest.raises(DivergenceError):
+        sigma_int_coulomb(1e-170, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("theta", [0.0, 180.0, -5.0, 200.0])
 def test_endpoint_angles_diverge(theta):
     with pytest.raises(DivergenceError):
@@ -83,6 +90,11 @@ def test_bad_parameters():
         MottParams(a=0.0, eta=1.0, spin=Spin(0))
     with pytest.raises(DomainError):
         MottParams(a=1.0, eta=-2.0, spin=Spin(0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            MottParams(a=bad, eta=1.0, spin=Spin(0))
+        with pytest.raises(DomainError):
+            MottParams(a=1.0, eta=bad, spin=Spin(0))
 
 
 # ------------------------------------------------------- symmetrized combination
@@ -107,6 +119,8 @@ def test_statistics_spin_mismatch_raises():
         identical_cross_section(90.0, p, Statistics.FERMION)
     with pytest.raises(ConsistencyError):
         curvature_at_90(p, Statistics.FERMION)
+    with pytest.raises(ConsistencyError):
+        curvature_at_90_fd(p, Statistics.FERMION)
 
 
 def test_aligned_equals_unpolarized_for_spin0():
@@ -173,15 +187,17 @@ def test_curvature_closed_form_values():
 
 
 @pytest.mark.parametrize("eta", [0.5, SQRT2, 3.0])
-@pytest.mark.parametrize("twice_s", [0, 2])
+@pytest.mark.parametrize("twice_s", [0, 1, 2, 3, 9])
 def test_curvature_closed_form_matches_finite_differences(eta, twice_s):
-    p = MottParams(a=1.0, eta=eta, spin=Spin(twice_s))
-    closed = curvature_at_90(p, Statistics.BOSON)
-    fd = curvature_at_90_fd(p, Statistics.BOSON)
-    if abs(closed) < 1e-9:
-        assert abs(fd - closed) < 1e-9
-    else:
-        assert fd == pytest.approx(closed, rel=1e-6)
+    spin = Spin(twice_s)
+    for polarization in Polarization:
+        p = MottParams(a=1.0, eta=eta, spin=spin, polarization=polarization)
+        closed = curvature_at_90(p, spin.statistics)
+        fd = curvature_at_90_fd(p, spin.statistics)
+        if abs(closed) < 1e-9:
+            assert abs(fd - closed) < 1e-9
+        else:
+            assert fd == pytest.approx(closed, rel=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -217,6 +233,16 @@ def test_critical_eta_formula():
     assert critical_eta(Spin(0)) == pytest.approx(SQRT2, rel=1e-15)
     assert critical_eta(Spin(2)) == pytest.approx(SQRT5, rel=1e-15)
     assert critical_eta(Spin(4)) == pytest.approx(math.sqrt(8.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("twice_s", [0, 2, 4, 8])
+def test_critical_eta_aligned_zeroes_the_curvature(twice_s):
+    spin = Spin(twice_s)
+    eta_c = critical_eta(spin, Polarization.ALIGNED)
+    assert eta_c == SQRT2  # eta_C^2 = (1 + 3/w)/2 with w = 1
+    p = MottParams(a=1.0, eta=eta_c, spin=spin, polarization=Polarization.ALIGNED)
+    assert abs(curvature_at_90(p, Statistics.BOSON)) < 1e-12
+    assert abs(curvature_at_90_fd(p, Statistics.BOSON)) < 1e-6
 
 
 def test_critical_eta_numeric_matches_closed_form():

@@ -1,0 +1,40 @@
+"""Byte-compare CLI stdout and exit codes against the files in tests/golden/.
+
+Each case in golden/cases.json names an argv; golden/<name>.out holds the
+expected stdout and golden/<name>.exit the expected exit code.  After an
+intended output change, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff: every changed file is a behaviour change.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from mott_ti.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+def run(argv):
+    result = CliRunner().invoke(main, argv, env={"MOTT_TI_CONSTANTS": None})
+    return result.exit_code, result.stdout_bytes
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_output(case):
+    code, stdout = run(case["argv"])
+    assert code == int((GOLDEN / f"{case['name']}.exit").read_text())
+    assert stdout == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        code, stdout = run(case["argv"])
+        (GOLDEN / f"{case['name']}.out").write_bytes(stdout)
+        (GOLDEN / f"{case['name']}.exit").write_text(f"{code}\n")

@@ -18,6 +18,7 @@ from mott_ti import (
     hs_total_cross_section,
     legendre_p_table,
 )
+from mott_ti.numerics import half_angle_curvature, second_derivative
 
 
 def test_s_wave_shift_is_minus_kR():
@@ -170,6 +171,28 @@ def test_endpoints_rejected_for_symmetrized_cross_section():
 def test_statistics_mismatch_raises():
     with pytest.raises(ConsistencyError):
         HardSphereParams(kR=1.0, spin=Spin(0), statistics=Statistics.FERMION)
+    with pytest.raises(ConsistencyError):
+        find_critical_kR(Spin(0), Statistics.FERMION)
+
+
+@pytest.mark.parametrize("kR", [math.nan, math.inf, -1.0])
+def test_params_reject_bad_kR(kR):
+    with pytest.raises(DomainError):
+        HardSphereParams(kR=kR, spin=Spin(0), statistics=Statistics.BOSON)
+
+
+@pytest.mark.parametrize("kR", [0.2, 0.5, 1.0, 1.447, 2.47, 4.0, 7.0, 10.0])
+@pytest.mark.parametrize("twice_s", [0, 1, 2, 9])
+@pytest.mark.parametrize("polarization", list(Polarization))
+def test_exact_curvature_matches_finite_differences(kR, twice_s, polarization):
+    spin = Spin(twice_s)
+    params = HardSphereParams(kR=kR, spin=spin, statistics=spin.statistics,
+                              polarization=polarization)
+    exact = hs_curvature_at_90(params)
+    fd = half_angle_curvature(second_derivative(
+        lambda t: hs_identical_cross_section(t, params), 90.0, 0.25))
+    scale = max(abs(exact), 4.0 * hs_identical_cross_section(90.0, params))
+    assert abs(exact - fd) <= 1e-7 * scale
 
 
 def test_critical_kR_bosons_spin0():
@@ -202,5 +225,6 @@ def test_scan_validation():
         find_critical_kR(Spin(0), Statistics.BOSON, scan=(0.0, 3.0))
     with pytest.raises(DomainError):
         find_critical_kR(Spin(0), Statistics.BOSON, scan=(0.5, 12.0))
-    with pytest.raises(DomainError):
-        find_critical_kR(Spin(0), Statistics.BOSON, scan=(0.5, 3.0), step=-0.1)
+    for step in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            find_critical_kR(Spin(0), Statistics.BOSON, scan=(0.5, 3.0), step=step)
