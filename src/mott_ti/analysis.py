@@ -15,9 +15,9 @@ from .constants import BARN_PER_FM2, DEFAULT_CONSTANTS, PhysicalConstants
 from .coulomb import MottParams, critical_eta, curvature_at_90, identical_cross_section
 from .errors import DomainError
 from .hardsphere import HardSphereParams, hs_identical_cross_section
-from .kinematics import critical_energy, energy_from_eta
-from .numerics import five_point_second_derivative, half_angle_curvature
-from .species import ParticleSpecies, Polarization, Spin, Statistics
+from .kinematics import critical_energy, energy_from_eta, half_closest_approach
+from .numerics import MAX_POINTS, five_point_second_derivative, half_angle_curvature
+from .species import CollisionSystem, ParticleSpecies, Polarization, Spin, Statistics
 
 # |curvature| below 1e-6 a^2 counts as flat when classifying 90 degrees.
 FLAT_CURVATURE_TOL = 1e-6
@@ -127,12 +127,14 @@ class SystemReportRow:
 
 
 def angle_grid(start: float = 1.0, stop: float = 179.0, step: float = 0.5) -> tuple[float, ...]:
-    """Uniform angle grid in degrees; endpoints must stay inside (0, 180)."""
+    """Uniform angle grid in degrees; endpoints must stay inside (0, 180), at most MAX_POINTS."""
     if not 0.0 < start < stop < 180.0:
         raise DomainError(f"grid must lie strictly inside (0, 180): [{start}, {stop}]")
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"step must be positive and finite, got {step}")
     n = round((stop - start) / step)
+    if n + 1 > MAX_POINTS:
+        raise DomainError(f"step {step} gives {n + 1} points, more than {MAX_POINTS}")
     if abs(start + n * step - stop) > 1e-9:
         raise DomainError(f"step {step} does not divide [{start}, {stop}] evenly")
     return tuple(start + i * step for i in range(n + 1))
@@ -314,8 +316,8 @@ def sigma90(
     """
     s = species.spin.value
     scaling = SIGMA90_SCALING_BARN * (3.0 * s + 2.0) ** 2 / float(species.z) ** 6
-    e_c_mev = critical_energy(species, constants) / 1000.0
-    a = species.charge_squared(constants) / (2.0 * e_c_mev)
+    system = CollisionSystem(species=species, energy_cm=critical_energy(species, constants))
+    a = half_closest_approach(system, constants)
     direct = 2.0 * a * a * (1.0 + 1.0 / species.spin.multiplicity) * BARN_PER_FM2
     return scaling, direct
 

@@ -18,6 +18,7 @@ import click
 
 from . import __version__
 from .analysis import (
+    CrossSectionCurve,
     angle_grid,
     build_curve,
     plateau as plateau_op,
@@ -221,7 +222,8 @@ def angular(system_name, energy, eta, spin, stat, polarization, incoherent_only,
                   theta_min=theta_min, theta_max=theta_max, theta_step=theta_step)
 
     if incoherent_only:
-        values = tuple(sigma_inc_coulomb(t, a) for t in grid)
+        incoherent = tuple(sigma_inc_coulomb(t, a) for t in grid)
+        values = CrossSectionCurve(thetas=grid, values=incoherent, meta={}).values
     else:
         statistics = _statistics(spin, stat)
         mott = MottParams(a=a, eta=eta_val, spin=spin, polarization=pol)

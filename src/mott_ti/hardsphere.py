@@ -2,7 +2,12 @@
 
 The only physical parameter is kR (R = sum of the two radii).  Phase
 shifts follow tan(delta_l) = j_l(kR)/y_l(kR); cross sections are reported
-in units of R^2, i.e. with R = 1 and k = kR.
+in units of R^2, i.e. with R = 1 and k = kR.  kR must lie in (0, KR_MAX],
+where the automatic partial-wave ladder always reaches TRUNCATION_TOL.
+
+Identical pairs combine f(theta) and f(180 - theta).  As P_l(-x) = (-1)^l P_l(x),
+k f is E + O at theta and E - O at 180 - theta, E and O being the even-l
+(symmetric channel) and odd-l (antisymmetric channel) sums of one Legendre table.
 
 The 90 deg curvature is exact: with x = cos(theta), f and its theta
 derivatives at 90 deg are partial-wave sums over P_l(0), P_l'(0) =
@@ -14,31 +19,37 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DomainError
-from .numerics import bisect_root
+from .numerics import MAX_POINTS, bisect_root
 from .species import Polarization, Spin, Statistics, check_statistics, symmetrized_combination
 from .special import legendre_p_table, spherical_bessel_j_table, spherical_bessel_y_table
 
-DEFAULT_TRUNCATION_TOL = 1e-12
-AUTO_L_MARGIN = 15  # phase shifts decay super-exponentially for l > kR
+TRUNCATION_TOL = 1e-12  # the automatic ladder stops at |sin delta_l| below this
+AUTO_L_MARGIN = 15  # first cap ceil(kR) + 15; phase shifts decay super-exponentially for l > kR
+KR_MAX = 1000.0  # largest accepted kR; the automatic ladder then needs about 1060 waves
 
 
 @dataclass(frozen=True)
 class PhaseShiftSet:
-    """Hard-sphere phase shifts delta_0..delta_{l_max} (radians) at fixed kR."""
+    """Phase shifts delta_0..delta_{l_max} (radians) at fixed kR and the weights of k f."""
 
     kR: float
-    l_max: int
     deltas: tuple[float, ...]
+    weights: tuple[complex, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kR <= 0.0:
-            raise DomainError(f"kR must be positive, got {self.kR}")
-        if len(self.deltas) != self.l_max + 1:
-            raise DomainError("deltas length must be l_max + 1")
+        # w_l = (2l+1) e^{i d_l} sin(d_l), once per set; a list comprehension,
+        # since a generator here leaves a cycle per set for the collector
+        w = [cmath.rect((2 * l + 1) * math.sin(d), d) for l, d in enumerate(self.deltas)]
+        object.__setattr__(self, "weights", tuple(w))
+
+    @property
+    def l_max(self) -> int:
+        return len(self.deltas) - 1
 
 
 @dataclass(frozen=True)
@@ -48,60 +59,68 @@ class HardSphereParams:
     statistics: Statistics
     polarization: Polarization = Polarization.UNPOLARIZED
     l_max: int | None = None          # None = auto-truncate
-    truncation_tol: float = DEFAULT_TRUNCATION_TOL
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kR) and self.kR > 0.0):
-            raise DomainError(f"kR must be positive and finite, got {self.kR}")
-        if not (math.isfinite(self.truncation_tol) and self.truncation_tol > 0.0):
-            raise DomainError("truncation_tol must be positive and finite")
+        _check_kR(self.kR)
         check_statistics(self.spin, self.statistics)
 
 
+def _check_kR(kR: float) -> None:
+    if not 0.0 < kR <= KR_MAX:  # also false for nan
+        raise DomainError(f"kR must lie in (0, {KR_MAX:g}], got {kR}")
+
+
 @lru_cache(maxsize=512)
-def hard_sphere_phase_shifts(
-    kR: float,
-    l_max: int | None = None,
-    tol: float = DEFAULT_TRUNCATION_TOL,
-) -> PhaseShiftSet:
+def hard_sphere_phase_shifts(kR: float, l_max: int | None = None) -> PhaseShiftSet:
     """Phase shifts delta_l = atan2(j_l, y_l) at x = kR, folded to (-pi/2, pi/2].
 
     delta_0 is set to -kR exactly (its closed form; shifts only matter
     mod pi in observables).  With l_max=None the ladder stops at the first
-    l > kR where |sin delta_l| < tol; an explicit l_max disables that
-    truncation so convergence can be probed.
+    l > kR where |sin delta_l| < TRUNCATION_TOL, so the automatic set always
+    converges: a ladder that reaches its cap above the tolerance (from
+    kR ~ 17) is rebuilt with the cap doubled.  An explicit l_max disables
+    that truncation so convergence can be probed.
     """
-    if kR <= 0.0:
-        raise DomainError(f"kR must be positive, got {kR}")
+    _check_kR(kR)
     cap = l_max if l_max is not None else math.ceil(kR) + AUTO_L_MARGIN
-    j = spherical_bessel_j_table(cap, kR)
-    y = spherical_bessel_y_table(cap, kR)
-    deltas = [-kR]
-    for l in range(1, cap + 1):
-        d = math.atan2(j[l], y[l])
-        if d > math.pi / 2.0:
-            d -= math.pi
-        elif d <= -math.pi / 2.0:
-            d += math.pi
-        deltas.append(d)
-        if l_max is None and l > kR and abs(math.sin(d)) < tol:
-            break
-    return PhaseShiftSet(kR=kR, l_max=len(deltas) - 1, deltas=tuple(deltas))
+    while True:
+        j = spherical_bessel_j_table(cap, kR)
+        y = spherical_bessel_y_table(cap, kR)
+        deltas = [-kR]
+        for l in range(1, cap + 1):
+            d = math.atan2(j[l], y[l])
+            if d > math.pi / 2.0:
+                d -= math.pi
+            elif d <= -math.pi / 2.0:
+                d += math.pi
+            deltas.append(d)
+            if l_max is None and l > kR and abs(math.sin(d)) < TRUNCATION_TOL:
+                break
+        if l_max is not None or abs(math.sin(deltas[-1])) < TRUNCATION_TOL:
+            return PhaseShiftSet(kR=kR, deltas=tuple(deltas))
+        cap *= 2
+
+
+def _channels(theta_deg: float, shifts: PhaseShiftSet) -> tuple[complex, complex]:
+    """(E, O), the even-l and odd-l sums of k f(theta), from one Legendre table.
+
+    x = sin(90 - theta) is exactly odd about 90 deg and exactly 0 there.
+    """
+    p = legendre_p_table(shifts.l_max, math.sin(math.radians(90.0 - theta_deg)))
+    w = shifts.weights
+    return sum(map(operator.mul, w[0::2], p[0::2])), sum(map(operator.mul, w[1::2], p[1::2]))
 
 
 def hs_amplitude(theta_deg: float, shifts: PhaseShiftSet, k: float = 1.0) -> complex:
-    """Partial-wave amplitude f(theta) = (1/k) sum (2l+1) e^{i d_l} sin(d_l) P_l(cos theta).
+    """Partial-wave amplitude f(theta) = (1/k) sum w_l P_l(cos theta).
 
     Endpoints are allowed (no Coulomb pole).  With k=1 the returned value
     is the dimensionless k*f.
     """
     if not 0.0 <= theta_deg <= 180.0:
         raise DomainError(f"theta must be in [0, 180], got {theta_deg}")
-    p = legendre_p_table(shifts.l_max, math.cos(math.radians(theta_deg)))
-    total = 0.0 + 0.0j
-    for l, d in enumerate(shifts.deltas):
-        total += (2 * l + 1) * cmath.exp(1j * d) * math.sin(d) * p[l]
-    return total / k
+    even, odd = _channels(theta_deg, shifts)
+    return (even + odd) / k
 
 
 def hs_total_cross_section(shifts: PhaseShiftSet, k: float) -> float:
@@ -115,28 +134,23 @@ def hs_total_cross_section(shifts: PhaseShiftSet, k: float) -> float:
 
 
 def _shifts_for(params: HardSphereParams) -> PhaseShiftSet:
-    return hard_sphere_phase_shifts(params.kR, params.l_max, params.truncation_tol)
+    return hard_sphere_phase_shifts(params.kR, params.l_max)
 
 
 def hs_identical_cross_section(theta_deg: float, params: HardSphereParams) -> float:
     """Symmetrized hard-sphere cross section in units of R^2.
 
-    Aligned pairs are evaluated as |f(theta) +- f(180-theta)|^2 directly,
-    so the fermion zero at 90 degrees is exact; the unpolarized average
-    combines the incoherent and interference terms with weight 1/(2s+1).
+    (2/kR^2) [(1 + eps w)|E|^2 + (1 - eps w)|O|^2] with E, O the even- and
+    odd-wave parts of k f(theta); no terms cancel, and the aligned-fermion
+    zero at 90 degrees is exact.
     """
     if not 0.0 < theta_deg < 180.0:
         raise DomainError(f"theta must be in (0, 180), got {theta_deg}")
-    shifts = _shifts_for(params)
-    k = params.kR  # R = 1
-    f1 = hs_amplitude(theta_deg, shifts, k)
-    f2 = hs_amplitude(180.0 - theta_deg, shifts, k)
-    if params.polarization is Polarization.ALIGNED:
-        combined = f1 + f2 if params.statistics is Statistics.BOSON else f1 - f2
-        return abs(combined) ** 2
-    inc = abs(f1) ** 2 + abs(f2) ** 2
-    intf = 2.0 * (f1.conjugate() * f2).real
-    return symmetrized_combination(inc, intf, params.spin, params.statistics, params.polarization)
+    even, odd = _channels(theta_deg, _shifts_for(params))
+    e2, o2 = abs(even) ** 2, abs(odd) ** 2
+    pair = (params.spin, params.statistics, params.polarization)
+    return 2.0 * (symmetrized_combination(e2, e2, *pair)
+                  + symmetrized_combination(o2, -o2, *pair)) / params.kR**2
 
 
 def hs_curvature_at_90(params: HardSphereParams) -> float:
@@ -151,21 +165,15 @@ def hs_curvature_at_90(params: HardSphereParams) -> float:
     shifts = _shifts_for(params)
     p = legendre_p_table(shifts.l_max, 0.0)
     f = df = d2f = 0.0 + 0.0j  # k f and its x-derivatives at x = 0
-    for l, d in enumerate(shifts.deltas):
-        c = (2 * l + 1) * cmath.exp(1j * d) * math.sin(d)
-        f += c * p[l]
+    for l, w in enumerate(shifts.weights):
+        f += w * p[l]
         if l > 0:
-            df += c * l * p[l - 1]
-        d2f -= c * l * (l + 1) * p[l]
+            df += w * l * p[l - 1]
+        d2f -= w * l * (l + 1) * p[l]
     re_f2f = (d2f * f.conjugate()).real
     slope2 = abs(df) ** 2
-    d2 = symmetrized_combination(
-        4.0 * (re_f2f + slope2),
-        4.0 * (re_f2f - slope2),
-        params.spin,
-        params.statistics,
-        params.polarization,
-    )
+    d2 = symmetrized_combination(4.0 * (re_f2f + slope2), 4.0 * (re_f2f - slope2),
+                                 params.spin, params.statistics, params.polarization)
     return 4.0 * d2 / params.kR**2
 
 
@@ -178,14 +186,17 @@ def find_critical_kR(
 ) -> float | None:
     """Smallest kR in `scan` where the 90 deg curvature changes sign, or None.
 
-    Scans on a grid of `step`, then bisects the first bracketing pair to
-    1e-6.  Absence of a transition is a valid result, not an error.
+    Scans on a grid of `step` (at most MAX_POINTS points), then bisects the
+    first bracketing pair to 1e-6.  Absence of a transition is a valid
+    result, not an error.
     """
     lo, hi = scan
     if not 0.0 < lo < hi <= 10.0:
         raise DomainError(f"scan range must lie within (0, 10], got {scan}")
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"step must be positive and finite, got {step}")
+    if (hi - lo) / step + 1 > MAX_POINTS:
+        raise DomainError(f"step {step} gives more than {MAX_POINTS} scan points")
 
     def curv(kR: float) -> float:
         return hs_curvature_at_90(

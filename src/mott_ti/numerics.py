@@ -7,6 +7,10 @@ from typing import Callable, Sequence
 
 from .errors import RootNotFoundError
 
+# Most points an angle grid or a critical-kR scan may have; both check the
+# count before building or evaluating anything.
+MAX_POINTS = 100_000
+
 
 def five_point_second_derivative(samples: Sequence[float], h: float) -> float:
     """Second derivative at the middle of five samples spaced h apart, O(h^4)."""

@@ -24,6 +24,7 @@ from mott_ti import (
     table_one,
     builtin_catalog,
 )
+from mott_ti.numerics import MAX_POINTS
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -51,6 +52,13 @@ def test_angle_grid_rejects_endpoints():
     for step in (math.nan, math.inf):
         with pytest.raises(DomainError):
             angle_grid(1.0, 179.0, step)
+
+
+def test_angle_grid_point_cap():
+    # MAX_POINTS + 1 points: rejected before the tuple is built
+    with pytest.raises(DomainError):
+        angle_grid(1.0, 179.0, 178.0 / MAX_POINTS)
+    assert len(angle_grid(1.0, 179.0, 178.0 / (MAX_POINTS - 1))) == MAX_POINTS
 
 
 # ----------------------------------------------------------------- build_curve

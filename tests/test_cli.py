@@ -227,6 +227,10 @@ def test_hardsphere_requires_mode(runner):
     ["angular", "--eta", "inf", "--spin", "0"],
     ["angular", "--eta", "1", "--spin", "0", "--theta-step", "nan"],
     ["angular", "--system", "alpha", "--energy", "nan", "--incoherent-only"],
+    ["angular", "--system", "alpha", "--energy", "1e-300", "--incoherent-only"],
+    ["angular", "--eta", "1", "--spin", "0", "--theta-step", "0.00178"],
+    ["hardsphere", "--kr", "1000.001", "--spin", "0"],
+    ["hardsphere", "--spin", "0", "--critical-scan", "0.2", "3", "--step", "2.8e-05"],
     ["hardsphere", "--kr", "nan", "--spin", "0"],
     ["hardsphere", "--spin", "0", "--critical-scan", "0.2", "3", "--step", "nan"],
     ["plateau", "--spin", "0", "--kr", "inf"],

@@ -18,7 +18,9 @@ from mott_ti import (
     hs_total_cross_section,
     legendre_p_table,
 )
-from mott_ti.numerics import half_angle_curvature, second_derivative
+from mott_ti import hardsphere
+from mott_ti.hardsphere import KR_MAX, TRUNCATION_TOL
+from mott_ti.numerics import MAX_POINTS, half_angle_curvature, second_derivative
 
 
 def test_s_wave_shift_is_minus_kR():
@@ -34,7 +36,7 @@ def test_p_wave_shift_at_kR_1():
 
 
 def test_truncation_reached_quickly_at_small_kR():
-    shifts = hard_sphere_phase_shifts(0.5, tol=1e-12)
+    shifts = hard_sphere_phase_shifts(0.5)
     assert shifts.l_max <= 15
     assert abs(math.sin(shifts.deltas[-1])) < 1e-12  # convergence witness
 
@@ -149,15 +151,68 @@ def test_cross_section_symmetry_about_90():
 
 
 def test_truncation_robustness_doubling_l_max():
-    for kR in (0.5, 1.5, 3.0):
+    # above kR ~ 17 the first cap ceil(kR) + 15 is too short and is doubled
+    for kR in (0.5, 1.5, 3.0, 30.0, 100.0, 300.0):
         auto = hard_sphere_phase_shifts(kR)
+        assert abs(math.sin(auto.deltas[-1])) < TRUNCATION_TOL
         params = HardSphereParams(kR=kR, spin=Spin(0), statistics=Statistics.BOSON)
         doubled = HardSphereParams(
             kR=kR, spin=Spin(0), statistics=Statistics.BOSON, l_max=2 * auto.l_max
         )
-        v1 = hs_identical_cross_section(90.0, params)
-        v2 = hs_identical_cross_section(90.0, doubled)
-        assert v2 == pytest.approx(v1, rel=1e-9)
+        for theta in (30.0, 90.0):
+            v1 = hs_identical_cross_section(theta, params)
+            v2 = hs_identical_cross_section(theta, doubled)
+            assert v2 == pytest.approx(v1, rel=1e-9)
+
+
+def test_automatic_ladder_converges_up_to_kR_max():
+    for kR in [10.0 ** (i / 4.0) for i in range(-8, 12)] + [KR_MAX]:
+        shifts = hard_sphere_phase_shifts(kR)
+        assert shifts.l_max > kR
+        assert abs(math.sin(shifts.deltas[-1])) < TRUNCATION_TOL
+        assert all(math.isfinite(d) for d in shifts.deltas)
+
+
+def test_kR_above_bound_rejected():
+    above = math.nextafter(KR_MAX, math.inf)
+    with pytest.raises(DomainError):
+        HardSphereParams(kR=above, spin=Spin(0), statistics=Statistics.BOSON)
+    with pytest.raises(DomainError):
+        hard_sphere_phase_shifts(above)
+    HardSphereParams(kR=KR_MAX, spin=Spin(0), statistics=Statistics.BOSON)
+
+
+def _reference_cross_section(theta, kR, spin, polarization):
+    """|f1 +- f2|^2 or its (2s+1)-weighted mix from two independent Legendre tables."""
+    shifts = hard_sphere_phase_shifts(kR)
+
+    def f(t):
+        p = legendre_p_table(shifts.l_max, math.cos(math.radians(t)))
+        return sum(
+            (2 * l + 1) * cmath.exp(1j * d) * math.sin(d) * p[l]
+            for l, d in enumerate(shifts.deltas)
+        ) / kR
+
+    f1, f2 = f(theta), f(180.0 - theta)
+    sign = 1.0 if spin.statistics is Statistics.BOSON else -1.0
+    if polarization is Polarization.ALIGNED:
+        return abs(f1 + sign * f2) ** 2
+    interference = 2.0 * (f1.conjugate() * f2).real
+    return abs(f1) ** 2 + abs(f2) ** 2 + sign * interference / (2 * spin.value + 1)
+
+
+@pytest.mark.parametrize("kR", [0.3, 1.5, 8.0, 16.0])
+@pytest.mark.parametrize("twice_s", [0, 1, 2, 9])
+@pytest.mark.parametrize("polarization", list(Polarization))
+def test_channel_kernel_matches_two_table_reference(kR, twice_s, polarization):
+    spin = Spin(twice_s)
+    params = HardSphereParams(kR=kR, spin=spin, statistics=spin.statistics,
+                              polarization=polarization)
+    scale = 4.0 * _reference_cross_section(90.0, kR, Spin(0), Polarization.UNPOLARIZED)
+    for theta in (0.5, 30.0, 89.99, 90.0, 150.0, 179.5):
+        ref = _reference_cross_section(theta, kR, spin, polarization)
+        value = hs_identical_cross_section(theta, params)
+        assert abs(value - ref) <= 1e-12 * max(abs(ref), scale), theta
 
 
 def test_endpoints_rejected_for_symmetrized_cross_section():
@@ -228,3 +283,11 @@ def test_scan_validation():
     for step in (-0.1, math.nan, math.inf):
         with pytest.raises(DomainError):
             find_critical_kR(Spin(0), Statistics.BOSON, scan=(0.5, 3.0), step=step)
+
+
+def test_scan_point_cap_checked_before_any_evaluation(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hardsphere, "hs_curvature_at_90", lambda params: calls.append(params))
+    with pytest.raises(DomainError):
+        find_critical_kR(Spin(0), Statistics.BOSON, scan=(0.2, 3.0), step=2.8 / MAX_POINTS)
+    assert calls == []
