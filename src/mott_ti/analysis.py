@@ -9,15 +9,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .constants import BARN_PER_FM2, DEFAULT_CONSTANTS, PhysicalConstants
 from .coulomb import MottParams, critical_eta, curvature_at_90, identical_cross_section
 from .errors import DomainError
 from .hardsphere import HardSphereParams, hs_identical_cross_section
-from .kinematics import critical_energy, energy_from_eta, half_closest_approach
+from .kinematics import critical_energy, half_closest_approach
 from .numerics import MAX_POINTS, five_point_second_derivative, half_angle_curvature
-from .species import CollisionSystem, ParticleSpecies, Polarization, Spin, Statistics
+from .species import (
+    CollisionSystem,
+    ParticleSpecies,
+    Polarization,
+    Spin,
+    Statistics,
+    symmetrized_combination,
+)
 
 # |curvature| below 1e-6 a^2 counts as flat when classifying 90 degrees.
 FLAT_CURVATURE_TOL = 1e-6
@@ -40,11 +46,10 @@ _SYMMETRY_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class CrossSectionCurve:
-    """Sampled angular distribution plus the parameters that produced it."""
+    """Sampled angular distribution."""
 
     thetas: tuple[float, ...]   # degrees, strictly increasing, inside (0, 180)
     values: tuple[float, ...]   # fm^2/sr (Coulomb) or units of R^2 (hard sphere)
-    meta: Mapping[str, object]
 
     def __post_init__(self) -> None:
         if len(self.thetas) != len(self.values):
@@ -80,7 +85,6 @@ class CrossSectionCurve:
 class PlateauReport:
     """Largest symmetric band around 90 deg staying within epsilon of sigma(90)."""
 
-    epsilon: float
     theta_lo: float        # degrees
     theta_hi: float        # degrees
     width: float           # degrees
@@ -92,8 +96,6 @@ class PlateauReport:
 class SweepResult:
     """Cross-section shapes just below, at, and just above the critical eta."""
 
-    spin: Spin
-    delta: float
     etas: tuple[float, float, float]
     curves: tuple[CrossSectionCurve, CrossSectionCurve, CrossSectionCurve]
     classifications: tuple[str, str, str]   # each "min", "flat" or "max"
@@ -132,9 +134,10 @@ def angle_grid(start: float = 1.0, stop: float = 179.0, step: float = 0.5) -> tu
         raise DomainError(f"grid must lie strictly inside (0, 180): [{start}, {stop}]")
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"step must be positive and finite, got {step}")
-    n = round((stop - start) / step)
-    if n + 1 > MAX_POINTS:
-        raise DomainError(f"step {step} gives {n + 1} points, more than {MAX_POINTS}")
+    count = (stop - start) / step  # inf for a subnormal step
+    if count >= MAX_POINTS - 0.5:  # round(count) + 1 would exceed MAX_POINTS
+        raise DomainError(f"step {step} gives more than {MAX_POINTS} points")
+    n = round(count)
     if abs(start + n * step - stop) > 1e-9:
         raise DomainError(f"step {step} does not divide [{start}, {stop}] evenly")
     return tuple(start + i * step for i in range(n + 1))
@@ -150,31 +153,16 @@ def build_curve(
         values = tuple(
             identical_cross_section(t, model, statistics) for t in grid
         )
-        meta: dict[str, object] = {
-            "model": "mott-coulomb",
-            "a_fm": model.a,
-            "eta": model.eta,
-            "spin": str(model.spin),
-            "statistics": statistics.value,
-            "polarization": model.polarization.value,
-        }
     elif isinstance(model, HardSphereParams):
         statistics = model.statistics
         values = tuple(hs_identical_cross_section(t, model) for t in grid)
-        meta = {
-            "model": "hard-sphere",
-            "kR": model.kR,
-            "spin": str(model.spin),
-            "statistics": statistics.value,
-            "polarization": model.polarization.value,
-        }
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
     if statistics is Statistics.BOSON:
         for t, v in zip(grid, values):
             if v < 0.0:
                 raise DomainError(f"negative boson cross section {v} at {t} deg")
-    return CrossSectionCurve(thetas=tuple(grid), values=values, meta=meta)
+    return CrossSectionCurve(thetas=tuple(grid), values=values)
 
 
 def _index_of_90(curve: CrossSectionCurve) -> int:
@@ -215,7 +203,6 @@ def plateau(curve: CrossSectionCurve, epsilon: float) -> PlateauReport:
             break
         j = nxt
     return PlateauReport(
-        epsilon=epsilon,
         theta_lo=curve.thetas[i90 - j],
         theta_hi=curve.thetas[i90 + j],
         width=curve.thetas[i90 + j] - curve.thetas[i90 - j],
@@ -235,9 +222,8 @@ def sensitivity_sweep(
     spin: Spin,
     delta: float,
     grid: tuple[float, ...] | None = None,
-    a: float = 1.0,
 ) -> SweepResult:
-    """Curves at eta_C (1-delta), eta_C, eta_C (1+delta) with shape classification.
+    """Curves at eta_C (1-delta), eta_C, eta_C (1+delta) with a = 1 and shape classification.
 
     Since E scales as eta^-2, a fractional eta shift of delta maps to a
     first-order energy shift of 2 delta.
@@ -252,12 +238,10 @@ def sensitivity_sweep(
     curves = []
     labels = []
     for eta in etas:
-        params = MottParams(a=a, eta=eta, spin=spin)
+        params = MottParams(a=1.0, eta=eta, spin=spin)
         curves.append(build_curve(params, grid))
-        labels.append(classify_curvature(curvature_at_90(params, statistics), a))
+        labels.append(classify_curvature(curvature_at_90(params, statistics)))
     return SweepResult(
-        spin=spin,
-        delta=delta,
         etas=etas,
         curves=tuple(curves),
         classifications=tuple(labels),
@@ -312,13 +296,16 @@ def sigma90(
 
     scaling: SIGMA90_SCALING_BARN (3s+2)^2 / Z^6, the printed shorthand
              whose prefactor is exact only for s = 0.
-    direct:  2 a^2 (1 + 1/(2s+1)) with a evaluated at E_C.
+    direct:  2 a^2 (1 +- 1/(2s+1)) with a evaluated at E_C: sigma_inc = 2 a^2
+             and sigma_int = 2 a^2 at 90 deg, combined as an unpolarized pair.
     """
     s = species.spin.value
     scaling = SIGMA90_SCALING_BARN * (3.0 * s + 2.0) ** 2 / float(species.z) ** 6
     system = CollisionSystem(species=species, energy_cm=critical_energy(species, constants))
     a = half_closest_approach(system, constants)
-    direct = 2.0 * a * a * (1.0 + 1.0 / species.spin.multiplicity) * BARN_PER_FM2
+    two_a2 = 2.0 * a * a
+    direct = symmetrized_combination(two_a2, two_a2, species.spin, species.spin.statistics,
+                                     Polarization.UNPOLARIZED) * BARN_PER_FM2
     return scaling, direct
 
 

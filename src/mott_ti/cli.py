@@ -223,7 +223,7 @@ def angular(system_name, energy, eta, spin, stat, polarization, incoherent_only,
 
     if incoherent_only:
         incoherent = tuple(sigma_inc_coulomb(t, a) for t in grid)
-        values = CrossSectionCurve(thetas=grid, values=incoherent, meta={}).values
+        values = CrossSectionCurve(thetas=grid, values=incoherent).values
     else:
         statistics = _statistics(spin, stat)
         mott = MottParams(a=a, eta=eta_val, spin=spin, polarization=pol)

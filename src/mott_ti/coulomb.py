@@ -25,6 +25,11 @@ from .species import Polarization, Spin, Statistics, symmetrized_combination
 # Angle step (degrees) of the finite-difference cross-check curvature_at_90_fd.
 CURVATURE_STEP_DEG = 0.25
 
+# Largest accepted eta.  The interference phase 2 eta ln tan(theta/2) carries
+# a rounding error of a few 1e-16 eta rad: ~1e-9 at 1e6, while beyond ~1e15
+# the interference term is noise (and eta^2 overflows past 1e154).
+ETA_MAX = 1e6
+
 
 @dataclass(frozen=True)
 class MottParams:
@@ -38,8 +43,8 @@ class MottParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise DomainError(f"a must be positive and finite, got {self.a}")
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise DomainError(f"eta must be positive and finite, got {self.eta}")
+        if not 0.0 < self.eta <= ETA_MAX:  # also false for nan
+            raise DomainError(f"eta must lie in (0, {ETA_MAX:g}], got {self.eta}")
 
 
 def _half_angle(theta_deg: float) -> float:
@@ -63,7 +68,7 @@ def sigma_inc_coulomb(theta_deg: float, a: float) -> float:
     t = _half_angle(theta_deg)
     try:
         return (a * a / 4.0) * (math.sin(t) ** -4 + math.cos(t) ** -4)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # sin(t) tiny or rounded to 0
         raise _overflow(theta_deg) from None
 
 

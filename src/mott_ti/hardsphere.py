@@ -2,8 +2,9 @@
 
 The only physical parameter is kR (R = sum of the two radii).  Phase
 shifts follow tan(delta_l) = j_l(kR)/y_l(kR); cross sections are reported
-in units of R^2, i.e. with R = 1 and k = kR.  kR must lie in (0, KR_MAX],
-where the automatic partial-wave ladder always reaches TRUNCATION_TOL.
+in units of R^2 and amplitudes in units of R, i.e. with R = 1 and k = kR.
+kR must lie in [KR_MIN, KR_MAX]; there the partial-wave ladder always
+reaches TRUNCATION_TOL with finite shifts.
 
 Identical pairs combine f(theta) and f(180 - theta).  As P_l(-x) = (-1)^l P_l(x),
 k f is E + O at theta and E - O at 180 - theta, E and O being the even-l
@@ -30,7 +31,8 @@ from .special import legendre_p_table, spherical_bessel_j_table, spherical_besse
 
 TRUNCATION_TOL = 1e-12  # the automatic ladder stops at |sin delta_l| below this
 AUTO_L_MARGIN = 15  # first cap ceil(kR) + 15; phase shifts decay super-exponentially for l > kR
-KR_MAX = 1000.0  # largest accepted kR; the automatic ladder then needs about 1060 waves
+KR_MIN = 1e-6  # smallest accepted kR; pure s-wave there, and far below it the Bessel tables overflow
+KR_MAX = 1000.0  # largest accepted kR; the ladder then needs about 1060 waves
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ class HardSphereParams:
     spin: Spin
     statistics: Statistics
     polarization: Polarization = Polarization.UNPOLARIZED
-    l_max: int | None = None          # None = auto-truncate
 
     def __post_init__(self) -> None:
         _check_kR(self.kR)
@@ -66,23 +67,21 @@ class HardSphereParams:
 
 
 def _check_kR(kR: float) -> None:
-    if not 0.0 < kR <= KR_MAX:  # also false for nan
-        raise DomainError(f"kR must lie in (0, {KR_MAX:g}], got {kR}")
+    if not KR_MIN <= kR <= KR_MAX:  # also false for nan
+        raise DomainError(f"kR must lie in [{KR_MIN:g}, {KR_MAX:g}], got {kR}")
 
 
 @lru_cache(maxsize=512)
-def hard_sphere_phase_shifts(kR: float, l_max: int | None = None) -> PhaseShiftSet:
+def hard_sphere_phase_shifts(kR: float) -> PhaseShiftSet:
     """Phase shifts delta_l = atan2(j_l, y_l) at x = kR, folded to (-pi/2, pi/2].
 
     delta_0 is set to -kR exactly (its closed form; shifts only matter
-    mod pi in observables).  With l_max=None the ladder stops at the first
-    l > kR where |sin delta_l| < TRUNCATION_TOL, so the automatic set always
-    converges: a ladder that reaches its cap above the tolerance (from
-    kR ~ 17) is rebuilt with the cap doubled.  An explicit l_max disables
-    that truncation so convergence can be probed.
+    mod pi in observables).  The ladder stops at the first l > kR where
+    |sin delta_l| < TRUNCATION_TOL; one that reaches its cap ceil(kR) + 15
+    first (from kR ~ 17) is rebuilt with the cap doubled.
     """
     _check_kR(kR)
-    cap = l_max if l_max is not None else math.ceil(kR) + AUTO_L_MARGIN
+    cap = math.ceil(kR) + AUTO_L_MARGIN
     while True:
         j = spherical_bessel_j_table(cap, kR)
         y = spherical_bessel_y_table(cap, kR)
@@ -94,10 +93,8 @@ def hard_sphere_phase_shifts(kR: float, l_max: int | None = None) -> PhaseShiftS
             elif d <= -math.pi / 2.0:
                 d += math.pi
             deltas.append(d)
-            if l_max is None and l > kR and abs(math.sin(d)) < TRUNCATION_TOL:
-                break
-        if l_max is not None or abs(math.sin(deltas[-1])) < TRUNCATION_TOL:
-            return PhaseShiftSet(kR=kR, deltas=tuple(deltas))
+            if l > kR and abs(math.sin(d)) < TRUNCATION_TOL:
+                return PhaseShiftSet(kR=kR, deltas=tuple(deltas))
         cap *= 2
 
 
@@ -111,30 +108,25 @@ def _channels(theta_deg: float, shifts: PhaseShiftSet) -> tuple[complex, complex
     return sum(map(operator.mul, w[0::2], p[0::2])), sum(map(operator.mul, w[1::2], p[1::2]))
 
 
-def hs_amplitude(theta_deg: float, shifts: PhaseShiftSet, k: float = 1.0) -> complex:
-    """Partial-wave amplitude f(theta) = (1/k) sum w_l P_l(cos theta).
+def hs_amplitude(theta_deg: float, shifts: PhaseShiftSet) -> complex:
+    """Partial-wave amplitude f(theta) = (1/kR) sum w_l P_l(cos theta), in units of R.
 
-    Endpoints are allowed (no Coulomb pole).  With k=1 the returned value
-    is the dimensionless k*f.
+    Endpoints are allowed (no Coulomb pole).
     """
     if not 0.0 <= theta_deg <= 180.0:
         raise DomainError(f"theta must be in [0, 180], got {theta_deg}")
     even, odd = _channels(theta_deg, shifts)
-    return (even + odd) / k
+    return (even + odd) / shifts.kR
 
 
-def hs_total_cross_section(shifts: PhaseShiftSet, k: float) -> float:
-    """sigma_total = (4 pi / k^2) sum (2l+1) sin^2(delta_l)."""
+def hs_total_cross_section(shifts: PhaseShiftSet) -> float:
+    """sigma_total = (4 pi / kR^2) sum (2l+1) sin^2(delta_l), in units of R^2."""
     return (
         4.0
         * math.pi
-        / (k * k)
+        / (shifts.kR * shifts.kR)
         * sum((2 * l + 1) * math.sin(d) ** 2 for l, d in enumerate(shifts.deltas))
     )
-
-
-def _shifts_for(params: HardSphereParams) -> PhaseShiftSet:
-    return hard_sphere_phase_shifts(params.kR, params.l_max)
 
 
 def hs_identical_cross_section(theta_deg: float, params: HardSphereParams) -> float:
@@ -146,7 +138,7 @@ def hs_identical_cross_section(theta_deg: float, params: HardSphereParams) -> fl
     """
     if not 0.0 < theta_deg < 180.0:
         raise DomainError(f"theta must be in (0, 180), got {theta_deg}")
-    even, odd = _channels(theta_deg, _shifts_for(params))
+    even, odd = _channels(theta_deg, hard_sphere_phase_shifts(params.kR))
     e2, o2 = abs(even) ** 2, abs(odd) ** 2
     pair = (params.spin, params.statistics, params.polarization)
     return 2.0 * (symmetrized_combination(e2, e2, *pair)
@@ -162,7 +154,7 @@ def hs_curvature_at_90(params: HardSphereParams) -> float:
     second derivatives 4 (Re f'' f* + |f'|^2) and 4 (Re f'' f* - |f'|^2),
     combined like the cross sections themselves.
     """
-    shifts = _shifts_for(params)
+    shifts = hard_sphere_phase_shifts(params.kR)
     p = legendre_p_table(shifts.l_max, 0.0)
     f = df = d2f = 0.0 + 0.0j  # k f and its x-derivatives at x = 0
     for l, w in enumerate(shifts.weights):

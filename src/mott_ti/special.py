@@ -27,7 +27,7 @@ def spherical_bessel_j_table(l_max: int, x: float) -> list[float]:
 
     Upward recurrence while l_max <= x; otherwise downward (Miller)
     recurrence from a seed well above l_max, normalized against the
-    closed-form j_0 (or j_1 when x sits on a zero of sin).
+    closed-form j_0 (or j_1 when x >= 1 sits near a zero of sin).
     """
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
@@ -58,8 +58,9 @@ def spherical_bessel_j_table(l_max: int, x: float) -> list[float]:
                 table[i] *= scale
         if l <= l_max:
             table[l] = here
-    # normalize on whichever closed form is farther from a zero
-    if abs(j0) >= abs(j1):
+    # normalize on whichever closed form is farther from a zero; below x = 1
+    # that is j0, while the closed-form j1 cancels to noise as x -> 0
+    if x < 1.0 or abs(j0) >= abs(j1):
         norm = j0 / table[0]
     else:
         norm = j1 / table[1]

@@ -16,6 +16,10 @@ from pathlib import Path
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import ConsistencyError, DomainError
 
+# Smallest accepted CM energy (keV): E in MeV stays a normal float above it,
+# so the kinematic quotients q^2/(2E) and M/(4E) never divide by zero.
+ENERGY_MIN_KEV = 1e-300
+
 
 class Statistics(Enum):
     BOSON = "boson"
@@ -136,8 +140,9 @@ class CollisionSystem:
     energy_cm: float  # keV
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.energy_cm) and self.energy_cm > 0.0):
-            raise DomainError(f"energy_cm must be positive and finite, got {self.energy_cm}")
+        if not ENERGY_MIN_KEV <= self.energy_cm < math.inf:  # also false for nan
+            raise DomainError(f"energy_cm must be finite and >= {ENERGY_MIN_KEV:g} keV, "
+                              f"got {self.energy_cm}")
 
 
 def _parse_catalog_lines(

@@ -142,8 +142,8 @@ def test_criterion_6_fermion_no_ti():
 def test_criterion_7_hard_sphere():
     for kR in (0.5, 1.5, 3.0):
         shifts = hard_sphere_phase_shifts(kR)
-        forward = 4.0 * math.pi / kR * hs_amplitude(0.0, shifts, kR).imag
-        assert forward == pytest.approx(hs_total_cross_section(shifts, kR), rel=1e-8)
+        forward = 4.0 * math.pi / kR * hs_amplitude(0.0, shifts).imag
+        assert forward == pytest.approx(hs_total_cross_section(shifts), rel=1e-8)
     aligned_fermions = HardSphereParams(
         kR=1.0, spin=Spin(1), statistics=Statistics.FERMION,
         polarization=Polarization.ALIGNED,
@@ -190,8 +190,8 @@ def test_criterion_8_property_suites():
             s, mult = spin.value, spin.multiplicity
             params = HardSphereParams(kR=kR, spin=spin, statistics=stats)
             for theta in (30.0, 75.0, 90.0):
-                f1 = hs_amplitude(theta, shifts, kR)
-                f2 = hs_amplitude(180.0 - theta, shifts, kR)
+                f1 = hs_amplitude(theta, shifts)
+                f2 = hs_amplitude(180.0 - theta, shifts)
                 sym, anti = abs(f1 + f2) ** 2, abs(f1 - f2) ** 2
                 if stats is Statistics.BOSON:
                     weighted = ((s + 1) * sym + s * anti) / mult

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from mott_ti import (
+    CollisionSystem,
     CrossSectionCurve,
     DEFAULT_CONSTANTS,
     DomainError,
@@ -16,14 +17,17 @@ from mott_ti import (
     barrier_radius,
     build_curve,
     classify_curvature,
+    critical_energy,
     critical_eta,
     feasibility,
+    half_closest_approach,
     plateau,
     sensitivity_sweep,
     sigma90,
     table_one,
     builtin_catalog,
 )
+from mott_ti.constants import BARN_PER_FM2
 from mott_ti.numerics import MAX_POINTS
 
 SQRT2 = math.sqrt(2.0)
@@ -33,6 +37,7 @@ ALPHA = ParticleSpecies(name="alpha", z=2, mass=4 * DEFAULT_CONSTANTS.amu, spin=
 LI6 = ParticleSpecies(name="6Li", z=3, mass=6 * DEFAULT_CONSTANTS.amu, spin=Spin(2))
 DEUTERON = ParticleSpecies(name="d", z=1, mass=2 * DEFAULT_CONSTANTS.amu, spin=Spin(2))
 CARBON12 = ParticleSpecies(name="12C", z=6, mass=12 * DEFAULT_CONSTANTS.amu, spin=Spin(0))
+HELIUM3 = ParticleSpecies(name="he3", z=2, mass=3 * DEFAULT_CONSTANTS.amu, spin=Spin(1))
 
 
 # ------------------------------------------------------------------ angle grid
@@ -68,8 +73,6 @@ def test_build_curve_symmetric_179_points():
     curve = build_curve(MottParams(a=1.0, eta=SQRT2, spin=Spin(0)), grid)
     assert len(curve.thetas) == 179
     assert curve.is_symmetric_grid()
-    assert curve.meta["model"] == "mott-coulomb"
-    assert curve.meta["statistics"] == "boson"
 
 
 def test_build_curve_spin1_90_value():
@@ -82,22 +85,20 @@ def test_build_curve_hard_sphere():
     params = HardSphereParams(kR=1.5, spin=Spin(0), statistics=Statistics.BOSON)
     curve = build_curve(params, angle_grid(5.0, 175.0, 1.0))
     assert all(v > 0.0 for v in curve.values)
-    assert curve.meta["model"] == "hard-sphere"
-    assert curve.meta["kR"] == 1.5
 
 
 def test_curve_validation_rejects_asymmetric_values():
     with pytest.raises(DomainError, match="symmetry"):
-        CrossSectionCurve(thetas=(80.0, 90.0, 100.0), values=(1.0, 2.0, 1.5), meta={})
+        CrossSectionCurve(thetas=(80.0, 90.0, 100.0), values=(1.0, 2.0, 1.5))
 
 
 def test_curve_validation_rejects_bad_grid():
     with pytest.raises(DomainError):
-        CrossSectionCurve(thetas=(10.0, 5.0), values=(1.0, 1.0), meta={})
+        CrossSectionCurve(thetas=(10.0, 5.0), values=(1.0, 1.0))
     with pytest.raises(DomainError):
-        CrossSectionCurve(thetas=(10.0, 190.0), values=(1.0, 1.0), meta={})
+        CrossSectionCurve(thetas=(10.0, 190.0), values=(1.0, 1.0))
     with pytest.raises(DomainError):
-        CrossSectionCurve(thetas=(10.0,), values=(math.inf,), meta={})
+        CrossSectionCurve(thetas=(10.0,), values=(math.inf,))
 
 
 # --------------------------------------------------------------------- plateau
@@ -303,6 +304,15 @@ def test_table_one_flags_deuteron_sigma90():
 
 def test_table_one_empty_catalog():
     assert table_one([]) == []
+
+
+def test_table_one_fermion_sigma90_direct():
+    # unpolarized fermions at 90 deg: 2 a^2 (1 - 1/(2s+1)) = a^2 for s = 1/2
+    (row,) = table_one([HELIUM3])
+    system = CollisionSystem(species=HELIUM3, energy_cm=critical_energy(HELIUM3))
+    a = half_closest_approach(system)
+    assert row.sigma90_direct_barn == pytest.approx(a * a * BARN_PER_FM2, rel=1e-12)
+    assert row.sigma90_direct_barn == pytest.approx(2.87, abs=0.005)
 
 
 def test_table_one_extra_species():

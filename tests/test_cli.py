@@ -3,6 +3,8 @@ import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mott_ti.cli import main
 
@@ -236,11 +238,72 @@ def test_hardsphere_requires_mode(runner):
     ["plateau", "--spin", "0", "--kr", "inf"],
     ["plateau", "--spin", "0", "--eta", "1", "--epsilon", "nan"],
     ["critical", "--spin", "0", "--numeric", "--bracket", "-1", "4"],
+    ["hardsphere", "--kr", "1e-100", "--spin", "0"],
+    ["plateau", "--spin", "0", "--kr", "1e-100"],
+    ["hardsphere", "--spin", "0", "--critical-scan", "1e-100", "1"],
+    ["angular", "--spin", "0", "--eta", "1.7e308"],
+    ["plateau", "--spin", "0", "--eta", "1.7e308"],
+    ["critical", "--spin", "0", "--numeric", "--bracket", "1e-300", "1.7e308"],
+    ["angular", "--system", "alpha", "--energy", "5e-324"],
+    ["angular", "--spin", "0", "--eta", "1", "--theta-min", "5e-324"],
+    ["angular", "--eta", "1", "--incoherent-only", "--theta-min", "5e-324"],
+    ["angular", "--spin", "0", "--eta", "1", "--theta-step", "5e-324"],
 ])
 def test_invalid_numbers_exit_2(runner, argv):
     result = runner.invoke(main, argv)
     assert result.exit_code == 2
     assert result.stdout == ""
+
+
+# Each case runs one subcommand with one numeric option drawn ("X"); the other
+# options stay at cheap values (coarse grids, small kR).
+GRID = ["--theta-min", "30", "--theta-max", "150", "--theta-step", "30"]
+
+
+def grid_cases(argv):
+    """argv + GRID three times, with the grid start, end and step drawn in turn."""
+    return [argv + GRID[:i] + ["X"] + GRID[i + 1:] for i in (1, 3, 5)]
+
+
+GUARD_CASES = [
+    ["critical", "--spin", "0", "--numeric", "--bracket", "X", "4"],
+    ["critical", "--spin", "0", "--numeric", "--bracket", "0.5", "X"],
+    ["angular", "--system", "alpha", "--energy", "X"] + GRID,
+    ["angular", "--system", "alpha", "--incoherent-only", "--energy", "X"] + GRID,
+    ["angular", "--spin", "0", "--eta", "X"] + GRID,
+    ["angular", "--eta", "X", "--incoherent-only"] + GRID,
+    *grid_cases(["angular", "--spin", "0", "--eta", "1"]),
+    *grid_cases(["angular", "--eta", "1", "--incoherent-only"]),
+    ["plateau", "--spin", "0", "--eta", "X"] + GRID,
+    ["plateau", "--spin", "0", "--kr", "X"] + GRID,
+    ["plateau", "--spin", "0", "--eta-critical", "--epsilon", "X"] + GRID,
+    *grid_cases(["plateau", "--spin", "0", "--eta-critical"]),
+    ["sweep", "--spin", "0", "--delta", "X"] + GRID,
+    *grid_cases(["sweep", "--spin", "0"]),
+    ["hardsphere", "--spin", "0", "--kr", "X"] + GRID,
+    *grid_cases(["hardsphere", "--spin", "0", "--kr", "0.5"]),
+    ["hardsphere", "--spin", "0", "--critical-scan", "X", "3"],
+    ["hardsphere", "--spin", "0", "--critical-scan", "0.2", "X"],
+    ["hardsphere", "--spin", "0", "--critical-scan", "0.2", "3", "--step", "X"],
+]
+
+
+@pytest.mark.parametrize("argv", GUARD_CASES, ids=lambda argv: " ".join(argv[:argv.index("X") + 1]))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(value=st.floats())
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=0.0)
+@example(value=-0.0)
+@example(value=5e-324)
+@example(value=1e300)
+@example(value=1e-300)
+@example(value=-1e300)
+def test_numeric_options_never_traceback(argv, value):
+    result = CliRunner().invoke(main, [repr(value) if a == "X" else a for a in argv])
+    assert result.exit_code in {0, 2, 3}, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 # ------------------------------------------------------- envelope and formats

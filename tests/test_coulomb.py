@@ -21,6 +21,7 @@ from mott_ti import (
     sigma_inc_coulomb,
     sigma_int_coulomb,
 )
+from mott_ti.coulomb import ETA_MAX
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -95,6 +96,21 @@ def test_bad_parameters():
             MottParams(a=bad, eta=1.0, spin=Spin(0))
         with pytest.raises(DomainError):
             MottParams(a=1.0, eta=bad, spin=Spin(0))
+    with pytest.raises(DomainError):
+        MottParams(a=1.0, eta=math.nextafter(ETA_MAX, math.inf), spin=Spin(0))
+
+
+@pytest.mark.parametrize("theta,expected", [
+    (1.0, 43112094.397445881441),
+    (10.0, 4351.8023373425256286),
+    (70.0, 3.582214899251902292),
+])
+def test_cross_section_accurate_at_eta_max(theta, expected):
+    # frozen from a 50-digit mpmath sum, boson spin 0 at eta = 1e6
+    params = MottParams(a=1.0, eta=ETA_MAX, spin=Spin(0))
+    assert identical_cross_section(theta, params, Statistics.BOSON) == pytest.approx(
+        expected, rel=1e-8
+    )
 
 
 # ------------------------------------------------------- symmetrized combination

@@ -17,9 +17,11 @@ from mott_ti import (
     hs_identical_cross_section,
     hs_total_cross_section,
     legendre_p_table,
+    spherical_bessel_j_table,
+    spherical_bessel_y_table,
 )
 from mott_ti import hardsphere
-from mott_ti.hardsphere import KR_MAX, TRUNCATION_TOL
+from mott_ti.hardsphere import KR_MAX, KR_MIN, TRUNCATION_TOL
 from mott_ti.numerics import MAX_POINTS, half_angle_curvature, second_derivative
 
 
@@ -57,9 +59,8 @@ def test_phase_shifts_domain_error():
 @pytest.mark.parametrize("kR", [0.5, 1.5, 3.0])
 def test_optical_theorem(kR):
     shifts = hard_sphere_phase_shifts(kR)
-    k = kR
-    sigma_from_forward = 4.0 * math.pi / k * hs_amplitude(0.0, shifts, k).imag
-    sigma_from_sum = hs_total_cross_section(shifts, k)
+    sigma_from_forward = 4.0 * math.pi / kR * hs_amplitude(0.0, shifts).imag
+    sigma_from_sum = hs_total_cross_section(shifts)
     assert sigma_from_forward == pytest.approx(sigma_from_sum, rel=1e-8)
 
 
@@ -68,13 +69,13 @@ def test_small_kR_isotropic_s_wave_limit():
     shifts = hard_sphere_phase_shifts(kR)
     expected = -math.sin(kR) * cmath.exp(-1j * kR)
     for theta in (30.0, 90.0, 150.0):
-        kf = hs_amplitude(theta, shifts, k=1.0)  # k=1 returns k*f
+        kf = kR * hs_amplitude(theta, shifts)  # f is in units of R
         assert abs(kf - expected) < 1e-5 * abs(expected)
 
 
 def test_total_cross_section_approaches_2piR2():
     shifts = hard_sphere_phase_shifts(10.0)
-    sigma = hs_total_cross_section(shifts, 10.0)
+    sigma = hs_total_cross_section(shifts)
     assert abs(sigma - 2.0 * math.pi) <= 0.2 * 2.0 * math.pi  # within 20% at kR=10
 
 
@@ -119,13 +120,12 @@ def test_unpolarized_equals_weighted_channel_sum(twice_s, statistics, kR):
     # (2s+1)-weighted mix of |f1+f2|^2 and |f1-f2|^2, roles set by statistics
     spin = Spin(twice_s)
     shifts = hard_sphere_phase_shifts(kR)
-    k = kR
     s = spin.value
     mult = spin.multiplicity
     params = HardSphereParams(kR=kR, spin=spin, statistics=statistics)
     for theta in (25.0, 90.0, 117.5):
-        f1 = hs_amplitude(theta, shifts, k)
-        f2 = hs_amplitude(180.0 - theta, shifts, k)
+        f1 = hs_amplitude(theta, shifts)
+        f2 = hs_amplitude(180.0 - theta, shifts)
         sym = abs(f1 + f2) ** 2
         anti = abs(f1 - f2) ** 2
         if statistics is Statistics.BOSON:
@@ -151,22 +151,32 @@ def test_cross_section_symmetry_about_90():
 
 
 def test_truncation_robustness_doubling_l_max():
-    # above kR ~ 17 the first cap ceil(kR) + 15 is too short and is doubled
+    # above kR ~ 17 the first cap ceil(kR) + 15 is too short and is doubled;
+    # the reference sums twice as many waves, delta_l = atan2(j_l, y_l)
     for kR in (0.5, 1.5, 3.0, 30.0, 100.0, 300.0):
         auto = hard_sphere_phase_shifts(kR)
         assert abs(math.sin(auto.deltas[-1])) < TRUNCATION_TOL
+        l_max = 2 * auto.l_max
+        j = spherical_bessel_j_table(l_max, kR)
+        y = spherical_bessel_y_table(l_max, kR)
+        weights = [cmath.rect((2 * l + 1) * math.sin(d), d)
+                   for l, d in enumerate(map(math.atan2, j, y))]
+
+        def f(theta):
+            p = legendre_p_table(l_max, math.cos(math.radians(theta)))
+            return sum(w * pl for w, pl in zip(weights, p)) / kR
+
         params = HardSphereParams(kR=kR, spin=Spin(0), statistics=Statistics.BOSON)
-        doubled = HardSphereParams(
-            kR=kR, spin=Spin(0), statistics=Statistics.BOSON, l_max=2 * auto.l_max
-        )
         for theta in (30.0, 90.0):
-            v1 = hs_identical_cross_section(theta, params)
-            v2 = hs_identical_cross_section(theta, doubled)
-            assert v2 == pytest.approx(v1, rel=1e-9)
+            reference = abs(f(theta) + f(180.0 - theta)) ** 2
+            assert hs_identical_cross_section(theta, params) == pytest.approx(reference, rel=1e-9)
 
 
 def test_automatic_ladder_converges_up_to_kR_max():
-    for kR in [10.0 ** (i / 4.0) for i in range(-8, 12)] + [KR_MAX]:
+    # log grid from KR_MIN to KR_MAX, both ends included
+    n = 36
+    grid = [KR_MIN] + [KR_MIN * (KR_MAX / KR_MIN) ** (i / n) for i in range(1, n)] + [KR_MAX]
+    for kR in grid:
         shifts = hard_sphere_phase_shifts(kR)
         assert shifts.l_max > kR
         assert abs(math.sin(shifts.deltas[-1])) < TRUNCATION_TOL
@@ -174,12 +184,13 @@ def test_automatic_ladder_converges_up_to_kR_max():
 
 
 def test_kR_above_bound_rejected():
-    above = math.nextafter(KR_MAX, math.inf)
-    with pytest.raises(DomainError):
-        HardSphereParams(kR=above, spin=Spin(0), statistics=Statistics.BOSON)
-    with pytest.raises(DomainError):
-        hard_sphere_phase_shifts(above)
+    for outside in (math.nextafter(KR_MAX, math.inf), math.nextafter(KR_MIN, 0.0)):
+        with pytest.raises(DomainError):
+            HardSphereParams(kR=outside, spin=Spin(0), statistics=Statistics.BOSON)
+        with pytest.raises(DomainError):
+            hard_sphere_phase_shifts(outside)
     HardSphereParams(kR=KR_MAX, spin=Spin(0), statistics=Statistics.BOSON)
+    HardSphereParams(kR=KR_MIN, spin=Spin(0), statistics=Statistics.BOSON)
 
 
 def _reference_cross_section(theta, kR, spin, polarization):

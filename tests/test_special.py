@@ -44,6 +44,19 @@ def test_y_against_scipy(x):
         assert ours[l] == pytest.approx(ref, rel=1e-11)
 
 
+@pytest.mark.parametrize("x", [1e-6, 1e-10, 1e-16, 1e-18, 1e-30])
+def test_tables_against_scipy_at_tiny_x(x):
+    # the closed-form j_1 cancels to noise here; j_0 must normalize the table
+    j = spherical_bessel_j_table(16, x)
+    y = spherical_bessel_y_table(16, x)
+    for l in range(17):
+        assert j[l] == pytest.approx(ss.spherical_jn(l, x), rel=1e-12, abs=1e-300)
+        ref = ss.spherical_yn(l, x)
+        if math.isfinite(ref):  # y_l overflows from l = 16 at 1e-18 and l = 10 at 1e-30
+            assert y[l] == pytest.approx(ref, rel=1e-12)
+    assert spherical_bessel_j(1, 1e-18) == pytest.approx(1e-18 / 3.0, rel=1e-12)
+
+
 def test_j_deep_downward_regime():
     # l >> x exercises the Miller normalization; frozen from scipy
     assert spherical_bessel_j(15, 2.0) == pytest.approx(1.6069821659384152e-13, rel=1e-10)
