@@ -40,7 +40,7 @@ from .coulomb import (
     sigma_inc_coulomb,
     sigma_int_coulomb,
 )
-from .errors import ConsistencyError, DivergenceError, DomainError, RootNotFoundError
+from .errors import DivergenceError, DomainError, RootNotFoundError
 from .hardsphere import (
     HardSphereParams,
     PhaseShiftSet,

@@ -149,16 +149,12 @@ def build_curve(
 ) -> CrossSectionCurve:
     """Sample the symmetrized cross section of `model` on `grid` (degrees)."""
     if isinstance(model, MottParams):
-        statistics = model.spin.statistics
-        values = tuple(
-            identical_cross_section(t, model, statistics) for t in grid
-        )
+        values = tuple(identical_cross_section(t, model) for t in grid)
     elif isinstance(model, HardSphereParams):
-        statistics = model.statistics
         values = tuple(hs_identical_cross_section(t, model) for t in grid)
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    if statistics is Statistics.BOSON:
+    if model.spin.statistics is Statistics.BOSON:
         for t, v in zip(grid, values):
             if v < 0.0:
                 raise DomainError(f"negative boson cross section {v} at {t} deg")
@@ -234,13 +230,12 @@ def sensitivity_sweep(
         grid = angle_grid()
     eta_c = critical_eta(spin)
     etas = (eta_c * (1.0 - delta), eta_c, eta_c * (1.0 + delta))
-    statistics = spin.statistics
     curves = []
     labels = []
     for eta in etas:
         params = MottParams(a=1.0, eta=eta, spin=spin)
         curves.append(build_curve(params, grid))
-        labels.append(classify_curvature(curvature_at_90(params, statistics)))
+        labels.append(classify_curvature(curvature_at_90(params, spin.statistics)))
     return SweepResult(
         etas=etas,
         curves=tuple(curves),
@@ -304,7 +299,7 @@ def sigma90(
     system = CollisionSystem(species=species, energy_cm=critical_energy(species, constants))
     a = half_closest_approach(system, constants)
     two_a2 = 2.0 * a * a
-    direct = symmetrized_combination(two_a2, two_a2, species.spin, species.spin.statistics,
+    direct = symmetrized_combination(two_a2, two_a2, species.spin,
                                      Polarization.UNPOLARIZED) * BARN_PER_FM2
     return scaling, direct
 

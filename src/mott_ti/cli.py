@@ -27,7 +27,7 @@ from .analysis import (
 )
 from .constants import BARN_PER_FM2, DEFAULT_CONSTANTS, PhysicalConstants, load_constants
 from .coulomb import MottParams, critical_eta, critical_eta_numeric, sigma_inc_coulomb
-from .errors import ConsistencyError, DomainError, RootNotFoundError
+from .errors import DomainError, RootNotFoundError
 from .hardsphere import HardSphereParams, find_critical_kR
 from .kinematics import half_closest_approach, sommerfeld_eta
 from .output import OutputEnvelope
@@ -37,6 +37,7 @@ from .species import (
     Spin,
     Statistics,
     builtin_catalog,
+    check_statistics,
     find_species,
     load_species_catalog,
 )
@@ -86,10 +87,9 @@ def _catalog(path: str | None, constants: PhysicalConstants):
 
 
 def _statistics(spin: Spin, stat: str | None) -> Statistics:
-    derived = spin.statistics
-    if stat is not None and Statistics(stat) is not derived:
-        raise click.UsageError(f"spin {spin} implies {derived.value}, got --stat {stat}")
-    return derived
+    if stat is not None:
+        check_statistics(spin, Statistics(stat))
+    return spin.statistics
 
 
 def _emit(envelope: OutputEnvelope, fmt: str) -> None:
@@ -117,14 +117,14 @@ def add_options(options):
 class _Command(click.Command):
     """A subcommand whose library errors become the documented exit codes.
 
-    DomainError, ConsistencyError and an unknown catalog species exit 2
+    DomainError and an unknown catalog species exit 2
     with the subcommand's usage line; RootNotFoundError exits 3.
     """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (DomainError, ConsistencyError) as exc:
+        except DomainError as exc:
             raise click.UsageError(str(exc), ctx) from exc
         except KeyError as exc:  # find_species: name not in the catalog
             raise click.UsageError(str(exc.args[0]), ctx) from exc

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import DivergenceError, DomainError
 from .numerics import bisect_root, half_angle_curvature, second_derivative
-from .species import Polarization, Spin, Statistics, symmetrized_combination
+from .species import Polarization, Spin, Statistics, check_statistics, symmetrized_combination
 
 # Angle step (degrees) of the finite-difference cross-check curvature_at_90_fd.
 CURVATURE_STEP_DEG = 0.25
@@ -29,6 +29,10 @@ CURVATURE_STEP_DEG = 0.25
 # a rounding error of a few 1e-16 eta rad: ~1e-9 at 1e6, while beyond ~1e15
 # the interference term is noise (and eta^2 overflows past 1e154).
 ETA_MAX = 1e6
+
+# Largest accepted a (fm): the curvature 16 a^2 [3 + eps w (1 - 2 eta^2)]
+# stays finite up to ETA_MAX while a < ~2.4e147.
+A_MAX = 1e147
 
 
 @dataclass(frozen=True)
@@ -41,10 +45,10 @@ class MottParams:
     polarization: Polarization = Polarization.UNPOLARIZED
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise DomainError(f"a must be positive and finite, got {self.a}")
         if not 0.0 < self.eta <= ETA_MAX:  # also false for nan
             raise DomainError(f"eta must lie in (0, {ETA_MAX:g}], got {self.eta}")
+        if not 0.0 < self.a <= A_MAX:  # also false for nan
+            raise DomainError(f"a must lie in (0, {A_MAX:g}] fm, got {self.a}")
 
 
 def _half_angle(theta_deg: float) -> float:
@@ -89,18 +93,14 @@ def sigma_int_coulomb(theta_deg: float, a: float, eta: float) -> float:
     return prefactor * math.cos(2.0 * eta * math.log(math.tan(t)))
 
 
-def identical_cross_section(
-    theta_deg: float,
-    params: MottParams,
-    statistics: Statistics,
-) -> float:
+def identical_cross_section(theta_deg: float, params: MottParams) -> float:
     """Symmetrized Coulomb cross section of an identical pair, fm^2/sr."""
     inc = sigma_inc_coulomb(theta_deg, params.a)
     intf = sigma_int_coulomb(theta_deg, params.a, params.eta)
-    return symmetrized_combination(inc, intf, params.spin, statistics, params.polarization)
+    return symmetrized_combination(inc, intf, params.spin, params.polarization)
 
 
-def curvature_at_90_fd(params: MottParams, statistics: Statistics) -> float:
+def curvature_at_90_fd(params: MottParams) -> float:
     """Half-angle curvature at 90 deg from finite differences of the cross section.
 
     The independent check of curvature_at_90; production paths use the
@@ -108,7 +108,7 @@ def curvature_at_90_fd(params: MottParams, statistics: Statistics) -> float:
     """
 
     def f(theta_deg: float) -> float:
-        return identical_cross_section(theta_deg, params, statistics)
+        return identical_cross_section(theta_deg, params)
 
     return half_angle_curvature(second_derivative(f, 90.0, CURVATURE_STEP_DEG))
 
@@ -118,14 +118,15 @@ def curvature_at_90(params: MottParams, statistics: Statistics) -> float:
 
     At 90 deg the incoherent sum has half-angle curvature 48 a^2 and the
     interference term 16 a^2 (1 - 2 eta^2); they combine with the same
-    sign eps and weight w as the cross sections themselves.
+    sign eps and weight w as the cross sections themselves.  `statistics`
+    must match the spin; the sign itself comes from the spin.
     """
+    check_statistics(params.spin, statistics)
     a2 = params.a**2
     return symmetrized_combination(
         48.0 * a2,
         16.0 * a2 * (1.0 - 2.0 * params.eta**2),
         params.spin,
-        statistics,
         params.polarization,
     )
 
@@ -155,9 +156,8 @@ def critical_eta_numeric(spin: Spin, bracket: tuple[float, float] = (0.5, 4.0)) 
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise DomainError(f"invalid eta bracket {bracket}")
-    statistics = spin.statistics
 
     def curv(eta: float) -> float:
-        return curvature_at_90_fd(MottParams(a=1.0, eta=eta, spin=spin), statistics)
+        return curvature_at_90_fd(MottParams(a=1.0, eta=eta, spin=spin))
 
     return bisect_root(curv, lo, hi, xtol=1e-8)

@@ -9,9 +9,5 @@ class DivergenceError(DomainError):
     """The requested value diverges (Rutherford pole at 0 or 180 degrees)."""
 
 
-class ConsistencyError(ValueError):
-    """Spin and exchange statistics disagree (boson requires integer spin)."""
-
-
 class RootNotFoundError(RuntimeError):
     """A bracketing interval contains no sign change."""

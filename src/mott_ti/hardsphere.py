@@ -140,7 +140,7 @@ def hs_identical_cross_section(theta_deg: float, params: HardSphereParams) -> fl
         raise DomainError(f"theta must be in (0, 180), got {theta_deg}")
     even, odd = _channels(theta_deg, hard_sphere_phase_shifts(params.kR))
     e2, o2 = abs(even) ** 2, abs(odd) ** 2
-    pair = (params.spin, params.statistics, params.polarization)
+    pair = (params.spin, params.polarization)
     return 2.0 * (symmetrized_combination(e2, e2, *pair)
                   + symmetrized_combination(o2, -o2, *pair)) / params.kR**2
 
@@ -165,7 +165,7 @@ def hs_curvature_at_90(params: HardSphereParams) -> float:
     re_f2f = (d2f * f.conjugate()).real
     slope2 = abs(df) ** 2
     d2 = symmetrized_combination(4.0 * (re_f2f + slope2), 4.0 * (re_f2f - slope2),
-                                 params.spin, params.statistics, params.polarization)
+                                 params.spin, params.polarization)
     return 4.0 * d2 / params.kR**2
 
 

@@ -42,15 +42,12 @@ def half_angle_curvature(d2_per_deg2: float) -> float:
     return 4.0 * d2_per_deg2 / math.radians(1.0) ** 2
 
 
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    xtol: float,
-    max_iter: int = 200,
-) -> float:
+def bisect_root(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
     """Locate a root of f in [lo, hi] by bisection to absolute xtol.
 
+    Halves the bracket until it is narrower than xtol or its midpoint no
+    longer lies strictly inside, so the root is accurate to xtol or to float
+    resolution.
     Raises RootNotFoundError when f(lo) and f(hi) do not change sign.
     """
     if not lo < hi:
@@ -63,9 +60,9 @@ def bisect_root(
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise RootNotFoundError(f"no sign change in [{lo}, {hi}]")
-    for _ in range(max_iter):
+    while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo < xtol:
+        if hi - lo < xtol or not lo < mid < hi:
             return mid
         f_mid = f(mid)
         if f_mid == 0.0:
@@ -74,4 +71,3 @@ def bisect_root(
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)

@@ -8,7 +8,7 @@ from .errors import DomainError
 
 
 def spherical_bessel_y_table(l_max: int, x: float) -> list[float]:
-    """y_0..y_{l_max} at x > 0.  Upward recurrence (stable for y)."""
+    """y_0..y_{l_max} at x > 0.  Upward recurrence (stable for y); -inf once it overflows."""
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
     if l_max < 0:
@@ -18,6 +18,9 @@ def spherical_bessel_y_table(l_max: int, x: float) -> list[float]:
     if l_max >= 1:
         y[1] = -math.cos(x) / (x * x) - math.sin(x) / x
     for l in range(1, l_max):
+        if math.isinf(y[l]):  # overflowed; going on would give inf - inf = nan
+            y[l + 1 :] = [y[l]] * (l_max - l)
+            break
         y[l + 1] = (2 * l + 1) / x * y[l] - y[l - 1]
     return y
 

@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 
 # Smallest accepted CM energy (keV): E in MeV stays a normal float above it,
 # so the kinematic quotients q^2/(2E) and M/(4E) never divide by zero.
@@ -82,9 +82,9 @@ class Spin:
 
 
 def check_statistics(spin: Spin, statistics: Statistics) -> None:
-    """Raise unless the statistics matches the spin's integer/half-integer parity."""
+    """Raise DomainError unless a caller's statistics matches the spin's parity."""
     if statistics is not spin.statistics:
-        raise ConsistencyError(
+        raise DomainError(
             f"spin {spin} implies {spin.statistics.value}, got {statistics.value}"
         )
 
@@ -93,17 +93,15 @@ def symmetrized_combination(
     sigma_inc: float,
     sigma_int: float,
     spin: Spin,
-    statistics: Statistics,
     polarization: Polarization,
 ) -> float:
     """Combine incoherent and interference terms for an identical pair.
 
     sigma_inc + sigma_int        aligned bosons
     sigma_inc - sigma_int        aligned fermions
-    sigma_inc +- sigma_int/(2s+1)  unpolarized (sign by statistics)
+    sigma_inc +- sigma_int/(2s+1)  unpolarized (sign by the spin's statistics)
     """
-    check_statistics(spin, statistics)
-    sign = 1.0 if statistics is Statistics.BOSON else -1.0
+    sign = 1.0 if spin.statistics is Statistics.BOSON else -1.0
     weight = 1.0 if polarization is Polarization.ALIGNED else 1.0 / spin.multiplicity
     return sigma_inc + sign * weight * sigma_int
 

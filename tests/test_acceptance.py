@@ -75,7 +75,7 @@ def test_criterion_2_ninety_degree_values():
             assert sigma_inc_coulomb(90.0, a) == pytest.approx(2 * a * a, rel=1e-10)
             assert sigma_int_coulomb(90.0, a, eta) == pytest.approx(2 * a * a, rel=1e-10)
     params = MottParams(a=1.0, eta=SQRT2, spin=Spin(0))
-    assert identical_cross_section(90.0, params, Statistics.BOSON) == pytest.approx(
+    assert identical_cross_section(90.0, params) == pytest.approx(
         4.0, rel=1e-10
     )
 
@@ -117,10 +117,10 @@ def test_criterion_5_sensitivity():
     below = MottParams(a=1.0, eta=0.95 * SQRT2, spin=Spin(0))
     at = MottParams(a=1.0, eta=SQRT2, spin=Spin(0))
     above = MottParams(a=1.0, eta=1.05 * SQRT2, spin=Spin(0))
-    for curv in (curvature_at_90, curvature_at_90_fd):
-        assert curv(below, Statistics.BOSON) > 0.0    # minimum at 90
-        assert curv(above, Statistics.BOSON) < 0.0    # maximum at 90
-    assert abs(curvature_at_90_fd(at, Statistics.BOSON)) < 1e-6  # a = 1
+    for params, sign in ((below, 1.0), (above, -1.0)):  # minimum, then maximum at 90
+        assert sign * curvature_at_90(params, Statistics.BOSON) > 0.0
+        assert sign * curvature_at_90_fd(params) > 0.0
+    assert abs(curvature_at_90_fd(at)) < 1e-6  # a = 1
     result = sensitivity_sweep(Spin(0), 0.05, angle_grid(80.0, 100.0, 1.0))
     assert result.classifications == ("min", "flat", "max")
     assert result.energy_shift_first_order == pytest.approx(0.10)
@@ -161,16 +161,15 @@ def test_criterion_8_property_suites():
     # theta <-> 180 - theta symmetry, Coulomb and hard sphere
     thetas = [1.0 + 2.5 * i for i in range(36)]  # up to 88.5, paired with 180-theta
     coulomb_cases = [
-        (MottParams(a=1.0, eta=0.7, spin=Spin(0)), Statistics.BOSON),
-        (MottParams(a=2.0, eta=SQRT2, spin=Spin(2)), Statistics.BOSON),
-        (MottParams(a=1.0, eta=3.0, spin=Spin(1)), Statistics.FERMION),
-        (MottParams(a=1.0, eta=1.2, spin=Spin(3),
-                    polarization=Polarization.ALIGNED), Statistics.FERMION),
+        MottParams(a=1.0, eta=0.7, spin=Spin(0)),
+        MottParams(a=2.0, eta=SQRT2, spin=Spin(2)),
+        MottParams(a=1.0, eta=3.0, spin=Spin(1)),
+        MottParams(a=1.0, eta=1.2, spin=Spin(3), polarization=Polarization.ALIGNED),
     ]
-    for params, stats in coulomb_cases:
+    for params in coulomb_cases:
         for theta in thetas:
-            left = identical_cross_section(theta, params, stats)
-            right = identical_cross_section(180.0 - theta, params, stats)
+            left = identical_cross_section(theta, params)
+            right = identical_cross_section(180.0 - theta, params)
             assert right == pytest.approx(left, rel=1e-10)
     hs_cases = [
         HardSphereParams(kR=1.5, spin=Spin(0), statistics=Statistics.BOSON),
@@ -205,7 +204,7 @@ def test_criterion_8_property_suites():
     big_spin = MottParams(a=1.0, eta=SQRT2, spin=Spin(200))
     for theta in thetas:
         inc = sigma_inc_coulomb(theta, 1.0)
-        full = identical_cross_section(theta, big_spin, Statistics.BOSON)
+        full = identical_cross_section(theta, big_spin)
         assert abs(full - inc) / inc < 0.01
 
     # Bessel Wronskian j y' - j' y = 1/x^2 and Legendre endpoint identities

@@ -117,10 +117,18 @@ def test_angular_endpoint_grid_rejected(runner):
     assert result.exit_code == 2
 
 
-def test_angular_stat_mismatch_rejected(runner):
-    result = runner.invoke(main, ["angular", "--eta", "1", "--spin", "0",
-                                  "--stat", "fermion"])
+@pytest.mark.parametrize("command", [
+    ["angular", "--eta", "1"],
+    ["plateau", "--eta", "1"],
+    ["hardsphere", "--kr", "1"],
+    ["hardsphere", "--critical-scan", "0.2", "3"],
+])
+@pytest.mark.parametrize("spin,stat", [("0", "fermion"), ("1/2", "boson")])
+def test_angular_stat_mismatch_rejected(runner, command, spin, stat):
+    # every command that takes --stat checks it against the spin, in both directions
+    result = runner.invoke(main, command + ["--spin", spin, "--stat", stat])
     assert result.exit_code == 2
+    assert f"implies {'boson' if stat == 'fermion' else 'fermion'}, got {stat}" in result.output
 
 
 def test_angular_unknown_species(runner):

@@ -1,7 +1,6 @@
 import pytest
 
 from mott_ti import (
-    ConsistencyError,
     DEFAULT_CONSTANTS,
     DomainError,
     ParticleSpecies,
@@ -94,21 +93,19 @@ def test_spin_str_roundtrip():
 
 
 def test_check_statistics_mismatch():
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(DomainError):
         check_statistics(Spin(0), Statistics.FERMION)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(DomainError):
         check_statistics(Spin(1), Statistics.BOSON)
 
 
 def test_symmetrized_combination_signs():
     # aligned: full interference; unpolarized: damped by 1/(2s+1)
-    assert symmetrized_combination(2.0, 2.0, Spin(0), Statistics.BOSON,
-                                   Polarization.ALIGNED) == 4.0
-    assert symmetrized_combination(2.0, 2.0, Spin(1), Statistics.FERMION,
-                                   Polarization.ALIGNED) == 0.0
-    assert symmetrized_combination(2.0, 2.0, Spin(2), Statistics.BOSON,
+    assert symmetrized_combination(2.0, 2.0, Spin(0), Polarization.ALIGNED) == 4.0
+    assert symmetrized_combination(2.0, 2.0, Spin(1), Polarization.ALIGNED) == 0.0
+    assert symmetrized_combination(2.0, 2.0, Spin(2),
                                    Polarization.UNPOLARIZED) == pytest.approx(2.0 + 2.0 / 3.0)
-    assert symmetrized_combination(2.0, 2.0, Spin(1), Statistics.FERMION,
+    assert symmetrized_combination(2.0, 2.0, Spin(1),
                                    Polarization.UNPOLARIZED) == pytest.approx(1.0)
 
 

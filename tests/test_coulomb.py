@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mott_ti import (
-    ConsistencyError,
     DivergenceError,
     DomainError,
     MottParams,
@@ -21,7 +20,8 @@ from mott_ti import (
     sigma_inc_coulomb,
     sigma_int_coulomb,
 )
-from mott_ti.coulomb import ETA_MAX
+from mott_ti.coulomb import A_MAX, ETA_MAX
+from mott_ti.numerics import bisect_root
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -98,6 +98,8 @@ def test_bad_parameters():
             MottParams(a=1.0, eta=bad, spin=Spin(0))
     with pytest.raises(DomainError):
         MottParams(a=1.0, eta=math.nextafter(ETA_MAX, math.inf), spin=Spin(0))
+    with pytest.raises(DomainError):
+        MottParams(a=math.nextafter(A_MAX, math.inf), eta=1.0, spin=Spin(0))
 
 
 @pytest.mark.parametrize("theta,expected", [
@@ -108,7 +110,7 @@ def test_bad_parameters():
 def test_cross_section_accurate_at_eta_max(theta, expected):
     # frozen from a 50-digit mpmath sum, boson spin 0 at eta = 1e6
     params = MottParams(a=1.0, eta=ETA_MAX, spin=Spin(0))
-    assert identical_cross_section(theta, params, Statistics.BOSON) == pytest.approx(
+    assert identical_cross_section(theta, params) == pytest.approx(
         expected, rel=1e-8
     )
 
@@ -118,33 +120,29 @@ def test_cross_section_accurate_at_eta_max(theta, expected):
 def test_identical_cross_section_90_values():
     # s=0 boson: 2 + 2 = 4
     p0 = MottParams(a=1.0, eta=SQRT2, spin=Spin(0))
-    assert identical_cross_section(90.0, p0, Statistics.BOSON) == pytest.approx(4.0, rel=1e-10)
+    assert identical_cross_section(90.0, p0) == pytest.approx(4.0, rel=1e-10)
     # s=1 boson unpolarized: 2 + 2/3
     p1 = MottParams(a=1.0, eta=1.0, spin=Spin(2))
-    assert identical_cross_section(90.0, p1, Statistics.BOSON) == pytest.approx(
+    assert identical_cross_section(90.0, p1) == pytest.approx(
         8.0 / 3.0, rel=1e-10
     )
     # s=1/2 fermion unpolarized: 2 - 2/2 = 1
     ph = MottParams(a=1.0, eta=1.0, spin=Spin(1))
-    assert identical_cross_section(90.0, ph, Statistics.FERMION) == pytest.approx(1.0, rel=1e-10)
+    assert identical_cross_section(90.0, ph) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_statistics_spin_mismatch_raises():
     p = MottParams(a=1.0, eta=1.0, spin=Spin(0))
-    with pytest.raises(ConsistencyError):
-        identical_cross_section(90.0, p, Statistics.FERMION)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(DomainError):
         curvature_at_90(p, Statistics.FERMION)
-    with pytest.raises(ConsistencyError):
-        curvature_at_90_fd(p, Statistics.FERMION)
 
 
 def test_aligned_equals_unpolarized_for_spin0():
     unpol = MottParams(a=1.0, eta=SQRT2, spin=Spin(0))
     aligned = MottParams(a=1.0, eta=SQRT2, spin=Spin(0), polarization=Polarization.ALIGNED)
     for theta in (10.0, 45.0, 90.0, 133.0):
-        assert identical_cross_section(theta, aligned, Statistics.BOSON) == pytest.approx(
-            identical_cross_section(theta, unpol, Statistics.BOSON), rel=0
+        assert identical_cross_section(theta, aligned) == pytest.approx(
+            identical_cross_section(theta, unpol), rel=0
         )
 
 
@@ -157,8 +155,8 @@ def test_aligned_equals_unpolarized_for_spin0():
 def test_symmetry_about_90(theta, eta, twice_s):
     spin = Spin(twice_s)
     p = MottParams(a=1.0, eta=eta, spin=spin)
-    left = identical_cross_section(theta, p, spin.statistics)
-    right = identical_cross_section(180.0 - theta, p, spin.statistics)
+    left = identical_cross_section(theta, p)
+    right = identical_cross_section(180.0 - theta, p)
     assert right == pytest.approx(left, rel=1e-10)
 
 
@@ -173,7 +171,7 @@ def test_boson_positivity_and_am_gm_bound(theta, eta):
     intf = sigma_int_coulomb(theta, 1.0, eta)
     assert inc >= abs(intf) * (1.0 - 1e-12)
     p = MottParams(a=1.0, eta=eta, spin=Spin(0))
-    assert identical_cross_section(theta, p, Statistics.BOSON) > 0.0
+    assert identical_cross_section(theta, p) > 0.0
 
 
 def test_classical_limit_suppresses_interference():
@@ -183,7 +181,7 @@ def test_classical_limit_suppresses_interference():
     theta = 1.0
     while theta < 180.0:
         inc = sigma_inc_coulomb(theta, 1.0)
-        full = identical_cross_section(theta, p, Statistics.BOSON)
+        full = identical_cross_section(theta, p)
         assert abs(full - inc) / inc < 0.01
         theta += 3.7
 
@@ -209,7 +207,7 @@ def test_curvature_closed_form_matches_finite_differences(eta, twice_s):
     for polarization in Polarization:
         p = MottParams(a=1.0, eta=eta, spin=spin, polarization=polarization)
         closed = curvature_at_90(p, spin.statistics)
-        fd = curvature_at_90_fd(p, spin.statistics)
+        fd = curvature_at_90_fd(p)
         if abs(closed) < 1e-9:
             assert abs(fd - closed) < 1e-9
         else:
@@ -235,6 +233,14 @@ def test_fermion_curvature_always_positive():
             assert curvature_at_90(p, Statistics.FERMION) > 0.0
 
 
+def test_curvature_finite_at_a_max_and_eta_max():
+    for twice_s in (0, 1):
+        spin = Spin(twice_s)
+        for polarization in Polarization:
+            p = MottParams(a=A_MAX, eta=ETA_MAX, spin=spin, polarization=polarization)
+            assert math.isfinite(curvature_at_90(p, spin.statistics))
+
+
 def test_curvature_sign_flips_across_critical():
     spin = Spin(0)
     below = MottParams(a=1.0, eta=0.9 * SQRT2, spin=spin)
@@ -258,7 +264,7 @@ def test_critical_eta_aligned_zeroes_the_curvature(twice_s):
     assert eta_c == SQRT2  # eta_C^2 = (1 + 3/w)/2 with w = 1
     p = MottParams(a=1.0, eta=eta_c, spin=spin, polarization=Polarization.ALIGNED)
     assert abs(curvature_at_90(p, Statistics.BOSON)) < 1e-12
-    assert abs(curvature_at_90_fd(p, Statistics.BOSON)) < 1e-6
+    assert abs(curvature_at_90_fd(p)) < 1e-6
 
 
 def test_critical_eta_numeric_matches_closed_form():
@@ -273,3 +279,12 @@ def test_critical_eta_numeric_no_root():
         critical_eta_numeric(Spin(0), (3.0, 4.0))
     with pytest.raises(RootNotFoundError):
         critical_eta_numeric(Spin(1), (0.5, 4.0))  # fermions have no transition
+
+
+def test_bisect_root_ends_at_float_resolution():
+    # xtol = 0 is never met, and no float squares to exactly 2, so bisection
+    # must stop once the bracket cannot be split (about 52 halvings)
+    calls = []
+    root = bisect_root(lambda x: calls.append(x) or x * x - 2.0, 1.0, 2.0, xtol=0.0)
+    assert abs(root - SQRT2) <= math.ulp(SQRT2)
+    assert len(calls) < 64

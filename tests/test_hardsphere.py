@@ -4,7 +4,6 @@ import math
 import pytest
 
 from mott_ti import (
-    ConsistencyError,
     DomainError,
     HardSphereParams,
     Polarization,
@@ -124,8 +123,12 @@ def test_unpolarized_equals_weighted_channel_sum(twice_s, statistics, kR):
     mult = spin.multiplicity
     params = HardSphereParams(kR=kR, spin=spin, statistics=statistics)
     for theta in (25.0, 90.0, 117.5):
-        f1 = hs_amplitude(theta, shifts)
-        f2 = hs_amplitude(180.0 - theta, shifts)
+        # f(theta) and f(180 - theta) from one table, as P_l(-x) = (-1)^l P_l(x)
+        p = legendre_p_table(shifts.l_max, math.cos(math.radians(theta)))
+        terms = [(2 * l + 1) * cmath.exp(1j * d) * math.sin(d) * p[l]
+                 for l, d in enumerate(shifts.deltas)]
+        f1 = sum(terms) / kR
+        f2 = sum(t if l % 2 == 0 else -t for l, t in enumerate(terms)) / kR
         sym = abs(f1 + f2) ** 2
         anti = abs(f1 - f2) ** 2
         if statistics is Statistics.BOSON:
@@ -235,9 +238,9 @@ def test_endpoints_rejected_for_symmetrized_cross_section():
 
 
 def test_statistics_mismatch_raises():
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(DomainError):
         HardSphereParams(kR=1.0, spin=Spin(0), statistics=Statistics.FERMION)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(DomainError):
         find_critical_kR(Spin(0), Statistics.FERMION)
 
 

@@ -52,8 +52,10 @@ def test_tables_against_scipy_at_tiny_x(x):
     for l in range(17):
         assert j[l] == pytest.approx(ss.spherical_jn(l, x), rel=1e-12, abs=1e-300)
         ref = ss.spherical_yn(l, x)
-        if math.isfinite(ref):  # y_l overflows from l = 16 at 1e-18 and l = 10 at 1e-30
+        if math.isfinite(ref):
             assert y[l] == pytest.approx(ref, rel=1e-12)
+        else:  # y_l overflows from l = 16 at 1e-18 and l = 10 at 1e-30
+            assert y[l] == ref
     assert spherical_bessel_j(1, 1e-18) == pytest.approx(1e-18 / 3.0, rel=1e-12)
 
 
