@@ -68,11 +68,4 @@ from .species import (
     find_species,
     load_species_catalog,
 )
-from .special import (
-    legendre_p,
-    legendre_p_table,
-    spherical_bessel_j,
-    spherical_bessel_j_table,
-    spherical_bessel_y,
-    spherical_bessel_y_table,
-)
+from .special import legendre_p_table, spherical_bessel_j_table, spherical_bessel_y_table

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from .constants import BARN_PER_FM2, DEFAULT_CONSTANTS, PhysicalConstants
 from .coulomb import MottParams, critical_eta, curvature_at_90, identical_cross_section
 from .errors import DomainError
-from .hardsphere import HardSphereParams, hs_identical_cross_section
+from .hardsphere import HardSphereParams, hs_curvature_at_90, hs_identical_cross_section
 from .kinematics import critical_energy, half_closest_approach
-from .numerics import MAX_POINTS, five_point_second_derivative, half_angle_curvature
+from .numerics import MAX_POINTS
 from .species import (
     CollisionSystem,
     ParticleSpecies,
@@ -46,10 +46,11 @@ _SYMMETRY_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class CrossSectionCurve:
-    """Sampled angular distribution."""
+    """Sampled angular distribution of one model."""
 
     thetas: tuple[float, ...]   # degrees, strictly increasing, inside (0, 180)
     values: tuple[float, ...]   # fm^2/sr (Coulomb) or units of R^2 (hard sphere)
+    model: MottParams | HardSphereParams  # the model that was sampled
 
     def __post_init__(self) -> None:
         if len(self.thetas) != len(self.values):
@@ -88,7 +89,7 @@ class PlateauReport:
     theta_lo: float        # degrees
     theta_hi: float        # degrees
     width: float           # degrees
-    curvature_90: float    # half-angle convention, from the curve's own grid
+    curvature_90: float    # half-angle convention, exact for the curve's model
     reference_value: float # sigma(90)
 
 
@@ -143,22 +144,27 @@ def angle_grid(start: float = 1.0, stop: float = 179.0, step: float = 0.5) -> tu
     return tuple(start + i * step for i in range(n + 1))
 
 
+def _kernels(model: MottParams | HardSphereParams):
+    """The model's cross section sigma(theta, model) and exact 90 deg curvature(model)."""
+    if isinstance(model, MottParams):
+        return identical_cross_section, lambda m: curvature_at_90(m, m.spin.statistics)
+    if isinstance(model, HardSphereParams):
+        return hs_identical_cross_section, hs_curvature_at_90
+    raise TypeError(f"unsupported model type {type(model).__name__}")
+
+
 def build_curve(
     model: MottParams | HardSphereParams,
     grid: tuple[float, ...],
 ) -> CrossSectionCurve:
     """Sample the symmetrized cross section of `model` on `grid` (degrees)."""
-    if isinstance(model, MottParams):
-        values = tuple(identical_cross_section(t, model) for t in grid)
-    elif isinstance(model, HardSphereParams):
-        values = tuple(hs_identical_cross_section(t, model) for t in grid)
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
+    sigma, _ = _kernels(model)
+    values = tuple(sigma(t, model) for t in grid)
     if model.spin.statistics is Statistics.BOSON:
         for t, v in zip(grid, values):
             if v < 0.0:
                 raise DomainError(f"negative boson cross section {v} at {t} deg")
-    return CrossSectionCurve(thetas=tuple(grid), values=values)
+    return CrossSectionCurve(thetas=tuple(grid), values=values, model=model)
 
 
 def _index_of_90(curve: CrossSectionCurve) -> int:
@@ -168,20 +174,11 @@ def _index_of_90(curve: CrossSectionCurve) -> int:
     raise DomainError("curve grid does not contain 90 degrees")
 
 
-def _grid_curvature_at_90(curve: CrossSectionCurve, i90: int) -> float:
-    # 5-point stencil on the curve's own samples, half-angle convention
-    if i90 < 2 or i90 + 2 >= len(curve.thetas):
-        raise DomainError("need at least two grid points on each side of 90 degrees")
-    h = curve.thetas[i90 + 1] - curve.thetas[i90]
-    for k in (-2, -1, 1, 2):
-        if abs(curve.thetas[i90 + k] - (90.0 + k * h)) > 1e-9:
-            raise DomainError("grid must be uniform around 90 degrees")
-    samples = curve.values[i90 - 2 : i90 + 3]
-    return half_angle_curvature(five_point_second_derivative(samples, h))
-
-
 def plateau(curve: CrossSectionCurve, epsilon: float) -> PlateauReport:
-    """Scan outward from 90 deg for the largest band with |sigma/sigma90 - 1| <= eps."""
+    """Scan outward from 90 deg for the largest band with |sigma/sigma90 - 1| <= eps.
+
+    The 90 deg curvature is the closed form of the curve's model, whatever the grid.
+    """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     if not curve.is_symmetric_grid():
@@ -198,11 +195,12 @@ def plateau(curve: CrossSectionCurve, epsilon: float) -> PlateauReport:
         if not (lo_ok and hi_ok):
             break
         j = nxt
+    _, curvature = _kernels(curve.model)
     return PlateauReport(
         theta_lo=curve.thetas[i90 - j],
         theta_hi=curve.thetas[i90 + j],
         width=curve.thetas[i90 + j] - curve.thetas[i90 - j],
-        curvature_90=_grid_curvature_at_90(curve, i90),
+        curvature_90=curvature(curve.model),
         reference_value=v90,
     )
 

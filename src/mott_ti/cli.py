@@ -17,14 +17,7 @@ import os
 import click
 
 from . import __version__
-from .analysis import (
-    CrossSectionCurve,
-    angle_grid,
-    build_curve,
-    plateau as plateau_op,
-    sensitivity_sweep,
-    table_one,
-)
+from .analysis import angle_grid, build_curve, plateau as plateau_op, sensitivity_sweep, table_one
 from .constants import BARN_PER_FM2, DEFAULT_CONSTANTS, PhysicalConstants, load_constants
 from .coulomb import MottParams, critical_eta, critical_eta_numeric, sigma_inc_coulomb
 from .errors import DomainError, RootNotFoundError
@@ -222,8 +215,7 @@ def angular(system_name, energy, eta, spin, stat, polarization, incoherent_only,
                   theta_min=theta_min, theta_max=theta_max, theta_step=theta_step)
 
     if incoherent_only:
-        incoherent = tuple(sigma_inc_coulomb(t, a) for t in grid)
-        values = CrossSectionCurve(thetas=grid, values=incoherent).values
+        values = tuple(sigma_inc_coulomb(t, a) for t in grid)
     else:
         statistics = _statistics(spin, stat)
         mott = MottParams(a=a, eta=eta_val, spin=spin, polarization=pol)

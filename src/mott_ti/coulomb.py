@@ -59,21 +59,24 @@ def _half_angle(theta_deg: float) -> float:
     return math.radians(theta_deg) / 2.0
 
 
-def _overflow(theta_deg: float) -> DivergenceError:
+def _overflow(theta_deg: float, a: float) -> DivergenceError:
     return DivergenceError(
-        f"theta = {theta_deg} deg: Coulomb cross section overflows next to the pole"
+        f"theta = {theta_deg} deg, a = {a} fm: Coulomb cross section overflows"
     )
 
 
 def sigma_inc_coulomb(theta_deg: float, a: float) -> float:
     """Incoherent (distinguishable-particle) sum, (a^2/4)[sin^-4 + cos^-4](theta/2)."""
-    if a <= 0.0:
+    if not a > 0.0:  # also true for nan
         raise DomainError(f"a must be positive, got {a}")
     t = _half_angle(theta_deg)
     try:
-        return (a * a / 4.0) * (math.sin(t) ** -4 + math.cos(t) ** -4)
+        value = (a * a / 4.0) * (math.sin(t) ** -4 + math.cos(t) ** -4)
     except (OverflowError, ZeroDivisionError):  # sin(t) tiny or rounded to 0
-        raise _overflow(theta_deg) from None
+        value = math.inf
+    if value == math.inf:  # next to the pole, or a * a beyond float range
+        raise _overflow(theta_deg, a)
+    return value
 
 
 def sigma_int_coulomb(theta_deg: float, a: float, eta: float) -> float:
@@ -81,15 +84,17 @@ def sigma_int_coulomb(theta_deg: float, a: float, eta: float) -> float:
 
     (a^2/4) * [2 / (sin^2(theta/2) cos^2(theta/2))] * cos(2 eta ln tan(theta/2))
     """
-    if a <= 0.0:
+    if not a > 0.0:  # also true for nan
         raise DomainError(f"a must be positive, got {a}")
-    if eta <= 0.0:
+    if not eta > 0.0:  # also true for nan
         raise DomainError(f"eta must be positive, got {eta}")
     t = _half_angle(theta_deg)
     try:
         prefactor = (a * a / 4.0) * 2.0 / (math.sin(t) ** 2 * math.cos(t) ** 2)
     except ZeroDivisionError:
-        raise _overflow(theta_deg) from None
+        prefactor = math.inf
+    if prefactor == math.inf:  # next to the pole, or a * a beyond float range
+        raise _overflow(theta_deg, a)
     return prefactor * math.cos(2.0 * eta * math.log(math.tan(t)))
 
 

@@ -3,19 +3,13 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import RootNotFoundError
 
 # Most points an angle grid or a critical-kR scan may have; both check the
 # count before building or evaluating anything.
 MAX_POINTS = 100_000
-
-
-def five_point_second_derivative(samples: Sequence[float], h: float) -> float:
-    """Second derivative at the middle of five samples spaced h apart, O(h^4)."""
-    m2, m1, mid, p1, p2 = samples
-    return (-m2 + 16.0 * m1 - 30.0 * mid + 16.0 * p1 - p2) / (12.0 * h * h)
 
 
 def second_derivative(f: Callable[[float], float], x0: float, step: float) -> float:
@@ -25,8 +19,9 @@ def second_derivative(f: Callable[[float], float], x0: float, step: float) -> fl
     the leading O(step^4) error term.
     """
 
-    def stencil(h: float) -> float:
-        return five_point_second_derivative([f(x0 + k * h) for k in (-2, -1, 0, 1, 2)], h)
+    def stencil(h: float) -> float:  # O(h^4)
+        m2, m1, mid, p1, p2 = (f(x0 + k * h) for k in (-2, -1, 0, 1, 2))
+        return (-m2 + 16.0 * m1 - 30.0 * mid + 16.0 * p1 - p2) / (12.0 * h * h)
 
     coarse = stencil(step)
     fine = stencil(step / 2.0)

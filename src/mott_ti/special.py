@@ -6,13 +6,22 @@ import math
 
 from .errors import DomainError
 
+# Smallest accepted Bessel argument.  Below it the downward j recurrence
+# grows by (2l+3)/x per step, beyond the 1e250 rescale headroom for
+# l ~ 1000 from x ~ 1e-56, and at x ~ 1e-300 x * x rounds to 0.
+X_MIN = 1e-50
 
-def spherical_bessel_y_table(l_max: int, x: float) -> list[float]:
-    """y_0..y_{l_max} at x > 0.  Upward recurrence (stable for y); -inf once it overflows."""
-    if x <= 0.0:
-        raise DomainError(f"x must be positive, got {x}")
+
+def _check_args(l_max: int, x: float) -> None:
+    if not X_MIN <= x < math.inf:  # also true for nan
+        raise DomainError(f"x must be finite and >= {X_MIN:g}, got {x}")
     if l_max < 0:
         raise DomainError(f"l_max must be >= 0, got {l_max}")
+
+
+def spherical_bessel_y_table(l_max: int, x: float) -> list[float]:
+    """y_0..y_{l_max} at x >= X_MIN.  Upward recurrence (stable for y); -inf once it overflows."""
+    _check_args(l_max, x)
     y = [0.0] * (l_max + 1)
     y[0] = -math.cos(x) / x
     if l_max >= 1:
@@ -26,16 +35,13 @@ def spherical_bessel_y_table(l_max: int, x: float) -> list[float]:
 
 
 def spherical_bessel_j_table(l_max: int, x: float) -> list[float]:
-    """j_0..j_{l_max} at x > 0.
+    """j_0..j_{l_max} at x >= X_MIN.
 
     Upward recurrence while l_max <= x; otherwise downward (Miller)
     recurrence from a seed well above l_max, normalized against the
     closed-form j_0 (or j_1 when x >= 1 sits near a zero of sin).
     """
-    if x <= 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    if l_max < 0:
-        raise DomainError(f"l_max must be >= 0, got {l_max}")
+    _check_args(l_max, x)
     j0 = math.sin(x) / x
     j1 = math.sin(x) / (x * x) - math.cos(x) / x
     if l_max == 0:
@@ -70,23 +76,9 @@ def spherical_bessel_j_table(l_max: int, x: float) -> list[float]:
     return [t * norm for t in table]
 
 
-def spherical_bessel_j(l: int, x: float) -> float:
-    """Regular spherical Bessel function j_l(x), x > 0."""
-    if l < 0:
-        raise DomainError(f"l must be >= 0, got {l}")
-    return spherical_bessel_j_table(l, x)[l]
-
-
-def spherical_bessel_y(l: int, x: float) -> float:
-    """Irregular spherical Bessel function y_l(x), x > 0."""
-    if l < 0:
-        raise DomainError(f"l must be >= 0, got {l}")
-    return spherical_bessel_y_table(l, x)[l]
-
-
 def legendre_p_table(l_max: int, x: float) -> list[float]:
     """P_0..P_{l_max} at x in [-1, 1] by the three-term recurrence."""
-    if abs(x) > 1.0:
+    if not abs(x) <= 1.0:  # also true for nan
         raise DomainError(f"|x| must be <= 1, got {x}")
     if l_max < 0:
         raise DomainError(f"l_max must be >= 0, got {l_max}")
@@ -97,10 +89,3 @@ def legendre_p_table(l_max: int, x: float) -> list[float]:
     for l in range(1, l_max):
         p[l + 1] = ((2 * l + 1) * x * p[l] - l * p[l - 1]) / (l + 1)
     return p
-
-
-def legendre_p(l: int, x: float) -> float:
-    """Legendre polynomial P_l(x), |x| <= 1."""
-    if l < 0:
-        raise DomainError(f"l must be >= 0, got {l}")
-    return legendre_p_table(l, x)[l]

@@ -3,6 +3,7 @@
 Run with `pytest -s tests/test_acceptance.py` to see the report lines.
 """
 
+import cmath
 import math
 
 import pytest
@@ -25,7 +26,7 @@ from mott_ti import (
     hs_identical_cross_section,
     hs_total_cross_section,
     identical_cross_section,
-    legendre_p,
+    legendre_p_table,
     plateau,
     sensitivity_sweep,
     sigma_inc_coulomb,
@@ -181,16 +182,22 @@ def test_criterion_8_property_suites():
             right = hs_identical_cross_section(180.0 - theta, params)
             assert right == pytest.approx(left, rel=1e-10, abs=1e-14)
 
-    # unpolarized average equals the (2s+1)-weighted channel mix (hard sphere)
+    # unpolarized average equals the (2s+1)-weighted channel mix (hard sphere),
+    # with f(theta) and f(180 - theta) summed from two independent Legendre tables
     for kR in (0.8, 2.0):
-        shifts = hard_sphere_phase_shifts(kR)
+        deltas = hard_sphere_phase_shifts(kR).deltas
+
+        def f(theta):
+            p = legendre_p_table(len(deltas) - 1, math.cos(math.radians(theta)))
+            return sum((2 * l + 1) * cmath.exp(1j * d) * math.sin(d) * p[l]
+                       for l, d in enumerate(deltas)) / kR
+
         for twice_s, stats in ((2, Statistics.BOSON), (9, Statistics.FERMION)):
             spin = Spin(twice_s)
             s, mult = spin.value, spin.multiplicity
             params = HardSphereParams(kR=kR, spin=spin, statistics=stats)
             for theta in (30.0, 75.0, 90.0):
-                f1 = hs_amplitude(theta, shifts)
-                f2 = hs_amplitude(180.0 - theta, shifts)
+                f1, f2 = f(theta), f(180.0 - theta)
                 sym, anti = abs(f1 + f2) ** 2, abs(f1 - f2) ** 2
                 if stats is Statistics.BOSON:
                     weighted = ((s + 1) * sym + s * anti) / mult
@@ -216,7 +223,8 @@ def test_criterion_8_property_suites():
             jp = (jm1 if l == 0 else j[l - 1]) - (l + 1) / x * j[l]
             yp = (ym1 if l == 0 else y[l - 1]) - (l + 1) / x * y[l]
             assert (j[l] * yp - jp * y[l]) * x * x == pytest.approx(1.0, rel=1e-10)
-    for l in range(21):
-        assert legendre_p(l, 1.0) == pytest.approx(1.0, rel=1e-10)
-    assert legendre_p(2, 0.0) == pytest.approx(-0.5, rel=1e-12)
-    assert legendre_p(3, 0.0) == 0.0
+    for p_l in legendre_p_table(20, 1.0):
+        assert p_l == pytest.approx(1.0, rel=1e-10)
+    at_zero = legendre_p_table(3, 0.0)
+    assert at_zero[2] == pytest.approx(-0.5, rel=1e-12)
+    assert at_zero[3] == 0.0

@@ -10,6 +10,7 @@ from mott_ti import (
     HardSphereParams,
     MottParams,
     ParticleSpecies,
+    Polarization,
     Spin,
     Statistics,
     angle_grid,
@@ -19,8 +20,10 @@ from mott_ti import (
     classify_curvature,
     critical_energy,
     critical_eta,
+    curvature_at_90,
     feasibility,
     half_closest_approach,
+    hs_curvature_at_90,
     plateau,
     sensitivity_sweep,
     sigma90,
@@ -87,18 +90,27 @@ def test_build_curve_hard_sphere():
     assert all(v > 0.0 for v in curve.values)
 
 
+def test_build_curve_carries_its_model():
+    mott = MottParams(a=1.0, eta=SQRT2, spin=Spin(0))
+    hs = HardSphereParams(kR=1.5, spin=Spin(0), statistics=Statistics.BOSON)
+    for model in (mott, hs):
+        assert build_curve(model, angle_grid(80.0, 100.0, 5.0)).model is model
+
+
 def test_curve_validation_rejects_asymmetric_values():
+    model = MottParams(a=1.0, eta=SQRT2, spin=Spin(0))
     with pytest.raises(DomainError, match="symmetry"):
-        CrossSectionCurve(thetas=(80.0, 90.0, 100.0), values=(1.0, 2.0, 1.5))
+        CrossSectionCurve(thetas=(80.0, 90.0, 100.0), values=(1.0, 2.0, 1.5), model=model)
 
 
 def test_curve_validation_rejects_bad_grid():
+    model = MottParams(a=1.0, eta=SQRT2, spin=Spin(0))
     with pytest.raises(DomainError):
-        CrossSectionCurve(thetas=(10.0, 5.0), values=(1.0, 1.0))
+        CrossSectionCurve(thetas=(10.0, 5.0), values=(1.0, 1.0), model=model)
     with pytest.raises(DomainError):
-        CrossSectionCurve(thetas=(10.0, 190.0), values=(1.0, 1.0))
+        CrossSectionCurve(thetas=(10.0, 190.0), values=(1.0, 1.0), model=model)
     with pytest.raises(DomainError):
-        CrossSectionCurve(thetas=(10.0,), values=(math.inf,))
+        CrossSectionCurve(thetas=(10.0,), values=(math.inf,), model=model)
 
 
 # --------------------------------------------------------------------- plateau
@@ -117,7 +129,7 @@ def test_plateau_spin0_5_percent():
     assert report.theta_lo + report.theta_hi == pytest.approx(180.0)
     assert report.width == report.theta_hi - report.theta_lo
     assert report.reference_value == pytest.approx(4.0, rel=1e-10)
-    assert abs(report.curvature_90) < 1e-5  # flat at the critical point
+    assert classify_curvature(report.curvature_90) == "flat"  # at the critical point
 
 
 def test_plateau_spin0_13_percent():
@@ -135,6 +147,32 @@ def test_plateau_far_from_critical_is_narrow():
     report = plateau(curve, 0.05)
     assert report.width < 30.0
     assert report.curvature_90 > 0.0  # incoherent-dominated minimum
+
+
+# aligned fermions vanish at 90 deg, where plateau refuses the ratio
+@pytest.mark.parametrize("twice_s,polarization", [
+    (twice_s, pol) for twice_s in range(10) for pol in Polarization
+    if twice_s % 2 == 0 or pol is Polarization.UNPOLARIZED
+])
+def test_plateau_classifies_critical_eta_like_sweep(twice_s, polarization):
+    # bosons are flat at eta_C; fermions never are (16 a^2 (3 + 3) there)
+    spin = Spin(twice_s)
+    params = MottParams(a=1.0, eta=critical_eta(spin, polarization), spin=spin,
+                        polarization=polarization)
+    label = classify_curvature(plateau(build_curve(params, angle_grid()), 0.05).curvature_90)
+    assert label == ("flat" if spin.statistics is Statistics.BOSON else "min")
+    if polarization is Polarization.UNPOLARIZED:
+        assert label == sensitivity_sweep(spin, 0.05).classifications[1]
+
+
+@pytest.mark.parametrize("grid", [(10.0, 170.0, 20.0), (88.0, 92.0, 2.0), (1.0, 179.0, 0.1)])
+def test_plateau_curvature_is_the_models_whatever_the_grid(grid):
+    mott = MottParams(a=1.0, eta=2.0, spin=Spin(0))
+    assert plateau(build_curve(mott, angle_grid(*grid)), 0.05).curvature_90 == (
+        curvature_at_90(mott, Statistics.BOSON))  # 16 (3 + 1 - 8) = -64
+    hs = HardSphereParams(kR=1.447, spin=Spin(0), statistics=Statistics.BOSON)
+    assert plateau(build_curve(hs, angle_grid(*grid)), 0.05).curvature_90 == (
+        hs_curvature_at_90(hs))
 
 
 def test_plateau_requires_90_on_grid():
@@ -194,8 +232,6 @@ def test_sweep_energy_mapping():
 
 
 def test_sweep_classification_antisymmetric_near_critical():
-    from mott_ti import curvature_at_90
-
     eta_c = critical_eta(Spin(0))
     for delta in (0.01, 0.05, 0.1, 0.2):
         lo = curvature_at_90(MottParams(a=1.0, eta=eta_c * (1 - delta), spin=Spin(0)),

@@ -74,6 +74,16 @@ def test_overflow_next_to_pole_diverges():
         sigma_int_coulomb(1e-170, 1.0, 1.0)
 
 
+def test_overflow_of_a_squared_diverges():
+    # a * a, or its product with the pole term, beyond float range: an error, never inf
+    for theta, a in ((30.0, 1e200), (0.01, 1e147)):
+        with pytest.raises(DivergenceError):
+            sigma_inc_coulomb(theta, a)
+    for theta, a in ((30.0, 1e200), (1e-6, 1e147)):
+        with pytest.raises(DivergenceError):
+            sigma_int_coulomb(theta, a, 1.0)
+
+
 @pytest.mark.parametrize("theta", [0.0, 180.0, -5.0, 200.0])
 def test_endpoint_angles_diverge(theta):
     with pytest.raises(DivergenceError):
@@ -85,6 +95,12 @@ def test_endpoint_angles_diverge(theta):
 def test_bad_parameters():
     with pytest.raises(DomainError):
         sigma_inc_coulomb(90.0, -1.0)
+    with pytest.raises(DomainError):  # not a silent nan
+        sigma_inc_coulomb(90.0, math.nan)
+    with pytest.raises(DomainError):
+        sigma_int_coulomb(90.0, math.nan, 1.0)
+    with pytest.raises(DomainError):
+        sigma_int_coulomb(60.0, 1.0, math.nan)
     with pytest.raises(DomainError):
         sigma_int_coulomb(90.0, 1.0, 0.0)
     with pytest.raises(DomainError):

@@ -5,25 +5,23 @@ import scipy.special as ss
 
 from mott_ti import (
     DomainError,
-    legendre_p,
     legendre_p_table,
-    spherical_bessel_j,
     spherical_bessel_j_table,
-    spherical_bessel_y,
     spherical_bessel_y_table,
 )
+from mott_ti.special import X_MIN
 
 
 def test_j_closed_forms_at_1():
-    assert spherical_bessel_j(0, 1.0) == pytest.approx(math.sin(1.0), rel=1e-14)
-    assert spherical_bessel_j(1, 1.0) == pytest.approx(
+    assert spherical_bessel_j_table(0, 1.0)[0] == pytest.approx(math.sin(1.0), rel=1e-14)
+    assert spherical_bessel_j_table(1, 1.0)[1] == pytest.approx(
         math.sin(1.0) - math.cos(1.0), rel=1e-14
     )  # sin x/x^2 - cos x/x at x=1
 
 
 def test_y_closed_forms_at_1():
-    assert spherical_bessel_y(0, 1.0) == pytest.approx(-math.cos(1.0), rel=1e-14)
-    assert spherical_bessel_y(1, 1.0) == pytest.approx(
+    assert spherical_bessel_y_table(0, 1.0)[0] == pytest.approx(-math.cos(1.0), rel=1e-14)
+    assert spherical_bessel_y_table(1, 1.0)[1] == pytest.approx(
         -math.cos(1.0) - math.sin(1.0), rel=1e-14
     )
 
@@ -44,7 +42,7 @@ def test_y_against_scipy(x):
         assert ours[l] == pytest.approx(ref, rel=1e-11)
 
 
-@pytest.mark.parametrize("x", [1e-6, 1e-10, 1e-16, 1e-18, 1e-30])
+@pytest.mark.parametrize("x", [1e-6, 1e-10, 1e-16, 1e-18, 1e-30, X_MIN])
 def test_tables_against_scipy_at_tiny_x(x):
     # the closed-form j_1 cancels to noise here; j_0 must normalize the table
     j = spherical_bessel_j_table(16, x)
@@ -54,15 +52,24 @@ def test_tables_against_scipy_at_tiny_x(x):
         ref = ss.spherical_yn(l, x)
         if math.isfinite(ref):
             assert y[l] == pytest.approx(ref, rel=1e-12)
-        else:  # y_l overflows from l = 16 at 1e-18 and l = 10 at 1e-30
+        else:  # y_l overflows from l = 16 at 1e-18, l = 10 at 1e-30 and l = 6 at X_MIN
             assert y[l] == ref
-    assert spherical_bessel_j(1, 1e-18) == pytest.approx(1e-18 / 3.0, rel=1e-12)
+    assert spherical_bessel_j_table(1, 1e-18)[1] == pytest.approx(1e-18 / 3.0, rel=1e-12)
+    # a deep j table stays finite and y never turns nan; below X_MIN both refuse
+    assert all(map(math.isfinite, spherical_bessel_j_table(1000, x)))
+    assert not any(map(math.isnan, spherical_bessel_y_table(1000, x)))
+    below = math.nextafter(X_MIN, 0.0)
+    with pytest.raises(DomainError):
+        spherical_bessel_j_table(16, below)
+    with pytest.raises(DomainError):
+        spherical_bessel_y_table(16, below)
 
 
 def test_j_deep_downward_regime():
     # l >> x exercises the Miller normalization; frozen from scipy
-    assert spherical_bessel_j(15, 2.0) == pytest.approx(1.6069821659384152e-13, rel=1e-10)
-    assert spherical_bessel_y(7, 0.5) == pytest.approx(-34929098.789259195, rel=1e-10)
+    assert spherical_bessel_j_table(15, 2.0)[15] == pytest.approx(
+        1.6069821659384152e-13, rel=1e-10)
+    assert spherical_bessel_y_table(7, 0.5)[7] == pytest.approx(-34929098.789259195, rel=1e-10)
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 5.0])
@@ -81,22 +88,24 @@ def test_wronskian_identity(x):
 
 
 def test_bessel_domain_errors():
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, 1e-300, math.nan, math.inf):
         with pytest.raises(DomainError):
-            spherical_bessel_j(0, bad)
+            spherical_bessel_j_table(0, bad)
         with pytest.raises(DomainError):
-            spherical_bessel_y(0, bad)
-    with pytest.raises(DomainError):
-        spherical_bessel_j(-1, 1.0)
+            spherical_bessel_y_table(0, bad)
+    for table in (spherical_bessel_j_table, spherical_bessel_y_table, legendre_p_table):
+        with pytest.raises(DomainError):
+            table(-1, 1.0)
 
 
 def test_legendre_values():
-    assert legendre_p(2, 0.0) == pytest.approx(-0.5, rel=1e-15)
-    assert legendre_p(3, 0.0) == 0.0
+    assert legendre_p_table(2, 0.0)[2] == pytest.approx(-0.5, rel=1e-15)
+    assert legendre_p_table(3, 0.0)[3] == 0.0
+    ones, at_zero = legendre_p_table(20, 1.0), legendre_p_table(20, 0.0)
     for l in range(21):
-        assert legendre_p(l, 1.0) == pytest.approx(1.0, rel=1e-13)
+        assert ones[l] == pytest.approx(1.0, rel=1e-13)
         if l % 2 == 1:
-            assert abs(legendre_p(l, 0.0)) < 1e-15
+            assert abs(at_zero[l]) < 1e-15
 
 
 @pytest.mark.parametrize("x", [-1.0, -0.7, -0.2, 0.0, 0.3, 0.9, 1.0])
@@ -108,6 +117,8 @@ def test_legendre_against_scipy(x):
 
 def test_legendre_domain_error():
     with pytest.raises(DomainError):
-        legendre_p(2, 1.5)
+        legendre_p_table(2, 1.5)
     with pytest.raises(DomainError):
-        legendre_p(2, -1.0001)
+        legendre_p_table(2, -1.0001)
+    with pytest.raises(DomainError):
+        legendre_p_table(2, math.nan)
