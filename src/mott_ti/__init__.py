@@ -47,6 +47,7 @@ from .hardsphere import (
     find_critical_kR,
     hard_sphere_phase_shifts,
     hs_amplitude,
+    hs_cross_sections,
     hs_curvature_at_90,
     hs_identical_cross_section,
     hs_total_cross_section,

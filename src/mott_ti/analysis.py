@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .constants import BARN_PER_FM2, DEFAULT_CONSTANTS, PhysicalConstants
 from .coulomb import MottParams, critical_eta, curvature_at_90, identical_cross_section
 from .errors import DomainError
-from .hardsphere import HardSphereParams, hs_curvature_at_90, hs_identical_cross_section
+from .hardsphere import HardSphereParams, hs_cross_sections, hs_curvature_at_90
 from .kinematics import critical_energy, half_closest_approach
 from .numerics import MAX_POINTS
 from .species import (
@@ -68,6 +68,11 @@ class CrossSectionCurve:
         if self.is_symmetric_grid():
             n = len(self.thetas)
             for i in range(n // 2):
+                # only pairs equally far from 90 deg in floats; the others sample
+                # two angles ~1e-14 deg apart, which near a zero of a large-kR
+                # curve differ by more than the tolerance
+                if 90.0 - self.thetas[i] != self.thetas[n - 1 - i] - 90.0:
+                    continue
                 a, b = self.values[i], self.values[n - 1 - i]
                 if abs(a - b) > _SYMMETRY_RTOL * max(abs(a), abs(b)) + 1e-30:
                     raise DomainError(
@@ -144,12 +149,17 @@ def angle_grid(start: float = 1.0, stop: float = 179.0, step: float = 0.5) -> tu
     return tuple(start + i * step for i in range(n + 1))
 
 
+def _mott_cross_sections(grid: tuple[float, ...], model: MottParams) -> tuple[float, ...]:
+    # point by point: the closed form is only even about 90 deg to the last bits
+    return tuple(identical_cross_section(t, model) for t in grid)
+
+
 def _kernels(model: MottParams | HardSphereParams):
-    """The model's cross section sigma(theta, model) and exact 90 deg curvature(model)."""
+    """The model's cross sections sigmas(grid, model) and exact 90 deg curvature(model)."""
     if isinstance(model, MottParams):
-        return identical_cross_section, lambda m: curvature_at_90(m, m.spin.statistics)
+        return _mott_cross_sections, lambda m: curvature_at_90(m, m.spin.statistics)
     if isinstance(model, HardSphereParams):
-        return hs_identical_cross_section, hs_curvature_at_90
+        return hs_cross_sections, hs_curvature_at_90
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -158,8 +168,8 @@ def build_curve(
     grid: tuple[float, ...],
 ) -> CrossSectionCurve:
     """Sample the symmetrized cross section of `model` on `grid` (degrees)."""
-    sigma, _ = _kernels(model)
-    values = tuple(sigma(t, model) for t in grid)
+    sigmas, _ = _kernels(model)
+    values = sigmas(grid, model)
     if model.spin.statistics is Statistics.BOSON:
         for t, v in zip(grid, values):
             if v < 0.0:

@@ -26,7 +26,8 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .numerics import MAX_POINTS, bisect_root
-from .species import Polarization, Spin, Statistics, check_statistics, symmetrized_combination
+from .species import (Polarization, Spin, Statistics, check_statistics, exchange_weight,
+                      symmetrized_combination)
 from .special import legendre_p_table, spherical_bessel_j_table, spherical_bessel_y_table
 
 TRUNCATION_TOL = 1e-12  # the automatic ladder stops at |sin delta_l| below this
@@ -98,14 +99,16 @@ def hard_sphere_phase_shifts(kR: float) -> PhaseShiftSet:
         cap *= 2
 
 
-def _channels(theta_deg: float, shifts: PhaseShiftSet) -> tuple[complex, complex]:
-    """(E, O), the even-l and odd-l sums of k f(theta), from one Legendre table.
-
-    x = sin(90 - theta) is exactly odd about 90 deg and exactly 0 there.
-    """
-    p = legendre_p_table(shifts.l_max, math.sin(math.radians(90.0 - theta_deg)))
+def _channels(x: float, shifts: PhaseShiftSet) -> tuple[complex, complex]:
+    """(E, O), the even-l and odd-l sums of k f at cos(theta) = x, from one Legendre table."""
+    p = legendre_p_table(shifts.l_max, x)
     w = shifts.weights
     return sum(map(operator.mul, w[0::2], p[0::2])), sum(map(operator.mul, w[1::2], p[1::2]))
+
+
+def _cos(theta_deg: float) -> float:
+    """cos(theta) as sin(90 - theta): exactly odd about 90 deg and exactly 0 there."""
+    return math.sin(math.radians(90.0 - theta_deg))
 
 
 def hs_amplitude(theta_deg: float, shifts: PhaseShiftSet) -> complex:
@@ -115,7 +118,7 @@ def hs_amplitude(theta_deg: float, shifts: PhaseShiftSet) -> complex:
     """
     if not 0.0 <= theta_deg <= 180.0:
         raise DomainError(f"theta must be in [0, 180], got {theta_deg}")
-    even, odd = _channels(theta_deg, shifts)
+    even, odd = _channels(_cos(theta_deg), shifts)
     return (even + odd) / shifts.kR
 
 
@@ -129,20 +132,39 @@ def hs_total_cross_section(shifts: PhaseShiftSet) -> float:
     )
 
 
-def hs_identical_cross_section(theta_deg: float, params: HardSphereParams) -> float:
-    """Symmetrized hard-sphere cross section in units of R^2.
+def hs_cross_sections(thetas: tuple[float, ...], params: HardSphereParams) -> tuple[float, ...]:
+    """Symmetrized hard-sphere cross sections at `thetas` (degrees), in units of R^2.
 
     (2/kR^2) [(1 + eps w)|E|^2 + (1 - eps w)|O|^2] with E, O the even- and
     odd-wave parts of k f(theta); no terms cancel, and the aligned-fermion
-    zero at 90 degrees is exact.
+    zero at 90 degrees is exact.  The phase shifts, eps w and kR^2 are
+    taken once.  E and O are computed once per distinct |x|, at the first
+    signed x = cos(theta) with that value: the recurrence gives
+    P_l(-x) = (-1)^l P_l(x) bit for bit, so |E|^2 and |O|^2 at -x are those
+    at x, and the result equals point-by-point evaluation on any grid.
     """
-    if not 0.0 < theta_deg < 180.0:
-        raise DomainError(f"theta must be in (0, 180), got {theta_deg}")
-    even, odd = _channels(theta_deg, hard_sphere_phase_shifts(params.kR))
-    e2, o2 = abs(even) ** 2, abs(odd) ** 2
-    pair = (params.spin, params.polarization)
-    return 2.0 * (symmetrized_combination(e2, e2, *pair)
-                  + symmetrized_combination(o2, -o2, *pair)) / params.kR**2
+    shifts = hard_sphere_phase_shifts(params.kR)
+    eps_w = exchange_weight(params.spin, params.polarization)
+    kr2 = params.kR**2
+    by_abs_x: dict[float, float] = {}
+    values = []
+    for theta in thetas:
+        if not 0.0 < theta < 180.0:
+            raise DomainError(f"theta must be in (0, 180), got {theta}")
+        x = _cos(theta)
+        sigma = by_abs_x.get(abs(x))
+        if sigma is None:
+            even, odd = _channels(x, shifts)
+            e2, o2 = abs(even) ** 2, abs(odd) ** 2
+            # e2 + eps_w * e2, not (1 + eps_w) * e2: the bits of symmetrized_combination
+            sigma = by_abs_x[abs(x)] = 2.0 * ((e2 + eps_w * e2) + (o2 - eps_w * o2)) / kr2
+        values.append(sigma)
+    return tuple(values)
+
+
+def hs_identical_cross_section(theta_deg: float, params: HardSphereParams) -> float:
+    """Symmetrized hard-sphere cross section at one angle in units of R^2; see hs_cross_sections."""
+    return hs_cross_sections((theta_deg,), params)[0]
 
 
 def hs_curvature_at_90(params: HardSphereParams) -> float:

@@ -33,13 +33,20 @@ def energy_from_eta(
 ) -> float:
     """CM energy (keV) at which the pair has Sommerfeld parameter eta.
 
-    E = M q^4 / (4 hbar^2 eta^2); exact inverse of sommerfeld_eta.
+    E = M q^4 / (4 hbar^2 eta^2); exact inverse of sommerfeld_eta.  Raises
+    DomainError unless eta is positive and finite and E is a finite positive
+    float (eta^2 leaves the float range below ~1e-154 and above ~1e154).
     """
-    if eta <= 0.0:
-        raise DomainError("eta must be positive")
+    if not 0.0 < eta < math.inf:  # also false for nan
+        raise DomainError(f"eta must be positive and finite, got {eta}")
     q2 = species.charge_squared(constants)
-    e_mev = species.mass * q2 * q2 / (4.0 * constants.hbar_c**2 * eta**2)
-    return e_mev * KEV_PER_MEV
+    try:
+        e_kev = species.mass * q2 * q2 / (4.0 * constants.hbar_c**2 * eta**2) * KEV_PER_MEV
+    except (OverflowError, ZeroDivisionError):  # eta**2 overflowed or underflowed to 0
+        e_kev = math.nan
+    if not 0.0 < e_kev < math.inf:
+        raise DomainError(f"eta {eta} gives no finite positive energy")
+    return e_kev
 
 
 def half_closest_approach(

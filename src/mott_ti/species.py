@@ -89,6 +89,17 @@ def check_statistics(spin: Spin, statistics: Statistics) -> None:
         )
 
 
+def exchange_weight(spin: Spin, polarization: Polarization) -> float:
+    """eps w, the factor of the interference term for an identical pair.
+
+    eps = +1 for bosons and -1 for fermions (by the spin's statistics);
+    w = 1 for an aligned pair and 1/(2s+1) for an unpolarized one.
+    """
+    sign = 1.0 if spin.statistics is Statistics.BOSON else -1.0
+    weight = 1.0 if polarization is Polarization.ALIGNED else 1.0 / spin.multiplicity
+    return sign * weight
+
+
 def symmetrized_combination(
     sigma_inc: float,
     sigma_int: float,
@@ -101,9 +112,7 @@ def symmetrized_combination(
     sigma_inc - sigma_int        aligned fermions
     sigma_inc +- sigma_int/(2s+1)  unpolarized (sign by the spin's statistics)
     """
-    sign = 1.0 if spin.statistics is Statistics.BOSON else -1.0
-    weight = 1.0 if polarization is Polarization.ALIGNED else 1.0 / spin.multiplicity
-    return sigma_inc + sign * weight * sigma_int
+    return sigma_inc + exchange_weight(spin, polarization) * sigma_int
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,13 @@ def test_curve_validation_rejects_asymmetric_values():
         CrossSectionCurve(thetas=(80.0, 90.0, 100.0), values=(1.0, 2.0, 1.5), model=model)
 
 
+def test_curve_validation_compares_only_exact_float_mirrors():
+    # 88.6 and 91.39999999999999 are not equally far from 90 deg in floats; at
+    # kR = 1000 sigma, near a zero there, differs between them by 2.8e-10 relative
+    params = HardSphereParams(kR=1000.0, spin=Spin(0), statistics=Statistics.BOSON)
+    assert build_curve(params, angle_grid(6.0, 174.0, 0.7)).is_symmetric_grid()
+
+
 def test_curve_validation_rejects_bad_grid():
     model = MottParams(a=1.0, eta=SQRT2, spin=Spin(0))
     with pytest.raises(DomainError):

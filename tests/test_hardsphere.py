@@ -1,5 +1,6 @@
 import cmath
 import math
+from functools import cache
 
 import pytest
 
@@ -20,6 +21,7 @@ from mott_ti import (
     spherical_bessel_y_table,
 )
 from mott_ti import hardsphere
+from mott_ti.analysis import angle_grid, build_curve
 from mott_ti.hardsphere import KR_MAX, KR_MIN, TRUNCATION_TOL
 from mott_ti.numerics import MAX_POINTS, half_angle_curvature, second_derivative
 
@@ -148,9 +150,55 @@ def test_cross_section_symmetry_about_90():
                          polarization=Polarization.ALIGNED),
     ):
         for theta in (10.0, 35.5, 60.0, 89.0):
-            left = hs_identical_cross_section(theta, params)
-            right = hs_identical_cross_section(180.0 - theta, params)
-            assert right == pytest.approx(left, rel=1e-10, abs=1e-14)
+            # exact: these angles have exact float mirrors and the kernel is
+            # exactly even in x = sin(90 - theta), which hs_cross_sections relies on
+            assert hs_identical_cross_section(180.0 - theta, params) == \
+                hs_identical_cross_section(theta, params)
+
+
+@pytest.mark.parametrize("kR", [KR_MIN, 0.3, 1.5, 25.0, 300.0, KR_MAX])
+@pytest.mark.parametrize("grid", [
+    angle_grid(),
+    angle_grid(1.0, 179.0, 0.1),   # 503 of 890 pairs are not exact float mirrors
+    angle_grid(60.0, 120.0, 0.3),  # 25 of 100 pairs are not exact float mirrors
+    angle_grid(10.0, 80.0, 0.5),   # no mirrors at all
+], ids=["default", "step0.1", "60-120", "10-80"])
+def test_curve_kernel_is_bit_identical_to_point_by_point(monkeypatch, grid, kR):
+    # kR = 25 takes the doubled ladder (l_max 43 against a first cap of 40).
+    # The channel sums are memoized on the signed x to keep the test fast;
+    # -x still gets its own Legendre table and sums.
+    monkeypatch.setattr(hardsphere, "_channels", cache(hardsphere._channels))
+    for twice_s in (0, 1, 2, 9):
+        for polarization in Polarization:
+            spin = Spin(twice_s)
+            params = HardSphereParams(kR=kR, spin=spin, statistics=spin.statistics,
+                                      polarization=polarization)
+            assert build_curve(params, grid).values == \
+                tuple(hs_identical_cross_section(t, params) for t in grid)
+
+
+@pytest.mark.parametrize("grid, tables", [
+    (angle_grid(), 179),                 # 178 exact mirror pairs and 90 deg
+    (angle_grid(1.0, 179.0, 0.1), 1394),  # one table per distinct |cos theta|
+    (angle_grid(10.0, 80.0, 0.5), 141),   # no mirrors: every point
+])
+def test_curve_kernel_evaluation_counts(monkeypatch, grid, tables):
+    calls = {"legendre": 0, "shifts": 0}
+    legendre, shifts = hardsphere.legendre_p_table, hardsphere.hard_sphere_phase_shifts
+
+    def counted_legendre(l_max, x):
+        calls["legendre"] += 1
+        return legendre(l_max, x)
+
+    def counted_shifts(kR):
+        calls["shifts"] += 1
+        return shifts(kR)
+
+    shifts.cache_clear()
+    monkeypatch.setattr(hardsphere, "legendre_p_table", counted_legendre)
+    monkeypatch.setattr(hardsphere, "hard_sphere_phase_shifts", counted_shifts)
+    build_curve(HardSphereParams(kR=1.5, spin=Spin(0), statistics=Statistics.BOSON), grid)
+    assert calls == {"legendre": tables, "shifts": 1}
 
 
 def test_truncation_robustness_doubling_l_max():

@@ -145,3 +145,13 @@ def test_domain_errors():
         energy_from_eta(ALPHA, 0.0)
     with pytest.raises(DomainError):
         energy_from_eta(ALPHA, -1.0)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, 0.0, 1e-200,
+                                 math.nextafter(0.0, 1.0), 1e-154, 1e154, 1e200])
+def test_energy_from_eta_rejects_edges_of_its_domain(eta):
+    # nan and inf used to come back as nan and 0.0; a tiny eta raised
+    # ZeroDivisionError (eta**2 underflows), a huge one OverflowError, and
+    # 1e-154 / 1e154 gave an infinite / zero energy
+    with pytest.raises(DomainError):
+        energy_from_eta(ALPHA, eta)
