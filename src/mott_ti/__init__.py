@@ -37,6 +37,7 @@ from .coulomb import (
     curvature_at_90,
     curvature_at_90_fd,
     identical_cross_section,
+    mott_cross_sections,
     sigma_inc_coulomb,
     sigma_int_coulomb,
 )

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import BARN_PER_FM2, DEFAULT_CONSTANTS, PhysicalConstants
-from .coulomb import MottParams, critical_eta, curvature_at_90, identical_cross_section
+from .coulomb import MottParams, critical_eta, curvature_at_90, mott_cross_sections
 from .errors import DomainError
 from .hardsphere import HardSphereParams, hs_cross_sections, hs_curvature_at_90
 from .kinematics import critical_energy, half_closest_approach
@@ -149,15 +149,10 @@ def angle_grid(start: float = 1.0, stop: float = 179.0, step: float = 0.5) -> tu
     return tuple(start + i * step for i in range(n + 1))
 
 
-def _mott_cross_sections(grid: tuple[float, ...], model: MottParams) -> tuple[float, ...]:
-    # point by point: the closed form is only even about 90 deg to the last bits
-    return tuple(identical_cross_section(t, model) for t in grid)
-
-
 def _kernels(model: MottParams | HardSphereParams):
     """The model's cross sections sigmas(grid, model) and exact 90 deg curvature(model)."""
     if isinstance(model, MottParams):
-        return _mott_cross_sections, lambda m: curvature_at_90(m, m.spin.statistics)
+        return mott_cross_sections, lambda m: curvature_at_90(m, m.spin.statistics)
     if isinstance(model, HardSphereParams):
         return hs_cross_sections, hs_curvature_at_90
     raise TypeError(f"unsupported model type {type(model).__name__}")

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 from .errors import DivergenceError, DomainError
 from .numerics import bisect_root, half_angle_curvature, second_derivative
-from .species import Polarization, Spin, Statistics, check_statistics, symmetrized_combination
+from .species import (
+    Polarization,
+    Spin,
+    Statistics,
+    check_statistics,
+    exchange_weight,
+    symmetrized_combination,
+)
 
 # Angle step (degrees) of the finite-difference cross-check curvature_at_90_fd.
 CURVATURE_STEP_DEG = 0.25
@@ -65,18 +72,36 @@ def _overflow(theta_deg: float, a: float) -> DivergenceError:
     )
 
 
+def _incoherent(theta_deg: float, a: float, a2_4: float, s: float, c: float) -> float:
+    """(a^2/4)[sin^-4 + cos^-4](theta/2) from a2_4 = a^2/4, s = sin(theta/2), c = cos(theta/2)."""
+    try:
+        value = a2_4 * (s**-4 + c**-4)
+    except (OverflowError, ZeroDivisionError):  # s tiny or rounded to 0
+        value = math.inf
+    if value == math.inf:  # next to the pole, or a * a beyond float range
+        raise _overflow(theta_deg, a)
+    return value
+
+
+def _interference(
+    theta_deg: float, a: float, a2_2: float, two_eta: float, t: float, s: float, c: float
+) -> float:
+    """(a^2/2) / (sin^2 cos^2)(t) * cos(2 eta ln tan t) from a2_2 = (a^2/4) * 2, t = theta/2."""
+    try:
+        prefactor = a2_2 / (s**2 * c**2)
+    except ZeroDivisionError:
+        prefactor = math.inf
+    if prefactor == math.inf:  # next to the pole, or a * a beyond float range
+        raise _overflow(theta_deg, a)
+    return prefactor * math.cos(two_eta * math.log(math.tan(t)))
+
+
 def sigma_inc_coulomb(theta_deg: float, a: float) -> float:
     """Incoherent (distinguishable-particle) sum, (a^2/4)[sin^-4 + cos^-4](theta/2)."""
     if not a > 0.0:  # also true for nan
         raise DomainError(f"a must be positive, got {a}")
     t = _half_angle(theta_deg)
-    try:
-        value = (a * a / 4.0) * (math.sin(t) ** -4 + math.cos(t) ** -4)
-    except (OverflowError, ZeroDivisionError):  # sin(t) tiny or rounded to 0
-        value = math.inf
-    if value == math.inf:  # next to the pole, or a * a beyond float range
-        raise _overflow(theta_deg, a)
-    return value
+    return _incoherent(theta_deg, a, a * a / 4.0, math.sin(t), math.cos(t))
 
 
 def sigma_int_coulomb(theta_deg: float, a: float, eta: float) -> float:
@@ -89,20 +114,34 @@ def sigma_int_coulomb(theta_deg: float, a: float, eta: float) -> float:
     if not eta > 0.0:  # also true for nan
         raise DomainError(f"eta must be positive, got {eta}")
     t = _half_angle(theta_deg)
-    try:
-        prefactor = (a * a / 4.0) * 2.0 / (math.sin(t) ** 2 * math.cos(t) ** 2)
-    except ZeroDivisionError:
-        prefactor = math.inf
-    if prefactor == math.inf:  # next to the pole, or a * a beyond float range
-        raise _overflow(theta_deg, a)
-    return prefactor * math.cos(2.0 * eta * math.log(math.tan(t)))
+    return _interference(theta_deg, a, a * a / 4.0 * 2.0, 2.0 * eta, t, math.sin(t), math.cos(t))
+
+
+def mott_cross_sections(thetas: tuple[float, ...], params: MottParams) -> tuple[float, ...]:
+    """Symmetrized Coulomb cross sections of an identical pair at `thetas` (degrees), fm^2/sr.
+
+    sigma_inc + eps w sigma_int, with a^2/4, 2 eta and eps w taken once per
+    curve and sin, cos of theta/2 once per angle; the same operations in the
+    same order as sigma_inc_coulomb, sigma_int_coulomb and
+    symmetrized_combination, so every value has their bits.
+    """
+    a = params.a
+    a2_4 = a * a / 4.0
+    a2_2 = a2_4 * 2.0
+    two_eta = 2.0 * params.eta
+    eps_w = exchange_weight(params.spin, params.polarization)
+    values = []
+    for theta in thetas:
+        t = _half_angle(theta)
+        s, c = math.sin(t), math.cos(t)
+        inc = _incoherent(theta, a, a2_4, s, c)
+        values.append(inc + eps_w * _interference(theta, a, a2_2, two_eta, t, s, c))
+    return tuple(values)
 
 
 def identical_cross_section(theta_deg: float, params: MottParams) -> float:
-    """Symmetrized Coulomb cross section of an identical pair, fm^2/sr."""
-    inc = sigma_inc_coulomb(theta_deg, params.a)
-    intf = sigma_int_coulomb(theta_deg, params.a, params.eta)
-    return symmetrized_combination(inc, intf, params.spin, params.polarization)
+    """Symmetrized Coulomb cross section at one angle, fm^2/sr; see mott_cross_sections."""
+    return mott_cross_sections((theta_deg,), params)[0]
 
 
 def curvature_at_90_fd(params: MottParams) -> float:

@@ -33,15 +33,39 @@ def _plain(value: Any) -> str:
 
 
 def _csv_cell(value: Any) -> str:
+    if type(value) is float:  # digits, '.', 'e', '+', '-', inf, nan: never quoted
+        return format_number(value)
     text = _plain(value)
-    if any(ch in text for ch in ',"\n'):
+    if "," in text or '"' in text or "\n" in text:
         text = '"' + text.replace('"', '""') + '"'
     return text
 
 
+# Encodes the rows in one pass of the C encoder, which json.dumps uses only
+# without indent.  NUL appears in its output only as this separator: json
+# escapes it inside strings.
+_ROWS_ENCODER = json.JSONEncoder(separators=("\0", ": "))
+
+# data.rows sits at depth 3 of the document: rows indent by 6, cells by 8
+_ROW_BREAK = "\n      ],\n      [\n        "
+_CELL_BREAK = ",\n        "
+
+
+def _json_rows(rows: Sequence[Sequence[Any]]) -> str:
+    """Non-empty rows of scalars at data.rows, laid out exactly as json.dumps(indent=2)."""
+    text = _ROWS_ENCODER.encode([list(row) for row in rows])
+    # "[[c\0c]\0[c\0c]]": "]\0[" only between rows, since no scalar ends in "]"
+    body = text[2:-2].replace("]\0[", _ROW_BREAK).replace("\0", _CELL_BREAK)
+    return "[\n      [\n        " + body + "\n      ]\n    ]"
+
+
 @dataclass
 class OutputEnvelope:
-    """Tabular payload (columns x rows) plus scalar results and parameters."""
+    """Tabular payload (columns x rows) plus scalar results and parameters.
+
+    Rows hold scalars (str, int, float, bool or None), one per column; the
+    JSON rendering relies on it.
+    """
 
     params: dict[str, Any]
     constants: PhysicalConstants
@@ -60,9 +84,14 @@ class OutputEnvelope:
         data: dict[str, Any] = dict(self.scalars)
         if self.columns:
             data["columns"] = list(self.columns)
-            data["rows"] = [list(row) for row in self.rows]
+            data["rows"] = []
         doc = {"metadata": self.metadata(), "params": self.params, "data": data}
-        return json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2) + "\n"
+        if self.columns and self.rows:
+            # data comes last, so the last match is data.rows even if params has a "rows": []
+            head, _, tail = text.rpartition('"rows": []')
+            text = head + '"rows": ' + _json_rows(self.rows) + tail
+        return text
 
     def to_csv(self) -> str:
         # comment lines carry whole values and are never field-split, so
@@ -77,11 +106,11 @@ class OutputEnvelope:
         if self.columns:
             lines.append(",".join(self.columns))
             for row in self.rows:
-                lines.append(",".join(_csv_cell(v) for v in row))
+                lines.append(",".join(map(_csv_cell, row)))
         elif self.scalars:
             # scalar-only payloads still get a parseable table
             lines.append(",".join(self.scalars))
-            lines.append(",".join(_csv_cell(v) for v in self.scalars.values()))
+            lines.append(",".join(map(_csv_cell, self.scalars.values())))
         return "\n".join(lines) + "\n"
 
     def render(self, fmt: str) -> str:

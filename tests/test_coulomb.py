@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +17,15 @@ from mott_ti import (
     critical_eta_numeric,
     curvature_at_90,
     curvature_at_90_fd,
+    angle_grid,
     identical_cross_section,
+    mott_cross_sections,
     sigma_inc_coulomb,
     sigma_int_coulomb,
 )
 from mott_ti.coulomb import A_MAX, ETA_MAX
 from mott_ti.numerics import bisect_root
+from mott_ti.species import symmetrized_combination
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -145,6 +149,44 @@ def test_identical_cross_section_90_values():
     # s=1/2 fermion unpolarized: 2 - 2/2 = 1
     ph = MottParams(a=1.0, eta=1.0, spin=Spin(1))
     assert identical_cross_section(90.0, ph) == pytest.approx(1.0, rel=1e-10)
+
+
+def _composed(theta, params):
+    inc = sigma_inc_coulomb(theta, params.a)
+    intf = sigma_int_coulomb(theta, params.a, params.eta)
+    return symmetrized_combination(inc, intf, params.spin, params.polarization)
+
+
+def test_curve_kernel_is_bit_identical_to_the_composition():
+    rng = random.Random(8)
+    asymmetric = tuple(sorted(rng.uniform(0.01, 179.99) for _ in range(200)))
+    grids = (angle_grid(), angle_grid(1.0, 179.0, 0.1), asymmetric)
+    # (eta, a) pairs from 1e-3 to the upper bounds, cycled over spins and polarizations
+    models = [(1e-3, 1e-3), (0.7, 1.0), (math.sqrt(5.0), 20.0), (31.6, 1e3),
+              (1e3, 1e-2), (ETA_MAX, A_MAX), (2.0, A_MAX), (ETA_MAX, 0.5)]
+    i = 0
+    for grid in grids:
+        for twice_s in range(10):
+            for polarization in Polarization:
+                eta, a = models[i % len(models)]
+                i += 1
+                params = MottParams(a=a, eta=eta, spin=Spin(twice_s), polarization=polarization)
+                values = mott_cross_sections(grid, params)
+                assert values == tuple(_composed(t, params) for t in grid), (params, grid[0])
+                assert identical_cross_section(grid[7], params) == values[7]
+
+
+@pytest.mark.parametrize("bad", [1e-10, 180.0 - 1e-10, 0.0, 180.0, -1.0, math.nan])
+def test_curve_kernel_raises_at_the_first_bad_angle(bad):
+    # at a = A_MAX, 1e-10 deg from either pole sin^-4 or cos^-4 overflows
+    params = MottParams(a=A_MAX, eta=1.0, spin=Spin(1))
+    with pytest.raises(DivergenceError) as want:
+        _composed(bad, params)
+    grid = (30.0, bad, 90.0, 1e-10, 180.0 - 1e-10)
+    with pytest.raises(DivergenceError) as got:
+        mott_cross_sections(grid, params)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"theta = {bad} deg")
 
 
 def test_statistics_spin_mismatch_raises():

@@ -1,4 +1,8 @@
 import json
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mott_ti import DEFAULT_CONSTANTS
 from mott_ti.output import OutputEnvelope, format_number
@@ -76,3 +80,83 @@ def test_rendering_is_deterministic():
 
     assert make().render("csv") == make().render("csv")
     assert make().render("json") == make().render("json")
+
+
+# ------------------------------------------------- renderings against the plain forms
+
+def _plain_oracle(value):
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
+def _csv_oracle(env):
+    """The per-cell quoting of every table cell, as the plain renderer wrote it."""
+
+    def cell(value):
+        text = _plain_oracle(value)
+        if any(ch in text for ch in ',"\n'):
+            text = '"' + text.replace('"', '""') + '"'
+        return text
+
+    lines = [f"# {k}={_plain_oracle(v)}"
+             for part in (env.metadata(), env.params, env.scalars) for k, v in part.items()]
+    if env.columns:
+        lines.append(",".join(env.columns))
+        lines.extend(",".join(cell(v) for v in row) for row in env.rows)
+    elif env.scalars:
+        lines.append(",".join(env.scalars))
+        lines.append(",".join(cell(v) for v in env.scalars.values()))
+    return "\n".join(lines) + "\n"
+
+
+def _json_oracle(env):
+    data = dict(env.scalars)
+    if env.columns:
+        data["columns"] = list(env.columns)
+        data["rows"] = [list(row) for row in env.rows]
+    doc = {"metadata": env.metadata(), "params": env.params, "data": data}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_TRICKY_TEXT = ["", "\0", "]\0[", "]", "[", '"', "\\", '", "', '"rows": []', "a,b", "x\ny",
+                "naïve", "σ/Ω", "\u2028", "😀"]
+_TEXT = st.one_of(st.sampled_from(_TRICKY_TEXT), st.text(max_size=8))
+_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_CELLS = st.one_of(_TEXT, _FLOATS, st.integers(), st.booleans(), st.none())
+_KEYS = st.one_of(st.sampled_from(["rows", "columns", "data", "x"]), _TEXT)
+
+
+@st.composite
+def envelopes(draw):
+    n_cols = draw(st.integers(min_value=0, max_value=5))
+    columns = draw(st.lists(_TEXT, min_size=n_cols, max_size=n_cols))
+    rows = draw(st.lists(st.tuples(*[_CELLS] * n_cols), max_size=6)) if n_cols else []
+    # params may hold an empty list under "rows": data.rows must still be the one replaced
+    params = draw(st.dictionaries(_KEYS, st.one_of(_CELLS, st.just([])), max_size=4))
+    scalars = draw(st.dictionaries(_KEYS, _CELLS, max_size=4))
+    return OutputEnvelope(params=params, constants=DEFAULT_CONSTANTS,
+                          columns=columns, rows=rows, scalars=scalars)
+
+
+def _envelope(columns, rows, scalars=None):
+    return OutputEnvelope(params={"command": "demo", "rows": []}, constants=DEFAULT_CONSTANTS,
+                          columns=columns, rows=rows, scalars=scalars or {})
+
+
+@settings(max_examples=150, deadline=None)
+@given(envelopes())
+@example(_envelope(["x"], [("]\0[",), (-0.0,), (math.nan,)]))
+@example(_envelope(["t", "s", "note"], [(1.0, 1e308, '", "'), (True, None, "\0")]))
+@example(_envelope(["t"], [], {"rows": 1.5}))
+@example(_envelope([], [], {"value": math.inf, "root": None}))
+def test_renderings_equal_the_plain_forms(env):
+    assert env.to_json() == _json_oracle(env)
+    assert env.to_csv() == _csv_oracle(env)
