@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .analysis import (
     CrossSectionCurve,
-    FeasibilityResult,
     PlateauReport,
     SweepResult,
     SystemReportRow,
@@ -23,7 +22,6 @@ from .analysis import (
     barrier_radius,
     build_curve,
     classify_curvature,
-    feasibility,
     plateau,
     sensitivity_sweep,
     sigma90,

@@ -41,9 +41,6 @@ SIGMA90_SCALING_BARN = 33.7
 # with both computed forms and is excluded from validation.
 REFERENCE_SIGMA90_BARN: dict[str, float] = {"d": 135.0, "6Li": 1.17, "alpha": 2.3}
 
-_SYMMETRY_RTOL = 1e-10
-
-
 @dataclass(frozen=True)
 class CrossSectionCurve:
     """Sampled angular distribution of one model."""
@@ -65,19 +62,6 @@ class CrossSectionCurve:
         for v in self.values:
             if not math.isfinite(v):
                 raise DomainError(f"non-finite cross section {v}")
-        if self.is_symmetric_grid():
-            n = len(self.thetas)
-            for i in range(n // 2):
-                # only pairs equally far from 90 deg in floats; the others sample
-                # two angles ~1e-14 deg apart, which near a zero of a large-kR
-                # curve differ by more than the tolerance
-                if 90.0 - self.thetas[i] != self.thetas[n - 1 - i] - 90.0:
-                    continue
-                a, b = self.values[i], self.values[n - 1 - i]
-                if abs(a - b) > _SYMMETRY_RTOL * max(abs(a), abs(b)) + 1e-30:
-                    raise DomainError(
-                        f"values break the 180-theta symmetry at {self.thetas[i]} deg"
-                    )
 
     def is_symmetric_grid(self) -> bool:
         n = len(self.thetas)
@@ -111,15 +95,6 @@ class SweepResult:
 
 
 @dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool          # authoritative: E_C < V_B
-    e_critical_kev: float
-    barrier_kev: float
-    condition_lhs: float    # Z^(10/3)
-    condition_rhs: float    # 25.4 (2s+1)
-
-
-@dataclass(frozen=True)
 class SystemReportRow:
     name: str
     spin: Spin
@@ -127,9 +102,9 @@ class SystemReportRow:
     barrier_kev: float
     sigma90_scaling_barn: float
     sigma90_direct_barn: float
-    feasible: bool
-    condition_lhs: float
-    condition_rhs: float
+    feasible: bool          # authoritative: E_C < V_B
+    condition_lhs: float    # Z^(10/3)
+    condition_rhs: float    # 25.4 (2s+1)
     sigma90_reference_barn: float | None
     note: str
 
@@ -266,26 +241,6 @@ def barrier_height(
     return q2 / barrier_radius(species, constants) * 1000.0
 
 
-def feasibility(
-    species: ParticleSpecies,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> FeasibilityResult:
-    """Can the critical energy be reached below the Coulomb barrier?
-
-    The decision compares E_C and V_B directly.  The Z^(10/3) < 25.4 (2s+1)
-    shorthand is evaluated alongside for reporting only.
-    """
-    e_c = critical_energy(species, constants)
-    v_b = barrier_height(species, constants)
-    return FeasibilityResult(
-        feasible=e_c < v_b,
-        e_critical_kev=e_c,
-        barrier_kev=v_b,
-        condition_lhs=float(species.z) ** (10.0 / 3.0),
-        condition_rhs=FEASIBILITY_COEFFICIENT * species.spin.multiplicity,
-    )
-
-
 def sigma90(
     species: ParticleSpecies,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
@@ -311,10 +266,15 @@ def table_one(
     catalog: list[ParticleSpecies],
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> list[SystemReportRow]:
-    """Report E_C, V_B, both sigma(90) forms and feasibility per species."""
+    """Report E_C, V_B, both sigma(90) forms and feasibility per species.
+
+    Feasibility compares E_C and V_B directly.  The Z^(10/3) < 25.4 (2s+1)
+    shorthand is evaluated alongside for reporting only.
+    """
     rows = []
     for sp in catalog:
-        feas = feasibility(sp, constants)
+        e_c = critical_energy(sp, constants)
+        v_b = barrier_height(sp, constants)
         scaling, direct = sigma90(sp, constants)
         reference = REFERENCE_SIGMA90_BARN.get(sp.name)
         note = ""
@@ -327,13 +287,13 @@ def table_one(
             SystemReportRow(
                 name=sp.name,
                 spin=sp.spin,
-                e_critical_kev=feas.e_critical_kev,
-                barrier_kev=feas.barrier_kev,
+                e_critical_kev=e_c,
+                barrier_kev=v_b,
                 sigma90_scaling_barn=scaling,
                 sigma90_direct_barn=direct,
-                feasible=feas.feasible,
-                condition_lhs=feas.condition_lhs,
-                condition_rhs=feas.condition_rhs,
+                feasible=e_c < v_b,
+                condition_lhs=float(sp.z) ** (10.0 / 3.0),
+                condition_rhs=FEASIBILITY_COEFFICIENT * sp.spin.multiplicity,
                 sigma90_reference_barn=reference,
                 note=note,
             )

@@ -19,7 +19,14 @@ import click
 from . import __version__
 from .analysis import angle_grid, build_curve, plateau as plateau_op, sensitivity_sweep, table_one
 from .constants import BARN_PER_FM2, DEFAULT_CONSTANTS, PhysicalConstants, load_constants
-from .coulomb import MottParams, critical_eta, critical_eta_numeric, sigma_inc_coulomb
+from .coulomb import (
+    MottParams,
+    check_eta,
+    check_eta_bracket,
+    critical_eta,
+    critical_eta_numeric,
+    sigma_inc_coulomb,
+)
 from .errors import DomainError, RootNotFoundError
 from .hardsphere import HardSphereParams, find_critical_kR
 from .kinematics import half_closest_approach, sommerfeld_eta
@@ -146,6 +153,7 @@ def main():
 def critical(spin: Spin, numeric: bool, bracket, fmt: str):
     """Critical Sommerfeld parameter sqrt(3s+2) for the given spin."""
     constants = _constants()
+    bracket = check_eta_bracket(bracket)
     eta_c = critical_eta(spin)
     scalars = {"eta_critical": eta_c}
     if numeric:
@@ -185,8 +193,8 @@ def angular(system_name, energy, eta, spin, stat, polarization, incoherent_only,
     if system_name is not None:
         if energy is None:
             raise click.UsageError("--system requires --energy")
-        if eta is not None:
-            raise click.UsageError("--system and --eta are mutually exclusive")
+        if eta is not None or spin is not None:
+            raise click.UsageError("--system and --eta/--spin are mutually exclusive")
         parts = system_name.split("-")
         if len(parts) == 2:
             if parts[0] != parts[1]:
@@ -204,7 +212,7 @@ def angular(system_name, energy, eta, spin, stat, polarization, incoherent_only,
     elif eta is not None:
         if spin is None and not incoherent_only:
             raise click.UsageError("--eta requires --spin")
-        a, eta_val = 1.0, eta
+        a, eta_val = 1.0, check_eta(eta)
     else:
         raise click.UsageError("provide either --system/--energy or --eta/--spin")
 

@@ -52,10 +52,24 @@ class MottParams:
     polarization: Polarization = Polarization.UNPOLARIZED
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eta <= ETA_MAX:  # also false for nan
-            raise DomainError(f"eta must lie in (0, {ETA_MAX:g}], got {self.eta}")
+        check_eta(self.eta)
         if not 0.0 < self.a <= A_MAX:  # also false for nan
             raise DomainError(f"a must lie in (0, {A_MAX:g}] fm, got {self.a}")
+
+
+def check_eta(eta: float) -> float:
+    """`eta` itself if it lies in (0, ETA_MAX]; DomainError otherwise."""
+    if not 0.0 < eta <= ETA_MAX:  # also false for nan
+        raise DomainError(f"eta must lie in (0, {ETA_MAX:g}], got {eta}")
+    return eta
+
+
+def check_eta_bracket(bracket: tuple[float, float]) -> tuple[float, float]:
+    """`bracket` itself if 0 < lo < hi <= ETA_MAX; DomainError otherwise."""
+    lo, hi = bracket
+    if not check_eta(lo) < check_eta(hi):
+        raise DomainError(f"invalid eta bracket {bracket}")
+    return lo, hi
 
 
 def _half_angle(theta_deg: float) -> float:
@@ -111,8 +125,7 @@ def sigma_int_coulomb(theta_deg: float, a: float, eta: float) -> float:
     """
     if not a > 0.0:  # also true for nan
         raise DomainError(f"a must be positive, got {a}")
-    if not eta > 0.0:  # also true for nan
-        raise DomainError(f"eta must be positive, got {eta}")
+    check_eta(eta)
     t = _half_angle(theta_deg)
     return _interference(theta_deg, a, a * a / 4.0 * 2.0, 2.0 * eta, t, math.sin(t), math.cos(t))
 
@@ -123,7 +136,8 @@ def mott_cross_sections(thetas: tuple[float, ...], params: MottParams) -> tuple[
     sigma_inc + eps w sigma_int, with a^2/4, 2 eta and eps w taken once per
     curve and sin, cos of theta/2 once per angle; the same operations in the
     same order as sigma_inc_coulomb, sigma_int_coulomb and
-    symmetrized_combination, so every value has their bits.
+    symmetrized_combination, so every value has their bits; where that sum
+    would be inf it raises DivergenceError instead.
     """
     a = params.a
     a2_4 = a * a / 4.0
@@ -135,7 +149,10 @@ def mott_cross_sections(thetas: tuple[float, ...], params: MottParams) -> tuple[
         t = _half_angle(theta)
         s, c = math.sin(t), math.cos(t)
         inc = _incoherent(theta, a, a2_4, s, c)
-        values.append(inc + eps_w * _interference(theta, a, a2_2, two_eta, t, s, c))
+        value = inc + eps_w * _interference(theta, a, a2_2, two_eta, t, s, c)
+        if value == math.inf:  # each term finite, their sum past float range
+            raise _overflow(theta, a)
+        values.append(value)
     return tuple(values)
 
 
@@ -197,9 +214,7 @@ def critical_eta_numeric(spin: Spin, bracket: tuple[float, float] = (0.5, 4.0)) 
     Raises RootNotFoundError when the bracket contains no transition
     (always the case for fermions).
     """
-    lo, hi = bracket
-    if not 0.0 < lo < hi:
-        raise DomainError(f"invalid eta bracket {bracket}")
+    lo, hi = check_eta_bracket(bracket)
 
     def curv(eta: float) -> float:
         return curvature_at_90_fd(MottParams(a=1.0, eta=eta, spin=spin))

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mott_ti import (
     CollisionSystem,
@@ -21,8 +23,8 @@ from mott_ti import (
     critical_energy,
     critical_eta,
     curvature_at_90,
-    feasibility,
     half_closest_approach,
+    sigma_inc_coulomb,
     hs_curvature_at_90,
     plateau,
     sensitivity_sweep,
@@ -31,6 +33,7 @@ from mott_ti import (
     builtin_catalog,
 )
 from mott_ti.constants import BARN_PER_FM2
+from mott_ti.coulomb import ETA_MAX
 from mott_ti.numerics import MAX_POINTS
 
 SQRT2 = math.sqrt(2.0)
@@ -97,17 +100,44 @@ def test_build_curve_carries_its_model():
         assert build_curve(model, angle_grid(80.0, 100.0, 5.0)).model is model
 
 
-def test_curve_validation_rejects_asymmetric_values():
-    model = MottParams(a=1.0, eta=SQRT2, spin=Spin(0))
-    with pytest.raises(DomainError, match="symmetry"):
-        CrossSectionCurve(thetas=(80.0, 90.0, 100.0), values=(1.0, 2.0, 1.5), model=model)
-
-
 def test_curve_validation_compares_only_exact_float_mirrors():
     # 88.6 and 91.39999999999999 are not equally far from 90 deg in floats; at
     # kR = 1000 sigma, near a zero there, differs between them by 2.8e-10 relative
     params = HardSphereParams(kR=1000.0, spin=Spin(0), statistics=Statistics.BOSON)
     assert build_curve(params, angle_grid(6.0, 174.0, 0.7)).is_symmetric_grid()
+
+
+CURVE_GRIDS = (angle_grid(), angle_grid(1.0, 179.0, 0.1), angle_grid(6.0, 174.0, 0.7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log_eta=st.floats(min_value=-3.0, max_value=math.log10(ETA_MAX)),
+    a=st.floats(min_value=1e-3, max_value=1e3),
+    twice_s=st.integers(min_value=0, max_value=9),
+    polarization=st.sampled_from(Polarization),
+    grid=st.sampled_from(CURVE_GRIDS),
+)
+@example(log_eta=5.0, a=1.0, twice_s=0, polarization=Polarization.UNPOLARIZED,
+         grid=CURVE_GRIDS[0])
+@example(log_eta=6.0, a=1.0, twice_s=9, polarization=Polarization.ALIGNED,
+         grid=CURVE_GRIDS[1])
+def test_mott_curves_are_even_about_90_to_phase_accuracy(log_eta, a, twice_s, polarization,
+                                                          grid):
+    # The closed form is even about 90 deg; in floats the two angles of a pair
+    # differ by their radian rounding (~185 eps relative near 1 deg) and the phase
+    # 2 eta ln tan(theta/2) by a few eps eta rad, both relative to sigma_inc.
+    eta = min(10.0**log_eta, ETA_MAX)
+    curve = build_curve(
+        MottParams(a=a, eta=eta, spin=Spin(twice_s), polarization=polarization), grid
+    )
+    tol = 8.0 * 2.0**-52 * (eta + 32.0)
+    n = len(grid)
+    for i in range(n // 2):
+        if 90.0 - grid[i] != grid[n - 1 - i] - 90.0:
+            continue
+        gap = abs(curve.values[i] - curve.values[n - 1 - i])
+        assert gap <= tol * sigma_inc_coulomb(grid[i], a), (grid[i], gap)
 
 
 def test_curve_validation_rejects_bad_grid():
@@ -280,18 +310,17 @@ def test_barrier_radius_scale():
 
 
 def test_feasibility_shipped_systems():
-    for sp in (DEUTERON, ALPHA, LI6):
-        res = feasibility(sp)
+    for res in table_one([DEUTERON, ALPHA, LI6]):
         assert res.feasible
         assert res.e_critical_kev < res.barrier_kev
-    li = feasibility(LI6)
+    (li,) = table_one([LI6])
     assert li.condition_lhs == pytest.approx(3.0 ** (10.0 / 3.0), rel=1e-12)  # 38.94
     assert li.condition_rhs == pytest.approx(76.2, rel=1e-12)
     assert li.condition_lhs < li.condition_rhs
 
 
 def test_feasibility_carbon12_fails():
-    res = feasibility(CARBON12)
+    (res,) = table_one([CARBON12])
     assert not res.feasible
     assert res.e_critical_kev > res.barrier_kev
     assert res.condition_lhs == pytest.approx(6.0 ** (10.0 / 3.0), rel=1e-12)  # ~392

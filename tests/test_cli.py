@@ -229,6 +229,16 @@ def test_hardsphere_curve(runner):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["angular", "--eta", "1e5", "--spin", "0"],
+    ["plateau", "--spin", "0", "--eta", "1e6"],
+])
+def test_large_eta_curves_exit_0(runner, argv):
+    # inside the documented eta domain; the two halves agree only to a few 1e-16 eta
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+
+
 def test_hardsphere_requires_mode(runner):
     assert runner.invoke(main, ["hardsphere", "--spin", "0"]).exit_code == 2
 
@@ -256,6 +266,14 @@ def test_hardsphere_requires_mode(runner):
     ["angular", "--spin", "0", "--eta", "1", "--theta-min", "5e-324"],
     ["angular", "--eta", "1", "--incoherent-only", "--theta-min", "5e-324"],
     ["angular", "--spin", "0", "--eta", "1", "--theta-step", "5e-324"],
+    # checked even where the mode ignores the value
+    ["angular", "--eta", "-1", "--incoherent-only"],
+    ["angular", "--eta", "2e6", "--incoherent-only"],
+    ["angular", "--eta", "nan", "--incoherent-only", "--format", "json"],
+    ["critical", "--spin", "0", "--bracket", "nan", "inf", "--format", "json"],
+    ["critical", "--spin", "0", "--bracket", "5", "1"],
+    ["critical", "--spin", "0", "--bracket", "0.5", "2e6"],
+    ["angular", "--system", "alpha", "--energy", "397", "--spin", "1/2"],
 ])
 def test_invalid_numbers_exit_2(runner, argv):
     result = runner.invoke(main, argv)

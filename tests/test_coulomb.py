@@ -23,7 +23,7 @@ from mott_ti import (
     sigma_inc_coulomb,
     sigma_int_coulomb,
 )
-from mott_ti.coulomb import A_MAX, ETA_MAX
+from mott_ti.coulomb import A_MAX, ETA_MAX, check_eta_bracket
 from mott_ti.numerics import bisect_root
 from mott_ti.species import symmetrized_combination
 
@@ -88,6 +88,19 @@ def test_overflow_of_a_squared_diverges():
             sigma_int_coulomb(theta, a, 1.0)
 
 
+def test_overflow_of_the_combined_value_diverges():
+    # both terms are finite here, their aligned-boson sum is beyond float range
+    theta = 0.02212884480368955
+    params = MottParams(a=A_MAX, eta=0.3673411776627898, spin=Spin(0),
+                        polarization=Polarization.ALIGNED)
+    assert math.isfinite(sigma_inc_coulomb(theta, params.a))
+    assert math.isfinite(sigma_int_coulomb(theta, params.a, params.eta))
+    with pytest.raises(DivergenceError, match="overflows"):
+        identical_cross_section(theta, params)
+    with pytest.raises(DivergenceError, match="overflows"):
+        mott_cross_sections((30.0, theta, 90.0), params)
+
+
 @pytest.mark.parametrize("theta", [0.0, 180.0, -5.0, 200.0])
 def test_endpoint_angles_diverge(theta):
     with pytest.raises(DivergenceError):
@@ -107,6 +120,8 @@ def test_bad_parameters():
         sigma_int_coulomb(60.0, 1.0, math.nan)
     with pytest.raises(DomainError):
         sigma_int_coulomb(90.0, 1.0, 0.0)
+    with pytest.raises(DomainError):  # the bound of MottParams, from the same check
+        sigma_int_coulomb(60.0, 1.0, math.nextafter(ETA_MAX, math.inf))
     with pytest.raises(DomainError):
         MottParams(a=0.0, eta=1.0, spin=Spin(0))
     with pytest.raises(DomainError):
@@ -330,6 +345,16 @@ def test_critical_eta_numeric_matches_closed_form():
     # cross-checks the sign/argument conventions of the interference term
     assert abs(critical_eta_numeric(Spin(0), (0.5, 3.0)) - SQRT2) < 1e-6
     assert abs(critical_eta_numeric(Spin(2), (0.5, 4.0)) - SQRT5) < 1e-6
+
+
+def test_eta_bracket_lies_inside_the_eta_domain():
+    assert check_eta_bracket((0.5, ETA_MAX)) == (0.5, ETA_MAX)
+    for bad in ((5.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 4.0), (math.nan, math.inf),
+                (0.5, math.nan), (0.5, math.nextafter(ETA_MAX, math.inf))):
+        with pytest.raises(DomainError):
+            check_eta_bracket(bad)
+        with pytest.raises(DomainError):
+            critical_eta_numeric(Spin(0), bad)
 
 
 def test_critical_eta_numeric_no_root():

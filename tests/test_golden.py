@@ -33,6 +33,30 @@ def test_golden_output(case):
     assert stdout == (GOLDEN / f"{case['name']}.out").read_bytes()
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("name", [c["name"] for c in CASES if c["name"].endswith("-json")])
+def test_json_goldens_are_strict_json(name):
+    strict_json((GOLDEN / f"{name}.out").read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    ["angular", "--eta", "nan", "--incoherent-only", "--format", "json"],
+    ["critical", "--spin", "0", "--bracket", "nan", "inf", "--format", "json"],
+])
+def test_json_output_is_strict_json(argv):
+    # a non-finite input is refused (exit 2, no document), never echoed as NaN
+    code, stdout = run(argv)
+    if stdout:
+        strict_json(stdout.decode())
+    assert code == 2
+
+
 if __name__ == "__main__":
     for case in CASES:
         code, stdout = run(case["argv"])
