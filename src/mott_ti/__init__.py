@@ -24,7 +24,6 @@ from .analysis import (
     classify_curvature,
     plateau,
     sensitivity_sweep,
-    sigma90,
     table_one,
 )
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants, load_constants

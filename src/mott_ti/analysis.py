@@ -16,14 +16,7 @@ from .errors import DomainError
 from .hardsphere import HardSphereParams, hs_cross_sections, hs_curvature_at_90
 from .kinematics import critical_energy, half_closest_approach
 from .numerics import MAX_POINTS
-from .species import (
-    CollisionSystem,
-    ParticleSpecies,
-    Polarization,
-    Spin,
-    Statistics,
-    symmetrized_combination,
-)
+from .species import CollisionSystem, ParticleSpecies, Polarization, Spin, exchange_weight
 
 # |curvature| below 1e-6 a^2 counts as flat when classifying 90 degrees.
 FLAT_CURVATURE_TOL = 1e-6
@@ -139,12 +132,7 @@ def build_curve(
 ) -> CrossSectionCurve:
     """Sample the symmetrized cross section of `model` on `grid` (degrees)."""
     sigmas, _ = _kernels(model)
-    values = sigmas(grid, model)
-    if model.spin.statistics is Statistics.BOSON:
-        for t, v in zip(grid, values):
-            if v < 0.0:
-                raise DomainError(f"negative boson cross section {v} at {t} deg")
-    return CrossSectionCurve(thetas=tuple(grid), values=values, model=model)
+    return CrossSectionCurve(thetas=tuple(grid), values=sigmas(grid, model), model=model)
 
 
 def _index_of_90(curve: CrossSectionCurve) -> int:
@@ -241,27 +229,6 @@ def barrier_height(
     return q2 / barrier_radius(species, constants) * 1000.0
 
 
-def sigma90(
-    species: ParticleSpecies,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> tuple[float, float]:
-    """(scaling, direct) 90-degree cross sections at the critical energy, in barn.
-
-    scaling: SIGMA90_SCALING_BARN (3s+2)^2 / Z^6, the printed shorthand
-             whose prefactor is exact only for s = 0.
-    direct:  2 a^2 (1 +- 1/(2s+1)) with a evaluated at E_C: sigma_inc = 2 a^2
-             and sigma_int = 2 a^2 at 90 deg, combined as an unpolarized pair.
-    """
-    s = species.spin.value
-    scaling = SIGMA90_SCALING_BARN * (3.0 * s + 2.0) ** 2 / float(species.z) ** 6
-    system = CollisionSystem(species=species, energy_cm=critical_energy(species, constants))
-    a = half_closest_approach(system, constants)
-    two_a2 = 2.0 * a * a
-    direct = symmetrized_combination(two_a2, two_a2, species.spin,
-                                     Polarization.UNPOLARIZED) * BARN_PER_FM2
-    return scaling, direct
-
-
 def table_one(
     catalog: list[ParticleSpecies],
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
@@ -269,13 +236,23 @@ def table_one(
     """Report E_C, V_B, both sigma(90) forms and feasibility per species.
 
     Feasibility compares E_C and V_B directly.  The Z^(10/3) < 25.4 (2s+1)
-    shorthand is evaluated alongside for reporting only.
+    shorthand is evaluated alongside for reporting only.  The two sigma(90)
+    forms, in barn at E_C:
+
+    scaling: SIGMA90_SCALING_BARN (3s+2)^2 / Z^6, the printed shorthand
+             whose prefactor is exact only for s = 0.
+    direct:  2 a^2 (1 +- 1/(2s+1)) with a evaluated at E_C: sigma_inc = 2 a^2
+             and sigma_int = 2 a^2 at 90 deg, combined as an unpolarized pair.
     """
     rows = []
     for sp in catalog:
         e_c = critical_energy(sp, constants)
         v_b = barrier_height(sp, constants)
-        scaling, direct = sigma90(sp, constants)
+        scaling = SIGMA90_SCALING_BARN * (3.0 * sp.spin.value + 2.0) ** 2 / float(sp.z) ** 6
+        a = half_closest_approach(CollisionSystem(species=sp, energy_cm=e_c), constants)
+        two_a2 = 2.0 * a * a
+        eps_w = exchange_weight(sp.spin, Polarization.UNPOLARIZED)
+        direct = (two_a2 + eps_w * two_a2) * BARN_PER_FM2
         reference = REFERENCE_SIGMA90_BARN.get(sp.name)
         note = ""
         if reference is not None and abs(scaling - reference) / reference > 0.10:

@@ -47,26 +47,6 @@ CONSTANTS_ENV_VAR = "MOTT_TI_CONSTANTS"
 EXIT_NUMERICAL_FAILURE = 3
 
 
-class SpinType(click.ParamType):
-    name = "spin"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, Spin):
-            return value
-        try:
-            return Spin.parse(str(value))
-        except (ValueError, DomainError) as exc:
-            self.fail(f"invalid spin {value!r}: {exc}", param, ctx)
-
-
-SPIN = SpinType()
-
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-    show_default=True, help="Output format.",
-)
-
-
 def _constants() -> PhysicalConstants:
     path = os.environ.get(CONSTANTS_ENV_VAR)
     if path:
@@ -92,10 +72,48 @@ def _statistics(spin: Spin, stat: str | None) -> Statistics:
     return spin.statistics
 
 
-def _emit(envelope: OutputEnvelope, fmt: str) -> None:
-    click.echo(envelope.render(fmt), nl=False)
+def _emit(fmt: str, params: dict, constants: PhysicalConstants, **payload) -> None:
+    """Write the envelope of `params`, `constants` and the payload in `fmt`."""
+    click.echo(OutputEnvelope(params=params, constants=constants, **payload).render(fmt), nl=False)
 
 
+def _parse_spin(ctx, param, value: str | None) -> Spin | None:
+    if value is None:
+        return None
+    try:
+        return Spin.parse(value)
+    except ValueError as exc:  # DomainError included
+        raise click.BadParameter(f"invalid spin {value!r}: {exc}") from exc
+
+
+# Options shared by several subcommands, each declared once here.
+
+def spin_option(required: bool = True):
+    return click.option("--spin", metavar="SPIN", callback=_parse_spin, required=required,
+                        help="Spin as 0, 1, 1/2, 9/2, ...")
+
+
+stat_option = click.option(
+    "--stat", type=click.Choice([s.value for s in Statistics]), default=None,
+    help="Statistics; must match the spin parity.",
+)
+polarization_option = click.option(
+    "--polarization", type=click.Choice([p.value for p in Polarization]),
+    default=Polarization.UNPOLARIZED.value, show_default=True,
+    callback=lambda ctx, param, value: Polarization(value),
+    help="Spin preparation of the pair.",
+)
+eta_option = click.option("--eta", type=float, default=None,
+                          help="Sommerfeld parameter (a = 1 fm).")
+kr_option = click.option("--kr", type=float, default=None, help="kR of a hard-sphere curve.")
+catalog_option = click.option(
+    "--catalog", type=click.Path(exists=True, dir_okay=False), default=None,
+    help="Species catalog file (defaults to the built-in one).",
+)
+format_option = click.option(
+    "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
+    show_default=True, help="Output format.",
+)
 grid_options = [
     click.option("--theta-min", type=float, default=1.0, show_default=True,
                  help="Grid start (degrees)."),
@@ -144,7 +162,7 @@ def main():
 
 
 @main.command()
-@click.option("--spin", type=SPIN, required=True, help="Spin as 0, 1, 1/2, 9/2, ...")
+@spin_option()
 @click.option("--numeric", is_flag=True,
               help="Also locate the critical eta numerically and report the difference.")
 @click.option("--bracket", type=float, nargs=2, default=(0.5, 4.0), show_default=True,
@@ -162,26 +180,23 @@ def critical(spin: Spin, numeric: bool, bracket, fmt: str):
         scalars["difference"] = eta_num - eta_c
     params = {"command": "critical", "spin": str(spin), "numeric": numeric,
               "bracket_lo": bracket[0], "bracket_hi": bracket[1]}
-    _emit(OutputEnvelope(params=params, constants=constants, scalars=scalars), fmt)
+    _emit(fmt, params, constants, scalars=scalars)
 
 
 @main.command()
 @click.option("--system", "system_name", type=str, default=None,
               help="Species name or pair, e.g. 'alpha' or 'alpha-alpha'.")
 @click.option("--energy", type=float, default=None, help="CM energy in keV (with --system).")
-@click.option("--eta", type=float, default=None, help="Sommerfeld parameter (with --spin; a=1 fm).")
-@click.option("--spin", type=SPIN, default=None, help="Spin (with --eta).")
-@click.option("--stat", type=click.Choice(["boson", "fermion"]), default=None,
-              help="Statistics; must match the spin parity.")
-@click.option("--polarization", type=click.Choice(["unpolarized", "aligned"]),
-              default="unpolarized", show_default=True)
+@eta_option
+@spin_option(required=False)
+@stat_option
+@polarization_option
 @click.option("--incoherent-only", is_flag=True,
               help="Emit only the distinguishable-particle (incoherent) sum.")
 @click.option("--normalize", type=click.Choice(["rutherford90"]), default=None,
               help="Divide by the 90-degree Rutherford value a^2.")
 @add_options(grid_options)
-@click.option("--catalog", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Species catalog file (defaults to the built-in one).")
+@catalog_option
 @format_option
 def angular(system_name, energy, eta, spin, stat, polarization, incoherent_only,
             normalize, theta_min, theta_max, theta_step, catalog, fmt):
@@ -205,19 +220,19 @@ def angular(system_name, energy, eta, spin, stat, polarization, incoherent_only,
         species = find_species(system_name, _catalog(catalog, constants))
         system = CollisionSystem(species=species, energy_cm=energy)
         a = half_closest_approach(system, constants)
-        eta_val = sommerfeld_eta(system, constants)
+        eta = sommerfeld_eta(system, constants)
         spin = species.spin
         params.update(system=species.name, energy_kev=energy,
                       mass_mev=species.mass, z=species.z)
     elif eta is not None:
         if spin is None and not incoherent_only:
             raise click.UsageError("--eta requires --spin")
-        a, eta_val = 1.0, check_eta(eta)
+        a = 1.0
     else:
         raise click.UsageError("provide either --system/--energy or --eta/--spin")
+    check_eta(eta)
 
-    pol = Polarization(polarization)
-    params.update(eta=eta_val, a_fm=a, polarization=pol.value,
+    params.update(eta=eta, a_fm=a, polarization=polarization.value,
                   incoherent_only=incoherent_only,
                   normalize=normalize or "none",
                   theta_min=theta_min, theta_max=theta_max, theta_step=theta_step)
@@ -226,7 +241,7 @@ def angular(system_name, energy, eta, spin, stat, polarization, incoherent_only,
         values = tuple(sigma_inc_coulomb(t, a) for t in grid)
     else:
         statistics = _statistics(spin, stat)
-        mott = MottParams(a=a, eta=eta_val, spin=spin, polarization=pol)
+        mott = MottParams(a=a, eta=eta, spin=spin, polarization=polarization)
         values = build_curve(mott, grid).values
         params.update(spin=str(spin), statistics=statistics.value)
 
@@ -236,13 +251,11 @@ def angular(system_name, energy, eta, spin, stat, polarization, incoherent_only,
     else:
         columns = ["theta_deg", "sigma_fm2_per_sr", "sigma_barn_per_sr"]
         rows = [(t, v, v * BARN_PER_FM2) for t, v in zip(grid, values)]
-    _emit(OutputEnvelope(params=params, constants=constants,
-                         columns=columns, rows=rows), fmt)
+    _emit(fmt, params, constants, columns=columns, rows=rows)
 
 
 @main.command()
-@click.option("--catalog", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Species catalog file (defaults to the built-in one).")
+@catalog_option
 @format_option
 def table(catalog, fmt):
     """Critical energies, barriers, sigma(90) and feasibility per species."""
@@ -258,18 +271,16 @@ def table(catalog, fmt):
         for r in rows
     ]
     params = {"command": "table", "catalog": catalog or "builtin"}
-    _emit(OutputEnvelope(params=params, constants=constants,
-                         columns=columns, rows=data), fmt)
+    _emit(fmt, params, constants, columns=columns, rows=data)
 
 
 @main.command()
-@click.option("--spin", type=SPIN, required=True)
-@click.option("--eta", type=float, default=None, help="Sommerfeld parameter (Coulomb mode).")
+@spin_option()
+@eta_option
 @click.option("--eta-critical", is_flag=True, help="Use the critical eta for this spin.")
-@click.option("--kr", type=float, default=None, help="Hard-sphere mode: kR value.")
-@click.option("--stat", type=click.Choice(["boson", "fermion"]), default=None)
-@click.option("--polarization", type=click.Choice(["unpolarized", "aligned"]),
-              default="unpolarized", show_default=True)
+@kr_option
+@stat_option
+@polarization_option
 @click.option("--epsilon", type=float, default=0.05, show_default=True,
               help="Flatness tolerance |sigma/sigma(90) - 1|.")
 @add_options(grid_options)
@@ -279,8 +290,7 @@ def plateau(spin, eta, eta_critical, kr, stat, polarization, epsilon,
     """Flatness plateau around 90 degrees for a Coulomb or hard-sphere curve."""
     constants = _constants()
     grid = angle_grid(theta_min, theta_max, theta_step)
-    pol = Polarization(polarization)
-    params = {"command": "plateau", "spin": str(spin), "polarization": pol.value,
+    params = {"command": "plateau", "spin": str(spin), "polarization": polarization.value,
               "epsilon": epsilon, "theta_min": theta_min, "theta_max": theta_max,
               "theta_step": theta_step}
     statistics = _statistics(spin, stat)
@@ -288,13 +298,13 @@ def plateau(spin, eta, eta_critical, kr, stat, polarization, epsilon,
         if eta is not None or eta_critical:
             raise click.UsageError("--kr and --eta/--eta-critical are mutually exclusive")
         model = HardSphereParams(kR=kr, spin=spin, statistics=statistics,
-                                 polarization=pol)
+                                 polarization=polarization)
         params.update(model="hard-sphere", kR=kr)
     else:
         if eta_critical == (eta is not None):
             raise click.UsageError("provide exactly one of --eta or --eta-critical")
-        eta_val = critical_eta(spin, pol) if eta_critical else eta
-        model = MottParams(a=1.0, eta=eta_val, spin=spin, polarization=pol)
+        eta_val = critical_eta(spin, polarization) if eta_critical else eta
+        model = MottParams(a=1.0, eta=eta_val, spin=spin, polarization=polarization)
         params.update(model="mott-coulomb", eta=eta_val, a_fm=1.0)
     report = plateau_op(build_curve(model, grid), epsilon)
     scalars = {
@@ -304,11 +314,11 @@ def plateau(spin, eta, eta_critical, kr, stat, polarization, epsilon,
         "curvature_90": report.curvature_90,
         "reference_value": report.reference_value,
     }
-    _emit(OutputEnvelope(params=params, constants=constants, scalars=scalars), fmt)
+    _emit(fmt, params, constants, scalars=scalars)
 
 
 @main.command()
-@click.option("--spin", type=SPIN, required=True)
+@spin_option()
 @click.option("--delta", type=float, default=0.05, show_default=True,
               help="Fractional eta shift around the critical value.")
 @add_options(grid_options)
@@ -333,16 +343,14 @@ def sweep(spin, delta, theta_min, theta_max, theta_step, fmt):
     for branch, eta_val, curve in zip(("below", "critical", "above"),
                                       result.etas, result.curves):
         rows.extend((branch, eta_val, t, v) for t, v in zip(curve.thetas, curve.values))
-    _emit(OutputEnvelope(params=params, constants=constants, scalars=scalars,
-                         columns=columns, rows=rows), fmt)
+    _emit(fmt, params, constants, scalars=scalars, columns=columns, rows=rows)
 
 
 @main.command()
-@click.option("--kr", type=float, default=None, help="kR for a single angular curve.")
-@click.option("--spin", type=SPIN, required=True)
-@click.option("--stat", type=click.Choice(["boson", "fermion"]), default=None)
-@click.option("--polarization", type=click.Choice(["unpolarized", "aligned"]),
-              default="unpolarized", show_default=True)
+@kr_option
+@spin_option()
+@stat_option
+@polarization_option
 @click.option("--critical-scan", type=float, nargs=2, default=None,
               help="Scan [LO, HI] for the critical kR; prints 'none' when absent.")
 @click.option("--step", type=float, default=0.05, show_default=True,
@@ -353,33 +361,30 @@ def hardsphere(kr, spin, stat, polarization, critical_scan, step,
                theta_min, theta_max, theta_step, fmt):
     """Hard-sphere cross sections (units of R^2) and the critical-kR scan."""
     constants = _constants()
-    pol = Polarization(polarization)
     statistics = _statistics(spin, stat)
     if critical_scan is not None and kr is not None:
         raise click.UsageError("--kr and --critical-scan are mutually exclusive")
     if critical_scan is not None:
         params = {"command": "hardsphere", "spin": str(spin),
-                  "statistics": statistics.value, "polarization": pol.value,
+                  "statistics": statistics.value, "polarization": polarization.value,
                   "scan_lo": critical_scan[0], "scan_hi": critical_scan[1],
                   "step": step}
         root = find_critical_kR(spin, statistics, tuple(critical_scan), step,
-                                polarization=pol)
-        _emit(OutputEnvelope(params=params, constants=constants,
-                             scalars={"critical_kR": root}), fmt)
+                                polarization=polarization)
+        _emit(fmt, params, constants, scalars={"critical_kR": root})
         return
     if kr is None:
         raise click.UsageError("provide either --kr or --critical-scan")
     grid = angle_grid(theta_min, theta_max, theta_step)
     model = HardSphereParams(kR=kr, spin=spin, statistics=statistics,
-                             polarization=pol)
+                             polarization=polarization)
     curve = build_curve(model, grid)
     params = {"command": "hardsphere", "kR": kr, "spin": str(spin),
-              "statistics": statistics.value, "polarization": pol.value,
+              "statistics": statistics.value, "polarization": polarization.value,
               "theta_min": theta_min, "theta_max": theta_max,
               "theta_step": theta_step}
     rows = list(zip(curve.thetas, curve.values))
-    _emit(OutputEnvelope(params=params, constants=constants,
-                         columns=["theta_deg", "sigma_over_R2"], rows=rows), fmt)
+    _emit(fmt, params, constants, columns=["theta_deg", "sigma_over_R2"], rows=rows)
 
 
 if __name__ == "__main__":

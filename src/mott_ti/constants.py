@@ -8,6 +8,8 @@ converts internally; cross sections are reported in fm^2/sr and barn/sr
 from __future__ import annotations
 
 import hashlib
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -28,8 +30,9 @@ class PhysicalConstants:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) <= 0.0:
-                raise DomainError(f"constant {f.name} must be positive")
+            value = getattr(self, f.name)
+            if not 0.0 < value < math.inf:  # also false for nan
+                raise DomainError(f"constant {f.name} must be finite and positive, got {value}")
         alpha = self.e_squared / self.hbar_c
         if not (1.0 / 137.5 <= alpha <= 1.0 / 136.5):
             raise DomainError(
@@ -47,22 +50,32 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 _FIELD_NAMES = {f.name for f in fields(PhysicalConstants)}
 
 
+def table_rows(text: str, source: str, shape: str) -> Iterator[tuple[str, list[str]]]:
+    """(``source:line``, fields) of each row of a plain-text table.
+
+    ``#`` starts a comment; blank lines are skipped.  `shape` names the
+    fields, e.g. ``'name value'``; a row with another field count raises
+    ValueError.
+    """
+    width = len(shape.split())
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if len(tokens) != width:
+            raise ValueError(f"{source}:{lineno}: expected {shape!r}, got {raw!r}")
+        yield f"{source}:{lineno}", tokens
+
+
 def load_constants(path: str | Path) -> PhysicalConstants:
     """Read constants from a plain-text table (one ``name value`` per line).
 
-    Lines starting with ``#`` and blank lines are ignored.  Names absent
-    from the file keep their default values.
+    Names absent from the file keep their default values; every value must
+    be finite and positive.
     """
     overrides: dict[str, float] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'name value', got {raw!r}")
-        name, value = tokens
+    for where, (name, value) in table_rows(Path(path).read_text(), str(path), "name value"):
         if name not in _FIELD_NAMES:
-            raise ValueError(f"{path}:{lineno}: unknown constant {name!r}")
+            raise ValueError(f"{where}: unknown constant {name!r}")
         overrides[name] = float(value)
     return replace(DEFAULT_CONSTANTS, **overrides)

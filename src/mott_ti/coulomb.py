@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 from .errors import DivergenceError, DomainError
 from .numerics import bisect_root, half_angle_curvature, second_derivative
-from .species import (
-    Polarization,
-    Spin,
-    Statistics,
-    check_statistics,
-    exchange_weight,
-    symmetrized_combination,
-)
+from .species import Polarization, Spin, Statistics, check_statistics, exchange_weight
 
 # Angle step (degrees) of the finite-difference cross-check curvature_at_90_fd.
 CURVATURE_STEP_DEG = 0.25
@@ -135,9 +128,9 @@ def mott_cross_sections(thetas: tuple[float, ...], params: MottParams) -> tuple[
 
     sigma_inc + eps w sigma_int, with a^2/4, 2 eta and eps w taken once per
     curve and sin, cos of theta/2 once per angle; the same operations in the
-    same order as sigma_inc_coulomb, sigma_int_coulomb and
-    symmetrized_combination, so every value has their bits; where that sum
-    would be inf it raises DivergenceError instead.
+    same order as sigma_inc_coulomb + exchange_weight * sigma_int_coulomb,
+    so every value has their bits; where that sum would be inf it raises
+    DivergenceError instead.
     """
     a = params.a
     a2_4 = a * a / 4.0
@@ -184,12 +177,8 @@ def curvature_at_90(params: MottParams, statistics: Statistics) -> float:
     """
     check_statistics(params.spin, statistics)
     a2 = params.a**2
-    return symmetrized_combination(
-        48.0 * a2,
-        16.0 * a2 * (1.0 - 2.0 * params.eta**2),
-        params.spin,
-        params.polarization,
-    )
+    eps_w = exchange_weight(params.spin, params.polarization)
+    return 48.0 * a2 + eps_w * (16.0 * a2 * (1.0 - 2.0 * params.eta**2))
 
 
 def critical_eta(

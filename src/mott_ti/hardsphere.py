@@ -26,8 +26,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .numerics import MAX_POINTS, bisect_root
-from .species import (Polarization, Spin, Statistics, check_statistics, exchange_weight,
-                      symmetrized_combination)
+from .species import Polarization, Spin, Statistics, check_statistics, exchange_weight
 from .special import legendre_p_table, spherical_bessel_j_table, spherical_bessel_y_table
 
 TRUNCATION_TOL = 1e-12  # the automatic ladder stops at |sin delta_l| below this
@@ -156,7 +155,7 @@ def hs_cross_sections(thetas: tuple[float, ...], params: HardSphereParams) -> tu
         if sigma is None:
             even, odd = _channels(x, shifts)
             e2, o2 = abs(even) ** 2, abs(odd) ** 2
-            # e2 + eps_w * e2, not (1 + eps_w) * e2: the bits of symmetrized_combination
+            # e2 + eps_w * e2, not (1 + eps_w) * e2: the bits of inc + eps_w * int
             sigma = by_abs_x[abs(x)] = 2.0 * ((e2 + eps_w * e2) + (o2 - eps_w * o2)) / kr2
         values.append(sigma)
     return tuple(values)
@@ -186,8 +185,8 @@ def hs_curvature_at_90(params: HardSphereParams) -> float:
         d2f -= w * l * (l + 1) * p[l]
     re_f2f = (d2f * f.conjugate()).real
     slope2 = abs(df) ** 2
-    d2 = symmetrized_combination(4.0 * (re_f2f + slope2), 4.0 * (re_f2f - slope2),
-                                 params.spin, params.polarization)
+    eps_w = exchange_weight(params.spin, params.polarization)
+    d2 = 4.0 * (re_f2f + slope2) + eps_w * (4.0 * (re_f2f - slope2))
     return 4.0 * d2 / params.kR**2
 
 

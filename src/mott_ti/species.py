@@ -13,12 +13,16 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import DEFAULT_CONSTANTS, PhysicalConstants, table_rows
 from .errors import DomainError
 
 # Smallest accepted CM energy (keV): E in MeV stays a normal float above it,
 # so the kinematic quotients q^2/(2E) and M/(4E) never divide by zero.
 ENERGY_MIN_KEV = 1e-300
+
+# Largest accepted atomic number: q^2 = Z^2 e^2 and the table's shorthands
+# Z^(10/3) and Z^6 all stay floats (Z^6 would overflow from Z ~ 2.4e51).
+Z_MAX = 10**50
 
 
 class Statistics(Enum):
@@ -93,26 +97,16 @@ def exchange_weight(spin: Spin, polarization: Polarization) -> float:
     """eps w, the factor of the interference term for an identical pair.
 
     eps = +1 for bosons and -1 for fermions (by the spin's statistics);
-    w = 1 for an aligned pair and 1/(2s+1) for an unpolarized one.
+    w = 1 for an aligned pair and 1/(2s+1) for an unpolarized one.  Every
+    cross section and curvature is sigma_inc + eps w sigma_int:
+
+    sigma_inc + sigma_int          aligned bosons
+    sigma_inc - sigma_int          aligned fermions
+    sigma_inc +- sigma_int/(2s+1)  unpolarized (sign by the spin's statistics)
     """
     sign = 1.0 if spin.statistics is Statistics.BOSON else -1.0
     weight = 1.0 if polarization is Polarization.ALIGNED else 1.0 / spin.multiplicity
     return sign * weight
-
-
-def symmetrized_combination(
-    sigma_inc: float,
-    sigma_int: float,
-    spin: Spin,
-    polarization: Polarization,
-) -> float:
-    """Combine incoherent and interference terms for an identical pair.
-
-    sigma_inc + sigma_int        aligned bosons
-    sigma_inc - sigma_int        aligned fermions
-    sigma_inc +- sigma_int/(2s+1)  unpolarized (sign by the spin's statistics)
-    """
-    return sigma_inc + exchange_weight(spin, polarization) * sigma_int
 
 
 @dataclass(frozen=True)
@@ -125,10 +119,10 @@ class ParticleSpecies:
     spin: Spin
 
     def __post_init__(self) -> None:
-        if self.z < 1:
-            raise DomainError(f"atomic number must be >= 1, got {self.z}")
-        if self.mass <= 0.0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
+        if not 1 <= self.z <= Z_MAX:
+            raise DomainError(f"atomic number z must lie in [1, {Z_MAX:.0e}], got {self.z}")
+        if not 0.0 < self.mass < math.inf:  # also false for nan
+            raise DomainError(f"mass must be finite and positive, got {self.mass}")
 
     def charge_squared(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
         """q^2 = Z^2 e^2 in MeV fm."""
@@ -152,27 +146,20 @@ class CollisionSystem:
                               f"got {self.energy_cm}")
 
 
-def _parse_catalog_lines(
-    lines: list[str],
+def _parse_catalog(
+    text: str,
     constants: PhysicalConstants,
     source: str,
 ) -> list[ParticleSpecies]:
     out: list[ParticleSpecies] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 4:
-            raise ValueError(
-                f"{source}:{lineno}: expected 'name Z A-or-mass 2s', got {raw!r}"
-            )
-        name, z_text, mass_text, twice_s_text = tokens
+    for _, (name, z_text, mass_text, twice_s_text) in table_rows(
+        text, source, "name Z A-or-mass 2s"
+    ):
         # integer third column = mass number A (mass = A x amu);
         # a decimal literal is an exact mass in MeV
         try:
             mass = int(mass_text) * constants.amu
-        except ValueError:
+        except (ValueError, OverflowError):  # an A past float range reads as inf
             mass = float(mass_text)
         out.append(
             ParticleSpecies(
@@ -190,7 +177,7 @@ def load_species_catalog(
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> list[ParticleSpecies]:
     """Load a plain-text species table: ``name  Z  A-or-mass  2s`` per line."""
-    return _parse_catalog_lines(Path(path).read_text().splitlines(), constants, str(path))
+    return _parse_catalog(Path(path).read_text(), constants, str(path))
 
 
 def builtin_catalog(
@@ -198,7 +185,7 @@ def builtin_catalog(
 ) -> list[ParticleSpecies]:
     """The shipped catalog: d, alpha, 6Li."""
     text = resources.files("mott_ti").joinpath("data/species.txt").read_text()
-    return _parse_catalog_lines(text.splitlines(), constants, "data/species.txt")
+    return _parse_catalog(text, constants, "data/species.txt")
 
 
 def find_species(name: str, catalog: list[ParticleSpecies]) -> ParticleSpecies:

@@ -28,12 +28,12 @@ from mott_ti import (
     hs_curvature_at_90,
     plateau,
     sensitivity_sweep,
-    sigma90,
     table_one,
     builtin_catalog,
 )
 from mott_ti.constants import BARN_PER_FM2
 from mott_ti.coulomb import ETA_MAX
+from mott_ti.hardsphere import KR_MAX, KR_MIN
 from mott_ti.numerics import MAX_POINTS
 
 SQRT2 = math.sqrt(2.0)
@@ -138,6 +138,31 @@ def test_mott_curves_are_even_about_90_to_phase_accuracy(log_eta, a, twice_s, po
             continue
         gap = abs(curve.values[i] - curve.values[n - 1 - i])
         assert gap <= tol * sigma_inc_coulomb(grid[i], a), (grid[i], gap)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    log_eta=st.floats(min_value=-3.0, max_value=math.log10(ETA_MAX)),
+    a=st.floats(min_value=1e-3, max_value=1e3),
+    log_kr=st.floats(min_value=math.log10(KR_MIN), max_value=math.log10(KR_MAX)),
+    twice_s=st.sampled_from([0, 2, 4, 6, 8]),
+    polarization=st.sampled_from(Polarization),
+    grid=st.sampled_from(CURVE_GRIDS),
+)
+@example(log_eta=6.0, a=1e3, log_kr=3.0, twice_s=0, polarization=Polarization.ALIGNED,
+         grid=CURVE_GRIDS[2])
+@example(log_eta=-3.0, a=1e-3, log_kr=-6.0, twice_s=8, polarization=Polarization.UNPOLARIZED,
+         grid=CURVE_GRIDS[0])
+def test_boson_curves_are_non_negative(log_eta, a, log_kr, twice_s, polarization, grid):
+    # Mott: sigma_inc - |sigma_int| = (a^2/4)(sin^-2 - cos^-2)^2(theta/2) >= 0, far above
+    # rounding; hard sphere: (1 + eps w)|E|^2 + (1 - eps w)|O|^2 with 0 < eps w <= 1
+    spin = Spin(twice_s)
+    mott = MottParams(a=a, eta=min(10.0**log_eta, ETA_MAX), spin=spin, polarization=polarization)
+    hs = HardSphereParams(kR=min(max(10.0**log_kr, KR_MIN), KR_MAX), spin=spin,
+                          statistics=Statistics.BOSON, polarization=polarization)
+    for model in (mott, hs):
+        values = build_curve(model, grid).values
+        assert min(values) >= 0.0, model
 
 
 def test_curve_validation_rejects_bad_grid():
@@ -328,6 +353,12 @@ def test_feasibility_carbon12_fails():
 
 
 # -------------------------------------------------------------------- sigma90
+
+def sigma90(species):
+    """(scaling, direct) sigma(90) forms of the table row of `species`."""
+    (row,) = table_one([species])
+    return row.sigma90_scaling_barn, row.sigma90_direct_barn
+
 
 def test_sigma90_scaling_values():
     # 33.7 (3s+2)^2 / Z^6

@@ -1,12 +1,14 @@
 import json
 import math
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mott_ti.cli import main
+from mott_ti.constants import DEFAULT_CONSTANTS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -274,6 +276,8 @@ def test_hardsphere_requires_mode(runner):
     ["critical", "--spin", "0", "--bracket", "5", "1"],
     ["critical", "--spin", "0", "--bracket", "0.5", "2e6"],
     ["angular", "--system", "alpha", "--energy", "397", "--spin", "1/2"],
+    # the eta derived from --energy is checked in every mode: 2.8e6 here
+    ["angular", "--system", "alpha", "--energy", "1e-10", "--incoherent-only"],
 ])
 def test_invalid_numbers_exit_2(runner, argv):
     result = runner.invoke(main, argv)
@@ -330,6 +334,65 @@ def test_numeric_options_never_traceback(argv, value):
     result = CliRunner().invoke(main, [repr(value) if a == "X" else a for a in argv])
     assert result.exit_code in {0, 2, 3}, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+# ------------------------------------------------------- values read from files
+
+FILE_COMMANDS = [
+    ["table", "--format", "json"],
+    ["angular", "--system", "x", "--energy", "400", "--format", "json"] + GRID,
+]
+
+
+def assert_refused(result, field):
+    # exit 2 with no document and a message naming the field; never a traceback
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert field in result.output
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("field", list(vars(DEFAULT_CONSTANTS)))
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+def test_constants_file_values_are_checked(runner, tmp_path, argv, field, value):
+    consts = tmp_path / "consts.txt"
+    consts.write_text(f"{field} {value}\n")
+    catalog = tmp_path / "cat.txt"
+    catalog.write_text("x 2 4 0\n")
+    result = runner.invoke(main, argv + ["--catalog", str(catalog)],
+                           env={"MOTT_TI_CONSTANTS": str(consts)})
+    assert_refused(result, f"constant {field}")
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("z,mass,field", [
+    *(("2", mass, "mass") for mass in ("nan", "inf", "0", "-1", "0.0", "1e400", "9" * 400)),
+    ("0", "4", "atomic number"),
+    (str(10**160), "4", "atomic number"),
+], ids=lambda text: text if len(text) < 16 else f"{text[0]}x{len(text)}")
+def test_catalog_file_values_are_checked(runner, tmp_path, argv, z, mass, field):
+    catalog = tmp_path / "cat.txt"
+    catalog.write_text(f"x {z} {mass} 0\n")
+    result = runner.invoke(main, argv + ["--catalog", str(catalog)],
+                           env={"MOTT_TI_CONSTANTS": None})
+    assert_refused(result, field)
+
+
+# --------------------------------------------------------------- option vocabulary
+
+def test_shared_options_agree():
+    # an option that several subcommands take means the same in each; only
+    # whether --spin is required may differ
+    seen = {}
+    for command in main.commands.values():
+        for param in command.params:
+            if not isinstance(param, click.Option):
+                continue
+            spec = (param.help, param.default, param.type.to_info_dict(), param.show_default,
+                    param.metavar, param.callback, None if param.name == "spin" else param.required)
+            for opt in param.opts:
+                first, first_spec = seen.setdefault(opt, (command.name, spec))
+                assert spec == first_spec, (opt, first, command.name)
 
 
 # ------------------------------------------------------- envelope and formats

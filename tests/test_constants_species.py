@@ -13,7 +13,7 @@ from mott_ti import (
     load_constants,
     load_species_catalog,
 )
-from mott_ti.species import check_statistics, symmetrized_combination
+from mott_ti.species import check_statistics, exchange_weight
 
 
 def test_default_constants_values():
@@ -100,13 +100,14 @@ def test_check_statistics_mismatch():
 
 
 def test_symmetrized_combination_signs():
-    # aligned: full interference; unpolarized: damped by 1/(2s+1)
-    assert symmetrized_combination(2.0, 2.0, Spin(0), Polarization.ALIGNED) == 4.0
-    assert symmetrized_combination(2.0, 2.0, Spin(1), Polarization.ALIGNED) == 0.0
-    assert symmetrized_combination(2.0, 2.0, Spin(2),
-                                   Polarization.UNPOLARIZED) == pytest.approx(2.0 + 2.0 / 3.0)
-    assert symmetrized_combination(2.0, 2.0, Spin(1),
-                                   Polarization.UNPOLARIZED) == pytest.approx(1.0)
+    # sigma_inc + eps w sigma_int; aligned: full interference; unpolarized: damped by 1/(2s+1)
+    def combined(spin, polarization):
+        return 2.0 + exchange_weight(spin, polarization) * 2.0
+
+    assert combined(Spin(0), Polarization.ALIGNED) == 4.0
+    assert combined(Spin(1), Polarization.ALIGNED) == 0.0
+    assert combined(Spin(2), Polarization.UNPOLARIZED) == pytest.approx(2.0 + 2.0 / 3.0)
+    assert combined(Spin(1), Polarization.UNPOLARIZED) == pytest.approx(1.0)
 
 
 def test_species_validation():

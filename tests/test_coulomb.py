@@ -25,7 +25,7 @@ from mott_ti import (
 )
 from mott_ti.coulomb import A_MAX, ETA_MAX, check_eta_bracket
 from mott_ti.numerics import bisect_root
-from mott_ti.species import symmetrized_combination
+from mott_ti.species import exchange_weight
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -169,7 +169,7 @@ def test_identical_cross_section_90_values():
 def _composed(theta, params):
     inc = sigma_inc_coulomb(theta, params.a)
     intf = sigma_int_coulomb(theta, params.a, params.eta)
-    return symmetrized_combination(inc, intf, params.spin, params.polarization)
+    return inc + exchange_weight(params.spin, params.polarization) * intf
 
 
 def test_curve_kernel_is_bit_identical_to_the_composition():
