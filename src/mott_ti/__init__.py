@@ -2,9 +2,10 @@
 
 Library layout:
 
-- constants, species, kinematics: data types and kinematic maps
-- coulomb: closed-form symmetrized Coulomb (Mott) cross sections and the
-  critical Sommerfeld parameter
+- constants, species, kinematics: data types and kinematic maps; species
+  also holds the exchange weight eps w and the critical Sommerfeld
+  parameter eta_C derived from it
+- coulomb: closed-form symmetrized Coulomb (Mott) cross sections
 - hardsphere: partial-wave hard-sphere scattering and the critical kR
 - analysis: curves, flatness plateaus, sensitivity sweeps, feasibility
 - cli: the `mott-ti` command line
@@ -29,7 +30,6 @@ from .analysis import (
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants, load_constants
 from .coulomb import (
     MottParams,
-    critical_eta,
     critical_eta_numeric,
     curvature_at_90,
     curvature_at_90_fd,
@@ -64,6 +64,7 @@ from .species import (
     Spin,
     Statistics,
     builtin_catalog,
+    critical_eta,
     find_species,
     load_species_catalog,
 )

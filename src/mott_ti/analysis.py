@@ -11,12 +11,19 @@ import math
 from dataclasses import dataclass
 
 from .constants import BARN_PER_FM2, DEFAULT_CONSTANTS, PhysicalConstants
-from .coulomb import MottParams, critical_eta, curvature_at_90, mott_cross_sections
+from .coulomb import MottParams, curvature_at_90, mott_cross_sections
 from .errors import DomainError
 from .hardsphere import HardSphereParams, hs_cross_sections, hs_curvature_at_90
 from .kinematics import critical_energy, half_closest_approach
 from .numerics import MAX_POINTS
-from .species import CollisionSystem, ParticleSpecies, Polarization, Spin, exchange_weight
+from .species import (
+    CollisionSystem,
+    ParticleSpecies,
+    Polarization,
+    Spin,
+    critical_eta,
+    exchange_weight,
+)
 
 # |curvature| below 1e-6 a^2 counts as flat when classifying 90 degrees.
 FLAT_CURVATURE_TOL = 1e-6

@@ -23,7 +23,6 @@ from .coulomb import (
     MottParams,
     check_eta,
     check_eta_bracket,
-    critical_eta,
     critical_eta_numeric,
     sigma_inc_coulomb,
 )
@@ -35,9 +34,8 @@ from .species import (
     CollisionSystem,
     Polarization,
     Spin,
-    Statistics,
     builtin_catalog,
-    check_statistics,
+    critical_eta,
     find_species,
     load_species_catalog,
 )
@@ -66,12 +64,6 @@ def _catalog(path: str | None, constants: PhysicalConstants):
         raise click.UsageError(f"cannot load catalog {path}: {exc}")
 
 
-def _statistics(spin: Spin, stat: str | None) -> Statistics:
-    if stat is not None:
-        check_statistics(spin, Statistics(stat))
-    return spin.statistics
-
-
 def _emit(fmt: str, params: dict, constants: PhysicalConstants, **payload) -> None:
     """Write the envelope of `params`, `constants` and the payload in `fmt`."""
     click.echo(OutputEnvelope(params=params, constants=constants, **payload).render(fmt), nl=False)
@@ -93,10 +85,6 @@ def spin_option(required: bool = True):
                         help="Spin as 0, 1, 1/2, 9/2, ...")
 
 
-stat_option = click.option(
-    "--stat", type=click.Choice([s.value for s in Statistics]), default=None,
-    help="Statistics; must match the spin parity.",
-)
 polarization_option = click.option(
     "--polarization", type=click.Choice([p.value for p in Polarization]),
     default=Polarization.UNPOLARIZED.value, show_default=True,
@@ -189,7 +177,6 @@ def critical(spin: Spin, numeric: bool, bracket, fmt: str):
 @click.option("--energy", type=float, default=None, help="CM energy in keV (with --system).")
 @eta_option
 @spin_option(required=False)
-@stat_option
 @polarization_option
 @click.option("--incoherent-only", is_flag=True,
               help="Emit only the distinguishable-particle (incoherent) sum.")
@@ -198,7 +185,7 @@ def critical(spin: Spin, numeric: bool, bracket, fmt: str):
 @add_options(grid_options)
 @catalog_option
 @format_option
-def angular(system_name, energy, eta, spin, stat, polarization, incoherent_only,
+def angular(system_name, energy, eta, spin, polarization, incoherent_only,
             normalize, theta_min, theta_max, theta_step, catalog, fmt):
     """Angular distribution of the symmetrized Coulomb cross section."""
     constants = _constants()
@@ -240,10 +227,9 @@ def angular(system_name, energy, eta, spin, stat, polarization, incoherent_only,
     if incoherent_only:
         values = tuple(sigma_inc_coulomb(t, a) for t in grid)
     else:
-        statistics = _statistics(spin, stat)
         mott = MottParams(a=a, eta=eta, spin=spin, polarization=polarization)
         values = build_curve(mott, grid).values
-        params.update(spin=str(spin), statistics=statistics.value)
+        params.update(spin=str(spin), statistics=spin.statistics.value)
 
     if normalize == "rutherford90":
         columns = ["theta_deg", "sigma_over_ruth90"]
@@ -279,13 +265,12 @@ def table(catalog, fmt):
 @eta_option
 @click.option("--eta-critical", is_flag=True, help="Use the critical eta for this spin.")
 @kr_option
-@stat_option
 @polarization_option
 @click.option("--epsilon", type=float, default=0.05, show_default=True,
               help="Flatness tolerance |sigma/sigma(90) - 1|.")
 @add_options(grid_options)
 @format_option
-def plateau(spin, eta, eta_critical, kr, stat, polarization, epsilon,
+def plateau(spin, eta, eta_critical, kr, polarization, epsilon,
             theta_min, theta_max, theta_step, fmt):
     """Flatness plateau around 90 degrees for a Coulomb or hard-sphere curve."""
     constants = _constants()
@@ -293,11 +278,10 @@ def plateau(spin, eta, eta_critical, kr, stat, polarization, epsilon,
     params = {"command": "plateau", "spin": str(spin), "polarization": polarization.value,
               "epsilon": epsilon, "theta_min": theta_min, "theta_max": theta_max,
               "theta_step": theta_step}
-    statistics = _statistics(spin, stat)
     if kr is not None:
         if eta is not None or eta_critical:
             raise click.UsageError("--kr and --eta/--eta-critical are mutually exclusive")
-        model = HardSphereParams(kR=kr, spin=spin, statistics=statistics,
+        model = HardSphereParams(kR=kr, spin=spin, statistics=spin.statistics,
                                  polarization=polarization)
         params.update(model="hard-sphere", kR=kr)
     else:
@@ -349,7 +333,6 @@ def sweep(spin, delta, theta_min, theta_max, theta_step, fmt):
 @main.command()
 @kr_option
 @spin_option()
-@stat_option
 @polarization_option
 @click.option("--critical-scan", type=float, nargs=2, default=None,
               help="Scan [LO, HI] for the critical kR; prints 'none' when absent.")
@@ -357,30 +340,29 @@ def sweep(spin, delta, theta_min, theta_max, theta_step, fmt):
               help="Scan step in kR.")
 @add_options(grid_options)
 @format_option
-def hardsphere(kr, spin, stat, polarization, critical_scan, step,
+def hardsphere(kr, spin, polarization, critical_scan, step,
                theta_min, theta_max, theta_step, fmt):
     """Hard-sphere cross sections (units of R^2) and the critical-kR scan."""
     constants = _constants()
-    statistics = _statistics(spin, stat)
     if critical_scan is not None and kr is not None:
         raise click.UsageError("--kr and --critical-scan are mutually exclusive")
     if critical_scan is not None:
         params = {"command": "hardsphere", "spin": str(spin),
-                  "statistics": statistics.value, "polarization": polarization.value,
+                  "statistics": spin.statistics.value, "polarization": polarization.value,
                   "scan_lo": critical_scan[0], "scan_hi": critical_scan[1],
                   "step": step}
-        root = find_critical_kR(spin, statistics, tuple(critical_scan), step,
+        root = find_critical_kR(spin, spin.statistics, tuple(critical_scan), step,
                                 polarization=polarization)
         _emit(fmt, params, constants, scalars={"critical_kR": root})
         return
     if kr is None:
         raise click.UsageError("provide either --kr or --critical-scan")
     grid = angle_grid(theta_min, theta_max, theta_step)
-    model = HardSphereParams(kR=kr, spin=spin, statistics=statistics,
+    model = HardSphereParams(kR=kr, spin=spin, statistics=spin.statistics,
                              polarization=polarization)
     curve = build_curve(model, grid)
     params = {"command": "hardsphere", "kR": kr, "spin": str(spin),
-              "statistics": statistics.value, "polarization": polarization.value,
+              "statistics": spin.statistics.value, "polarization": polarization.value,
               "theta_min": theta_min, "theta_max": theta_max,
               "theta_step": theta_step}
     rows = list(zip(curve.thetas, curve.values))

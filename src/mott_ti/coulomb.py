@@ -34,6 +34,10 @@ ETA_MAX = 1e6
 # stays finite up to ETA_MAX while a < ~2.4e147.
 A_MAX = 1e147
 
+# Smallest accepted a (fm): a^2/4 stays a normal float, so no cross section
+# underflows and sigma/a^2 never divides by 0 (a * a is 0 below ~1.5e-162).
+A_MIN = 3e-154
+
 
 @dataclass(frozen=True)
 class MottParams:
@@ -46,8 +50,8 @@ class MottParams:
 
     def __post_init__(self) -> None:
         check_eta(self.eta)
-        if not 0.0 < self.a <= A_MAX:  # also false for nan
-            raise DomainError(f"a must lie in (0, {A_MAX:g}] fm, got {self.a}")
+        if not A_MIN <= self.a <= A_MAX:  # also false for nan
+            raise DomainError(f"a must lie in [{A_MIN:g}, {A_MAX:g}] fm, got {self.a}")
 
 
 def check_eta(eta: float) -> float:
@@ -105,8 +109,8 @@ def _interference(
 
 def sigma_inc_coulomb(theta_deg: float, a: float) -> float:
     """Incoherent (distinguishable-particle) sum, (a^2/4)[sin^-4 + cos^-4](theta/2)."""
-    if not a > 0.0:  # also true for nan
-        raise DomainError(f"a must be positive, got {a}")
+    if not a >= A_MIN:  # also true for nan
+        raise DomainError(f"a must be at least {A_MIN:g} fm, got {a}")
     t = _half_angle(theta_deg)
     return _incoherent(theta_deg, a, a * a / 4.0, math.sin(t), math.cos(t))
 
@@ -116,8 +120,8 @@ def sigma_int_coulomb(theta_deg: float, a: float, eta: float) -> float:
 
     (a^2/4) * [2 / (sin^2(theta/2) cos^2(theta/2))] * cos(2 eta ln tan(theta/2))
     """
-    if not a > 0.0:  # also true for nan
-        raise DomainError(f"a must be positive, got {a}")
+    if not a >= A_MIN:  # also true for nan
+        raise DomainError(f"a must be at least {A_MIN:g} fm, got {a}")
     check_eta(eta)
     t = _half_angle(theta_deg)
     return _interference(theta_deg, a, a * a / 4.0 * 2.0, 2.0 * eta, t, math.sin(t), math.cos(t))
@@ -179,20 +183,6 @@ def curvature_at_90(params: MottParams, statistics: Statistics) -> float:
     a2 = params.a**2
     eps_w = exchange_weight(params.spin, params.polarization)
     return 48.0 * a2 + eps_w * (16.0 * a2 * (1.0 - 2.0 * params.eta**2))
-
-
-def critical_eta(
-    spin: Spin,
-    polarization: Polarization = Polarization.UNPOLARIZED,
-) -> float:
-    """Critical Sommerfeld parameter at which the boson 90 deg curvature vanishes.
-
-    eta_C^2 = (1 + 3/w)/2: sqrt(3s+2) for unpolarized pairs (w = 1/(2s+1))
-    and sqrt(2) for aligned pairs (w = 1), whatever the spin.
-    """
-    if polarization is Polarization.ALIGNED:
-        return math.sqrt(2.0)
-    return math.sqrt(3.0 * spin.value + 2.0)
 
 
 def critical_eta_numeric(spin: Spin, bracket: tuple[float, float] = (0.5, 4.0)) -> float:

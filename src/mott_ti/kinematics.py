@@ -9,9 +9,8 @@ from __future__ import annotations
 import math
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .coulomb import critical_eta
 from .errors import DomainError
-from .species import CollisionSystem, ParticleSpecies
+from .species import CollisionSystem, ParticleSpecies, critical_eta
 
 KEV_PER_MEV = 1000.0
 

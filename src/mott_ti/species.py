@@ -24,6 +24,17 @@ ENERGY_MIN_KEV = 1e-300
 # Z^(10/3) and Z^6 all stay floats (Z^6 would overflow from Z ~ 2.4e51).
 Z_MAX = 10**50
 
+# Largest accepted 2s: up to 2**53 every integer is an exact float, so s =
+# 2s/2 is exact and 2s+1 and 3s+2 are off by at most one rounding.
+TWICE_S_MAX = 2**53
+
+# Accepted mass range (MeV).  At E_C, a = 2 (hbar_c eta_C)^2 / (M q^2) ~ 5.4e4
+# eta_C^2 / (M Z^2) fm with 2 <= eta_C^2 <= 1.4e16 (2s <= TWICE_S_MAX) and Z in
+# [1, Z_MAX], so a lies in [1e-145, 1e141] fm and a^2 is a finite normal float;
+# R_B = 2 r0 (M/m0)^(1/3) stays above 1e-41 fm, so V_B = q^2/R_B is finite.
+MASS_MIN = 1e-120
+MASS_MAX = 1e50
+
 
 class Statistics(Enum):
     BOSON = "boson"
@@ -45,13 +56,13 @@ class Polarization(Enum):
 
 @dataclass(frozen=True)
 class Spin:
-    """Spin stored as 2s (non-negative integer)."""
+    """Spin stored as 2s, an integer in [0, TWICE_S_MAX]."""
 
     twice_s: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.twice_s, int) or self.twice_s < 0:
-            raise DomainError(f"twice_s must be a non-negative integer, got {self.twice_s!r}")
+        if not isinstance(self.twice_s, int) or not 0 <= self.twice_s <= TWICE_S_MAX:
+            raise DomainError(f"2s must be an integer in [0, {TWICE_S_MAX}], got {self.twice_s!r}")
 
     @classmethod
     def parse(cls, text: str) -> "Spin":
@@ -61,12 +72,8 @@ class Spin:
             num, _, den = text.partition("/")
             if den.strip() != "2":
                 raise ValueError(f"spin denominator must be 2: {text!r}")
-            twice = int(num)
-        else:
-            twice = 2 * int(text)
-        if twice < 0:
-            raise ValueError(f"spin must be non-negative: {text!r}")
-        return cls(twice)
+            return cls(int(num))
+        return cls(2 * int(text))
 
     @property
     def value(self) -> float:
@@ -109,6 +116,18 @@ def exchange_weight(spin: Spin, polarization: Polarization) -> float:
     return sign * weight
 
 
+def critical_eta(
+    spin: Spin,
+    polarization: Polarization = Polarization.UNPOLARIZED,
+) -> float:
+    """Critical Sommerfeld parameter at which the boson 90 deg curvature vanishes.
+
+    eta_C^2 = (1 + 3/w)/2 with w = |exchange_weight|: sqrt(3s+2) for
+    unpolarized pairs and sqrt(2) for aligned pairs, whatever the spin.
+    """
+    return math.sqrt((1.0 + 3.0 / abs(exchange_weight(spin, polarization))) / 2.0)
+
+
 @dataclass(frozen=True)
 class ParticleSpecies:
     """One collision partner: charge number, mass (MeV), and spin."""
@@ -121,8 +140,9 @@ class ParticleSpecies:
     def __post_init__(self) -> None:
         if not 1 <= self.z <= Z_MAX:
             raise DomainError(f"atomic number z must lie in [1, {Z_MAX:.0e}], got {self.z}")
-        if not 0.0 < self.mass < math.inf:  # also false for nan
-            raise DomainError(f"mass must be finite and positive, got {self.mass}")
+        if not MASS_MIN <= self.mass <= MASS_MAX:  # also false for nan
+            raise DomainError(f"mass must lie in [{MASS_MIN:g}, {MASS_MAX:g}] MeV, "
+                              f"got {self.mass}")
 
     def charge_squared(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
         """q^2 = Z^2 e^2 in MeV fm."""

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +36,7 @@ from mott_ti.constants import BARN_PER_FM2
 from mott_ti.coulomb import ETA_MAX
 from mott_ti.hardsphere import KR_MAX, KR_MIN
 from mott_ti.numerics import MAX_POINTS
+from mott_ti.species import MASS_MAX, MASS_MIN, TWICE_S_MAX, Z_MAX
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -407,6 +409,21 @@ def test_table_one_flags_deuteron_sigma90():
 
 def test_table_one_empty_catalog():
     assert table_one([]) == []
+
+
+@pytest.mark.parametrize("z", [1, Z_MAX])
+@pytest.mark.parametrize("mass", [MASS_MIN, MASS_MAX])
+@pytest.mark.parametrize("twice_s", [0, 1, TWICE_S_MAX])
+def test_table_one_corners_of_the_domain(z, mass, twice_s):
+    # at every corner of the Z, mass and 2s bounds each column is a finite
+    # non-zero float and a at E_C keeps a^2 a normal float
+    sp = ParticleSpecies(name="x", z=z, mass=mass, spin=Spin(twice_s))
+    (row,) = table_one([sp])
+    a = half_closest_approach(CollisionSystem(species=sp, energy_cm=row.e_critical_kev))
+    assert sys.float_info.min <= a * a < math.inf
+    for value in (row.e_critical_kev, row.barrier_kev, row.sigma90_scaling_barn,
+                  row.sigma90_direct_barn, row.condition_lhs, row.condition_rhs):
+        assert 0.0 < value < math.inf
 
 
 def test_table_one_fermion_sigma90_direct():

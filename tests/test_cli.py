@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from mott_ti.cli import main
 from mott_ti.constants import DEFAULT_CONSTANTS
+from mott_ti.species import MASS_MAX, MASS_MIN, TWICE_S_MAX, Z_MAX
+from test_golden import strict_json
 
 SQRT2 = math.sqrt(2.0)
 
@@ -125,12 +127,14 @@ def test_angular_endpoint_grid_rejected(runner):
     ["hardsphere", "--kr", "1"],
     ["hardsphere", "--critical-scan", "0.2", "3"],
 ])
-@pytest.mark.parametrize("spin,stat", [("0", "fermion"), ("1/2", "boson")])
+@pytest.mark.parametrize("spin,stat", [("0", "fermion"), ("1/2", "boson"),
+                                       ("0", "boson"), ("1/2", "fermion")])
 def test_angular_stat_mismatch_rejected(runner, command, spin, stat):
-    # every command that takes --stat checks it against the spin, in both directions
+    # the spin decides the statistics: no command takes --stat, matching or not
     result = runner.invoke(main, command + ["--spin", spin, "--stat", stat])
     assert result.exit_code == 2
-    assert f"implies {'boson' if stat == 'fermion' else 'fermion'}, got {stat}" in result.output
+    assert result.stdout == ""
+    assert "No such option '--stat'" in result.output
 
 
 def test_angular_unknown_species(runner):
@@ -206,7 +210,7 @@ def test_sweep_classification_line(runner):
 
 def test_hardsphere_scan_boson(runner):
     result = runner.invoke(main, ["hardsphere", "--critical-scan", "0.2", "3",
-                                  "--spin", "0", "--stat", "boson"])
+                                  "--spin", "0"])
     assert result.exit_code == 0
     row = csv_table(result.output)[0]
     assert float(row["critical_kR"]) == pytest.approx(1.5, abs=0.5)
@@ -278,6 +282,16 @@ def test_hardsphere_requires_mode(runner):
     ["angular", "--system", "alpha", "--energy", "397", "--spin", "1/2"],
     # the eta derived from --energy is checked in every mode: 2.8e6 here
     ["angular", "--system", "alpha", "--energy", "1e-10", "--incoherent-only"],
+    # a = q^2/(2E) below coulomb.A_MIN: a * a would underflow to 0
+    *(["angular", "--system", "alpha", "--energy", energy, *mode, "--format", fmt]
+      + normalize
+      for energy in ("1e300", "1e308")
+      for mode in ([], ["--incoherent-only"])
+      for fmt in ("csv", "json")
+      for normalize in ([], ["--normalize", "rutherford90"])),
+    # 2s past 2**53, where it stops being an exact float
+    ["critical", "--spin", "1" * 400],
+    ["critical", "--spin", f"{2**53 + 1}/2", "--format", "json"],
 ])
 def test_invalid_numbers_exit_2(runner, argv):
     result = runner.invoke(main, argv)
@@ -300,6 +314,9 @@ GUARD_CASES = [
     ["critical", "--spin", "0", "--numeric", "--bracket", "0.5", "X"],
     ["angular", "--system", "alpha", "--energy", "X"] + GRID,
     ["angular", "--system", "alpha", "--incoherent-only", "--energy", "X"] + GRID,
+    ["angular", "--system", "alpha", "--normalize", "rutherford90", "--energy", "X"] + GRID,
+    ["angular", "--system", "alpha", "--normalize", "rutherford90", "--incoherent-only",
+     "--energy", "X"] + GRID,
     ["angular", "--spin", "0", "--eta", "X"] + GRID,
     ["angular", "--eta", "X", "--incoherent-only"] + GRID,
     *grid_cases(["angular", "--spin", "0", "--eta", "1"]),
@@ -367,6 +384,8 @@ def test_constants_file_values_are_checked(runner, tmp_path, argv, field, value)
 @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
 @pytest.mark.parametrize("z,mass,field", [
     *(("2", mass, "mass") for mass in ("nan", "inf", "0", "-1", "0.0", "1e400", "9" * 400)),
+    ("92", "5e-324", "mass"),  # the barrier radius would round to 0
+    ("1", "1e-297", "mass"),   # a^2 at E_C would overflow
     ("0", "4", "atomic number"),
     (str(10**160), "4", "atomic number"),
 ], ids=lambda text: text if len(text) < 16 else f"{text[0]}x{len(text)}")
@@ -376,6 +395,39 @@ def test_catalog_file_values_are_checked(runner, tmp_path, argv, z, mass, field)
     result = runner.invoke(main, argv + ["--catalog", str(catalog)],
                            env={"MOTT_TI_CONSTANTS": None})
     assert_refused(result, field)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(z=st.sampled_from([1, 2, 92, Z_MAX]),
+       mass=st.floats(allow_nan=False) | st.sampled_from([MASS_MIN, MASS_MAX]),
+       twice_s=st.integers(-1, 2**60) | st.sampled_from([0, TWICE_S_MAX]))
+@example(z=2, mass=4.0, twice_s=int("1" * 400))
+@example(z=2, mass=4.0, twice_s=TWICE_S_MAX + 1)
+@example(z=2, mass=4.0, twice_s=-1)
+@example(z=92, mass=5e-324, twice_s=0)
+@example(z=1, mass=1e-297, twice_s=0)
+@example(z=1, mass=MASS_MIN, twice_s=TWICE_S_MAX)
+@example(z=Z_MAX, mass=MASS_MIN, twice_s=0)
+@example(z=1, mass=MASS_MAX, twice_s=TWICE_S_MAX)
+@example(z=Z_MAX, mass=MASS_MAX, twice_s=0)
+@example(z=Z_MAX, mass=MASS_MAX, twice_s=TWICE_S_MAX)
+def test_species_extremes_exit_2_or_give_strict_json(tmp_path_factory, z, mass, twice_s):
+    # inside the bounds every number is finite; outside them the value is
+    # refused by name, the catalog's 2s column and --spin alike
+    catalog = tmp_path_factory.mktemp("cat") / "cat.txt"
+    catalog.write_text(f"x {z} {mass!r} {twice_s}\n")
+    spin_field = None if 0 <= twice_s <= TWICE_S_MAX else "2s"
+    row_field = spin_field or (None if MASS_MIN <= mass <= MASS_MAX else "mass")
+    for argv, field in (
+        (["table", "--format", "json", "--catalog", str(catalog)], row_field),
+        (["critical", "--spin", f"{twice_s}/2", "--format", "json"], spin_field),
+    ):
+        result = CliRunner().invoke(main, argv, env={"MOTT_TI_CONSTANTS": None})
+        if field:
+            assert_refused(result, field)
+        else:
+            assert result.exit_code == 0, result.output
+            strict_json(result.stdout)
 
 
 # --------------------------------------------------------------- option vocabulary

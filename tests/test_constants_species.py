@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mott_ti import (
@@ -13,7 +15,14 @@ from mott_ti import (
     load_constants,
     load_species_catalog,
 )
-from mott_ti.species import check_statistics, exchange_weight
+from mott_ti.species import (
+    MASS_MAX,
+    MASS_MIN,
+    TWICE_S_MAX,
+    check_statistics,
+    critical_eta,
+    exchange_weight,
+)
 
 
 def test_default_constants_values():
@@ -79,6 +88,14 @@ def test_spin_parse_rejects(text):
         Spin.parse(text)
 
 
+def test_spin_bounds():
+    top = Spin(TWICE_S_MAX)
+    assert top.value == 2.0**52 and math.isfinite(critical_eta(top))
+    for bad in (-1, TWICE_S_MAX + 1, 10**400):
+        with pytest.raises(DomainError, match="2s must be an integer"):
+            Spin(bad)
+
+
 def test_spin_statistics_parity():
     assert Spin(0).statistics is Statistics.BOSON
     assert Spin(2).statistics is Statistics.BOSON
@@ -99,6 +116,15 @@ def test_check_statistics_mismatch():
         check_statistics(Spin(1), Statistics.BOSON)
 
 
+def test_critical_eta_is_exact_for_small_spins():
+    # one formula, sqrt((1 + 3/w)/2) with w = |eps w|, has the bits of the
+    # textbook forms sqrt(3s+2) and sqrt(2) up to 2s = 73
+    for twice_s in range(74):
+        spin = Spin(twice_s)
+        assert critical_eta(spin) == math.sqrt(3.0 * spin.value + 2.0)
+        assert critical_eta(spin, Polarization.ALIGNED) == math.sqrt(2.0)
+
+
 def test_symmetrized_combination_signs():
     # sigma_inc + eps w sigma_int; aligned: full interference; unpolarized: damped by 1/(2s+1)
     def combined(spin, polarization):
@@ -115,6 +141,12 @@ def test_species_validation():
         ParticleSpecies(name="x", z=0, mass=1000.0, spin=Spin(0))
     with pytest.raises(DomainError):
         ParticleSpecies(name="x", z=1, mass=-5.0, spin=Spin(0))
+    for mass in (MASS_MIN, MASS_MAX):
+        assert ParticleSpecies(name="x", z=1, mass=mass, spin=Spin(0)).mass == mass
+    for mass in (math.nextafter(MASS_MIN, 0.0), math.nextafter(MASS_MAX, math.inf),
+                 5e-324, 1e-297):
+        with pytest.raises(DomainError, match="mass must lie in"):
+            ParticleSpecies(name="x", z=1, mass=mass, spin=Spin(0))
 
 
 def test_charge_squared():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from mott_ti import (
     sigma_inc_coulomb,
     sigma_int_coulomb,
 )
-from mott_ti.coulomb import A_MAX, ETA_MAX, check_eta_bracket
+from mott_ti.coulomb import A_MAX, A_MIN, ETA_MAX, check_eta_bracket
 from mott_ti.numerics import bisect_root
 from mott_ti.species import exchange_weight
 
@@ -135,6 +136,20 @@ def test_bad_parameters():
         MottParams(a=1.0, eta=math.nextafter(ETA_MAX, math.inf), spin=Spin(0))
     with pytest.raises(DomainError):
         MottParams(a=math.nextafter(A_MAX, math.inf), eta=1.0, spin=Spin(0))
+    below = math.nextafter(A_MIN, 0.0)  # a^2/4 would leave the normal floats
+    with pytest.raises(DomainError):
+        MottParams(a=below, eta=1.0, spin=Spin(0))
+    with pytest.raises(DomainError):
+        sigma_inc_coulomb(90.0, below)
+    with pytest.raises(DomainError):
+        sigma_int_coulomb(90.0, below, 1.0)
+
+
+def test_a_min_keeps_a_squared_normal():
+    # from A_MIN up a^2/4 is a normal float, so sigma/a^2 never divides by 0
+    params = MottParams(a=A_MIN, eta=1.0, spin=Spin(0))
+    assert params.a * params.a / 4.0 >= sys.float_info.min
+    assert identical_cross_section(90.0, params) / (A_MIN * A_MIN) == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize("theta,expected", [

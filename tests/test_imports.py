@@ -1,6 +1,7 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and none imports upward.
 
-The package __init__ is exempt: its imports are the public re-exports.
+The package __init__ is exempt from both: its imports are the public
+re-exports.
 """
 
 import ast
@@ -34,3 +35,50 @@ def test_module_uses_every_import(path):
 def test_the_check_sees_an_unused_import():
     source = "import math\nfrom .species import Spin, Statistics\n\nx = Spin(math.pi)\n"
     assert unused_imports(source) == ["Statistics (line 2)"]
+
+
+# Bottom to top: a module imports only from its own layer or the ones below.
+# `from . import __version__` reads the package itself, which sets that name
+# before it imports any module, so it is not ranked.
+LAYERS = [
+    {"errors", "constants"},
+    {"numerics", "special"},
+    {"species"},
+    {"kinematics"},
+    {"coulomb", "hardsphere"},
+    {"analysis"},
+    {"output"},
+    {"cli"},
+]
+RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
+
+
+def upward_imports(module: str, source: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            targets = [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mott_ti."):
+            targets = [node.module.split(".")[1]]
+        elif isinstance(node, ast.Import):
+            targets = [a.name.split(".")[1] for a in node.names if a.name.startswith("mott_ti.")]
+        else:
+            continue
+        out += [f"{t} (line {node.lineno})" for t in targets
+                if t in RANK and RANK[t] > RANK[module]]
+    return out
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in MODULES} == set(RANK)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_downward(path):
+    assert upward_imports(path.stem, path.read_text()) == []
+
+
+def test_the_check_sees_an_upward_import():
+    source = ("from . import __version__\nfrom .species import Spin\n"
+              "from .coulomb import A_MAX\nimport mott_ti.analysis\n")
+    assert upward_imports("kinematics", source) == ["coulomb (line 3)", "analysis (line 4)"]
