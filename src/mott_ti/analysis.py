@@ -142,34 +142,25 @@ def build_curve(
     return CrossSectionCurve(thetas=tuple(grid), values=sigmas(grid, model), model=model)
 
 
-def _index_of_90(curve: CrossSectionCurve) -> int:
-    for i, t in enumerate(curve.thetas):
-        if abs(t - 90.0) < 1e-9:
-            return i
-    raise DomainError("curve grid does not contain 90 degrees")
-
-
 def plateau(curve: CrossSectionCurve, epsilon: float) -> PlateauReport:
     """Scan outward from 90 deg for the largest band with |sigma/sigma90 - 1| <= eps.
 
+    The grid must have odd length and be symmetric about 90 deg, its centre.
     The 90 deg curvature is the closed form of the curve's model, whatever the grid.
     """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
-    if not curve.is_symmetric_grid():
-        raise DomainError("plateau needs a grid symmetric about 90 degrees")
-    i90 = _index_of_90(curve)
-    v90 = curve.values[i90]
+    n = len(curve.thetas)
+    if n % 2 == 0 or not curve.is_symmetric_grid():
+        raise DomainError("plateau needs an odd-length grid symmetric about 90 degrees")
+    i90, values = n // 2, curve.values
+    v90 = values[i90]
     if v90 == 0.0:
         raise DomainError("sigma(90) is zero; plateau ratio undefined")
     j = 0
-    while i90 - (j + 1) >= 0 and i90 + (j + 1) < len(curve.thetas):
-        nxt = j + 1
-        lo_ok = abs(curve.values[i90 - nxt] / v90 - 1.0) <= epsilon
-        hi_ok = abs(curve.values[i90 + nxt] / v90 - 1.0) <= epsilon
-        if not (lo_ok and hi_ok):
-            break
-        j = nxt
+    while (j < i90 and abs(values[i90 - j - 1] / v90 - 1.0) <= epsilon
+           and abs(values[i90 + j + 1] / v90 - 1.0) <= epsilon):
+        j += 1
     _, curvature = _kernels(curve.model)
     return PlateauReport(
         theta_lo=curve.thetas[i90 - j],
@@ -231,9 +222,13 @@ def barrier_height(
     species: ParticleSpecies,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
-    """Coulomb barrier V_B = q^2 / R_B in keV."""
-    q2 = species.charge_squared(constants)
-    return q2 / barrier_radius(species, constants) * 1000.0
+    """Coulomb barrier V_B = q^2 / R_B in keV; DomainError unless 0 < V_B < inf."""
+    r_b = barrier_radius(species, constants)
+    v_b = species.charge_squared(constants) / r_b * 1000.0 if r_b > 0.0 else math.inf
+    if not 0.0 < v_b < math.inf:  # constants far from their usual size, e.g. r0 1e308
+        raise DomainError(f"Coulomb barrier of {species.name} is out of float range: R_B = "
+                          f"{r_b} fm, V_B = {v_b} keV (check the constants r0 and nucleon_mass)")
+    return v_b
 
 
 def table_one(

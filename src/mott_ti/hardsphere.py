@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DomainError
-from .numerics import MAX_POINTS, bisect_root
+from .numerics import HALF_ANGLE_FACTOR, MAX_POINTS, bisect_root
 from .species import Polarization, Spin, Statistics, check_statistics, exchange_weight
 from .special import legendre_p_table, spherical_bessel_j_table, spherical_bessel_y_table
 
@@ -187,7 +187,7 @@ def hs_curvature_at_90(params: HardSphereParams) -> float:
     slope2 = abs(df) ** 2
     eps_w = exchange_weight(params.spin, params.polarization)
     d2 = 4.0 * (re_f2f + slope2) + eps_w * (4.0 * (re_f2f - slope2))
-    return 4.0 * d2 / params.kR**2
+    return HALF_ANGLE_FACTOR * d2 / params.kR**2
 
 
 def find_critical_kR(
@@ -199,9 +199,12 @@ def find_critical_kR(
 ) -> float | None:
     """Smallest kR in `scan` where the 90 deg curvature changes sign, or None.
 
-    Scans on a grid of `step` (at most MAX_POINTS points), then bisects the
+    Scans lo, lo + step, ... (at most MAX_POINTS points), then bisects the
     first bracketing pair to 1e-6.  Absence of a transition is a valid
-    result, not an error.
+    result, not an error.  A point less than step/2 past hi moves onto hi and
+    one further out ends the scan, so a sign change up to step/2 short of hi
+    can be missed: spin 0 on (0.23, 1.45) stops at 1.43 and returns None,
+    though the curvature changes sign at 1.44677.
     """
     lo, hi = scan
     if not 0.0 < lo < hi <= 10.0:
@@ -216,18 +219,11 @@ def find_critical_kR(
             HardSphereParams(kR=kR, spin=spin, statistics=statistics, polarization=polarization)
         )
 
-    x_prev = lo
-    f_prev = curv(x_prev)
-    x = lo + step
-    while x < hi + step / 2.0:
-        x = min(x, hi)
-        f_here = curv(x)
-        if f_prev == 0.0:
-            return x_prev
-        if (f_prev > 0.0) != (f_here > 0.0):
-            return bisect_root(curv, x_prev, x, xtol=1e-6)
-        x_prev, f_prev = x, f_here
-        if x >= hi:
-            break
-        x += step
-    return None
+    x, f = lo, curv(lo)
+    while f != 0.0 and x + step < hi + step / 2.0:
+        x_next = min(x + step, hi)
+        f_next = curv(x_next)
+        if (f > 0.0) != (f_next > 0.0):
+            return bisect_root(curv, x, x_next, xtol=1e-6)
+        x, f = x_next, f_next
+    return x if f == 0.0 else None

@@ -11,6 +11,9 @@ from .errors import RootNotFoundError
 # count before building or evaluating anything.
 MAX_POINTS = 100_000
 
+# The half-angle curvature is d^2(sigma)/d(theta/2)^2 = 4 d^2(sigma)/d(theta)^2.
+HALF_ANGLE_FACTOR = 4.0
+
 
 def second_derivative(f: Callable[[float], float], x0: float, step: float) -> float:
     """Second derivative by the 5-point central stencil with Richardson extrapolation.
@@ -34,7 +37,7 @@ def half_angle_curvature(d2_per_deg2: float) -> float:
     The half-angle convention differentiates with respect to theta/2 in
     radians, which is 4 times d^2(sigma)/d(theta)^2 per radian^2.
     """
-    return 4.0 * d2_per_deg2 / math.radians(1.0) ** 2
+    return HALF_ANGLE_FACTOR * d2_per_deg2 / math.radians(1.0) ** 2
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -175,6 +176,10 @@ def test_curve_validation_rejects_bad_grid():
         CrossSectionCurve(thetas=(10.0, 190.0), values=(1.0, 1.0), model=model)
     with pytest.raises(DomainError):
         CrossSectionCurve(thetas=(10.0,), values=(math.inf,), model=model)
+    with pytest.raises(DomainError, match="same length"):
+        CrossSectionCurve(thetas=(10.0, 20.0), values=(1.0,), model=model)
+    with pytest.raises(DomainError, match="at least one point"):
+        CrossSectionCurve(thetas=(), values=(), model=model)
 
 
 # --------------------------------------------------------------------- plateau
@@ -329,6 +334,21 @@ def test_barrier_heights_near_published():
     assert barrier_height(DEUTERON) == pytest.approx(400.0, rel=0.05)
     assert barrier_height(LI6) == pytest.approx(2500.0, rel=0.05)
     assert barrier_height(ALPHA) == pytest.approx(1260.0, rel=0.05)
+
+
+@pytest.mark.parametrize("field,value,mass", [
+    ("r0", 1e308, 4 * DEFAULT_CONSTANTS.amu),           # R_B = inf, V_B = 0
+    ("nucleon_mass", 5e-324, 4 * DEFAULT_CONSTANTS.amu),  # (M/m0)^(1/3) = inf
+    ("r0", 5e-324, 4 * DEFAULT_CONSTANTS.amu),          # R_B subnormal, V_B = inf
+    ("r0", 5e-324, MASS_MIN),                           # R_B rounds to 0
+])
+def test_barrier_out_of_float_range_raises(field, value, mass):
+    constants = replace(DEFAULT_CONSTANTS, **{field: value})
+    species = ParticleSpecies(name="x", z=2, mass=mass, spin=Spin(0))
+    with pytest.raises(DomainError, match="Coulomb barrier of x"):
+        barrier_height(species, constants)
+    with pytest.raises(DomainError):
+        table_one([species], constants)
 
 
 def test_barrier_radius_scale():

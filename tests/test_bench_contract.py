@@ -1,7 +1,8 @@
 """The library surface that the benchmark in bench/ reaches into.
 
-bench/tracing.py wraps the (module, function) pairs in TRACED by name, and
-bench/workloads.py calls a few functions with fixed argument shapes.  Files
+bench/tracing.py wraps the (module, function) pairs in TRACED by name,
+bench/workloads.py calls a few functions with fixed argument shapes, and
+bench/oracle.py rebuilds the kR grid that find_critical_kR scans.  Files
 under bench/ change only together with the benchmark, so a library change
 that breaks one of these names or shapes must fail here first.
 """
@@ -24,15 +25,20 @@ from mott_ti import (
     plateau,
     sensitivity_sweep,
 )
+from mott_ti import hardsphere
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _traced():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TRACED
+    return _bench_module("tracing").TRACED
 
 
 @pytest.mark.parametrize("module,function", _traced())
@@ -57,3 +63,16 @@ def test_pinned_call_shapes():
 
     curve = build_curve(params, angle_grid(1.0, 179.0, 0.5))
     assert plateau(curve, 0.05).curvature_90 == pytest.approx(128.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("lo,hi,step", [(0.2, 3.0, 0.05), (0.23, 1.45, 0.05), (0.2, 3.02, 0.05)])
+def test_scan_visits_the_oracle_grid(monkeypatch, lo, hi, step):
+    # bench/oracle.py scan_grid copies the points a scan with no root visits;
+    # the critical-scan check compares roots against brackets on that grid
+    visited = []
+    curvature = hardsphere.hs_curvature_at_90
+    monkeypatch.setattr(hardsphere, "hs_curvature_at_90",
+                        lambda params: visited.append(params.kR) or curvature(params))
+    spin = Spin(1)
+    assert find_critical_kR(spin, spin.statistics, (lo, hi), step) is None
+    assert visited == _bench_module("oracle").scan_grid(lo, hi, step)

@@ -245,6 +245,27 @@ def test_large_eta_curves_exit_0(runner, argv):
     assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["angular", "--system", "alpha"], "--system requires --energy"),
+    (["angular", "--system", "alpha-d", "--energy", "400"], "only identical pairs"),
+    (["angular", "--eta", "1"], "--eta requires --spin"),
+    (["angular"], "provide either --system/--energy or --eta/--spin"),
+    (["plateau", "--spin", "0", "--kr", "1", "--eta", "1"],
+     "--kr and --eta/--eta-critical are mutually exclusive"),
+    (["hardsphere", "--spin", "0", "--kr", "1", "--critical-scan", "0.2", "3"],
+     "--kr and --critical-scan are mutually exclusive"),
+    (["plateau", "--spin", "0", "--eta", "2", "--theta-min", "10", "--theta-max", "100",
+      "--theta-step", "10"], "odd-length grid symmetric about 90"),
+    (["plateau", "--spin", "0", "--eta", "2", "--theta-min", "5", "--theta-max", "175",
+      "--theta-step", "10"], "odd-length grid symmetric about 90"),
+])
+def test_mode_conflicts_and_plateau_grids_exit_2(runner, argv, message):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert message in result.output
+
+
 def test_hardsphere_requires_mode(runner):
     assert runner.invoke(main, ["hardsphere", "--spin", "0"]).exit_code == 2
 
@@ -379,6 +400,20 @@ def test_constants_file_values_are_checked(runner, tmp_path, argv, field, value)
     result = runner.invoke(main, argv + ["--catalog", str(catalog)],
                            env={"MOTT_TI_CONSTANTS": str(consts)})
     assert_refused(result, f"constant {field}")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("r0", "1e308"),            # R_B overflows to inf, so V_B = 0
+    ("nucleon_mass", "5e-324"), # (M/m0)^(1/3) overflows to inf, so V_B = 0
+    ("r0", "5e-324"),           # R_B is subnormal, so V_B = inf
+])
+def test_constants_that_push_the_barrier_out_of_range_are_checked(runner, tmp_path,
+                                                                  field, value):
+    consts = tmp_path / "consts.txt"
+    consts.write_text(f"{field} {value}\n")
+    result = runner.invoke(main, ["table", "--format", "json"],
+                           env={"MOTT_TI_CONSTANTS": str(consts)})
+    assert_refused(result, "Coulomb barrier")
 
 
 @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])

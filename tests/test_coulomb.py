@@ -386,3 +386,18 @@ def test_bisect_root_ends_at_float_resolution():
     root = bisect_root(lambda x: calls.append(x) or x * x - 2.0, 1.0, 2.0, xtol=0.0)
     assert abs(root - SQRT2) <= math.ulp(SQRT2)
     assert len(calls) < 64
+
+
+def test_bisect_root_rejects_an_invalid_bracket():
+    for lo, hi in ((2.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="invalid bracket"):
+            bisect_root(lambda x: x - 1.5, lo, hi, xtol=1e-6)
+
+
+def test_bisect_root_returns_an_exact_zero_where_it_meets_one():
+    # f(lo) = 0 and f(hi) = 0 end before any halving; f(mid) = 0 ends the halving
+    assert bisect_root(lambda x: x - 1.0, 1.0, 2.0, xtol=1e-6) == 1.0
+    assert bisect_root(lambda x: x - 2.0, 1.0, 2.0, xtol=1e-6) == 2.0
+    calls = []
+    assert bisect_root(lambda x: calls.append(x) or x - 1.5, 1.0, 2.0, xtol=1e-6) == 1.5
+    assert calls == [1.0, 2.0, 1.5]

@@ -277,6 +277,12 @@ def test_channel_kernel_matches_two_table_reference(kR, twice_s, polarization):
         assert abs(value - ref) <= 1e-12 * max(abs(ref), scale), theta
 
 
+@pytest.mark.parametrize("theta", [-1e-9, 180.0000001, math.nan])
+def test_amplitude_rejects_angles_outside_0_180(theta):
+    with pytest.raises(DomainError, match=r"\[0, 180\]"):
+        hs_amplitude(theta, hard_sphere_phase_shifts(1.0))
+
+
 def test_endpoints_rejected_for_symmetrized_cross_section():
     params = HardSphereParams(kR=1.0, spin=Spin(0), statistics=Statistics.BOSON)
     with pytest.raises(DomainError):
