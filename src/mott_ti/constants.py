@@ -7,7 +7,6 @@ converts internally; cross sections are reported in fm^2/sr and barn/sr
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
@@ -41,6 +40,8 @@ class PhysicalConstants:
 
     def fingerprint(self) -> str:
         """Short hash identifying the constant set in output metadata."""
+        import hashlib  # ~4 ms to import: paid only by commands that render a document
+
         text = ",".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 

@@ -5,21 +5,29 @@ effect, and the full parameter echo, so any output file identifies the
 invocation that produced it.  Rendering is deterministic: no timestamps,
 fixed key order, Unix line endings, '.' decimal separator, and CSV cells
 printed with 9 significant digits.
+
+A CSV table is rendered by one ``str.format`` call: columns whose cells are
+all floats become ``{:.9g}`` fields of the template, every other cell is
+rendered to text first and filled in through a ``{}`` field.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Sequence
 
 from . import __version__
 from .constants import PhysicalConstants
 
 
+_FLOAT_FIELD = "{:.9g}"  # every float of a CSV document: 9 significant digits
+
+
 def format_number(x: float) -> str:
     """CSV numeric cell: 9 significant digits."""
-    return f"{x:.9g}"
+    return _FLOAT_FIELD.format(x)
 
 
 def _plain(value: Any) -> str:
@@ -33,12 +41,33 @@ def _plain(value: Any) -> str:
 
 
 def _csv_cell(value: Any) -> str:
-    if type(value) is float:  # digits, '.', 'e', '+', '-', inf, nan: never quoted
-        return format_number(value)
     text = _plain(value)
     if "," in text or '"' in text or "\n" in text:
         text = '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _csv_table(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """Header line and rows of a CSV table, the rows filled in by one str.format.
+
+    A column of floats only (exact type: no bool, int or float subclass) is
+    a _FLOAT_FIELD of the template, format_number's text, which never needs
+    quoting; any other cell goes through _csv_cell and is passed in as an
+    argument, so braces in its text are never parsed as fields.
+    """
+    if set(map(len, rows)) - {len(columns)}:
+        raise ValueError(f"every row must hold {len(columns)} cells, one per column")
+    fields = []
+    cells = []
+    for column in zip(*rows):
+        if set(map(type, column)) == {float}:
+            fields.append(_FLOAT_FIELD)
+            cells.append(column)
+        else:
+            fields.append("{}")
+            cells.append(map(_csv_cell, column))
+    template = "\n".join(["{}"] + [",".join(fields)] * len(rows))
+    return template.format(",".join(columns), *chain.from_iterable(zip(*cells)))
 
 
 # Encodes the rows in one pass of the C encoder, which json.dumps uses only
@@ -53,7 +82,7 @@ _CELL_BREAK = ",\n        "
 
 def _json_rows(rows: Sequence[Sequence[Any]]) -> str:
     """Non-empty rows of scalars at data.rows, laid out exactly as json.dumps(indent=2)."""
-    text = _ROWS_ENCODER.encode([list(row) for row in rows])
+    text = _ROWS_ENCODER.encode(rows)
     # "[[c\0c]\0[c\0c]]": "]\0[" only between rows, since no scalar ends in "]"
     body = text[2:-2].replace("]\0[", _ROW_BREAK).replace("\0", _CELL_BREAK)
     return "[\n      [\n        " + body + "\n      ]\n    ]"
@@ -63,8 +92,9 @@ def _json_rows(rows: Sequence[Sequence[Any]]) -> str:
 class OutputEnvelope:
     """Tabular payload (columns x rows) plus scalar results and parameters.
 
-    Rows hold scalars (str, int, float, bool or None), one per column; the
-    JSON rendering relies on it.
+    Rows are lists or tuples of lists or tuples of scalars (str, int, float,
+    bool or None), one per column; both renderings rely on it, and a row of
+    another length raises ValueError.
     """
 
     params: dict[str, Any]
@@ -104,13 +134,10 @@ class OutputEnvelope:
         for key, value in self.scalars.items():
             lines.append(f"# {key}={_plain(value)}")
         if self.columns:
-            lines.append(",".join(self.columns))
-            for row in self.rows:
-                lines.append(",".join(map(_csv_cell, row)))
+            lines.append(_csv_table(self.columns, self.rows))
         elif self.scalars:
-            # scalar-only payloads still get a parseable table
-            lines.append(",".join(self.scalars))
-            lines.append(",".join(map(_csv_cell, self.scalars.values())))
+            # scalar-only payloads still get a parseable one-row table
+            lines.append(_csv_table(list(self.scalars), [tuple(self.scalars.values())]))
         return "\n".join(lines) + "\n"
 
     def render(self, fmt: str) -> str:

@@ -5,6 +5,9 @@ re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,13 @@ def test_the_check_sees_an_upward_import():
     source = ("from . import __version__\nfrom .species import Spin\n"
               "from .coulomb import A_MAX\nimport mott_ti.analysis\n")
     assert upward_imports("kinematics", source) == ["coulomb (line 3)", "analysis (line 4)"]
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # the constants fingerprint imports hashlib when a document is rendered,
+    # so a command that exits before rendering never pays for it
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = "import sys, mott_ti.cli; print('hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"

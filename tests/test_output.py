@@ -1,6 +1,7 @@
 import json
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -124,7 +125,7 @@ def _json_oracle(env):
 
 
 _TRICKY_TEXT = ["", "\0", "]\0[", "]", "[", '"', "\\", '", "', '"rows": []', "a,b", "x\ny",
-                "naïve", "σ/Ω", "\u2028", "😀"]
+                "naïve", "σ/Ω", "\u2028", "😀", "{", "}", "{0}", "{:.9g}"]
 _TEXT = st.one_of(st.sampled_from(_TRICKY_TEXT), st.text(max_size=8))
 _FLOATS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, 0.1]),
@@ -138,7 +139,13 @@ _KEYS = st.one_of(st.sampled_from(["rows", "columns", "data", "x"]), _TEXT)
 def envelopes(draw):
     n_cols = draw(st.integers(min_value=0, max_value=5))
     columns = draw(st.lists(_TEXT, min_size=n_cols, max_size=n_cols))
-    rows = draw(st.lists(st.tuples(*[_CELLS] * n_cols), max_size=6)) if n_cols else []
+    # each column is all floats or a mix of every kind, as the CSV table
+    # renders the two kinds differently; rows come as tuples or lists
+    n_rows = draw(st.integers(min_value=0, max_value=40)) if n_cols else 0
+    kinds = draw(st.lists(st.sampled_from([_FLOATS, _CELLS]), min_size=n_cols, max_size=n_cols))
+    rows = list(zip(*[draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]))
+    if draw(st.booleans()):
+        rows = [list(row) for row in rows]
     # params may hold an empty list under "rows": data.rows must still be the one replaced
     params = draw(st.dictionaries(_KEYS, st.one_of(_CELLS, st.just([])), max_size=4))
     scalars = draw(st.dictionaries(_KEYS, _CELLS, max_size=4))
@@ -157,6 +164,16 @@ def _envelope(columns, rows, scalars=None):
 @example(_envelope(["t", "s", "note"], [(1.0, 1e308, '", "'), (True, None, "\0")]))
 @example(_envelope(["t"], [], {"rows": 1.5}))
 @example(_envelope([], [], {"value": math.inf, "root": None}))
+@example(_envelope(["a", "{}"], [(0.5, "{0}")]))
+@example(_envelope(["t", "s", "b"], [(0.0, 1.5, 5e-324), (90.0, -0.0, math.nan),
+                                     (180.0, math.inf, 1e308)]))
+@example(_envelope(["name", "sigma90_reference_barn"], [("a", 1.25), ("b", None), ("c", 0.5)]))
 def test_renderings_equal_the_plain_forms(env):
     assert env.to_json() == _json_oracle(env)
     assert env.to_csv() == _csv_oracle(env)
+
+
+@pytest.mark.parametrize("rows", [[(1.0, 2.0), (3.0,)], [(1.0,)], [(1.0, 2.0, 3.0)], [()]])
+def test_csv_rejects_a_row_of_another_length(rows):
+    with pytest.raises(ValueError, match="2 cells"):
+        _envelope(["a", "b"], rows).to_csv()
