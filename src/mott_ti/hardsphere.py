@@ -8,26 +8,34 @@ reaches TRUNCATION_TOL with finite shifts.
 
 Identical pairs combine f(theta) and f(180 - theta).  As P_l(-x) = (-1)^l P_l(x),
 k f is E + O at theta and E - O at 180 - theta, E and O being the even-l
-(symmetric channel) and odd-l (antisymmetric channel) sums of one Legendre table.
+(symmetric channel) and odd-l (antisymmetric channel) partial-wave sums.  A
+curve steps one Legendre recurrence over all of its distinct |x| at once
+(special.legendre_p_rows), one pass over the grid per l.
 
 The 90 deg curvature is exact: with x = cos(theta), f and its theta
 derivatives at 90 deg are partial-wave sums over P_l(0), P_l'(0) =
 l P_{l-1}(0) and P_l''(0) = -l(l+1) P_l(0) (DLMF 14.10, 18.9), so no
-finite differences enter the critical-kR scan.
+finite differences enter the critical-kR scan.  It needs P_l at x = 0
+only, so it keeps the one-x table (special.legendre_p_table): at a single x
+the row form of a curve costs about 3.6 times as much (l_max 8 to 20).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DomainError
 from .numerics import HALF_ANGLE_FACTOR, MAX_POINTS, bisect_root
 from .species import Polarization, Spin, Statistics, check_statistics, exchange_weight
-from .special import legendre_p_table, spherical_bessel_j_table, spherical_bessel_y_table
+from .special import (
+    legendre_p_rows,
+    legendre_p_table,
+    spherical_bessel_j_table,
+    spherical_bessel_y_table,
+)
 
 TRUNCATION_TOL = 1e-12  # the automatic ladder stops at |sin delta_l| below this
 AUTO_L_MARGIN = 15  # first cap ceil(kR) + 15; phase shifts decay super-exponentially for l > kR
@@ -98,11 +106,16 @@ def hard_sphere_phase_shifts(kR: float) -> PhaseShiftSet:
         cap *= 2
 
 
-def _channels(x: float, shifts: PhaseShiftSet) -> tuple[complex, complex]:
-    """(E, O), the even-l and odd-l sums of k f at cos(theta) = x, from one Legendre table."""
-    p = legendre_p_table(shifts.l_max, x)
-    w = shifts.weights
-    return sum(map(operator.mul, w[0::2], p[0::2])), sum(map(operator.mul, w[1::2], p[1::2]))
+def _channels(xs: list[float], shifts: PhaseShiftSet) -> tuple[list, list]:
+    """(E, O), the even-l and odd-l sums of k f at each cos(theta) in xs.
+
+    One Legendre recurrence is stepped over all of xs; each sum runs left to
+    right from the int 0, as sum() does.
+    """
+    sums = [[0] * len(xs), [0] * len(xs)]
+    for l, (w, p) in enumerate(zip(shifts.weights, legendre_p_rows(shifts.l_max, xs))):
+        sums[l % 2] = [s + w * v for s, v in zip(sums[l % 2], p)]
+    return sums[0], sums[1]
 
 
 def _cos(theta_deg: float) -> float:
@@ -117,7 +130,7 @@ def hs_amplitude(theta_deg: float, shifts: PhaseShiftSet) -> complex:
     """
     if not 0.0 <= theta_deg <= 180.0:
         raise DomainError(f"theta must be in [0, 180], got {theta_deg}")
-    even, odd = _channels(_cos(theta_deg), shifts)
+    (even,), (odd,) = _channels([_cos(theta_deg)], shifts)
     return (even + odd) / shifts.kR
 
 
@@ -137,28 +150,25 @@ def hs_cross_sections(thetas: tuple[float, ...], params: HardSphereParams) -> tu
     (2/kR^2) [(1 + eps w)|E|^2 + (1 - eps w)|O|^2] with E, O the even- and
     odd-wave parts of k f(theta); no terms cancel, and the aligned-fermion
     zero at 90 degrees is exact.  The phase shifts, eps w and kR^2 are
-    taken once.  E and O are computed once per distinct |x|, at the first
-    signed x = cos(theta) with that value: the recurrence gives
-    P_l(-x) = (-1)^l P_l(x) bit for bit, so |E|^2 and |O|^2 at -x are those
-    at x, and the result equals point-by-point evaluation on any grid.
+    taken once, and one Legendre recurrence is stepped over all distinct
+    |x| = |cos(theta)| at once.  The recurrence gives P_l(-x) = (-1)^l P_l(x)
+    bit for bit, so |E|^2 and |O|^2 at -x are those at |x|, and the result
+    equals point-by-point evaluation on any grid.
     """
     shifts = hard_sphere_phase_shifts(params.kR)
     eps_w = exchange_weight(params.spin, params.polarization)
     kr2 = params.kR**2
-    by_abs_x: dict[float, float] = {}
-    values = []
     for theta in thetas:
         if not 0.0 < theta < 180.0:
             raise DomainError(f"theta must be in (0, 180), got {theta}")
-        x = _cos(theta)
-        sigma = by_abs_x.get(abs(x))
-        if sigma is None:
-            even, odd = _channels(x, shifts)
-            e2, o2 = abs(even) ** 2, abs(odd) ** 2
-            # e2 + eps_w * e2, not (1 + eps_w) * e2: the bits of inc + eps_w * int
-            sigma = by_abs_x[abs(x)] = 2.0 * ((e2 + eps_w * e2) + (o2 - eps_w * o2)) / kr2
-        values.append(sigma)
-    return tuple(values)
+    abs_xs = [abs(_cos(theta)) for theta in thetas]
+    distinct = list(dict.fromkeys(abs_xs))
+    sigma = {}
+    for x, even, odd in zip(distinct, *_channels(distinct, shifts)):
+        e2, o2 = abs(even) ** 2, abs(odd) ** 2
+        # e2 + eps_w * e2, not (1 + eps_w) * e2: the bits of inc + eps_w * int
+        sigma[x] = 2.0 * ((e2 + eps_w * e2) + (o2 - eps_w * o2)) / kr2
+    return tuple(map(sigma.__getitem__, abs_xs))
 
 
 def hs_identical_cross_section(theta_deg: float, params: HardSphereParams) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 from .errors import DomainError
 
@@ -89,3 +90,26 @@ def legendre_p_table(l_max: int, x: float) -> list[float]:
     for l in range(1, l_max):
         p[l + 1] = ((2 * l + 1) * x * p[l] - l * p[l - 1]) / (l + 1)
     return p
+
+
+def legendre_p_rows(l_max: int, xs: list[float]) -> Iterator[list[float]]:
+    """Yield the rows P_l(xs), l = 0..l_max, of legendre_p_table's recurrence.
+
+    Each element takes the same operations in the same order as in
+    legendre_p_table, so column i equals legendre_p_table(l_max, xs[i]) bit
+    for bit.  One step of l is one pass over xs: cheaper than a table per x
+    on a grid, dearer at a single x.
+    """
+    for x in xs:  # the checks and messages of legendre_p_table, first bad x first
+        if not abs(x) <= 1.0:  # also true for nan
+            raise DomainError(f"|x| must be <= 1, got {x}")
+    if l_max < 0:
+        raise DomainError(f"l_max must be >= 0, got {l_max}")
+    prev, row = [1.0] * len(xs), list(xs)
+    yield prev
+    if l_max >= 1:
+        yield row
+    for l in range(1, l_max):
+        c, d = 2 * l + 1, l + 1
+        prev, row = row, [(c * x * p - l * q) / d for x, p, q in zip(xs, row, prev)]
+        yield row

@@ -1,6 +1,7 @@
 import cmath
 import math
-from functools import cache
+from functools import cache, reduce
+from operator import add, mul
 
 import pytest
 
@@ -24,6 +25,7 @@ from mott_ti import hardsphere
 from mott_ti.analysis import angle_grid, build_curve
 from mott_ti.hardsphere import KR_MAX, KR_MIN, TRUNCATION_TOL
 from mott_ti.numerics import MAX_POINTS, half_angle_curvature, second_derivative
+from mott_ti.species import exchange_weight
 
 
 def test_s_wave_shift_is_minus_kR():
@@ -156,49 +158,72 @@ def test_cross_section_symmetry_about_90():
                 hs_identical_cross_section(theta, params)
 
 
+def _point_channels(theta, shifts):
+    """(E, O) at one signed x = sin(90 - theta): one Legendre table, sums left to right."""
+    p, w = legendre_p_table(shifts.l_max, math.sin(math.radians(90.0 - theta))), shifts.weights
+    return reduce(add, map(mul, w[0::2], p[0::2]), 0), reduce(add, map(mul, w[1::2], p[1::2]), 0)
+
+
 @pytest.mark.parametrize("kR", [KR_MIN, 0.3, 1.5, 25.0, 300.0, KR_MAX])
 @pytest.mark.parametrize("grid", [
     angle_grid(),
     angle_grid(1.0, 179.0, 0.1),   # 503 of 890 pairs are not exact float mirrors
     angle_grid(60.0, 120.0, 0.3),  # 25 of 100 pairs are not exact float mirrors
     angle_grid(10.0, 80.0, 0.5),   # no mirrors at all
-], ids=["default", "step0.1", "60-120", "10-80"])
+    angle_grid(100.0, 170.0, 0.5),  # only x < 0: the kernel steps |x|, the reference x
+], ids=["default", "step0.1", "60-120", "10-80", "100-170"])
 def test_curve_kernel_is_bit_identical_to_point_by_point(monkeypatch, grid, kR):
     # kR = 25 takes the doubled ladder (l_max 43 against a first cap of 40).
-    # The channel sums are memoized on the signed x to keep the test fast;
-    # -x still gets its own Legendre table and sums.
-    monkeypatch.setattr(hardsphere, "_channels", cache(hardsphere._channels))
+    # The reference is one Legendre table per angle at the signed x, its sums
+    # taken once per (grid, kR) and combined for all 8 spin/polarization cases.
+    # The kernel's channel sums are memoized on the same key to keep the test
+    # fast; each case still combines them on its own.
+    kernel = hardsphere._channels
+    memo = cache(lambda xs, shifts: kernel(list(xs), shifts))
+    monkeypatch.setattr(hardsphere, "_channels", lambda xs, shifts: memo(tuple(xs), shifts))
+    shifts = hard_sphere_phase_shifts(kR)
+    squares = [(abs(e) ** 2, abs(o) ** 2) for e, o in (_point_channels(t, shifts) for t in grid)]
     for twice_s in (0, 1, 2, 9):
         for polarization in Polarization:
             spin = Spin(twice_s)
             params = HardSphereParams(kR=kR, spin=spin, statistics=spin.statistics,
                                       polarization=polarization)
-            assert build_curve(params, grid).values == \
-                tuple(hs_identical_cross_section(t, params) for t in grid)
+            eps_w = exchange_weight(spin, polarization)
+            reference = tuple(2.0 * ((e2 + eps_w * e2) + (o2 - eps_w * o2)) / kR**2
+                              for e2, o2 in squares)
+            assert build_curve(params, grid).values == reference
+    for theta in (0.0, 30.0, 90.0, 150.0, 180.0):
+        even, odd = _point_channels(theta, shifts)
+        assert hs_amplitude(theta, shifts) == (even + odd) / kR
 
 
-@pytest.mark.parametrize("grid, tables", [
+@pytest.mark.parametrize("grid, columns", [
     (angle_grid(), 179),                 # 178 exact mirror pairs and 90 deg
-    (angle_grid(1.0, 179.0, 0.1), 1394),  # one table per distinct |cos theta|
+    (angle_grid(1.0, 179.0, 0.1), 1394),  # one column per distinct |cos theta|
     (angle_grid(10.0, 80.0, 0.5), 141),   # no mirrors: every point
 ])
-def test_curve_kernel_evaluation_counts(monkeypatch, grid, tables):
-    calls = {"legendre": 0, "shifts": 0}
-    legendre, shifts = hardsphere.legendre_p_table, hardsphere.hard_sphere_phase_shifts
+def test_curve_kernel_evaluation_counts(monkeypatch, grid, columns):
+    calls = {"rows": [], "tables": 0, "shifts": 0}
+    rows, shifts = hardsphere.legendre_p_rows, hardsphere.hard_sphere_phase_shifts
 
-    def counted_legendre(l_max, x):
-        calls["legendre"] += 1
-        return legendre(l_max, x)
+    def counted_rows(l_max, x_values):
+        calls["rows"].append(len(x_values))
+        return rows(l_max, x_values)
+
+    def counted_table(l_max, x):
+        calls["tables"] += 1
+        return legendre_p_table(l_max, x)
 
     def counted_shifts(kR):
         calls["shifts"] += 1
         return shifts(kR)
 
     shifts.cache_clear()
-    monkeypatch.setattr(hardsphere, "legendre_p_table", counted_legendre)
+    monkeypatch.setattr(hardsphere, "legendre_p_rows", counted_rows)
+    monkeypatch.setattr(hardsphere, "legendre_p_table", counted_table)
     monkeypatch.setattr(hardsphere, "hard_sphere_phase_shifts", counted_shifts)
     build_curve(HardSphereParams(kR=1.5, spin=Spin(0), statistics=Statistics.BOSON), grid)
-    assert calls == {"legendre": tables, "shifts": 1}
+    assert calls == {"rows": [columns], "tables": 0, "shifts": 1}
 
 
 def test_truncation_robustness_doubling_l_max():

@@ -2,6 +2,8 @@ import math
 
 import pytest
 import scipy.special as ss
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mott_ti import (
     DomainError,
@@ -9,7 +11,7 @@ from mott_ti import (
     spherical_bessel_j_table,
     spherical_bessel_y_table,
 )
-from mott_ti.special import X_MIN
+from mott_ti.special import X_MIN, legendre_p_rows
 
 
 def test_j_closed_forms_at_1():
@@ -111,8 +113,46 @@ def test_legendre_values():
 @pytest.mark.parametrize("x", [-1.0, -0.7, -0.2, 0.0, 0.3, 0.9, 1.0])
 def test_legendre_against_scipy(x):
     table = legendre_p_table(25, x)
+    column = [row[0] for row in legendre_p_rows(25, [x])]
     for l in range(26):
-        assert table[l] == pytest.approx(float(ss.eval_legendre(l, x)), rel=1e-12, abs=1e-14)
+        expected = float(ss.eval_legendre(l, x))
+        assert table[l] == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        assert column[l] == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+
+EDGE_XS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.0 - 2.0**-53]
+
+
+@settings(max_examples=100, deadline=None)
+@given(l_max=st.integers(0, 1100),
+       xs=st.lists(st.floats(-1.0, 1.0) | st.sampled_from(EDGE_XS), max_size=12))
+@example(l_max=0, xs=[])
+@example(l_max=1100, xs=[])
+@example(l_max=1100, xs=EDGE_XS)
+def test_legendre_rows_are_the_tables_columns(l_max, xs):
+    # repr tells -0.0 from 0.0, so the columns carry the table's bits and signs
+    rows = list(legendre_p_rows(l_max, xs))
+    assert len(rows) == l_max + 1
+    assert all(len(row) == len(xs) for row in rows)
+    for i, x in enumerate(xs):
+        assert [repr(row[i]) for row in rows] == list(map(repr, legendre_p_table(l_max, x)))
+
+
+@pytest.mark.parametrize("l_max, xs, table_x", [
+    (2, [0.5, 1.5, 2.0], 1.5),
+    (2, [-1.0001], -1.0001),
+    (2, [0.0, math.nan, 1.5], math.nan),
+    (-1, [2.0], 2.0),   # x is checked before l_max, as in the table
+    (-1, [1.0], 1.0),
+    (-1, [], 0.0),
+])
+def test_legendre_rows_raise_the_tables_errors(l_max, xs, table_x):
+    # table_x is the first bad x, or any x when only l_max is bad
+    with pytest.raises(DomainError) as expected:
+        legendre_p_table(l_max, table_x)
+    with pytest.raises(DomainError) as got:
+        list(legendre_p_rows(l_max, xs))
+    assert str(got.value) == str(expected.value)
 
 
 def test_legendre_domain_error():
