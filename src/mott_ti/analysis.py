@@ -14,7 +14,7 @@ from .constants import BARN_PER_FM2, DEFAULT_CONSTANTS, PhysicalConstants
 from .coulomb import MottParams, curvature_at_90, mott_cross_sections
 from .errors import DomainError
 from .hardsphere import HardSphereParams, hs_cross_sections, hs_curvature_at_90
-from .kinematics import critical_energy, half_closest_approach
+from .kinematics import KEV_PER_MEV, critical_energy, half_closest_approach
 from .numerics import MAX_POINTS
 from .species import (
     CollisionSystem,
@@ -224,7 +224,7 @@ def barrier_height(
 ) -> float:
     """Coulomb barrier V_B = q^2 / R_B in keV; DomainError unless 0 < V_B < inf."""
     r_b = barrier_radius(species, constants)
-    v_b = species.charge_squared(constants) / r_b * 1000.0 if r_b > 0.0 else math.inf
+    v_b = species.charge_squared(constants) / r_b * KEV_PER_MEV if r_b > 0.0 else math.inf
     if not 0.0 < v_b < math.inf:  # constants far from their usual size, e.g. r0 1e308
         raise DomainError(f"Coulomb barrier of {species.name} is out of float range: R_B = "
                           f"{r_b} fm, V_B = {v_b} keV (check the constants r0 and nucleon_mass)")

@@ -13,11 +13,13 @@ physical constants.
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 
 import click
 
 from . import __version__
-from .analysis import angle_grid, build_curve, plateau as plateau_op, sensitivity_sweep, table_one
+from .analysis import (SystemReportRow, angle_grid, build_curve, plateau as plateau_op,
+                       sensitivity_sweep, table_one)
 from .constants import BARN_PER_FM2, DEFAULT_CONSTANTS, PhysicalConstants, load_constants
 from .coulomb import (
     MottParams,
@@ -102,29 +104,21 @@ format_option = click.option(
     "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
     show_default=True, help="Output format.",
 )
-grid_options = [
-    click.option("--theta-min", type=float, default=1.0, show_default=True,
-                 help="Grid start (degrees)."),
-    click.option("--theta-max", type=float, default=179.0, show_default=True,
-                 help="Grid end (degrees)."),
-    click.option("--theta-step", type=float, default=0.5, show_default=True,
-                 help="Grid step (degrees)."),
-]
 
 
-def add_options(options):
-    def wrap(fn):
-        for option in reversed(options):
-            fn = option(fn)
-        return fn
-    return wrap
+def grid_options(fn):
+    """--theta-min, --theta-max and --theta-step, in that order, defaulting to angle_grid's."""
+    options = zip(("min", "max", "step"), angle_grid.__defaults__, ("start", "end", "step"))
+    for suffix, default, noun in reversed(list(options)):
+        fn = click.option(f"--theta-{suffix}", type=float, default=default, show_default=True,
+                          help=f"Grid {noun} (degrees).")(fn)
+    return fn
 
 
 class _Command(click.Command):
     """A subcommand whose library errors become the documented exit codes.
 
-    DomainError and an unknown catalog species exit 2
-    with the subcommand's usage line; RootNotFoundError exits 3.
+    DomainError exits 2 with the subcommand's usage line; RootNotFoundError exits 3.
     """
 
     def invoke(self, ctx):
@@ -132,8 +126,6 @@ class _Command(click.Command):
             return super().invoke(ctx)
         except DomainError as exc:
             raise click.UsageError(str(exc), ctx) from exc
-        except KeyError as exc:  # find_species: name not in the catalog
-            raise click.UsageError(str(exc.args[0]), ctx) from exc
         except RootNotFoundError as exc:
             click.echo(f"error: {exc}", err=True)
             ctx.exit(EXIT_NUMERICAL_FAILURE)
@@ -182,7 +174,7 @@ def critical(spin: Spin, numeric: bool, bracket, fmt: str):
               help="Emit only the distinguishable-particle (incoherent) sum.")
 @click.option("--normalize", type=click.Choice(["rutherford90"]), default=None,
               help="Divide by the 90-degree Rutherford value a^2.")
-@add_options(grid_options)
+@grid_options
 @catalog_option
 @format_option
 def angular(system_name, energy, eta, spin, polarization, incoherent_only,
@@ -212,6 +204,8 @@ def angular(system_name, energy, eta, spin, polarization, incoherent_only,
         params.update(system=species.name, energy_kev=energy,
                       mass_mev=species.mass, z=species.z)
     elif eta is not None:
+        if energy is not None or catalog is not None:
+            raise click.UsageError("--energy and --catalog require --system")
         if spin is None and not incoherent_only:
             raise click.UsageError("--eta requires --spin")
         a = 1.0
@@ -247,15 +241,8 @@ def table(catalog, fmt):
     """Critical energies, barriers, sigma(90) and feasibility per species."""
     constants = _constants()
     rows = table_one(_catalog(catalog, constants), constants)
-    columns = ["name", "spin", "e_critical_kev", "barrier_kev",
-               "sigma90_scaling_barn", "sigma90_direct_barn", "feasible",
-               "condition_lhs", "condition_rhs", "sigma90_reference_barn", "note"]
-    data = [
-        (r.name, str(r.spin), r.e_critical_kev, r.barrier_kev,
-         r.sigma90_scaling_barn, r.sigma90_direct_barn, r.feasible,
-         r.condition_lhs, r.condition_rhs, r.sigma90_reference_barn, r.note)
-        for r in rows
-    ]
+    columns = [f.name for f in fields(SystemReportRow)]
+    data = [[str(getattr(r, c)) if c == "spin" else getattr(r, c) for c in columns] for r in rows]
     params = {"command": "table", "catalog": catalog or "builtin"}
     _emit(fmt, params, constants, columns=columns, rows=data)
 
@@ -268,7 +255,7 @@ def table(catalog, fmt):
 @polarization_option
 @click.option("--epsilon", type=float, default=0.05, show_default=True,
               help="Flatness tolerance |sigma/sigma(90) - 1|.")
-@add_options(grid_options)
+@grid_options
 @format_option
 def plateau(spin, eta, eta_critical, kr, polarization, epsilon,
             theta_min, theta_max, theta_step, fmt):
@@ -305,7 +292,7 @@ def plateau(spin, eta, eta_critical, kr, polarization, epsilon,
 @spin_option()
 @click.option("--delta", type=float, default=0.05, show_default=True,
               help="Fractional eta shift around the critical value.")
-@add_options(grid_options)
+@grid_options
 @format_option
 def sweep(spin, delta, theta_min, theta_max, theta_step, fmt):
     """Shape sensitivity: curves at eta_C (1 +- delta) with min/flat/max labels."""
@@ -338,7 +325,7 @@ def sweep(spin, delta, theta_min, theta_max, theta_step, fmt):
               help="Scan [LO, HI] for the critical kR; prints 'none' when absent.")
 @click.option("--step", type=float, default=0.05, show_default=True,
               help="Scan step in kR.")
-@add_options(grid_options)
+@grid_options
 @format_option
 def hardsphere(kr, spin, polarization, critical_scan, step,
                theta_min, theta_max, theta_step, fmt):

@@ -3,6 +3,8 @@
 All angles enter in degrees and must lie strictly inside (0, 180): the
 Rutherford pole at the endpoints is a physical divergence and is rejected
 rather than returned as inf.  Cross sections are fm^2/sr for a in fm.
+Overflow is checked once per value, by the entry points sigma_inc_coulomb,
+sigma_int_coulomb and mott_cross_sections; the terms return +-inf, not raise.
 
 Curvature convention: curvature_at_90 is the second derivative of the
 cross section with respect to the HALF-angle theta/2, i.e. 4 times
@@ -83,27 +85,20 @@ def _overflow(theta_deg: float, a: float) -> DivergenceError:
     )
 
 
-def _incoherent(theta_deg: float, a: float, a2_4: float, s: float, c: float) -> float:
+def _incoherent(a2_4: float, s: float, c: float) -> float:
     """(a^2/4)[sin^-4 + cos^-4](theta/2) from a2_4 = a^2/4, s = sin(theta/2), c = cos(theta/2)."""
     try:
-        value = a2_4 * (s**-4 + c**-4)
+        return a2_4 * (s**-4 + c**-4)  # inf for a * a beyond float range
     except (OverflowError, ZeroDivisionError):  # s tiny or rounded to 0
-        value = math.inf
-    if value == math.inf:  # next to the pole, or a * a beyond float range
-        raise _overflow(theta_deg, a)
-    return value
+        return math.inf
 
 
-def _interference(
-    theta_deg: float, a: float, a2_2: float, two_eta: float, t: float, s: float, c: float
-) -> float:
+def _interference(a2_2: float, two_eta: float, t: float, s: float, c: float) -> float:
     """(a^2/2) / (sin^2 cos^2)(t) * cos(2 eta ln tan t) from a2_2 = (a^2/4) * 2, t = theta/2."""
     try:
-        prefactor = a2_2 / (s**2 * c**2)
+        prefactor = a2_2 / (s**2 * c**2)  # inf next to the pole, or a * a beyond float range
     except ZeroDivisionError:
-        prefactor = math.inf
-    if prefactor == math.inf:  # next to the pole, or a * a beyond float range
-        raise _overflow(theta_deg, a)
+        return math.inf
     return prefactor * math.cos(two_eta * math.log(math.tan(t)))
 
 
@@ -112,7 +107,10 @@ def sigma_inc_coulomb(theta_deg: float, a: float) -> float:
     if not a >= A_MIN:  # also true for nan
         raise DomainError(f"a must be at least {A_MIN:g} fm, got {a}")
     t = _half_angle(theta_deg)
-    return _incoherent(theta_deg, a, a * a / 4.0, math.sin(t), math.cos(t))
+    value = _incoherent(a * a / 4.0, math.sin(t), math.cos(t))
+    if not math.isfinite(value):  # next to the pole, or a * a beyond float range
+        raise _overflow(theta_deg, a)
+    return value
 
 
 def sigma_int_coulomb(theta_deg: float, a: float, eta: float) -> float:
@@ -124,7 +122,10 @@ def sigma_int_coulomb(theta_deg: float, a: float, eta: float) -> float:
         raise DomainError(f"a must be at least {A_MIN:g} fm, got {a}")
     check_eta(eta)
     t = _half_angle(theta_deg)
-    return _interference(theta_deg, a, a * a / 4.0 * 2.0, 2.0 * eta, t, math.sin(t), math.cos(t))
+    value = _interference(a * a / 4.0 * 2.0, 2.0 * eta, t, math.sin(t), math.cos(t))
+    if not math.isfinite(value):  # next to the pole, or a * a beyond float range
+        raise _overflow(theta_deg, a)
+    return value
 
 
 def mott_cross_sections(thetas: tuple[float, ...], params: MottParams) -> tuple[float, ...]:
@@ -133,21 +134,21 @@ def mott_cross_sections(thetas: tuple[float, ...], params: MottParams) -> tuple[
     sigma_inc + eps w sigma_int, with a^2/4, 2 eta and eps w taken once per
     curve and sin, cos of theta/2 once per angle; the same operations in the
     same order as sigma_inc_coulomb + exchange_weight * sigma_int_coulomb,
-    so every value has their bits; where that sum would be inf it raises
-    DivergenceError instead.
+    so every value has their bits.  It checks each value once, where it is
+    appended: an overflowing term or sum raises DivergenceError instead.
     """
     a = params.a
     a2_4 = a * a / 4.0
     a2_2 = a2_4 * 2.0
     two_eta = 2.0 * params.eta
     eps_w = exchange_weight(params.spin, params.polarization)
+    inf = math.inf
     values = []
     for theta in thetas:
         t = _half_angle(theta)
         s, c = math.sin(t), math.cos(t)
-        inc = _incoherent(theta, a, a2_4, s, c)
-        value = inc + eps_w * _interference(theta, a, a2_2, two_eta, t, s, c)
-        if value == math.inf:  # each term finite, their sum past float range
+        value = _incoherent(a2_4, s, c) + eps_w * _interference(a2_2, two_eta, t, s, c)
+        if not -inf < value < inf:  # a term or their sum past float range; also nan
             raise _overflow(theta, a)
         values.append(value)
     return tuple(values)

@@ -126,13 +126,8 @@ class OutputEnvelope:
     def to_csv(self) -> str:
         # comment lines carry whole values and are never field-split, so
         # they stay unquoted; only table cells get RFC 4180 quoting
-        lines = []
-        for key, value in self.metadata().items():
-            lines.append(f"# {key}={_plain(value)}")
-        for key, value in self.params.items():
-            lines.append(f"# {key}={_plain(value)}")
-        for key, value in self.scalars.items():
-            lines.append(f"# {key}={_plain(value)}")
+        items = chain(self.metadata().items(), self.params.items(), self.scalars.items())
+        lines = [f"# {key}={_plain(value)}" for key, value in items]
         if self.columns:
             lines.append(_csv_table(self.columns, self.rows))
         elif self.scalars:

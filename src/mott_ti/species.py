@@ -213,4 +213,4 @@ def find_species(name: str, catalog: list[ParticleSpecies]) -> ParticleSpecies:
         if sp.name == name:
             return sp
     known = ", ".join(sp.name for sp in catalog)
-    raise KeyError(f"unknown species {name!r} (catalog has: {known})")
+    raise DomainError(f"unknown species {name!r} (catalog has: {known})")

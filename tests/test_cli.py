@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import click
 import pytest
@@ -13,6 +14,7 @@ from mott_ti.species import MASS_MAX, MASS_MIN, TWICE_S_MAX, Z_MAX
 from test_golden import strict_json
 
 SQRT2 = math.sqrt(2.0)
+BUILTIN_CATALOG = Path(__file__).resolve().parents[1] / "src" / "mott_ti" / "data" / "species.txt"
 
 
 @pytest.fixture
@@ -140,6 +142,21 @@ def test_angular_stat_mismatch_rejected(runner, command, spin, stat):
 def test_angular_unknown_species(runner):
     result = runner.invoke(main, ["angular", "--system", "muon", "--energy", "10"])
     assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Error: unknown species 'muon' (catalog has: d, 6Li, alpha)\n" in result.output
+
+
+def test_a_stray_key_error_is_a_bug_not_a_usage_error(runner, monkeypatch):
+    # only DomainError and RootNotFoundError map to exit codes; anything else
+    # surfaces as the exception it is (exit 1)
+    def broken(*args):
+        raise KeyError("spin")
+
+    monkeypatch.setattr("mott_ti.cli.table_one", broken)
+    result = runner.invoke(main, ["table"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, KeyError)
+    assert result.exception.args == ("spin",)
 
 
 def test_angular_custom_catalog(runner, tmp_path):
@@ -250,6 +267,10 @@ def test_large_eta_curves_exit_0(runner, argv):
     (["angular", "--system", "alpha-d", "--energy", "400"], "only identical pairs"),
     (["angular", "--eta", "1"], "--eta requires --spin"),
     (["angular"], "provide either --system/--energy or --eta/--spin"),
+    (["angular", "--eta", "1", "--spin", "0", "--energy", "5"],
+     "--energy and --catalog require --system"),
+    (["angular", "--eta", "1", "--spin", "0", "--catalog", str(BUILTIN_CATALOG)],
+     "--energy and --catalog require --system"),
     (["plateau", "--spin", "0", "--kr", "1", "--eta", "1"],
      "--kr and --eta/--eta-critical are mutually exclusive"),
     (["hardsphere", "--spin", "0", "--kr", "1", "--critical-scan", "0.2", "3"],

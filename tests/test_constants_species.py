@@ -184,5 +184,7 @@ def test_catalog_rejects_malformed(tmp_path):
 
 
 def test_find_species_unknown():
-    with pytest.raises(KeyError):
+    # the CLI prints this message as its usage error (exit 2)
+    message = r"^unknown species 'muon' \(catalog has: d, 6Li, alpha\)$"
+    with pytest.raises(DomainError, match=message):
         find_species("muon", builtin_catalog())

@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mott_ti import (
@@ -100,6 +100,60 @@ def test_overflow_of_the_combined_value_diverges():
         identical_cross_section(theta, params)
     with pytest.raises(DivergenceError, match="overflows"):
         mott_cross_sections((30.0, theta, 90.0), params)
+
+
+def test_the_two_terms_overflow_apart():
+    # at 1e-100 deg sin^-4 overflows but 1/(sin^2 cos^2) does not, so one
+    # check over both terms would wrongly reject sigma_int
+    assert math.isfinite(sigma_int_coulomb(1e-100, 1.0, 1.0))
+    with pytest.raises(DivergenceError, match="overflows"):
+        sigma_inc_coulomb(1e-100, 1.0)
+
+
+# theta in (0, 180): near either pole, and the angles where each term overflows
+THETAS = st.one_of(
+    st.floats(min_value=0.0, max_value=180.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([5e-324, 1e-300, 1e-170, 1e-100, 1e-80, 180.0 - 1e-13]),
+)
+ETAS = st.floats(min_value=0.0, max_value=ETA_MAX, exclude_min=True)
+MESSAGES = (" deg: Coulomb cross section diverges at 0/180",
+            " fm: Coulomb cross section overflows")
+
+
+def _finite_or_diverges(call, *args):
+    """`call(*args)` returns only finite floats, or raises DivergenceError with its message."""
+    try:
+        values = call(*args)
+    except DivergenceError as exc:
+        assert str(exc).startswith("theta = ") and str(exc).endswith(MESSAGES), exc
+        return
+    values = values if isinstance(values, tuple) else (values,)
+    assert all(type(v) is float and math.isfinite(v) for v in values), (args, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    thetas=st.lists(THETAS, min_size=1, max_size=6).map(tuple),
+    a=st.floats(min_value=A_MIN, max_value=A_MAX),
+    eta=ETAS,
+    twice_s=st.integers(min_value=0, max_value=9),
+    polarization=st.sampled_from(Polarization),
+)
+@example(thetas=(1e-100,), a=1.0, eta=1.0, twice_s=0, polarization=Polarization.ALIGNED)
+@example(thetas=(0.02212884480368955,), a=A_MAX, eta=0.3673411776627898, twice_s=0,
+         polarization=Polarization.ALIGNED)
+def test_curve_kernel_returns_finite_floats_or_diverges(thetas, a, eta, twice_s, polarization):
+    params = MottParams(a=a, eta=eta, spin=Spin(twice_s), polarization=polarization)
+    _finite_or_diverges(mott_cross_sections, thetas, params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=THETAS, a=st.floats(min_value=A_MIN, max_value=1e160), eta=ETAS)
+@example(theta=1e-100, a=1.0, eta=1.0)
+@example(theta=30.0, a=1e160, eta=1.0)
+def test_point_terms_return_finite_floats_or_diverge(theta, a, eta):
+    _finite_or_diverges(sigma_inc_coulomb, theta, a)
+    _finite_or_diverges(sigma_int_coulomb, theta, a, eta)
 
 
 @pytest.mark.parametrize("theta", [0.0, 180.0, -5.0, 200.0])

@@ -1,7 +1,8 @@
-"""Every module of the package uses each name it imports, and none imports upward.
+"""Every module of the package uses each name it imports, none imports upward,
+and every module-level name is used.
 
-The package __init__ is exempt from both: its imports are the public
-re-exports.
+The package __init__ is exempt from the first two: its imports are the
+public re-exports.
 """
 
 import ast
@@ -38,6 +39,54 @@ def test_module_uses_every_import(path):
 def test_the_check_sees_an_unused_import():
     source = "import math\nfrom .species import Spin, Statistics\n\nx = Spin(math.pi)\n"
     assert unused_imports(source) == ["Statistics (line 2)"]
+
+
+def unused_module_names(sources: dict[str, str]) -> list[str]:
+    """Undecorated module-level defs and assignments that no module loads or imports.
+
+    `sources` maps module names to their text.  A name counts as used if any
+    module loads it or imports it by name; decorated definitions (click
+    commands, dataclasses) are exempt.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [] if node.decorator_list else [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            out += [f"{module}.{name} (line {node.lineno})" for name in names if name not in used]
+    return out
+
+
+def test_every_module_level_name_is_used():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_module_names(sources) == []
+
+
+def test_the_check_sees_an_unused_module_name():
+    sources = {
+        "cli": ("import click\n\nOPTIONS = [1]\n\n\ndef add_options(options):\n"
+                "    return options\n\n\n@click.command()\ndef table():\n"
+                "    return OPTIONS\n"),
+        "analysis": "LIMIT: int = 3\nSTEP = 0.5\n\n\nclass Row:\n    pass\n",
+        "__init__": "from .analysis import Row\n",
+    }
+    assert unused_module_names(sources) == [
+        "cli.add_options (line 6)", "analysis.LIMIT (line 1)", "analysis.STEP (line 2)",
+    ]
 
 
 # Bottom to top: a module imports only from its own layer or the ones below.
