@@ -267,10 +267,6 @@ def test_large_eta_curves_exit_0(runner, argv):
     (["angular", "--system", "alpha-d", "--energy", "400"], "only identical pairs"),
     (["angular", "--eta", "1"], "--eta requires --spin"),
     (["angular"], "provide either --system/--energy or --eta/--spin"),
-    (["angular", "--eta", "1", "--spin", "0", "--energy", "5"],
-     "--energy and --catalog require --system"),
-    (["angular", "--eta", "1", "--spin", "0", "--catalog", str(BUILTIN_CATALOG)],
-     "--energy and --catalog require --system"),
     (["plateau", "--spin", "0", "--kr", "1", "--eta", "1"],
      "--kr and --eta/--eta-critical are mutually exclusive"),
     (["hardsphere", "--spin", "0", "--kr", "1", "--critical-scan", "0.2", "3"],
@@ -279,6 +275,10 @@ def test_large_eta_curves_exit_0(runner, argv):
       "--theta-step", "10"], "odd-length grid symmetric about 90"),
     (["plateau", "--spin", "0", "--eta", "2", "--theta-min", "5", "--theta-max", "175",
       "--theta-step", "10"], "odd-length grid symmetric about 90"),
+    (["angular", "--eta", "1", "--spin", "0", "--energy", "5"],
+     "--energy and --catalog require --system"),
+    (["angular", "--eta", "1", "--spin", "0", "--catalog", str(BUILTIN_CATALOG)],
+     "--energy and --catalog require --system"),
 ])
 def test_mode_conflicts_and_plateau_grids_exit_2(runner, argv, message):
     result = runner.invoke(main, argv)
