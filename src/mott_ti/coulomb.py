@@ -191,6 +191,9 @@ def critical_eta_numeric(spin: Spin, bracket: tuple[float, float] = (0.5, 4.0)) 
 
     Deliberately ignores the closed forms for both the curvature and the
     critical value, so it cross-checks the interference formula end to end.
+    numerics.bisect_root searches the bracket; near the root the
+    finite-difference curvature is noise (about 1e-11 in eta), and the
+    finder's evaluation cap ends a search that noise keeps open.
     Raises RootNotFoundError when the bracket contains no transition
     (always the case for fermions).
     """
@@ -199,4 +202,4 @@ def critical_eta_numeric(spin: Spin, bracket: tuple[float, float] = (0.5, 4.0)) 
     def curv(eta: float) -> float:
         return curvature_at_90_fd(MottParams(a=1.0, eta=eta, spin=spin))
 
-    return bisect_root(curv, lo, hi, xtol=1e-8)
+    return bisect_root(curv, lo, hi, curv(lo), curv(hi))

@@ -15,9 +15,9 @@ curve steps one Legendre recurrence over all of its distinct |x| at once
 The 90 deg curvature is exact: with x = cos(theta), f and its theta
 derivatives at 90 deg are partial-wave sums over P_l(0), P_l'(0) =
 l P_{l-1}(0) and P_l''(0) = -l(l+1) P_l(0) (DLMF 14.10, 18.9), so no
-finite differences enter the critical-kR scan.  It needs P_l at x = 0
-only, so it keeps the one-x table (special.legendre_p_table): at a single x
-the row form of a curve costs about 3.6 times as much (l_max 8 to 20).
+finite differences enter the critical-kR scan.  P_l(0) is 0 at odd l, so
+one loop over even l steps P_{l+2}(0) = -(l+1) P_l(0)/(l+2), the operations
+of special.legendre_p_table at x = 0, and builds no table.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ from functools import lru_cache
 from .errors import DomainError
 from .numerics import HALF_ANGLE_FACTOR, MAX_POINTS, bisect_root
 from .species import Polarization, Spin, Statistics, check_statistics, exchange_weight
-from .special import (
-    legendre_p_rows,
-    legendre_p_table,
-    spherical_bessel_j_table,
-    spherical_bessel_y_table,
-)
+from .special import legendre_p_rows, spherical_bessel_j_table, spherical_bessel_y_table
 
 TRUNCATION_TOL = 1e-12  # the automatic ladder stops at |sin delta_l| below this
 AUTO_L_MARGIN = 15  # first cap ceil(kR) + 15; phase shifts decay super-exponentially for l > kR
@@ -185,14 +180,15 @@ def hs_curvature_at_90(params: HardSphereParams) -> float:
     second derivatives 4 (Re f'' f* + |f'|^2) and 4 (Re f'' f* - |f'|^2),
     combined like the cross sections themselves.
     """
-    shifts = hard_sphere_phase_shifts(params.kR)
-    p = legendre_p_table(shifts.l_max, 0.0)
+    w = hard_sphere_phase_shifts(params.kR).weights
     f = df = d2f = 0.0 + 0.0j  # k f and its x-derivatives at x = 0
-    for l, w in enumerate(shifts.weights):
-        f += w * p[l]
-        if l > 0:
-            df += w * l * p[l - 1]
-        d2f -= w * l * (l + 1) * p[l]
+    p = 1.0  # P_l(0) at even l; P_l(0) = 0 at odd l, whose terms are skipped
+    for l in range(0, len(w), 2):
+        f += w[l] * p
+        if l + 1 < len(w):
+            df += w[l + 1] * (l + 1) * p
+        d2f -= w[l] * l * (l + 1) * p
+        p = -(l + 1) * p / (l + 2)  # legendre_p_table's step to l + 2 at x = 0
     re_f2f = (d2f * f.conjugate()).real
     slope2 = abs(df) ** 2
     eps_w = exchange_weight(params.spin, params.polarization)
@@ -209,8 +205,9 @@ def find_critical_kR(
 ) -> float | None:
     """Smallest kR in `scan` where the 90 deg curvature changes sign, or None.
 
-    Scans lo, lo + step, ... (at most MAX_POINTS points), then bisects the
-    first bracketing pair to 1e-6.  Absence of a transition is a valid
+    Scans lo, lo + step, ... (at most MAX_POINTS points), then hands the
+    first bracketing pair and its two curvatures to numerics.bisect_root,
+    which ends a few ulps from the root.  Absence of a transition is a valid
     result, not an error.  A point less than step/2 past hi moves onto hi and
     one further out ends the scan, so a sign change up to step/2 short of hi
     can be missed: spin 0 on (0.23, 1.45) stops at 1.43 and returns None,
@@ -234,6 +231,6 @@ def find_critical_kR(
         x_next = min(x + step, hi)
         f_next = curv(x_next)
         if (f > 0.0) != (f_next > 0.0):
-            return bisect_root(curv, x, x_next, xtol=1e-6)
+            return bisect_root(curv, x, x_next, f, f_next)
         x, f = x_next, f_next
     return x if f == 0.0 else None

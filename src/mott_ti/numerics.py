@@ -1,4 +1,4 @@
-"""Small numerical helpers: finite-difference curvature and bisection."""
+"""Small numerical helpers: finite-difference curvature and a bracketing root finder."""
 
 from __future__ import annotations
 
@@ -13,6 +13,11 @@ MAX_POINTS = 100_000
 
 # The half-angle curvature is d^2(sigma)/d(theta/2)^2 = 4 d^2(sigma)/d(theta)^2.
 HALF_ANGLE_FACTOR = 4.0
+
+# Most evaluations bisect_root spends inside its bracket.  The searches here
+# need at most about 46 (critical_eta_numeric on the bracket (1e-6, 1e6));
+# bisection takes 52 to split a one-binade bracket down to its last ulp.
+MAX_EVALS = 64
 
 
 def second_derivative(f: Callable[[float], float], x0: float, step: float) -> float:
@@ -40,32 +45,53 @@ def half_angle_curvature(d2_per_deg2: float) -> float:
     return HALF_ANGLE_FACTOR * d2_per_deg2 / math.radians(1.0) ** 2
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
-    """Locate a root of f in [lo, hi] by bisection to absolute xtol.
+def bisect_root(
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float
+) -> float:
+    """Locate a root of f in [lo, hi], given f_lo = f(lo) and f_hi = f(hi).
 
-    Halves the bracket until it is narrower than xtol or its midpoint no
-    longer lies strictly inside, so the root is accurate to xtol or to float
-    resolution.
-    Raises RootNotFoundError when f(lo) and f(hi) do not change sign.
+    Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971) 168): secant
+    steps on the bracket, where the value at an end that stays put for a
+    second step in a row is halved, and halved again at every further one.
+    Every iterate lies strictly inside the bracket: a secant point that is
+    nan, inf or outside falls back to the midpoint, and one within 2 ulps
+    of an end moves 2 ulps in, so the step after the root is met crosses
+    it.  Ends at an exact zero, or at a bracket at most 4 ulps wide or
+    after MAX_EVALS evaluations of f (a noisy f) with the end of smaller
+    |f|.  End values of very different size cost about log2 of their ratio
+    in extra steps, while the halvings balance them.
+    Raises RootNotFoundError when f_lo and f_hi do not change sign.
     """
     if not lo < hi:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
-    f_lo = f(lo)
-    f_hi = f(hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise RootNotFoundError(f"no sign change in [{lo}, {hi}]")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if hi - lo < xtol or not lo < mid < hi:
-            return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+    g_lo, g_hi = f_lo, f_hi  # secant weights: f at each end, halved while it is kept
+    kept = None  # the end that stayed put in the last step
+    for _ in range(MAX_EVALS):
+        tiny = 2.0 * math.ulp(max(abs(lo), abs(hi)))
+        if hi - lo <= 2.0 * tiny:
+            break
+        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if lo < x < hi:
+            x = min(max(x, lo + tiny), hi - tiny)
         else:
-            hi = mid
+            x = 0.5 * (lo + hi)
+        f_x = f(x)
+        if f_x == 0.0:
+            return x
+        if (f_x > 0.0) == (f_lo > 0.0):
+            lo, f_lo, g_lo = x, f_x, f_x
+            if kept == "hi":
+                g_hi *= 0.5
+            kept = "hi"
+        else:
+            hi, f_hi, g_hi = x, f_x, f_x
+            if kept == "lo":
+                g_lo *= 0.5
+            kept = "lo"
+    return lo if abs(f_lo) <= abs(f_hi) else hi

@@ -25,7 +25,7 @@ from mott_ti import (
     sigma_int_coulomb,
 )
 from mott_ti.coulomb import A_MAX, A_MIN, ETA_MAX, check_eta_bracket
-from mott_ti.numerics import bisect_root
+from mott_ti.numerics import MAX_EVALS, bisect_root
 from mott_ti.species import exchange_weight
 
 SQRT2 = math.sqrt(2.0)
@@ -433,25 +433,112 @@ def test_critical_eta_numeric_no_root():
         critical_eta_numeric(Spin(1), (0.5, 4.0))  # fermions have no transition
 
 
-def test_bisect_root_ends_at_float_resolution():
-    # xtol = 0 is never met, and no float squares to exactly 2, so bisection
-    # must stop once the bracket cannot be split (about 52 halvings)
+def _bisection_evals(f, lo, hi, f_lo):
+    """Evaluations plain bisection spends to split [lo, hi] down to adjacent floats."""
+    n = 0
+    while lo < 0.5 * (lo + hi) < hi:  # an exact zero at a midpoint does not end it
+        mid = 0.5 * (lo + hi)
+        n += 1
+        f_mid = f(mid)
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return n
+
+
+# smooth monotone shapes g(u) with g(0) = 0 whose sign is the sign of u in
+# floats, so the float root of g(x - r) is r itself.  The expm1 rate stays
+# at or below 2: end values e^8 apart cost the finder about 12 halvings, and
+# at rate 7 (e^28 apart) it takes 56 evaluations where bisection takes 55.
+SHAPES = {
+    "cubic": lambda c: lambda u: u * (1.0 + c * u * u),
+    "tanh": lambda c: lambda u: math.tanh(c * u),
+    "expm1": lambda c: lambda u: math.expm1(min(c, 2.0) * u),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(sorted(SHAPES)),
+       c=st.floats(0.1, 100.0),
+       sign=st.sampled_from([1.0, -1.0]),
+       r=st.floats(0.5, 8.0),
+       below=st.floats(1e-6, 4.0),
+       above=st.floats(1e-6, 4.0))
+def test_bisect_root_converges_in_fewer_evaluations_than_bisection(shape, c, sign, r, below,
+                                                                   above):
+    g = SHAPES[shape](c)
+    lo, hi = r - below, r + above
+
+    def f(x):
+        return sign * g(x - r)
+
     calls = []
-    root = bisect_root(lambda x: calls.append(x) or x * x - 2.0, 1.0, 2.0, xtol=0.0)
+    root = bisect_root(lambda x: calls.append(x) or f(x), lo, hi, f(lo), f(hi))
+    assert abs(root - r) <= 8 * math.ulp(r)
+    assert all(lo < x < hi for x in calls)
+    assert len(calls) <= _bisection_evals(f, lo, hi, f(lo))
+
+
+def test_bisect_root_ends_at_float_resolution():
+    # no float squares to exactly 2, so the finder ends on a bracket a few
+    # ulps wide; bisection takes 52 halvings to get there
+    calls = []
+    root = bisect_root(lambda x: calls.append(x) or x * x - 2.0, 1.0, 2.0, -1.0, 2.0)
     assert abs(root - SQRT2) <= math.ulp(SQRT2)
-    assert len(calls) < 64
+    assert len(calls) <= 10
+
+
+def test_bisect_root_stops_at_the_cap_on_a_noisy_function():
+    # within 1e-200 of its root at 0 the sign of f is noise: hundreds of
+    # halvings would not bring the bracket to a few ulps
+    calls = []
+
+    def noisy(x):
+        calls.append(x)
+        return x + 1e-200 * random.Random(x).choice((-1.0, 1.0))
+
+    root = bisect_root(noisy, -1.0, 2.0, -1.0, 2.0)
+    assert len(calls) == MAX_EVALS
+    assert all(-1.0 < x < 2.0 for x in calls)
+    assert root in calls and abs(root) < 1e-100
+
+
+def test_bisect_root_rejects_ends_without_a_sign_change():
+    calls = []
+    for f_lo, f_hi in ((1.0, 2.0), (-1.0, -2.0), (math.nan, -1.0)):
+        with pytest.raises(RootNotFoundError):
+            bisect_root(calls.append, 1.0, 2.0, f_lo, f_hi)
+    assert calls == []
 
 
 def test_bisect_root_rejects_an_invalid_bracket():
     for lo, hi in ((2.0, 1.0), (1.0, 1.0)):
         with pytest.raises(ValueError, match="invalid bracket"):
-            bisect_root(lambda x: x - 1.5, lo, hi, xtol=1e-6)
+            bisect_root(lambda x: x - 1.5, lo, hi, lo - 1.5, hi - 1.5)
 
 
 def test_bisect_root_returns_an_exact_zero_where_it_meets_one():
-    # f(lo) = 0 and f(hi) = 0 end before any halving; f(mid) = 0 ends the halving
-    assert bisect_root(lambda x: x - 1.0, 1.0, 2.0, xtol=1e-6) == 1.0
-    assert bisect_root(lambda x: x - 2.0, 1.0, 2.0, xtol=1e-6) == 2.0
+    # a zero at an end returns that end unevaluated; one at an iterate ends the search
     calls = []
-    assert bisect_root(lambda x: calls.append(x) or x - 1.5, 1.0, 2.0, xtol=1e-6) == 1.5
-    assert calls == [1.0, 2.0, 1.5]
+    assert bisect_root(calls.append, 1.0, 2.0, 0.0, 1.0) == 1.0
+    assert bisect_root(calls.append, 1.0, 2.0, -1.0, 0.0) == 2.0
+    assert calls == []
+    assert bisect_root(lambda x: calls.append(x) or x - 1.5, 1.0, 2.0, -0.5, 0.5) == 1.5
+    assert calls == [1.5]
+    calls.clear()
+
+    def flat(x):  # zero on all of [1.2, 1.3]; the first secant point falls short of it
+        calls.append(x)
+        return 0.0 if 1.2 <= x <= 1.3 else (x - 1.25) ** 3
+
+    root = bisect_root(flat, 1.0, 2.0, flat(1.0), flat(2.0))
+    assert 1.2 <= root <= 1.3 and root == calls[-1] and len(calls) > 3
+
+
+def test_bisect_root_falls_back_to_the_midpoint_near_overflow():
+    # f_hi - f_lo overflows to inf, so the secant point lands on hi
+    calls = []
+    root = bisect_root(lambda x: calls.append(x) or x - 1.2, 1.0, 2.0, -1.5e308, 1.5e308)
+    assert calls[0] == 1.5
+    assert abs(root - 1.2) <= 2 * math.ulp(1.2)

@@ -2,14 +2,16 @@
 
 Each case in golden/cases.json names an argv; golden/<name>.out holds the
 expected stdout and golden/<name>.exit the expected exit code.  After an
-intended output change, rewrite the files with
+intended output change, rewrite the files of the named cases with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME...
 
-and review the diff: every changed file is a behaviour change.
+(no names: every case) and review the diff: every changed file is a
+behaviour change.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,7 +60,13 @@ def test_json_output_is_strict_json(argv):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:]
+    unknown = set(names) - {c["name"] for c in CASES}
+    if unknown:
+        sys.exit(f"no such case: {', '.join(sorted(unknown))}")
     for case in CASES:
+        if names and case["name"] not in names:
+            continue
         code, stdout = run(case["argv"])
         (GOLDEN / f"{case['name']}.out").write_bytes(stdout)
         (GOLDEN / f"{case['name']}.exit").write_text(f"{code}\n")

@@ -4,6 +4,8 @@ from functools import cache, reduce
 from operator import add, mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mott_ti import (
     DomainError,
@@ -24,7 +26,12 @@ from mott_ti import (
 from mott_ti import hardsphere
 from mott_ti.analysis import angle_grid, build_curve
 from mott_ti.hardsphere import KR_MAX, KR_MIN, TRUNCATION_TOL
-from mott_ti.numerics import MAX_POINTS, half_angle_curvature, second_derivative
+from mott_ti.numerics import (
+    HALF_ANGLE_FACTOR,
+    MAX_POINTS,
+    half_angle_curvature,
+    second_derivative,
+)
 from mott_ti.species import exchange_weight
 
 
@@ -220,7 +227,9 @@ def test_curve_kernel_evaluation_counts(monkeypatch, grid, columns):
 
     shifts.cache_clear()
     monkeypatch.setattr(hardsphere, "legendre_p_rows", counted_rows)
-    monkeypatch.setattr(hardsphere, "legendre_p_table", counted_table)
+    # hardsphere imports no legendre_p_table; set one anyway, so a table call that
+    # comes back into the module is counted
+    monkeypatch.setattr(hardsphere, "legendre_p_table", counted_table, raising=False)
     monkeypatch.setattr(hardsphere, "hard_sphere_phase_shifts", counted_shifts)
     build_curve(HardSphereParams(kR=1.5, spin=Spin(0), statistics=Statistics.BOSON), grid)
     assert calls == {"rows": [columns], "tables": 0, "shifts": 1}
@@ -341,6 +350,82 @@ def test_exact_curvature_matches_finite_differences(kR, twice_s, polarization):
         lambda t: hs_identical_cross_section(t, params), 90.0, 0.25))
     scale = max(abs(exact), 4.0 * hs_identical_cross_section(90.0, params))
     assert abs(exact - fd) <= 1e-7 * scale
+
+
+def _curvature_from_the_table(params):
+    """hs_curvature_at_90 as it was written with a legendre_p_table at x = 0 and all l."""
+    shifts = hard_sphere_phase_shifts(params.kR)
+    p = legendre_p_table(shifts.l_max, 0.0)
+    f = df = d2f = 0.0 + 0.0j
+    for l, w in enumerate(shifts.weights):
+        f += w * p[l]
+        if l > 0:
+            df += w * l * p[l - 1]
+        d2f -= w * l * (l + 1) * p[l]
+    re_f2f = (d2f * f.conjugate()).real
+    slope2 = abs(df) ** 2
+    eps_w = exchange_weight(params.spin, params.polarization)
+    d2 = 4.0 * (re_f2f + slope2) + eps_w * (4.0 * (re_f2f - slope2))
+    return HALF_ANGLE_FACTOR * d2 / params.kR**2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(log_kR=st.floats(math.log(KR_MIN), math.log(KR_MAX)))
+def test_curvature_keeps_the_bits_of_the_table_form(log_kR):
+    # the even-l loop steps P_l(0) with the table's own operations and skips
+    # only terms that are exactly 0, so every value keeps its bits
+    kR = min(max(math.exp(log_kR), KR_MIN), KR_MAX)
+    for twice_s in range(10):
+        spin = Spin(twice_s)
+        for polarization in Polarization:
+            params = HardSphereParams(kR=kR, spin=spin, statistics=spin.statistics,
+                                      polarization=polarization)
+            assert hs_curvature_at_90(params) == _curvature_from_the_table(params)
+
+
+@pytest.mark.parametrize("twice_s", [0, 2, 4, 9, 19])
+@pytest.mark.parametrize("polarization", list(Polarization))
+def test_critical_kR_has_the_digits_of_a_long_bisection(monkeypatch, twice_s, polarization):
+    spin = Spin(twice_s)
+
+    def curv(kR):
+        return hs_curvature_at_90(HardSphereParams(kR=kR, spin=spin, statistics=spin.statistics,
+                                                   polarization=polarization))
+
+    brackets = []
+    finder = hardsphere.bisect_root
+    monkeypatch.setattr(hardsphere, "bisect_root",
+                        lambda f, lo, hi, f_lo, f_hi: brackets.append((lo, hi))
+                        or finder(f, lo, hi, f_lo, f_hi))
+    root = find_critical_kR(spin, spin.statistics, scan=(0.2, 3.0), step=0.05,
+                            polarization=polarization)
+    if root is None:  # aligned fermions: sigma(90) = 0 is a minimum at every kR
+        assert spin.statistics is Statistics.FERMION and polarization is Polarization.ALIGNED
+        assert brackets == []
+        return
+    (lo, hi), = brackets
+    f_lo = curv(lo)
+    for _ in range(60):  # 60 halvings of a step of 0.05 reach float resolution
+        mid = 0.5 * (lo + hi)
+        if (curv(mid) > 0.0) == (f_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    assert abs(root - lo) <= 1e-13
+    assert f"{root:.9g}" == f"{lo:.9g}"
+
+
+def test_critical_kR_search_evaluates_each_kR_once(monkeypatch):
+    # spin 0 on (0.2, 3.0): 26 scan points up to the bracket (1.40, 1.45), then
+    # the finder, which takes both bracket ends from the scan
+    visited = []
+    curvature = hardsphere.hs_curvature_at_90
+    monkeypatch.setattr(hardsphere, "hs_curvature_at_90",
+                        lambda params: visited.append(params.kR) or curvature(params))
+    root = find_critical_kR(Spin(0), Statistics.BOSON, scan=(0.2, 3.0), step=0.05)
+    assert 1.4 < root < 1.45
+    assert 26 < len(visited) <= 26 + 10
+    assert len(set(visited)) == len(visited)
 
 
 def test_critical_kR_bosons_spin0():
