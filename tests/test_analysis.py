@@ -26,13 +26,13 @@ from mott_ti import (
     critical_eta,
     curvature_at_90,
     half_closest_approach,
-    sigma_inc_coulomb,
     hs_curvature_at_90,
     plateau,
     sensitivity_sweep,
     table_one,
     builtin_catalog,
 )
+from mott_ti import coulomb
 from mott_ti.constants import BARN_PER_FM2
 from mott_ti.coulomb import ETA_MAX
 from mott_ti.hardsphere import KR_MAX, KR_MIN
@@ -125,22 +125,45 @@ CURVE_GRIDS = (angle_grid(), angle_grid(1.0, 179.0, 0.1), angle_grid(6.0, 174.0,
          grid=CURVE_GRIDS[0])
 @example(log_eta=6.0, a=1.0, twice_s=9, polarization=Polarization.ALIGNED,
          grid=CURVE_GRIDS[1])
-def test_mott_curves_are_even_about_90_to_phase_accuracy(log_eta, a, twice_s, polarization,
-                                                          grid):
-    # The closed form is even about 90 deg; in floats the two angles of a pair
-    # differ by their radian rounding (~185 eps relative near 1 deg) and the phase
-    # 2 eta ln tan(theta/2) by a few eps eta rad, both relative to sigma_inc.
+def test_mott_curves_are_even_about_90(log_eta, a, twice_s, polarization, grid):
+    # mott_cross_sections folds theta_j above 90 deg to 180 - theta_j, exactly,
+    # so wherever that is the angle theta_i of the grid both are the same float
     eta = min(10.0**log_eta, ETA_MAX)
     curve = build_curve(
         MottParams(a=a, eta=eta, spin=Spin(twice_s), polarization=polarization), grid
     )
-    tol = 8.0 * 2.0**-52 * (eta + 32.0)
-    n = len(grid)
-    for i in range(n // 2):
-        if 90.0 - grid[i] != grid[n - 1 - i] - 90.0:
-            continue
-        gap = abs(curve.values[i] - curve.values[n - 1 - i])
-        assert gap <= tol * sigma_inc_coulomb(grid[i], a), (grid[i], gap)
+    index = {theta: i for i, theta in enumerate(grid)}
+    pairs = [(index[180.0 - theta], j) for j, theta in enumerate(grid)
+             if theta > 90.0 and 180.0 - theta in index]
+    assert pairs
+    for i, j in pairs:
+        assert curve.values[i] == curve.values[j], (grid[i], grid[j])
+
+
+@pytest.mark.parametrize("grid,evaluations", [
+    (angle_grid(), 179),
+    (angle_grid(1.0, 179.0, 0.1), 1550),
+    (angle_grid(80.0, 100.0, 5.0), 3),
+])
+def test_mott_curve_kernel_evaluation_counts(monkeypatch, grid, evaluations):
+    # the closed form takes one atanh or one log per evaluation
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def atanh(self, x):
+            calls.append(x)
+            return math.atanh(x)
+
+        def log(self, x):
+            calls.append(x)
+            return math.log(x)
+
+    monkeypatch.setattr(coulomb, "math", CountingMath())
+    build_curve(MottParams(a=1.0, eta=SQRT2, spin=Spin(0)), grid)
+    assert len(calls) == evaluations
 
 
 @settings(max_examples=50, deadline=None)

@@ -117,6 +117,22 @@ def test_angular_dimensional_alpha_system(runner):
     assert float(table["60"][1]) == pytest.approx(float(table["120"][1]), rel=1e-10)
 
 
+def test_angular_aligned_fermions_next_to_90_are_not_negative(runner):
+    # sigma_inc and sigma_int cancel here; summed apart they printed -4.4e-16
+    result = runner.invoke(main, [
+        "angular", "--eta", "0.001", "--spin", "1/2", "--polarization", "aligned",
+        "--theta-min", "89.99999998", "--theta-max", "90.00000002",
+        "--theta-step", "0.00000001",
+    ])
+    assert result.exit_code == 0
+    sigmas = [float(row["sigma_fm2_per_sr"]) for row in csv_table(result.output)]
+    # frozen from a 60-digit sum at the five grid angles (89.99999998 + i 1e-8)
+    expected = [4.87388439699996e-19, 1.21847283080204e-19, 0.0, 1.21846936769917e-19,
+                4.87388439699996e-19]
+    assert sigmas == pytest.approx(expected, rel=1e-8)
+    assert min(sigmas) == 0.0
+
+
 def test_angular_endpoint_grid_rejected(runner):
     result = runner.invoke(main, ["angular", "--eta", "1", "--spin", "0",
                                   "--theta-min", "0", "--theta-max", "90"])

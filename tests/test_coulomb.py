@@ -2,6 +2,7 @@ import math
 import random
 import sys
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,8 +25,8 @@ from mott_ti import (
     sigma_inc_coulomb,
     sigma_int_coulomb,
 )
-from mott_ti.coulomb import A_MAX, A_MIN, ETA_MAX, check_eta_bracket
-from mott_ti.numerics import MAX_EVALS, bisect_root
+from mott_ti.coulomb import A_MAX, A_MIN, CURVATURE_STEP_DEG, ETA_MAX, check_eta_bracket
+from mott_ti.numerics import MAX_EVALS, bisect_root, half_angle_curvature, second_derivative
 from mott_ti.species import exchange_weight
 
 SQRT2 = math.sqrt(2.0)
@@ -241,7 +242,74 @@ def _composed(theta, params):
     return inc + exchange_weight(params.spin, params.polarization) * intf
 
 
-def test_curve_kernel_is_bit_identical_to_the_composition():
+def _mp_sigma(theta, params):
+    """sigma_inc + eps w sigma_int in the half-angle form, at 60 digits (an mpf)."""
+    with mpmath.workdps(60):
+        t = mpmath.mpf(theta) * mpmath.pi / 360
+        s2, c2 = mpmath.sin(t) ** 2, mpmath.cos(t) ** 2
+        a2_4 = mpmath.mpf(params.a) ** 2 / 4
+        inc = a2_4 * (1 / s2**2 + 1 / c2**2)
+        intf = a2_4 * 2 / (s2 * c2) * mpmath.cos(2 * params.eta * mpmath.log(mpmath.tan(t)))
+        return +(inc + exchange_weight(params.spin, params.polarization) * intf)
+
+
+def _kernel_rtol(eta):
+    """Error bound of mott_cross_sections relative to sigma: a few ulps plus the phase's own rounding."""
+    return 2.0**-52 * (8.0 + 2.0 * eta)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(
+        lambda e: min(max(10.0**e, lo), hi))
+
+
+# theta in (0, 180), weighted toward the poles and 90 deg; subnormal offsets included
+_OFFSETS = st.one_of(_log_uniform(5e-324, 80.0), st.just(5e-324))
+KERNEL_THETAS = st.one_of(
+    st.floats(min_value=0.0, max_value=180.0, exclude_min=True, exclude_max=True),
+    _OFFSETS,
+    _OFFSETS.map(lambda d: 90.0 - d),
+    _OFFSETS.map(lambda d: 90.0 + d),
+    _OFFSETS.map(lambda d: 180.0 - d),
+).filter(lambda theta: 0.0 < theta < 180.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    theta=KERNEL_THETAS,
+    a=st.one_of(_log_uniform(A_MIN, A_MAX), st.sampled_from([A_MIN, 1.0, A_MAX])),
+    eta=st.one_of(_log_uniform(5e-324, ETA_MAX), ETAS),
+    twice_s=st.integers(min_value=0, max_value=9),
+    polarization=st.sampled_from(Polarization),
+)
+@example(theta=89.99999999, a=1.0, eta=1e-3, twice_s=1, polarization=Polarization.ALIGNED)
+@example(theta=90.00000001, a=1.0, eta=1.0, twice_s=9, polarization=Polarization.ALIGNED)
+@example(theta=89.999, a=1.0, eta=1.0, twice_s=1, polarization=Polarization.ALIGNED)
+@example(theta=5e-324, a=A_MIN, eta=1.0, twice_s=0, polarization=Polarization.ALIGNED)
+@example(theta=0.02212884480368955, a=A_MAX, eta=0.3673411776627898, twice_s=0,
+         polarization=Polarization.ALIGNED)
+def test_curve_kernel_matches_mpmath_relative_to_sigma(theta, a, eta, twice_s, polarization):
+    # sigma >= 0 everywhere, within _kernel_rtol(eta) of the 60-digit value
+    # relative to sigma itself (plus the spacing of the subnormals, where
+    # sigma underflows); an overflow error only where sigma is past float range
+    params = MottParams(a=a, eta=eta, spin=Spin(twice_s), polarization=polarization)
+    reference = _mp_sigma(theta, params)
+    rtol = _kernel_rtol(eta)
+    try:
+        (value,) = mott_cross_sections((theta,), params)
+    except DivergenceError as exc:
+        assert str(exc) == f"theta = {theta} deg, a = {a} fm: Coulomb cross section overflows"
+        assert reference > sys.float_info.max * (1.0 - rtol), (reference, params)
+        return
+    assert value >= 0.0
+    assert abs(value - reference) <= rtol * reference + 2.0**-1074, (value, reference)
+
+
+def test_point_call_is_the_curve_value():
+    # identical_cross_section is the curve at one angle, bit for bit, and both
+    # agree with the half-angle composition to its accuracy: its phase rounds
+    # by a few eps eta, and theta/2 in radians by an ulp of ~pi/2, so near 180
+    # deg cos(theta/2) ~ (180 - theta) deg is off by eps 180/(180 - theta) relative
     rng = random.Random(8)
     asymmetric = tuple(sorted(rng.uniform(0.01, 179.99) for _ in range(200)))
     grids = (angle_grid(), angle_grid(1.0, 179.0, 0.1), asymmetric)
@@ -256,8 +324,11 @@ def test_curve_kernel_is_bit_identical_to_the_composition():
                 i += 1
                 params = MottParams(a=a, eta=eta, spin=Spin(twice_s), polarization=polarization)
                 values = mott_cross_sections(grid, params)
-                assert values == tuple(_composed(t, params) for t in grid), (params, grid[0])
-                assert identical_cross_section(grid[7], params) == values[7]
+                assert values == tuple(identical_cross_section(t, params) for t in grid)
+                for theta, value in zip(grid, values):
+                    tol = 2.0**-52 * (8.0 * (eta + 32.0) + 4.0 * 180.0 / (180.0 - theta))
+                    gap = abs(value - _composed(theta, params))
+                    assert gap <= tol * sigma_inc_coulomb(theta, a), (theta, params)
 
 
 @pytest.mark.parametrize("bad", [1e-10, 180.0 - 1e-10, 0.0, 180.0, -1.0, math.nan])
@@ -351,9 +422,35 @@ def test_curvature_closed_form_matches_finite_differences(eta, twice_s):
         closed = curvature_at_90(p, spin.statistics)
         fd = curvature_at_90_fd(p)
         if abs(closed) < 1e-9:
-            assert abs(fd - closed) < 1e-9
+            # At a zero the stencil's own rounding is all that is left: the
+            # reference is the same stencil on the 60-digit values rounded to
+            # floats, and each value of the kernel is within an ulp of those
+            points, rounded = [], []
+
+            def f(theta):
+                points.append(theta)
+                rounded.append(float(_mp_sigma(theta, p)))
+                return rounded[-1]
+
+            reference = half_angle_curvature(second_derivative(f, 90.0, CURVATURE_STEP_DEG))
+            values = mott_cross_sections(tuple(points), p)
+            assert all(abs(v - r) <= math.ulp(r) for v, r in zip(values, rounded))
+            spread = _stencil_spread(max(rounded))
+            assert abs(fd - reference) <= spread
+            assert abs(reference - closed) <= spread
         else:
             assert fd == pytest.approx(closed, rel=1e-6)
+
+
+def _stencil_spread(top):
+    """Most that values off by one ulp of `top` each move curvature_at_90_fd.
+
+    The 5-point numerator (-1, 16, -30, 16, -1) weighs each value by at most
+    64 in all; Richardson's (16 fine - coarse)/15 with fine = step/2 weighs
+    the coarse stencil's 1/(12 h^2) by (16 * 4 + 1)/15.
+    """
+    h = CURVATURE_STEP_DEG
+    return half_angle_curvature((16.0 * 4.0 + 1.0) / 15.0 * 64.0 * math.ulp(top) / (12.0 * h * h))
 
 
 @pytest.mark.parametrize(
