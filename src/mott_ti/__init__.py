@@ -5,7 +5,8 @@ Library layout:
 - constants, species, kinematics: data types and kinematic maps; species
   also holds the exchange weight eps w and the critical Sommerfeld
   parameter eta_C derived from it
-- coulomb: closed-form symmetrized Coulomb (Mott) cross sections
+- coulomb: closed-form Coulomb cross sections, symmetrized (Mott) and
+  incoherent, from one evaluation
 - hardsphere: partial-wave hard-sphere scattering and the critical kR
 - analysis: curves, flatness plateaus, sensitivity sweeps, feasibility
 - cli: the `mott-ti` command line
@@ -34,9 +35,8 @@ from .coulomb import (
     curvature_at_90,
     curvature_at_90_fd,
     identical_cross_section,
+    incoherent_cross_sections,
     mott_cross_sections,
-    sigma_inc_coulomb,
-    sigma_int_coulomb,
 )
 from .errors import DivergenceError, DomainError, RootNotFoundError
 from .hardsphere import (

@@ -26,7 +26,7 @@ from .coulomb import (
     check_eta,
     check_eta_bracket,
     critical_eta_numeric,
-    sigma_inc_coulomb,
+    incoherent_cross_sections,
 )
 from .errors import DomainError, RootNotFoundError
 from .hardsphere import HardSphereParams, find_critical_kR
@@ -219,7 +219,7 @@ def angular(system_name, energy, eta, spin, polarization, incoherent_only,
                   theta_min=theta_min, theta_max=theta_max, theta_step=theta_step)
 
     if incoherent_only:
-        values = tuple(sigma_inc_coulomb(t, a) for t in grid)
+        values = incoherent_cross_sections(grid, a)
     else:
         mott = MottParams(a=a, eta=eta, spin=spin, polarization=polarization)
         values = build_curve(mott, grid).values

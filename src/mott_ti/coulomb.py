@@ -4,14 +4,14 @@ All angles enter in degrees and must lie strictly inside (0, 180): the
 Rutherford pole at the endpoints is a physical divergence and is rejected
 rather than returned as inf.  Cross sections are fm^2/sr for a in fm.
 
-The cross section of an identical pair (mott_cross_sections, and its
-one-point call identical_cross_section) is evaluated in S = cos(theta) and
-C = sin(theta) as a sum of non-negative terms, once per folded angle
+Every Coulomb cross section is one evaluation in S = cos(theta) and
+C = sin(theta), a sum of non-negative terms taken once per folded angle
 min(theta, 180 - theta): it is never negative and exactly even about 90
-degrees.  sigma_inc_coulomb and sigma_int_coulomb keep the half-angle form
-of the two terms, sigma_inc + eps w sigma_int, and are its independent
-composition check.  Each of the three checks its own values once: a value
-past float range raises DivergenceError.
+degrees, and a value past float range raises DivergenceError.  Three calls
+share it: mott_cross_sections, sigma_inc + eps w sigma_int for an identical
+pair; identical_cross_section, its one-point call; and
+incoherent_cross_sections, sigma_inc alone (eps w = 0).  check_a and
+check_eta bound a and eta for all three.
 
 Curvature convention: curvature_at_90 is the second derivative of the
 cross section with respect to the HALF-angle theta/2, i.e. 4 times
@@ -69,8 +69,14 @@ class MottParams:
 
     def __post_init__(self) -> None:
         check_eta(self.eta)
-        if not A_MIN <= self.a <= A_MAX:  # also false for nan
-            raise DomainError(f"a must lie in [{A_MIN:g}, {A_MAX:g}] fm, got {self.a}")
+        check_a(self.a)
+
+
+def check_a(a: float) -> float:
+    """`a` itself if it lies in [A_MIN, A_MAX] fm; DomainError otherwise."""
+    if not A_MIN <= a <= A_MAX:  # also false for nan
+        raise DomainError(f"a must lie in [{A_MIN:g}, {A_MAX:g}] fm, got {a}")
+    return a
 
 
 def check_eta(eta: float) -> float:
@@ -92,75 +98,19 @@ def _pole(theta_deg: float) -> DivergenceError:
     return DivergenceError(f"theta = {theta_deg} deg: Coulomb cross section diverges at 0/180")
 
 
-def _half_angle(theta_deg: float) -> float:
-    if not 0.0 < theta_deg < 180.0:
-        raise _pole(theta_deg)
-    return math.radians(theta_deg) / 2.0
-
-
 def _overflow(theta_deg: float, a: float) -> DivergenceError:
     return DivergenceError(
         f"theta = {theta_deg} deg, a = {a} fm: Coulomb cross section overflows"
     )
 
 
-def sigma_inc_coulomb(theta_deg: float, a: float) -> float:
-    """Incoherent (distinguishable-particle) sum, (a^2/4)[sin^-4 + cos^-4](theta/2)."""
-    if not a >= A_MIN:  # also true for nan
-        raise DomainError(f"a must be at least {A_MIN:g} fm, got {a}")
-    t = _half_angle(theta_deg)
-    try:
-        value = a * a / 4.0 * (math.sin(t) ** -4 + math.cos(t) ** -4)
-    except (OverflowError, ZeroDivisionError):  # sin(t) tiny or rounded to 0
-        value = math.inf
-    if not math.isfinite(value):  # next to the pole, or a * a beyond float range
-        raise _overflow(theta_deg, a)
-    return value
+def _cross_sections(thetas: tuple[float, ...], a: float, eta: float,
+                    eps_w: float) -> tuple[float, ...]:
+    """The one evaluation behind the three public calls below; see mott_cross_sections.
 
-
-def sigma_int_coulomb(theta_deg: float, a: float, eta: float) -> float:
-    """Interference term; may be negative.
-
-    (a^2/4) * [2 / (sin^2(theta/2) cos^2(theta/2))] * cos(2 eta ln tan(theta/2))
+    `a` and `eta` are checked by the caller; eps_w = 0 gives sigma_inc.
     """
-    if not a >= A_MIN:  # also true for nan
-        raise DomainError(f"a must be at least {A_MIN:g} fm, got {a}")
-    check_eta(eta)
-    t = _half_angle(theta_deg)
-    try:
-        value = (a * a / 4.0 * 2.0 / (math.sin(t) ** 2 * math.cos(t) ** 2)
-                 * math.cos(2.0 * eta * math.log(math.tan(t))))
-    except ZeroDivisionError:  # sin(t)^2 rounded to 0
-        value = math.inf
-    if not math.isfinite(value):  # next to the pole, or a * a beyond float range
-        raise _overflow(theta_deg, a)
-    return value
-
-
-def mott_cross_sections(thetas: tuple[float, ...], params: MottParams) -> tuple[float, ...]:
-    """Symmetrized Coulomb cross sections of an identical pair at `thetas` (degrees), fm^2/sr.
-
-    sigma_inc + eps w sigma_int in S = cos(theta) and C = sin(theta):
-
-        sigma = (2 a^2 / C^2) [2 S^2 / C^2 + g],  g = 1 + eps w cos(2 eta atanh S),
-
-    with g written as a sum of non-negative terms, (1 + eps w) +
-    2 |eps w| sin^2(eta atanh S) for eps w < 0 and (1 - eps w) +
-    2 eps w cos^2(eta atanh S) otherwise: nothing cancels, and no value is
-    negative.  a^2, eps w and the branch of g are taken once per curve, and
-    the form runs once per distinct folded angle m = min(theta, 180 - theta)
-    (180 - theta is exact), so sigma(theta) and sigma(180 - theta) are the
-    same float.  C and S are sin and cos of m below 45 degrees and cos and
-    sin of 90 - m (exact) above, so S is exactly 0 at 90 degrees; atanh S
-    is taken as ln((1 + S)/C) from S = 0.5 on.  Against 60-digit values the
-    error relative to sigma is at most about 2^-52 (8 + 2 eta); see ETA_MAX.
-    The first angle in grid order at a pole, or whose value is past float
-    range (C^2 below the normal floats included), raises DivergenceError.
-    """
-    a = params.a
     a2_2 = 2.0 * a * a
-    eta = params.eta
-    eps_w = exchange_weight(params.spin, params.polarization)
     if eps_w < 0.0:
         base, weight, trig = 1.0 + eps_w, -2.0 * eps_w, math.sin
     else:
@@ -189,9 +139,44 @@ def mott_cross_sections(thetas: tuple[float, ...], params: MottParams) -> tuple[
     return tuple(values)
 
 
+def mott_cross_sections(thetas: tuple[float, ...], params: MottParams) -> tuple[float, ...]:
+    """Symmetrized Coulomb cross sections of an identical pair at `thetas` (degrees), fm^2/sr.
+
+    sigma_inc + eps w sigma_int in S = cos(theta) and C = sin(theta):
+
+        sigma = (2 a^2 / C^2) [2 S^2 / C^2 + g],  g = 1 + eps w cos(2 eta atanh S),
+
+    with g written as a sum of non-negative terms, (1 + eps w) +
+    2 |eps w| sin^2(eta atanh S) for eps w < 0 and (1 - eps w) +
+    2 eps w cos^2(eta atanh S) otherwise: nothing cancels, and no value is
+    negative.  a^2, eps w and the branch of g are taken once per curve, and
+    the form runs once per distinct folded angle m = min(theta, 180 - theta)
+    (180 - theta is exact), so sigma(theta) and sigma(180 - theta) are the
+    same float.  C and S are sin and cos of m below 45 degrees and cos and
+    sin of 90 - m (exact) above, so S is exactly 0 at 90 degrees; atanh S
+    is taken as ln((1 + S)/C) from S = 0.5 on.  Against 60-digit values the
+    error relative to sigma is at most about 2^-52 (8 + 2 eta); see ETA_MAX.
+    The first angle in grid order at a pole, or whose value is past float
+    range (C^2 below the normal floats included), raises DivergenceError.
+    """
+    eps_w = exchange_weight(params.spin, params.polarization)
+    return _cross_sections(thetas, params.a, params.eta, eps_w)
+
+
 def identical_cross_section(theta_deg: float, params: MottParams) -> float:
     """Symmetrized Coulomb cross section at one angle, fm^2/sr; see mott_cross_sections."""
-    return mott_cross_sections((theta_deg,), params)[0]
+    eps_w = exchange_weight(params.spin, params.polarization)
+    return _cross_sections((theta_deg,), params.a, params.eta, eps_w)[0]
+
+
+def incoherent_cross_sections(thetas: tuple[float, ...], a: float) -> tuple[float, ...]:
+    """Distinguishable-particle (incoherent) cross sections at `thetas` (degrees), fm^2/sr.
+
+    The form of mott_cross_sections at eps w = 0, where g = 1 exactly:
+    sigma_inc = 2 a^2 (1 + S^2) / C^4, the (a^2/4)[sin^-4 + cos^-4] of the
+    half angle.  eta does not enter; `a` must lie in [A_MIN, A_MAX].
+    """
+    return _cross_sections(thetas, check_a(a), 0.0, 0.0)
 
 
 def curvature_at_90_fd(params: MottParams) -> float:

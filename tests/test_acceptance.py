@@ -26,11 +26,10 @@ from mott_ti import (
     hs_identical_cross_section,
     hs_total_cross_section,
     identical_cross_section,
+    incoherent_cross_sections,
     legendre_p_table,
     plateau,
     sensitivity_sweep,
-    sigma_inc_coulomb,
-    sigma_int_coulomb,
     spherical_bessel_j_table,
     spherical_bessel_y_table,
     table_one,
@@ -71,10 +70,15 @@ def test_criterion_1_critical_parameter():
 
 @report("2 ninety-degree-values")
 def test_criterion_2_ninety_degree_values():
+    # sigma_inc(90) = sigma_int(90) = 2 a^2 for every eta: sigma_int is the
+    # aligned spin-0 cross section (eps w = 1) less sigma_inc
     for eta in (0.5, SQRT2, 5.0):
         for a in (1.0, 7.25):
-            assert sigma_inc_coulomb(90.0, a) == pytest.approx(2 * a * a, rel=1e-10)
-            assert sigma_int_coulomb(90.0, a, eta) == pytest.approx(2 * a * a, rel=1e-10)
+            (inc,) = incoherent_cross_sections((90.0,), a)
+            aligned = MottParams(a=a, eta=eta, spin=Spin(0), polarization=Polarization.ALIGNED)
+            sigma_int = identical_cross_section(90.0, aligned) - inc
+            assert inc == pytest.approx(2 * a * a, rel=1e-10)
+            assert sigma_int == pytest.approx(2 * a * a, rel=1e-10)
     params = MottParams(a=1.0, eta=SQRT2, spin=Spin(0))
     assert identical_cross_section(90.0, params) == pytest.approx(
         4.0, rel=1e-10
@@ -209,8 +213,7 @@ def test_criterion_8_property_suites():
 
     # classical limit: interference below 1% at 2s = 200
     big_spin = MottParams(a=1.0, eta=SQRT2, spin=Spin(200))
-    for theta in thetas:
-        inc = sigma_inc_coulomb(theta, 1.0)
+    for theta, inc in zip(thetas, incoherent_cross_sections(tuple(thetas), 1.0)):
         full = identical_cross_section(theta, big_spin)
         assert abs(full - inc) / inc < 0.01
 

@@ -99,6 +99,19 @@ def test_angular_incoherent_only_90_is_2(runner):
     assert float(table[0]["sigma_over_ruth90"]) == pytest.approx(2.0, rel=1e-8)
 
 
+def test_angular_incoherent_only_keeps_its_digits_next_to_180(runner):
+    # 1e-7 deg from the pole, against 50-digit values; JSON, since CSV prints both angles as 180
+    result = runner.invoke(main, [
+        "angular", "--eta", "1", "--incoherent-only", "--theta-min", "179.9999998",
+        "--theta-max", "179.9999999", "--theta-step", "0.0000001", "--format", "json",
+    ])
+    assert result.exit_code == 0
+    rows = json.loads(result.output)["data"]["rows"]
+    assert [row[0] for row in rows] == [179.9999998, 179.9999999]
+    for row, expected in zip(rows, (2.6942050227194535e+34, 4.3107280363511256e+35)):
+        assert row[1] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 def test_angular_dimensional_alpha_system(runner):
     result = runner.invoke(main, [
         "angular", "--system", "alpha-alpha", "--energy", "397",

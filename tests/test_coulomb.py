@@ -21,9 +21,8 @@ from mott_ti import (
     curvature_at_90_fd,
     angle_grid,
     identical_cross_section,
+    incoherent_cross_sections,
     mott_cross_sections,
-    sigma_inc_coulomb,
-    sigma_int_coulomb,
 )
 from mott_ti.coulomb import A_MAX, A_MIN, CURVATURE_STEP_DEG, ETA_MAX, check_eta_bracket
 from mott_ti.numerics import MAX_EVALS, bisect_root, half_angle_curvature, second_derivative
@@ -37,81 +36,56 @@ SQRT5 = math.sqrt(5.0)
 
 def test_sigma_inc_90_is_2a2():
     for a in (1.0, 7.25):
-        assert sigma_inc_coulomb(90.0, a) == pytest.approx(2.0 * a * a, rel=1e-10)
+        assert incoherent_cross_sections((90.0,), a) == (2.0 * a * a,)
 
 
 def test_sigma_inc_60_value():
     # (1/4)(1/0.25^2 + 1/0.75^2) = 40/9
-    assert sigma_inc_coulomb(60.0, 1.0) == pytest.approx(40.0 / 9.0, rel=1e-12)
+    assert incoherent_cross_sections((60.0,), 1.0)[0] == pytest.approx(40.0 / 9.0, rel=1e-12)
 
 
 def test_sigma_inc_symmetric_pairs():
     for d in (5.0, 20.0, 44.5):
-        assert sigma_inc_coulomb(90.0 - d, 1.0) == pytest.approx(
-            sigma_inc_coulomb(90.0 + d, 1.0), rel=1e-12
-        )
+        left, right = incoherent_cross_sections((90.0 - d, 90.0 + d), 1.0)
+        assert left == right
+
+
+def _sigma_int(theta, a, eta):
+    """The interference term, as the aligned spin-0 cross section (eps w = 1) less sigma_inc."""
+    boson = MottParams(a=a, eta=eta, spin=Spin(0), polarization=Polarization.ALIGNED)
+    return identical_cross_section(theta, boson) - incoherent_cross_sections((theta,), a)[0]
 
 
 def test_sigma_int_90_is_2a2_for_any_eta():
     for eta in (0.5, SQRT2, 5.0, 17.3):
         for a in (1.0, 3.0):
-            assert sigma_int_coulomb(90.0, a, eta) == pytest.approx(2.0 * a * a, rel=1e-10)
+            assert _sigma_int(90.0, a, eta) == pytest.approx(2.0 * a * a, rel=1e-10)
 
 
 def test_sigma_int_60_sqrt2_value():
     # frozen from mpmath: prefactor 8/3 times cos(2 sqrt2 ln tan30)
-    assert sigma_int_coulomb(60.0, 1.0, SQRT2) == pytest.approx(
-        0.045661577363025778, rel=1e-10
-    )
+    assert _sigma_int(60.0, 1.0, SQRT2) == pytest.approx(0.045661577363025778, rel=1e-10)
 
 
 def test_sigma_int_symmetric_pairs():
     # tan(theta/2) <-> cot flips the log sign inside an even cosine
     for d in (10.0, 30.0, 60.0):
-        assert sigma_int_coulomb(90.0 - d, 1.0, SQRT2) == pytest.approx(
-            sigma_int_coulomb(90.0 + d, 1.0, SQRT2), rel=1e-10
-        )
-
-
-def test_overflow_next_to_pole_diverges():
-    with pytest.raises(DivergenceError):
-        sigma_inc_coulomb(1e-80, 1.0)
-    with pytest.raises(DivergenceError):
-        sigma_int_coulomb(1e-170, 1.0, 1.0)
-
-
-def test_overflow_of_a_squared_diverges():
-    # a * a, or its product with the pole term, beyond float range: an error, never inf
-    for theta, a in ((30.0, 1e200), (0.01, 1e147)):
-        with pytest.raises(DivergenceError):
-            sigma_inc_coulomb(theta, a)
-    for theta, a in ((30.0, 1e200), (1e-6, 1e147)):
-        with pytest.raises(DivergenceError):
-            sigma_int_coulomb(theta, a, 1.0)
+        assert _sigma_int(90.0 - d, 1.0, SQRT2) == _sigma_int(90.0 + d, 1.0, SQRT2)
 
 
 def test_overflow_of_the_combined_value_diverges():
-    # both terms are finite here, their aligned-boson sum is beyond float range
+    # sigma_inc is finite here (the largest float), the aligned-boson sum is beyond float range
     theta = 0.02212884480368955
     params = MottParams(a=A_MAX, eta=0.3673411776627898, spin=Spin(0),
                         polarization=Polarization.ALIGNED)
-    assert math.isfinite(sigma_inc_coulomb(theta, params.a))
-    assert math.isfinite(sigma_int_coulomb(theta, params.a, params.eta))
+    assert math.isfinite(incoherent_cross_sections((theta,), params.a)[0])
     with pytest.raises(DivergenceError, match="overflows"):
         identical_cross_section(theta, params)
     with pytest.raises(DivergenceError, match="overflows"):
         mott_cross_sections((30.0, theta, 90.0), params)
 
 
-def test_the_two_terms_overflow_apart():
-    # at 1e-100 deg sin^-4 overflows but 1/(sin^2 cos^2) does not, so one
-    # check over both terms would wrongly reject sigma_int
-    assert math.isfinite(sigma_int_coulomb(1e-100, 1.0, 1.0))
-    with pytest.raises(DivergenceError, match="overflows"):
-        sigma_inc_coulomb(1e-100, 1.0)
-
-
-# theta in (0, 180): near either pole, and the angles where each term overflows
+# theta in (0, 180): near either pole, and the angles where sigma overflows
 THETAS = st.one_of(
     st.floats(min_value=0.0, max_value=180.0, exclude_min=True, exclude_max=True),
     st.sampled_from([5e-324, 1e-300, 1e-170, 1e-100, 1e-80, 180.0 - 1e-13]),
@@ -146,58 +120,22 @@ def _finite_or_diverges(call, *args):
 def test_curve_kernel_returns_finite_floats_or_diverges(thetas, a, eta, twice_s, polarization):
     params = MottParams(a=a, eta=eta, spin=Spin(twice_s), polarization=polarization)
     _finite_or_diverges(mott_cross_sections, thetas, params)
-
-
-@settings(max_examples=300, deadline=None)
-@given(theta=THETAS, a=st.floats(min_value=A_MIN, max_value=1e160), eta=ETAS)
-@example(theta=1e-100, a=1.0, eta=1.0)
-@example(theta=30.0, a=1e160, eta=1.0)
-def test_point_terms_return_finite_floats_or_diverge(theta, a, eta):
-    _finite_or_diverges(sigma_inc_coulomb, theta, a)
-    _finite_or_diverges(sigma_int_coulomb, theta, a, eta)
-
-
-@pytest.mark.parametrize("theta", [0.0, 180.0, -5.0, 200.0])
-def test_endpoint_angles_diverge(theta):
-    with pytest.raises(DivergenceError):
-        sigma_inc_coulomb(theta, 1.0)
-    with pytest.raises(DivergenceError):
-        sigma_int_coulomb(theta, 1.0, 1.0)
+    _finite_or_diverges(incoherent_cross_sections, thetas, a)
 
 
 def test_bad_parameters():
-    with pytest.raises(DomainError):
-        sigma_inc_coulomb(90.0, -1.0)
-    with pytest.raises(DomainError):  # not a silent nan
-        sigma_inc_coulomb(90.0, math.nan)
-    with pytest.raises(DomainError):
-        sigma_int_coulomb(90.0, math.nan, 1.0)
-    with pytest.raises(DomainError):
-        sigma_int_coulomb(60.0, 1.0, math.nan)
-    with pytest.raises(DomainError):
-        sigma_int_coulomb(90.0, 1.0, 0.0)
-    with pytest.raises(DomainError):  # the bound of MottParams, from the same check
-        sigma_int_coulomb(60.0, 1.0, math.nextafter(ETA_MAX, math.inf))
-    with pytest.raises(DomainError):
-        MottParams(a=0.0, eta=1.0, spin=Spin(0))
-    with pytest.raises(DomainError):
-        MottParams(a=1.0, eta=-2.0, spin=Spin(0))
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError):
-            MottParams(a=bad, eta=1.0, spin=Spin(0))
-        with pytest.raises(DomainError):
-            MottParams(a=1.0, eta=bad, spin=Spin(0))
-    with pytest.raises(DomainError):
-        MottParams(a=1.0, eta=math.nextafter(ETA_MAX, math.inf), spin=Spin(0))
-    with pytest.raises(DomainError):
-        MottParams(a=math.nextafter(A_MAX, math.inf), eta=1.0, spin=Spin(0))
+    # MottParams and incoherent_cross_sections bound a by the same check_a
     below = math.nextafter(A_MIN, 0.0)  # a^2/4 would leave the normal floats
-    with pytest.raises(DomainError):
-        MottParams(a=below, eta=1.0, spin=Spin(0))
-    with pytest.raises(DomainError):
-        sigma_inc_coulomb(90.0, below)
-    with pytest.raises(DomainError):
-        sigma_int_coulomb(90.0, below, 1.0)
+    above = math.nextafter(A_MAX, math.inf)
+    for bad in (-1.0, 0.0, below, above, math.nan, math.inf):  # nan: not a silent nan
+        with pytest.raises(DomainError, match="^a must lie in "):
+            MottParams(a=bad, eta=1.0, spin=Spin(0))
+        with pytest.raises(DomainError, match="^a must lie in "):
+            incoherent_cross_sections((90.0,), bad)
+    for bad in (-2.0, 0.0, math.nextafter(ETA_MAX, math.inf), math.nan, math.inf):
+        with pytest.raises(DomainError, match="^eta must lie in "):
+            MottParams(a=1.0, eta=bad, spin=Spin(0))
+    assert incoherent_cross_sections((90.0,), A_MAX) == (2.0 * A_MAX * A_MAX,)
 
 
 def test_a_min_keeps_a_squared_normal():
@@ -236,21 +174,15 @@ def test_identical_cross_section_90_values():
     assert identical_cross_section(90.0, ph) == pytest.approx(1.0, rel=1e-10)
 
 
-def _composed(theta, params):
-    inc = sigma_inc_coulomb(theta, params.a)
-    intf = sigma_int_coulomb(theta, params.a, params.eta)
-    return inc + exchange_weight(params.spin, params.polarization) * intf
-
-
-def _mp_sigma(theta, params):
-    """sigma_inc + eps w sigma_int in the half-angle form, at 60 digits (an mpf)."""
+def _mp_sigma(theta, a, eta, eps_w):
+    """sigma_inc + eps_w sigma_int in the half-angle form, at 60 digits (an mpf)."""
     with mpmath.workdps(60):
         t = mpmath.mpf(theta) * mpmath.pi / 360
         s2, c2 = mpmath.sin(t) ** 2, mpmath.cos(t) ** 2
-        a2_4 = mpmath.mpf(params.a) ** 2 / 4
+        a2_4 = mpmath.mpf(a) ** 2 / 4
         inc = a2_4 * (1 / s2**2 + 1 / c2**2)
-        intf = a2_4 * 2 / (s2 * c2) * mpmath.cos(2 * params.eta * mpmath.log(mpmath.tan(t)))
-        return +(inc + exchange_weight(params.spin, params.polarization) * intf)
+        intf = a2_4 * 2 / (s2 * c2) * mpmath.cos(2 * eta * mpmath.log(mpmath.tan(t)))
+        return +(inc + eps_w * intf)
 
 
 def _kernel_rtol(eta):
@@ -281,35 +213,50 @@ KERNEL_THETAS = st.one_of(
     eta=st.one_of(_log_uniform(5e-324, ETA_MAX), ETAS),
     twice_s=st.integers(min_value=0, max_value=9),
     polarization=st.sampled_from(Polarization),
+    incoherent=st.booleans(),
 )
-@example(theta=89.99999999, a=1.0, eta=1e-3, twice_s=1, polarization=Polarization.ALIGNED)
-@example(theta=90.00000001, a=1.0, eta=1.0, twice_s=9, polarization=Polarization.ALIGNED)
-@example(theta=89.999, a=1.0, eta=1.0, twice_s=1, polarization=Polarization.ALIGNED)
-@example(theta=5e-324, a=A_MIN, eta=1.0, twice_s=0, polarization=Polarization.ALIGNED)
+@example(theta=89.99999999, a=1.0, eta=1e-3, twice_s=1, polarization=Polarization.ALIGNED,
+         incoherent=False)
+@example(theta=90.00000001, a=1.0, eta=1.0, twice_s=9, polarization=Polarization.ALIGNED,
+         incoherent=False)
+@example(theta=89.999, a=1.0, eta=1.0, twice_s=1, polarization=Polarization.ALIGNED,
+         incoherent=False)
+@example(theta=5e-324, a=A_MIN, eta=1.0, twice_s=0, polarization=Polarization.ALIGNED,
+         incoherent=False)
 @example(theta=0.02212884480368955, a=A_MAX, eta=0.3673411776627898, twice_s=0,
-         polarization=Polarization.ALIGNED)
-def test_curve_kernel_matches_mpmath_relative_to_sigma(theta, a, eta, twice_s, polarization):
+         polarization=Polarization.ALIGNED, incoherent=False)
+@example(theta=179.9999999, a=1.0, eta=1.0, twice_s=0, polarization=Polarization.ALIGNED,
+         incoherent=True)
+def test_curve_kernel_matches_mpmath_relative_to_sigma(theta, a, eta, twice_s, polarization,
+                                                       incoherent):
     # sigma >= 0 everywhere, within _kernel_rtol(eta) of the 60-digit value
     # relative to sigma itself (plus the spacing of the subnormals, where
     # sigma underflows); an overflow error only where sigma is past float range
-    params = MottParams(a=a, eta=eta, spin=Spin(twice_s), polarization=polarization)
-    reference = _mp_sigma(theta, params)
+    if incoherent:  # one more model: eps w = 0, where eta does not enter
+        eps_w, eta = 0.0, 0.0
+
+        def curve():
+            return incoherent_cross_sections((theta,), a)
+    else:
+        params = MottParams(a=a, eta=eta, spin=Spin(twice_s), polarization=polarization)
+        eps_w = exchange_weight(params.spin, params.polarization)
+
+        def curve():
+            return mott_cross_sections((theta,), params)
+    reference = _mp_sigma(theta, a, eta, eps_w)
     rtol = _kernel_rtol(eta)
     try:
-        (value,) = mott_cross_sections((theta,), params)
+        (value,) = curve()
     except DivergenceError as exc:
         assert str(exc) == f"theta = {theta} deg, a = {a} fm: Coulomb cross section overflows"
-        assert reference > sys.float_info.max * (1.0 - rtol), (reference, params)
+        assert reference > sys.float_info.max * (1.0 - rtol), (reference, a, eps_w)
         return
     assert value >= 0.0
     assert abs(value - reference) <= rtol * reference + 2.0**-1074, (value, reference)
 
 
 def test_point_call_is_the_curve_value():
-    # identical_cross_section is the curve at one angle, bit for bit, and both
-    # agree with the half-angle composition to its accuracy: its phase rounds
-    # by a few eps eta, and theta/2 in radians by an ulp of ~pi/2, so near 180
-    # deg cos(theta/2) ~ (180 - theta) deg is off by eps 180/(180 - theta) relative
+    # identical_cross_section is the curve at one angle, bit for bit
     rng = random.Random(8)
     asymmetric = tuple(sorted(rng.uniform(0.01, 179.99) for _ in range(200)))
     grids = (angle_grid(), angle_grid(1.0, 179.0, 0.1), asymmetric)
@@ -325,23 +272,26 @@ def test_point_call_is_the_curve_value():
                 params = MottParams(a=a, eta=eta, spin=Spin(twice_s), polarization=polarization)
                 values = mott_cross_sections(grid, params)
                 assert values == tuple(identical_cross_section(t, params) for t in grid)
-                for theta, value in zip(grid, values):
-                    tol = 2.0**-52 * (8.0 * (eta + 32.0) + 4.0 * 180.0 / (180.0 - theta))
-                    gap = abs(value - _composed(theta, params))
-                    assert gap <= tol * sigma_inc_coulomb(theta, a), (theta, params)
 
 
-@pytest.mark.parametrize("bad", [1e-10, 180.0 - 1e-10, 0.0, 180.0, -1.0, math.nan])
-def test_curve_kernel_raises_at_the_first_bad_angle(bad):
-    # at a = A_MAX, 1e-10 deg from either pole sin^-4 or cos^-4 overflows
+@pytest.mark.parametrize("bad,message", [
+    (1e-10, "theta = 1e-10 deg, a = 1e+147 fm: Coulomb cross section overflows"),
+    (180.0 - 1e-10, "theta = 179.9999999999 deg, a = 1e+147 fm: Coulomb cross section overflows"),
+    (0.0, "theta = 0.0 deg: Coulomb cross section diverges at 0/180"),
+    (180.0, "theta = 180.0 deg: Coulomb cross section diverges at 0/180"),
+    (-1.0, "theta = -1.0 deg: Coulomb cross section diverges at 0/180"),
+    (math.nan, "theta = nan deg: Coulomb cross section diverges at 0/180"),
+])
+def test_curve_kernel_raises_at_the_first_bad_angle(bad, message):
+    # at a = A_MAX, 1e-10 deg from either pole sigma overflows, for both curves
     params = MottParams(a=A_MAX, eta=1.0, spin=Spin(1))
-    with pytest.raises(DivergenceError) as want:
-        _composed(bad, params)
     grid = (30.0, bad, 90.0, 1e-10, 180.0 - 1e-10)
     with pytest.raises(DivergenceError) as got:
         mott_cross_sections(grid, params)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith(f"theta = {bad} deg")
+    assert str(got.value) == message
+    with pytest.raises(DivergenceError) as got:
+        incoherent_cross_sections(grid, A_MAX)
+    assert str(got.value) == message
 
 
 def test_statistics_spin_mismatch_raises():
@@ -380,9 +330,8 @@ def test_symmetry_about_90(theta, eta, twice_s):
 )
 def test_boson_positivity_and_am_gm_bound(theta, eta):
     # sigma_inc >= |sigma_int| for every angle (AM-GM), so bosons stay positive
-    inc = sigma_inc_coulomb(theta, 1.0)
-    intf = sigma_int_coulomb(theta, 1.0, eta)
-    assert inc >= abs(intf) * (1.0 - 1e-12)
+    (inc,) = incoherent_cross_sections((theta,), 1.0)
+    assert inc >= abs(_sigma_int(theta, 1.0, eta)) * (1.0 - 1e-12)
     p = MottParams(a=1.0, eta=eta, spin=Spin(0))
     assert identical_cross_section(theta, p) > 0.0
 
@@ -391,12 +340,9 @@ def test_classical_limit_suppresses_interference():
     # at 2s = 200 the interference weight is 1/201 < 1%
     spin = Spin(200)
     p = MottParams(a=1.0, eta=SQRT2, spin=spin)
-    theta = 1.0
-    while theta < 180.0:
-        inc = sigma_inc_coulomb(theta, 1.0)
-        full = identical_cross_section(theta, p)
+    thetas = tuple(1.0 + 3.7 * i for i in range(49))  # 1 to 178.6 deg
+    for inc, full in zip(incoherent_cross_sections(thetas, 1.0), mott_cross_sections(thetas, p)):
         assert abs(full - inc) / inc < 0.01
-        theta += 3.7
 
 
 # ------------------------------------------------------------------- curvature
@@ -426,10 +372,11 @@ def test_curvature_closed_form_matches_finite_differences(eta, twice_s):
             # reference is the same stencil on the 60-digit values rounded to
             # floats, and each value of the kernel is within an ulp of those
             points, rounded = [], []
+            eps_w = exchange_weight(spin, polarization)
 
             def f(theta):
                 points.append(theta)
-                rounded.append(float(_mp_sigma(theta, p)))
+                rounded.append(float(_mp_sigma(theta, p.a, p.eta, eps_w)))
                 return rounded[-1]
 
             reference = half_angle_curvature(second_derivative(f, 90.0, CURVATURE_STEP_DEG))

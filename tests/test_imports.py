@@ -2,7 +2,8 @@
 and every module-level name is used.
 
 The package __init__ is exempt from the first two: its imports are the
-public re-exports.
+public re-exports.  For the third, a re-export is not a use: a name that
+only __init__ imports must be on the allowlist REEXPORT_ONLY.
 """
 
 import ast
@@ -45,16 +46,17 @@ def unused_module_names(sources: dict[str, str]) -> list[str]:
     """Undecorated module-level defs and assignments that no module loads or imports.
 
     `sources` maps module names to their text.  A name counts as used if any
-    module loads it or imports it by name; decorated definitions (click
-    commands, dataclasses) are exempt.
+    module loads it, or any module but __init__ imports it by name: a
+    re-export alone is not a use.  Decorated definitions (click commands,
+    dataclasses) are exempt.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     used = set()
-    for tree in trees.values():
+    for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.ImportFrom):
+            elif isinstance(node, ast.ImportFrom) and module != "__init__":
                 used.update(alias.name for alias in node.names)
     out = []
     for module, tree in trees.items():
@@ -71,18 +73,32 @@ def unused_module_names(sources: dict[str, str]) -> list[str]:
     return out
 
 
+# Names that only __init__ re-exports, each with the reason it stays.  The
+# check fails when one of them gains a caller in the package or disappears.
+REEXPORT_ONLY = {
+    "hardsphere.hs_amplitude": "traced by bench/",
+    "hardsphere.hs_identical_cross_section": "traced by bench/",
+    "special.legendre_p_table": "traced by bench/",
+    "kinematics.wavenumber": "traced by bench/",
+    "hardsphere.hs_total_cross_section": "the tests' optical-theorem oracle",
+}
+
+
 def test_every_module_level_name_is_used():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert unused_module_names(sources) == []
+    unused = [entry.split(" (line ")[0] for entry in unused_module_names(sources)]
+    assert sorted(unused) == sorted(REEXPORT_ONLY)
 
 
 def test_the_check_sees_an_unused_module_name():
+    # Row is used by output's import, STEP only re-exported by __init__
     sources = {
         "cli": ("import click\n\nOPTIONS = [1]\n\n\ndef add_options(options):\n"
                 "    return options\n\n\n@click.command()\ndef table():\n"
                 "    return OPTIONS\n"),
         "analysis": "LIMIT: int = 3\nSTEP = 0.5\n\n\nclass Row:\n    pass\n",
-        "__init__": "from .analysis import Row\n",
+        "__init__": "from .analysis import Row, STEP\n",
+        "output": "from .analysis import Row\n",
     }
     assert unused_module_names(sources) == [
         "cli.add_options (line 6)", "analysis.LIMIT (line 1)", "analysis.STEP (line 2)",
