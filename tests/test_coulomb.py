@@ -234,19 +234,16 @@ def test_curve_kernel_matches_mpmath_relative_to_sigma(theta, a, eta, twice_s, p
     # sigma underflows); an overflow error only where sigma is past float range
     if incoherent:  # one more model: eps w = 0, where eta does not enter
         eps_w, eta = 0.0, 0.0
-
-        def curve():
-            return incoherent_cross_sections((theta,), a)
     else:
         params = MottParams(a=a, eta=eta, spin=Spin(twice_s), polarization=polarization)
         eps_w = exchange_weight(params.spin, params.polarization)
-
-        def curve():
-            return mott_cross_sections((theta,), params)
     reference = _mp_sigma(theta, a, eta, eps_w)
     rtol = _kernel_rtol(eta)
     try:
-        (value,) = curve()
+        if incoherent:
+            (value,) = incoherent_cross_sections((theta,), a)
+        else:
+            (value,) = mott_cross_sections((theta,), params)
     except DivergenceError as exc:
         assert str(exc) == f"theta = {theta} deg, a = {a} fm: Coulomb cross section overflows"
         assert reference > sys.float_info.max * (1.0 - rtol), (reference, a, eps_w)
@@ -340,9 +337,12 @@ def test_classical_limit_suppresses_interference():
     # at 2s = 200 the interference weight is 1/201 < 1%
     spin = Spin(200)
     p = MottParams(a=1.0, eta=SQRT2, spin=spin)
-    thetas = tuple(1.0 + 3.7 * i for i in range(49))  # 1 to 178.6 deg
-    for inc, full in zip(incoherent_cross_sections(thetas, 1.0), mott_cross_sections(thetas, p)):
+    theta = 1.0
+    while theta < 180.0:
+        (inc,) = incoherent_cross_sections((theta,), 1.0)
+        full = identical_cross_section(theta, p)
         assert abs(full - inc) / inc < 0.01
+        theta += 3.7
 
 
 # ------------------------------------------------------------------- curvature
