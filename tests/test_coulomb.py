@@ -73,6 +73,24 @@ def test_sigma_int_symmetric_pairs():
         assert _sigma_int(90.0 - d, 1.0, SQRT2) == _sigma_int(90.0 + d, 1.0, SQRT2)
 
 
+def test_overflow_next_to_pole_diverges():
+    boson = MottParams(a=1.0, eta=1.0, spin=Spin(0), polarization=Polarization.ALIGNED)
+    with pytest.raises(DivergenceError, match="overflows"):
+        incoherent_cross_sections((1e-80,), 1.0)
+    with pytest.raises(DivergenceError, match="overflows"):
+        identical_cross_section(1e-170, boson)
+
+
+def test_overflow_of_a_squared_diverges():
+    # a * a times the pole term beyond float range: an error, never inf
+    # (a beyond A_MAX is a DomainError, in test_bad_parameters)
+    boson = MottParams(a=A_MAX, eta=1.0, spin=Spin(0), polarization=Polarization.ALIGNED)
+    with pytest.raises(DivergenceError, match="overflows"):
+        incoherent_cross_sections((0.01,), A_MAX)
+    with pytest.raises(DivergenceError, match="overflows"):
+        identical_cross_section(1e-6, boson)
+
+
 def test_overflow_of_the_combined_value_diverges():
     # sigma_inc is finite here (the largest float), the aligned-boson sum is beyond float range
     theta = 0.02212884480368955
@@ -121,6 +139,26 @@ def test_curve_kernel_returns_finite_floats_or_diverges(thetas, a, eta, twice_s,
     params = MottParams(a=a, eta=eta, spin=Spin(twice_s), polarization=polarization)
     _finite_or_diverges(mott_cross_sections, thetas, params)
     _finite_or_diverges(incoherent_cross_sections, thetas, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=THETAS, a=st.floats(min_value=A_MIN, max_value=A_MAX), eta=ETAS)
+@example(theta=1e-100, a=1.0, eta=1.0)
+@example(theta=30.0, a=A_MAX, eta=1.0)
+def test_point_terms_return_finite_floats_or_diverge(theta, a, eta):
+    # the one-point calls: sigma_inc alone, and the aligned-boson sigma
+    boson = MottParams(a=a, eta=eta, spin=Spin(0), polarization=Polarization.ALIGNED)
+    _finite_or_diverges(incoherent_cross_sections, (theta,), a)
+    _finite_or_diverges(identical_cross_section, theta, boson)
+
+
+@pytest.mark.parametrize("theta", [0.0, 180.0, -5.0, 200.0])
+def test_endpoint_angles_diverge(theta):
+    params = MottParams(a=1.0, eta=1.0, spin=Spin(1))
+    with pytest.raises(DivergenceError, match="diverges at 0/180"):
+        incoherent_cross_sections((theta,), 1.0)
+    with pytest.raises(DivergenceError, match="diverges at 0/180"):
+        identical_cross_section(theta, params)
 
 
 def test_bad_parameters():
