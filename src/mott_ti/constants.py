@@ -7,7 +7,6 @@ converts internally; cross sections are reported in fm^2/sr and barn/sr
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
@@ -39,7 +38,6 @@ class PhysicalConstants:
                 f"e_squared/hbar_c = {alpha:.6g} is not a fine-structure constant"
             )
 
-    @functools.lru_cache  # one hash per constants value; the cache is not a dataclass field
     def fingerprint(self) -> str:
         """Short hash identifying the constant set in output metadata."""
         import hashlib  # ~4 ms to import: paid only by commands that render a document
