@@ -108,7 +108,8 @@ def _cross_sections(thetas: tuple[float, ...], a: float, eta: float,
                     eps_w: float) -> tuple[float, ...]:
     """The one evaluation behind the three public calls below; see mott_cross_sections.
 
-    `a` and `eta` are checked by the caller; eps_w = 0 gives sigma_inc.
+    `a` and `eta` are checked by the caller; eps_w = 0 gives sigma_inc and
+    takes no interference phase.
     """
     a2_2 = 2.0 * a * a
     if eps_w < 0.0:
@@ -131,8 +132,11 @@ def _cross_sections(thetas: tuple[float, ...], a: float, eta: float,
             c2 = c * c
             if c2 < _TINY:  # sigma > 4 a^2 S^2 / C^4 is past float range for a >= A_MIN
                 raise _overflow(theta, a)
-            t = trig(eta * (math.atanh(s) if s < 0.5 else math.log((1.0 + s) / c)))
-            value = sigma[m] = a2_2 / c2 * (2.0 * s * s / c2 + (base + weight * t * t))
+            g = base
+            if weight:  # 0 for sigma_inc alone, where base + 0 t^2 is base itself
+                t = trig(eta * (math.atanh(s) if s < 0.5 else math.log((1.0 + s) / c)))
+                g += weight * t * t
+            value = sigma[m] = a2_2 / c2 * (2.0 * s * s / c2 + g)
             if value == math.inf:
                 raise _overflow(theta, a)
         values.append(value)

@@ -17,7 +17,11 @@ derivatives at 90 deg are partial-wave sums over P_l(0), P_l'(0) =
 l P_{l-1}(0) and P_l''(0) = -l(l+1) P_l(0) (DLMF 14.10, 18.9), so no
 finite differences enter the critical-kR scan.  P_l(0) is 0 at odd l, so
 one loop over even l steps P_{l+2}(0) = -(l+1) P_l(0)/(l+2), the operations
-of special.legendre_p_table at x = 0, and builds no table.
+of special.legendre_p_table at x = 0, with float coefficients as in
+special (same bits), and builds no table.  A critical-kR scan checks its
+inputs and takes eps w once, then calls the per-kR curvature per point.
+The phase-shift ladder takes one sin(delta_l) per wave, for its stop test
+and the weight (2l+1) e^{i delta_l} sin(delta_l) alike.
 """
 
 from __future__ import annotations
@@ -44,13 +48,7 @@ class PhaseShiftSet:
 
     kR: float
     deltas: tuple[float, ...]
-    weights: tuple[complex, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # w_l = (2l+1) e^{i d_l} sin(d_l), once per set; a list comprehension,
-        # since a generator here leaves a cycle per set for the collector
-        w = [cmath.rect((2 * l + 1) * math.sin(d), d) for l, d in enumerate(self.deltas)]
-        object.__setattr__(self, "weights", tuple(w))
+    weights: tuple[complex, ...] = field(repr=False, compare=False)  # (2l+1) e^{i d_l} sin d_l
 
     @property
     def l_max(self) -> int:
@@ -85,19 +83,25 @@ def hard_sphere_phase_shifts(kR: float) -> PhaseShiftSet:
     """
     _check_kR(kR)
     cap = math.ceil(kR) + AUTO_L_MARGIN
+    atan2, sin, rect, pi = math.atan2, math.sin, cmath.rect, math.pi
+    half_pi = pi / 2.0
     while True:
         j = spherical_bessel_j_table(cap, kR)
         y = spherical_bessel_y_table(cap, kR)
-        deltas = [-kR]
+        deltas, weights = [-kR], [rect(sin(-kR), -kR)]
+        c = 1.0  # 2l + 1
         for l in range(1, cap + 1):
-            d = math.atan2(j[l], y[l])
-            if d > math.pi / 2.0:
-                d -= math.pi
-            elif d <= -math.pi / 2.0:
-                d += math.pi
+            d = atan2(j[l], y[l])
+            if d > half_pi:
+                d -= pi
+            elif d <= -half_pi:
+                d += pi
+            s = sin(d)
+            c += 2.0
             deltas.append(d)
-            if l > kR and abs(math.sin(d)) < TRUNCATION_TOL:
-                return PhaseShiftSet(kR=kR, deltas=tuple(deltas))
+            weights.append(rect(c * s, d))
+            if l > kR and abs(s) < TRUNCATION_TOL:
+                return PhaseShiftSet(kR=kR, deltas=tuple(deltas), weights=tuple(weights))
         cap *= 2
 
 
@@ -180,20 +184,28 @@ def hs_curvature_at_90(params: HardSphereParams) -> float:
     second derivatives 4 (Re f'' f* + |f'|^2) and 4 (Re f'' f* - |f'|^2),
     combined like the cross sections themselves.
     """
-    w = hard_sphere_phase_shifts(params.kR).weights
+    return _curvature_at_90(params.kR, exchange_weight(params.spin, params.polarization))
+
+
+def _curvature_at_90(kR: float, eps_w: float) -> float:
+    """hs_curvature_at_90 at kR for exchange weight eps w; kR is checked by the caller."""
+    w = hard_sphere_phase_shifts(kR).weights
+    n = len(w)
     f = df = d2f = 0.0 + 0.0j  # k f and its x-derivatives at x = 0
     p = 1.0  # P_l(0) at even l; P_l(0) = 0 at odd l, whose terms are skipped
-    for l in range(0, len(w), 2):
-        f += w[l] * p
-        if l + 1 < len(w):
-            df += w[l + 1] * (l + 1) * p
-        d2f -= w[l] * l * (l + 1) * p
-        p = -(l + 1) * p / (l + 2)  # legendre_p_table's step to l + 2 at x = 0
+    k = 0.0  # l
+    for l in range(0, n, 2):
+        wl, k1 = w[l], k + 1.0
+        f += wl * p
+        if l + 1 < n:
+            df += w[l + 1] * k1 * p
+        d2f -= wl * k * k1 * p
+        p = -k1 * p / (k + 2.0)  # legendre_p_table's step to l + 2 at x = 0
+        k += 2.0
     re_f2f = (d2f * f.conjugate()).real
     slope2 = abs(df) ** 2
-    eps_w = exchange_weight(params.spin, params.polarization)
     d2 = 4.0 * (re_f2f + slope2) + eps_w * (4.0 * (re_f2f - slope2))
-    return HALF_ANGLE_FACTOR * d2 / params.kR**2
+    return HALF_ANGLE_FACTOR * d2 / kR**2
 
 
 def find_critical_kR(
@@ -220,11 +232,12 @@ def find_critical_kR(
         raise DomainError(f"step must be positive and finite, got {step}")
     if (hi - lo) / step + 1 > MAX_POINTS:
         raise DomainError(f"step {step} gives more than {MAX_POINTS} scan points")
+    _check_kR(lo)  # every point lies in [lo, hi], and hi <= 10 < KR_MAX
+    check_statistics(spin, statistics)
+    eps_w = exchange_weight(spin, polarization)
 
     def curv(kR: float) -> float:
-        return hs_curvature_at_90(
-            HardSphereParams(kR=kR, spin=spin, statistics=statistics, polarization=polarization)
-        )
+        return _curvature_at_90(kR, eps_w)
 
     x, f = lo, curv(lo)
     while f != 0.0 and x + step < hi + step / 2.0:

@@ -140,13 +140,23 @@ def test_mott_curves_are_even_about_90(log_eta, a, twice_s, polarization, grid):
         assert curve.values[i] == curve.values[j], (grid[i], grid[j])
 
 
-@pytest.mark.parametrize("grid,evaluations", [
-    (angle_grid(), 179),
-    (angle_grid(1.0, 179.0, 0.1), 1550),
-    (angle_grid(80.0, 100.0, 5.0), 3),
+def _mott_spin0_curve(grid):
+    return build_curve(MottParams(a=1.0, eta=SQRT2, spin=Spin(0)), grid).values
+
+
+def _incoherent_curve(grid):
+    return coulomb.incoherent_cross_sections(grid, 1.0)
+
+
+@pytest.mark.parametrize("curve,grid,evaluations", [
+    pytest.param(_mott_spin0_curve, angle_grid(), 179, id="grid0-179"),
+    pytest.param(_mott_spin0_curve, angle_grid(1.0, 179.0, 0.1), 1550, id="grid1-1550"),
+    pytest.param(_mott_spin0_curve, angle_grid(80.0, 100.0, 5.0), 3, id="grid2-3"),
+    pytest.param(_incoherent_curve, angle_grid(), 0, id="incoherent-0"),
 ])
-def test_mott_curve_kernel_evaluation_counts(monkeypatch, grid, evaluations):
-    # the closed form takes one atanh or one log per evaluation
+def test_mott_curve_kernel_evaluation_counts(monkeypatch, curve, grid, evaluations):
+    # the closed form takes one atanh or one log per evaluation, and none for
+    # sigma_inc alone, whose interference phase has weight 0
     calls = []
 
     class CountingMath:
@@ -162,7 +172,7 @@ def test_mott_curve_kernel_evaluation_counts(monkeypatch, grid, evaluations):
             return math.log(x)
 
     monkeypatch.setattr(coulomb, "math", CountingMath())
-    build_curve(MottParams(a=1.0, eta=SQRT2, spin=Spin(0)), grid)
+    curve(grid)
     assert len(calls) == evaluations
 
 

@@ -70,9 +70,9 @@ def test_scan_visits_the_oracle_grid(monkeypatch, lo, hi, step):
     # bench/oracle.py scan_grid copies the points a scan with no root visits;
     # the critical-scan check compares roots against brackets on that grid
     visited = []
-    curvature = hardsphere.hs_curvature_at_90
-    monkeypatch.setattr(hardsphere, "hs_curvature_at_90",
-                        lambda params: visited.append(params.kR) or curvature(params))
+    curvature = hardsphere._curvature_at_90
+    monkeypatch.setattr(hardsphere, "_curvature_at_90",
+                        lambda kR, eps_w: visited.append(kR) or curvature(kR, eps_w))
     spin = Spin(1)
     assert find_critical_kR(spin, spin.statistics, (lo, hi), step) is None
     assert visited == _bench_module("oracle").scan_grid(lo, hi, step)

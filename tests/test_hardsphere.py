@@ -35,6 +35,16 @@ from mott_ti.numerics import (
 from mott_ti.species import exchange_weight
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_kR=st.floats(math.log(KR_MIN), math.log(KR_MAX)))
+def test_ladder_weights_have_the_bits_of_the_formula(log_kR):
+    # the ladder builds w_l = (2l+1) e^{i d_l} sin(d_l) in its own loop, with
+    # the bits of the formula applied to each shift afterwards
+    shifts = hard_sphere_phase_shifts(min(max(math.exp(log_kR), KR_MIN), KR_MAX))
+    assert shifts.weights == tuple(
+        cmath.rect((2 * l + 1) * math.sin(d), d) for l, d in enumerate(shifts.deltas))
+
+
 def test_s_wave_shift_is_minus_kR():
     for kR in (0.3, 1.0, 2.5, 7.0):
         shifts = hard_sphere_phase_shifts(kR)
@@ -419,9 +429,9 @@ def test_critical_kR_search_evaluates_each_kR_once(monkeypatch):
     # spin 0 on (0.2, 3.0): 26 scan points up to the bracket (1.40, 1.45), then
     # the finder, which takes both bracket ends from the scan
     visited = []
-    curvature = hardsphere.hs_curvature_at_90
-    monkeypatch.setattr(hardsphere, "hs_curvature_at_90",
-                        lambda params: visited.append(params.kR) or curvature(params))
+    curvature = hardsphere._curvature_at_90
+    monkeypatch.setattr(hardsphere, "_curvature_at_90",
+                        lambda kR, eps_w: visited.append(kR) or curvature(kR, eps_w))
     root = find_critical_kR(Spin(0), Statistics.BOSON, scan=(0.2, 3.0), step=0.05)
     assert 1.4 < root < 1.45
     assert 26 < len(visited) <= 26 + 10
@@ -461,11 +471,20 @@ def test_scan_validation():
     for step in (-0.1, math.nan, math.inf):
         with pytest.raises(DomainError):
             find_critical_kR(Spin(0), Statistics.BOSON, scan=(0.5, 3.0), step=step)
+    with pytest.raises(DomainError, match=r"kR must lie in \[1e-06, 1000\]"):
+        find_critical_kR(Spin(0), Statistics.BOSON, scan=(1e-7, 1.0))
 
 
 def test_scan_point_cap_checked_before_any_evaluation(monkeypatch):
+    # the scan checks its inputs once, at its boundary: the point count, lo
+    # against KR_MIN and the statistics, before any curvature is taken
     calls = []
-    monkeypatch.setattr(hardsphere, "hs_curvature_at_90", lambda params: calls.append(params))
-    with pytest.raises(DomainError):
-        find_critical_kR(Spin(0), Statistics.BOSON, scan=(0.2, 3.0), step=2.8 / MAX_POINTS)
+    monkeypatch.setattr(hardsphere, "_curvature_at_90", lambda kR, eps_w: calls.append(kR))
+    for spin, statistics, scan, step, match in [
+        (Spin(0), Statistics.BOSON, (0.2, 3.0), 2.8 / MAX_POINTS, "scan points"),
+        (Spin(0), Statistics.BOSON, (1e-7, 1.0), 0.05, "kR must lie in"),
+        (Spin(1), Statistics.BOSON, (0.2, 3.0), 0.05, "spin 1/2 implies fermion"),
+    ]:
+        with pytest.raises(DomainError, match=match):
+            find_critical_kR(spin, statistics, scan=scan, step=step)
     assert calls == []

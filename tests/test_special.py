@@ -155,6 +155,60 @@ def test_legendre_rows_raise_the_tables_errors(l_max, xs, table_x):
     assert str(got.value) == str(expected.value)
 
 
+def _int_coefficient_j(l_max, x):
+    """spherical_bessel_j_table as it was written with int coefficients."""
+    j0, j1 = math.sin(x) / x, math.sin(x) / (x * x) - math.cos(x) / x
+    if l_max == 0:
+        return [j0]
+    if l_max <= x:
+        j = [j0, j1]
+        for l in range(1, l_max):
+            j.append((2 * l + 1) / x * j[l] - j[l - 1])
+        return j
+    start = l_max + max(16, int(2.0 * math.sqrt(l_max)))
+    table = [0.0] * (l_max + 1)
+    above, here = 0.0, 1e-30
+    for l in range(start, -1, -1):
+        above, here = here, (2 * l + 3) / x * here - above
+        if abs(here) > 1e250:
+            above, here = above * 1e-250, here * 1e-250
+            table = [v * 1e-250 for v in table]
+        if l <= l_max:
+            table[l] = here
+    norm = j0 / table[0] if x < 1.0 or abs(j0) >= abs(j1) else j1 / table[1]
+    return [v * norm for v in table]
+
+
+def _int_coefficient_y(l_max, x):
+    """spherical_bessel_y_table as it was written with int coefficients."""
+    y = [-math.cos(x) / x, -math.cos(x) / (x * x) - math.sin(x) / x][: l_max + 1]
+    for l in range(1, l_max):
+        y.append(y[l] if math.isinf(y[l]) else (2 * l + 1) / x * y[l] - y[l - 1])
+    return y
+
+
+def _int_coefficient_p(l_max, x):
+    """legendre_p_table as it was written with int coefficients."""
+    p = [1.0, x][: l_max + 1]
+    for l in range(1, l_max):
+        p.append(((2 * l + 1) * x * p[l] - l * p[l - 1]) / (l + 1))
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(l_max=st.integers(0, 1100), log_x=st.floats(math.log(X_MIN), math.log(1100.0)),
+       u=st.floats(-1.0, 1.0))
+@example(l_max=1100, log_x=math.log(X_MIN), u=1.0)  # y overflows, j rescales
+@example(l_max=40, log_x=math.log(1100.0), u=-1.0)  # upward j
+def test_float_coefficients_keep_the_bits_of_int_ones(l_max, log_x, u):
+    # each float coefficient equals its int, so every value is the same float
+    x = min(max(math.exp(log_x), X_MIN), 1100.0)
+    assert spherical_bessel_j_table(l_max, x) == _int_coefficient_j(l_max, x)
+    assert spherical_bessel_y_table(l_max, x) == _int_coefficient_y(l_max, x)
+    p = legendre_p_table(l_max, u)
+    assert list(map(repr, p)) == list(map(repr, _int_coefficient_p(l_max, u)))
+
+
 def test_legendre_domain_error():
     with pytest.raises(DomainError):
         legendre_p_table(2, 1.5)
