@@ -48,7 +48,6 @@ from .hardsphere import (
     hs_cross_sections,
     hs_curvature_at_90,
     hs_identical_cross_section,
-    hs_total_cross_section,
 )
 from .kinematics import (
     critical_energy,

@@ -31,7 +31,7 @@ from .coulomb import (
 from .errors import DomainError, RootNotFoundError
 from .hardsphere import HardSphereParams, find_critical_kR
 from .kinematics import half_closest_approach, sommerfeld_eta
-from .output import OutputEnvelope
+from .output import OutputEnvelope, format_number
 from .species import (
     CollisionSystem,
     Polarization,
@@ -115,6 +115,20 @@ def grid_options(fn):
     return fn
 
 
+def _grid(theta_min: float, theta_max: float, theta_step: float, fmt: str) -> tuple[float, ...]:
+    """angle_grid's points, refused in CSV (9 digits) when two adjacent ones print alike.
+
+    JSON writes each float's repr, which tells any two points apart.
+    """
+    grid = angle_grid(theta_min, theta_max, theta_step)
+    texts = list(map(format_number, grid)) if fmt == "csv" else []
+    for i in range(1, len(texts)):
+        if texts[i - 1] == texts[i]:
+            raise DomainError(f"theta grid points {grid[i - 1]} and {grid[i]} both print as "
+                              f"{texts[i]}; use a coarser --theta-step")
+    return grid
+
+
 class _Command(click.Command):
     """A subcommand whose library errors become the documented exit codes.
 
@@ -181,7 +195,7 @@ def angular(system_name, energy, eta, spin, polarization, incoherent_only,
             normalize, theta_min, theta_max, theta_step, catalog, fmt):
     """Angular distribution of the symmetrized Coulomb cross section."""
     constants = _constants()
-    grid = angle_grid(theta_min, theta_max, theta_step)
+    grid = _grid(theta_min, theta_max, theta_step, fmt)
     params = {"command": "angular"}
 
     if system_name is not None:
@@ -261,7 +275,7 @@ def plateau(spin, eta, eta_critical, kr, polarization, epsilon,
             theta_min, theta_max, theta_step, fmt):
     """Flatness plateau around 90 degrees for a Coulomb or hard-sphere curve."""
     constants = _constants()
-    grid = angle_grid(theta_min, theta_max, theta_step)
+    grid = _grid(theta_min, theta_max, theta_step, fmt)
     params = {"command": "plateau", "spin": str(spin), "polarization": polarization.value,
               "epsilon": epsilon, "theta_min": theta_min, "theta_max": theta_max,
               "theta_step": theta_step}
@@ -297,7 +311,7 @@ def plateau(spin, eta, eta_critical, kr, polarization, epsilon,
 def sweep(spin, delta, theta_min, theta_max, theta_step, fmt):
     """Shape sensitivity: curves at eta_C (1 +- delta) with min/flat/max labels."""
     constants = _constants()
-    result = sensitivity_sweep(spin, delta, angle_grid(theta_min, theta_max, theta_step))
+    result = sensitivity_sweep(spin, delta, _grid(theta_min, theta_max, theta_step, fmt))
     params = {"command": "sweep", "spin": str(spin), "delta": delta,
               "theta_min": theta_min, "theta_max": theta_max, "theta_step": theta_step}
     scalars = {
@@ -344,7 +358,7 @@ def hardsphere(kr, spin, polarization, critical_scan, step,
         return
     if kr is None:
         raise click.UsageError("provide either --kr or --critical-scan")
-    grid = angle_grid(theta_min, theta_max, theta_step)
+    grid = _grid(theta_min, theta_max, theta_step, fmt)
     model = HardSphereParams(kR=kr, spin=spin, statistics=spin.statistics,
                              polarization=polarization)
     curve = build_curve(model, grid)

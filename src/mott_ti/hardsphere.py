@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import DomainError
 from .numerics import HALF_ANGLE_FACTOR, MAX_POINTS, bisect_root
@@ -72,7 +71,6 @@ def _check_kR(kR: float) -> None:
         raise DomainError(f"kR must lie in [{KR_MIN:g}, {KR_MAX:g}], got {kR}")
 
 
-@lru_cache(maxsize=512)
 def hard_sphere_phase_shifts(kR: float) -> PhaseShiftSet:
     """Phase shifts delta_l = atan2(j_l, y_l) at x = kR, folded to (-pi/2, pi/2].
 
@@ -131,16 +129,6 @@ def hs_amplitude(theta_deg: float, shifts: PhaseShiftSet) -> complex:
         raise DomainError(f"theta must be in [0, 180], got {theta_deg}")
     (even,), (odd,) = _channels([_cos(theta_deg)], shifts)
     return (even + odd) / shifts.kR
-
-
-def hs_total_cross_section(shifts: PhaseShiftSet) -> float:
-    """sigma_total = (4 pi / kR^2) sum (2l+1) sin^2(delta_l), in units of R^2."""
-    return (
-        4.0
-        * math.pi
-        / (shifts.kR * shifts.kR)
-        * sum((2 * l + 1) * math.sin(d) ** 2 for l, d in enumerate(shifts.deltas))
-    )
 
 
 def hs_cross_sections(thetas: tuple[float, ...], params: HardSphereParams) -> tuple[float, ...]:

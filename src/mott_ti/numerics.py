@@ -23,16 +23,15 @@ MAX_EVALS = 64
 def second_derivative(f: Callable[[float], float], x0: float, step: float) -> float:
     """Second derivative by the 5-point central stencil with Richardson extrapolation.
 
-    The stencil is evaluated at step and step/2 and extrapolated, removing
-    the leading O(step^4) error term.
+    The stencil at step and at h = step/2 shares 3 of its points, so f is
+    called once at each of the 7 distinct points x0 + k h, k = -4, -2, -1,
+    0, 1, 2, 4.  Extrapolating the two removes the leading O(step^4) error
+    term.
     """
-
-    def stencil(h: float) -> float:  # O(h^4)
-        m2, m1, mid, p1, p2 = (f(x0 + k * h) for k in (-2, -1, 0, 1, 2))
-        return (-m2 + 16.0 * m1 - 30.0 * mid + 16.0 * p1 - p2) / (12.0 * h * h)
-
-    coarse = stencil(step)
-    fine = stencil(step / 2.0)
+    h = step / 2.0
+    m4, m2, m1, mid, p1, p2, p4 = (f(x0 + k * h) for k in (-4, -2, -1, 0, 1, 2, 4))
+    coarse = (-m4 + 16.0 * m2 - 30.0 * mid + 16.0 * p2 - p4) / (12.0 * step * step)
+    fine = (-m2 + 16.0 * m1 - 30.0 * mid + 16.0 * p1 - p2) / (12.0 * h * h)
     return (16.0 * fine - coarse) / 15.0
 
 

@@ -111,13 +111,10 @@ def legendre_p_rows(l_max: int, xs: list[float]) -> Iterator[list[float]]:
     Each element takes the same operations in the same order as in
     legendre_p_table, so column i equals legendre_p_table(l_max, xs[i]) bit
     for bit.  One step of l is one pass over xs: cheaper than a table per x
-    on a grid, dearer at a single x.
+    on a grid, dearer at a single x.  Unlike the table it checks nothing:
+    its one caller, hardsphere._channels, passes x = cos(theta) of a checked
+    angle and the l_max of a phase-shift ladder.
     """
-    for x in xs:  # the checks and messages of legendre_p_table, first bad x first
-        if not abs(x) <= 1.0:  # also true for nan
-            raise DomainError(f"|x| must be <= 1, got {x}")
-    if l_max < 0:
-        raise DomainError(f"l_max must be >= 0, got {l_max}")
     prev, row = [1.0] * len(xs), list(xs)
     yield prev
     if l_max >= 1:

@@ -24,7 +24,6 @@ from mott_ti import (
     hard_sphere_phase_shifts,
     hs_amplitude,
     hs_identical_cross_section,
-    hs_total_cross_section,
     identical_cross_section,
     incoherent_cross_sections,
     legendre_p_table,
@@ -35,6 +34,7 @@ from mott_ti import (
     table_one,
     builtin_catalog,
 )
+from reference import hs_total_cross_section
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)

@@ -96,6 +96,17 @@ def test_build_curve_hard_sphere():
     assert all(v > 0.0 for v in curve.values)
 
 
+def test_build_curve_aligned_fermions_next_to_90_are_not_negative():
+    # sigma_inc and sigma_int cancel here; summed apart they gave -4.4e-16
+    mott = MottParams(a=1.0, eta=0.001, spin=Spin(1), polarization=Polarization.ALIGNED)
+    sigmas = build_curve(mott, angle_grid(89.99999998, 90.00000002, 0.00000001)).values
+    # frozen from a 60-digit sum at the five grid angles (89.99999998 + i 1e-8)
+    expected = [4.87388439699996e-19, 1.21847283080204e-19, 0.0, 1.21846936769917e-19,
+                4.87388439699996e-19]
+    assert sigmas == pytest.approx(expected, rel=1e-8)
+    assert min(sigmas) == 0.0
+
+
 def test_build_curve_carries_its_model():
     mott = MottParams(a=1.0, eta=SQRT2, spin=Spin(0))
     hs = HardSphereParams(kR=1.5, spin=Spin(0), statistics=Statistics.BOSON)

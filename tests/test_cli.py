@@ -131,19 +131,35 @@ def test_angular_dimensional_alpha_system(runner):
 
 
 def test_angular_aligned_fermions_next_to_90_are_not_negative(runner):
-    # sigma_inc and sigma_int cancel here; summed apart they printed -4.4e-16
-    result = runner.invoke(main, [
-        "angular", "--eta", "0.001", "--spin", "1/2", "--polarization", "aligned",
-        "--theta-min", "89.99999998", "--theta-max", "90.00000002",
-        "--theta-step", "0.00000001",
-    ])
+    # all five angles print as 90 in CSV, so the grid is refused; the five
+    # values themselves are checked on build_curve in test_analysis.py
+    args = ["angular", "--eta", "0.001", "--spin", "1/2", "--polarization", "aligned",
+            "--theta-min", "89.99999998", "--theta-max", "90.00000002",
+            "--theta-step", "0.00000001"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert ("Error: theta grid points 89.99999998 and 89.99999998999999 both print as 90; "
+            "use a coarser --theta-step\n") in result.output
+    # JSON writes each angle's repr, so the same grid prints five distinct angles
+    result = runner.invoke(main, args + ["--format", "json"])
     assert result.exit_code == 0
-    sigmas = [float(row["sigma_fm2_per_sr"]) for row in csv_table(result.output)]
-    # frozen from a 60-digit sum at the five grid angles (89.99999998 + i 1e-8)
-    expected = [4.87388439699996e-19, 1.21847283080204e-19, 0.0, 1.21846936769917e-19,
-                4.87388439699996e-19]
-    assert sigmas == pytest.approx(expected, rel=1e-8)
-    assert min(sigmas) == 0.0
+    assert len({row[0] for row in json.loads(result.output)["data"]["rows"]}) == 5
+
+
+@pytest.mark.parametrize("command", [
+    ["angular", "--eta", "1", "--spin", "0"],
+    ["plateau", "--eta", "1", "--spin", "0"],
+    ["sweep", "--spin", "0"],
+    ["hardsphere", "--kr", "1", "--spin", "0"],
+])
+def test_grids_that_print_repeated_angles_are_refused(runner, command):
+    # 1e-8 apart next to 30 deg: at 9 significant digits every point prints as 30
+    result = runner.invoke(main, command + ["--theta-min", "29.99999999", "--theta-max",
+                                            "30.00000001", "--theta-step", "0.00000001"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "both print as 30" in result.output
 
 
 def test_angular_endpoint_grid_rejected(runner):

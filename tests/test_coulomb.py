@@ -438,6 +438,35 @@ def _stencil_spread(top):
     return half_angle_curvature((16.0 * 4.0 + 1.0) / 15.0 * 64.0 * math.ulp(top) / (12.0 * h * h))
 
 
+def _two_stencil_second_derivative(f, x0, step):
+    """second_derivative as it was written: two 5-point stencils, 10 calls of f."""
+
+    def stencil(h):
+        m2, m1, mid, p1, p2 = (f(x0 + k * h) for k in (-2, -1, 0, 1, 2))
+        return (-m2 + 16.0 * m1 - 30.0 * mid + 16.0 * p1 - p2) / (12.0 * h * h)
+
+    coarse = stencil(step)
+    fine = stencil(step / 2.0)
+    return (16.0 * fine - coarse) / 15.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x0=st.floats(-200.0, 200.0), step=st.floats(1e-6, 10.0))
+@example(x0=90.0, step=CURVATURE_STEP_DEG)
+def test_second_derivative_calls_f_at_7_distinct_points_with_the_two_stencils_bits(x0, step):
+    calls, reference_calls = [], []
+
+    def smooth(x):
+        return math.sin(x) * math.exp(0.01 * x)
+
+    got = second_derivative(lambda x: calls.append(x) or smooth(x), x0, step)
+    expected = _two_stencil_second_derivative(
+        lambda x: reference_calls.append(x) or smooth(x), x0, step)
+    assert len(calls) == len(set(calls)) == 7
+    assert set(calls) == set(reference_calls)
+    assert repr(got) == repr(expected)
+
+
 @pytest.mark.parametrize(
     "twice_s,eta,expected",
     [(1, 1.0, 56.0), (3, 2.0, 76.0)],  # 16[3 - (1-2 eta^2)/(2s+1)], derived by hand

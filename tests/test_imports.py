@@ -1,5 +1,5 @@
 """Every module of the package uses each name it imports, none imports upward,
-and every module-level name is used.
+every module-level name is used, and nothing is cached between calls.
 
 The package __init__ is exempt from the first two: its imports are the
 public re-exports.  For the third, a re-export is not a use: a name that
@@ -80,7 +80,6 @@ REEXPORT_ONLY = {
     "hardsphere.hs_identical_cross_section": "traced by bench/",
     "special.legendre_p_table": "traced by bench/",
     "kinematics.wavenumber": "traced by bench/",
-    "hardsphere.hs_total_cross_section": "the tests' optical-theorem oracle",
 }
 
 
@@ -102,6 +101,43 @@ def test_the_check_sees_an_unused_module_name():
     }
     assert unused_module_names(sources) == [
         "cli.add_options (line 6)", "analysis.LIMIT (line 1)", "analysis.STEP (line 2)",
+    ]
+
+
+# functools' memoizing decorators: the package keeps no state between calls
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def cache_decorators(source: str) -> list[str]:
+    """Functions, methods and classes under a CACHE_DECORATORS decorator.
+
+    The decorator counts by its last name, bare or dotted, called or not.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(
+                    target, "id", None)
+                if name in CACHE_DECORATORS:
+                    out.append(f"{node.name} (line {decorator.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_caches_nothing(path):
+    assert cache_decorators(path.read_text()) == []
+
+
+def test_the_check_sees_a_cache():
+    source = ("import functools\nfrom functools import lru_cache\n\n\n"
+              "@lru_cache(maxsize=8)\ndef shifts(kR):\n    return kR\n\n\n"
+              "@functools.cache\ndef table(l):\n    return l\n\n\n"
+              "class Ladder:\n    @functools.cached_property\n    def deltas(self):\n"
+              "        return ()\n\n    @property\n    def l_max(self):\n        return 0\n")
+    assert cache_decorators(source) == [
+        "shifts (line 5)", "table (line 10)", "deltas (line 16)",
     ]
 
 

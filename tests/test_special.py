@@ -138,23 +138,6 @@ def test_legendre_rows_are_the_tables_columns(l_max, xs):
         assert [repr(row[i]) for row in rows] == list(map(repr, legendre_p_table(l_max, x)))
 
 
-@pytest.mark.parametrize("l_max, xs, table_x", [
-    (2, [0.5, 1.5, 2.0], 1.5),
-    (2, [-1.0001], -1.0001),
-    (2, [0.0, math.nan, 1.5], math.nan),
-    (-1, [2.0], 2.0),   # x is checked before l_max, as in the table
-    (-1, [1.0], 1.0),
-    (-1, [], 0.0),
-])
-def test_legendre_rows_raise_the_tables_errors(l_max, xs, table_x):
-    # table_x is the first bad x, or any x when only l_max is bad
-    with pytest.raises(DomainError) as expected:
-        legendre_p_table(l_max, table_x)
-    with pytest.raises(DomainError) as got:
-        list(legendre_p_rows(l_max, xs))
-    assert str(got.value) == str(expected.value)
-
-
 def _int_coefficient_j(l_max, x):
     """spherical_bessel_j_table as it was written with int coefficients."""
     j0, j1 = math.sin(x) / x, math.sin(x) / (x * x) - math.cos(x) / x
