@@ -8,9 +8,8 @@ Sommerfeld parameter (Coulomb) or critical kR (hard sphere).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .constants import BARN_PER_FM2, DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import BARN_PER_FM2, DEFAULT_CONSTANTS, PhysicalConstants, Record
 from .coulomb import MottParams, curvature_at_90, mott_cross_sections
 from .errors import DomainError
 from .hardsphere import HardSphereParams, hs_cross_sections, hs_curvature_at_90
@@ -41,27 +40,33 @@ SIGMA90_SCALING_BARN = 33.7
 # with both computed forms and is excluded from validation.
 REFERENCE_SIGMA90_BARN: dict[str, float] = {"d": 135.0, "6Li": 1.17, "alpha": 2.3}
 
-@dataclass(frozen=True)
-class CrossSectionCurve:
+
+class CrossSectionCurve(Record):
     """Sampled angular distribution of one model."""
 
-    thetas: tuple[float, ...]   # degrees, strictly increasing, inside (0, 180)
-    values: tuple[float, ...]   # fm^2/sr (Coulomb) or units of R^2 (hard sphere)
-    model: MottParams | HardSphereParams  # the model that was sampled
+    __slots__ = ("thetas", "values", "model")
 
-    def __post_init__(self) -> None:
-        if len(self.thetas) != len(self.values):
+    def __init__(
+        self,
+        thetas: tuple[float, ...],  # degrees, strictly increasing, inside (0, 180)
+        values: tuple[float, ...],  # fm^2/sr (Coulomb) or units of R^2 (hard sphere)
+        model: MottParams | HardSphereParams,  # the model that was sampled
+    ) -> None:
+        if len(thetas) != len(values):
             raise DomainError("thetas and values must have the same length")
-        if not self.thetas:
+        if not thetas:
             raise DomainError("curve must contain at least one point")
         prev = 0.0
-        for t in self.thetas:
+        for t in thetas:
             if not prev < t < 180.0:
                 raise DomainError(f"angles must be strictly increasing inside (0, 180): {t}")
             prev = t
-        for v in self.values:
+        for v in values:
             if not math.isfinite(v):
                 raise DomainError(f"non-finite cross section {v}")
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "model", model)
 
     def is_symmetric_grid(self) -> bool:
         n = len(self.thetas)
@@ -71,42 +76,81 @@ class CrossSectionCurve:
         )
 
 
-@dataclass(frozen=True)
-class PlateauReport:
+class PlateauReport(Record):
     """Largest symmetric band around 90 deg staying within epsilon of sigma(90)."""
 
-    theta_lo: float        # degrees
-    theta_hi: float        # degrees
-    width: float           # degrees
-    curvature_90: float    # half-angle convention, exact for the curve's model
-    reference_value: float # sigma(90)
+    __slots__ = ("theta_lo", "theta_hi", "width", "curvature_90", "reference_value")
+
+    def __init__(
+        self,
+        theta_lo: float,         # degrees
+        theta_hi: float,         # degrees
+        width: float,            # degrees
+        curvature_90: float,     # half-angle convention, exact for the curve's model
+        reference_value: float,  # sigma(90)
+    ) -> None:
+        object.__setattr__(self, "theta_lo", theta_lo)
+        object.__setattr__(self, "theta_hi", theta_hi)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "curvature_90", curvature_90)
+        object.__setattr__(self, "reference_value", reference_value)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """Cross-section shapes just below, at, and just above the critical eta."""
 
-    etas: tuple[float, float, float]
-    curves: tuple[CrossSectionCurve, CrossSectionCurve, CrossSectionCurve]
-    classifications: tuple[str, str, str]   # each "min", "flat" or "max"
-    energy_shift_first_order: float         # |dE/E| ~ 2 delta
-    energy_ratio_below: float               # E(eta_low)/E(eta_C) - 1
-    energy_ratio_above: float               # E(eta_high)/E(eta_C) - 1
+    __slots__ = ("etas", "curves", "classifications", "energy_shift_first_order",
+                 "energy_ratio_below", "energy_ratio_above")
+
+    def __init__(
+        self,
+        etas: tuple[float, float, float],
+        curves: tuple[CrossSectionCurve, CrossSectionCurve, CrossSectionCurve],
+        classifications: tuple[str, str, str],  # each "min", "flat" or "max"
+        energy_shift_first_order: float,        # |dE/E| ~ 2 delta
+        energy_ratio_below: float,              # E(eta_low)/E(eta_C) - 1
+        energy_ratio_above: float,              # E(eta_high)/E(eta_C) - 1
+    ) -> None:
+        object.__setattr__(self, "etas", etas)
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "classifications", classifications)
+        object.__setattr__(self, "energy_shift_first_order", energy_shift_first_order)
+        object.__setattr__(self, "energy_ratio_below", energy_ratio_below)
+        object.__setattr__(self, "energy_ratio_above", energy_ratio_above)
 
 
-@dataclass(frozen=True)
-class SystemReportRow:
-    name: str
-    spin: Spin
-    e_critical_kev: float
-    barrier_kev: float
-    sigma90_scaling_barn: float
-    sigma90_direct_barn: float
-    feasible: bool          # authoritative: E_C < V_B
-    condition_lhs: float    # Z^(10/3)
-    condition_rhs: float    # 25.4 (2s+1)
-    sigma90_reference_barn: float | None
-    note: str
+class SystemReportRow(Record):
+    """One species of the feasibility table; its fields are the table's columns."""
+
+    __slots__ = ("name", "spin", "e_critical_kev", "barrier_kev", "sigma90_scaling_barn",
+                 "sigma90_direct_barn", "feasible", "condition_lhs", "condition_rhs",
+                 "sigma90_reference_barn", "note")
+
+    def __init__(
+        self,
+        name: str,
+        spin: Spin,
+        e_critical_kev: float,
+        barrier_kev: float,
+        sigma90_scaling_barn: float,
+        sigma90_direct_barn: float,
+        feasible: bool,        # authoritative: E_C < V_B
+        condition_lhs: float,  # Z^(10/3)
+        condition_rhs: float,  # 25.4 (2s+1)
+        sigma90_reference_barn: float | None,
+        note: str,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "spin", spin)
+        object.__setattr__(self, "e_critical_kev", e_critical_kev)
+        object.__setattr__(self, "barrier_kev", barrier_kev)
+        object.__setattr__(self, "sigma90_scaling_barn", sigma90_scaling_barn)
+        object.__setattr__(self, "sigma90_direct_barn", sigma90_direct_barn)
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "condition_lhs", condition_lhs)
+        object.__setattr__(self, "condition_rhs", condition_rhs)
+        object.__setattr__(self, "sigma90_reference_barn", sigma90_reference_barn)
+        object.__setattr__(self, "note", note)
 
 
 def angle_grid(start: float = 1.0, stop: float = 179.0, step: float = 0.5) -> tuple[float, ...]:

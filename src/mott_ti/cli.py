@@ -13,7 +13,6 @@ physical constants.
 from __future__ import annotations
 
 import os
-from dataclasses import fields
 
 import click
 
@@ -255,7 +254,7 @@ def table(catalog, fmt):
     """Critical energies, barriers, sigma(90) and feasibility per species."""
     constants = _constants()
     rows = table_one(_catalog(catalog, constants), constants)
-    columns = [f.name for f in fields(SystemReportRow)]
+    columns = list(SystemReportRow.__slots__)
     data = [[str(getattr(r, c)) if c == "spin" else getattr(r, c) for c in columns] for r in rows]
     params = {"command": "table", "catalog": catalog or "builtin"}
     _emit(fmt, params, constants, columns=columns, rows=data)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import DomainError
@@ -17,22 +16,66 @@ from .errors import DomainError
 BARN_PER_FM2 = 0.01  # 1 barn = 100 fm^2
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class Record:
+    """Base of the package's immutable records: slotted and compared by value.
+
+    A record names its fields in ``__slots__`` and stores them in its own
+    ``__init__`` with ``object.__setattr__``; afterwards assigning or
+    deleting an attribute raises AttributeError.  Equality, hash and repr
+    go over the fields in ``__slots__`` order, and copy and pickle rebuild
+    a record by passing them to ``__init__`` by position.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _fields(self) -> tuple[object, ...]:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        text = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({text})"
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return type(self), self._fields()
+
+
+class PhysicalConstants(Record):
     """Constants used by every kinematic and cross-section formula."""
 
-    hbar_c: float = 197.3269804      # MeV fm
-    e_squared: float = 1.4399645     # MeV fm (fine-structure constant x hbar_c)
-    amu: float = 931.49410           # MeV (atomic mass unit)
-    nucleon_mass: float = 938.9187   # MeV (proton/neutron average)
-    r0: float = 1.4                  # fm (nuclear radius parameter)
+    __slots__ = ("hbar_c", "e_squared", "amu", "nucleon_mass", "r0")
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __init__(
+        self,
+        hbar_c: float = 197.3269804,     # MeV fm
+        e_squared: float = 1.4399645,    # MeV fm (fine-structure constant x hbar_c)
+        amu: float = 931.49410,          # MeV (atomic mass unit)
+        nucleon_mass: float = 938.9187,  # MeV (proton/neutron average)
+        r0: float = 1.4,                 # fm (nuclear radius parameter)
+    ) -> None:
+        object.__setattr__(self, "hbar_c", hbar_c)
+        object.__setattr__(self, "e_squared", e_squared)
+        object.__setattr__(self, "amu", amu)
+        object.__setattr__(self, "nucleon_mass", nucleon_mass)
+        object.__setattr__(self, "r0", r0)
+        for name in self.__slots__:
+            value = getattr(self, name)
             if not 0.0 < value < math.inf:  # also false for nan
-                raise DomainError(f"constant {f.name} must be finite and positive, got {value}")
-        alpha = self.e_squared / self.hbar_c
+                raise DomainError(f"constant {name} must be finite and positive, got {value}")
+        alpha = e_squared / hbar_c
         if not (1.0 / 137.5 <= alpha <= 1.0 / 136.5):
             raise DomainError(
                 f"e_squared/hbar_c = {alpha:.6g} is not a fine-structure constant"
@@ -42,13 +85,11 @@ class PhysicalConstants:
         """Short hash identifying the constant set in output metadata."""
         import hashlib  # ~4 ms to import: paid only by commands that render a document
 
-        text = ",".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        text = ",".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
-
-_FIELD_NAMES = {f.name for f in fields(PhysicalConstants)}
 
 
 def table_rows(text: str, source: str, shape: str) -> Iterator[tuple[str, list[str]]]:
@@ -76,7 +117,7 @@ def load_constants(path: str | Path) -> PhysicalConstants:
     """
     overrides: dict[str, float] = {}
     for where, (name, value) in table_rows(Path(path).read_text(), str(path), "name value"):
-        if name not in _FIELD_NAMES:
+        if name not in PhysicalConstants.__slots__:
             raise ValueError(f"{where}: unknown constant {name!r}")
         overrides[name] = float(value)
-    return replace(DEFAULT_CONSTANTS, **overrides)
+    return PhysicalConstants(**overrides)

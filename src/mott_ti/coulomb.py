@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
+from .constants import Record
 from .errors import DivergenceError, DomainError
 from .numerics import bisect_root, half_angle_curvature, second_derivative
 from .species import Polarization, Spin, Statistics, check_statistics, exchange_weight
@@ -58,18 +58,24 @@ _TO_RAD = math.pi / 180.0
 _TINY = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class MottParams:
+class MottParams(Record):
     """Inputs of the closed-form Coulomb curves."""
 
-    a: float                  # fm, half closest-approach distance
-    eta: float                # Sommerfeld parameter
-    spin: Spin
-    polarization: Polarization = Polarization.UNPOLARIZED
+    __slots__ = ("a", "eta", "spin", "polarization")
 
-    def __post_init__(self) -> None:
-        check_eta(self.eta)
-        check_a(self.a)
+    def __init__(
+        self,
+        a: float,    # fm, half closest-approach distance
+        eta: float,  # Sommerfeld parameter
+        spin: Spin,
+        polarization: Polarization = Polarization.UNPOLARIZED,
+    ) -> None:
+        check_eta(eta)
+        check_a(a)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "spin", spin)
+        object.__setattr__(self, "polarization", polarization)
 
 
 def check_a(a: float) -> float:

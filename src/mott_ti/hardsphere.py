@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
+from .constants import Record
 from .errors import DomainError
 from .numerics import HALF_ANGLE_FACTOR, MAX_POINTS, bisect_root
 from .species import Polarization, Spin, Statistics, check_statistics, exchange_weight
@@ -41,29 +41,42 @@ KR_MIN = 1e-6  # smallest accepted kR; pure s-wave there, and far below it the B
 KR_MAX = 1000.0  # largest accepted kR; the ladder then needs about 1060 waves
 
 
-@dataclass(frozen=True)
-class PhaseShiftSet:
+class PhaseShiftSet(Record):
     """Phase shifts delta_0..delta_{l_max} (radians) at fixed kR and the weights of k f."""
 
-    kR: float
-    deltas: tuple[float, ...]
-    weights: tuple[complex, ...] = field(repr=False, compare=False)  # (2l+1) e^{i d_l} sin d_l
+    __slots__ = ("kR", "deltas", "weights")
+
+    def __init__(
+        self,
+        kR: float,
+        deltas: tuple[float, ...],
+        weights: tuple[complex, ...],  # (2l+1) e^{i d_l} sin d_l
+    ) -> None:
+        object.__setattr__(self, "kR", kR)
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def l_max(self) -> int:
         return len(self.deltas) - 1
 
 
-@dataclass(frozen=True)
-class HardSphereParams:
-    kR: float
-    spin: Spin
-    statistics: Statistics
-    polarization: Polarization = Polarization.UNPOLARIZED
+class HardSphereParams(Record):
+    __slots__ = ("kR", "spin", "statistics", "polarization")
 
-    def __post_init__(self) -> None:
-        _check_kR(self.kR)
-        check_statistics(self.spin, self.statistics)
+    def __init__(
+        self,
+        kR: float,
+        spin: Spin,
+        statistics: Statistics,
+        polarization: Polarization = Polarization.UNPOLARIZED,
+    ) -> None:
+        _check_kR(kR)
+        check_statistics(spin, statistics)
+        object.__setattr__(self, "kR", kR)
+        object.__setattr__(self, "spin", spin)
+        object.__setattr__(self, "statistics", statistics)
+        object.__setattr__(self, "polarization", polarization)
 
 
 def _check_kR(kR: float) -> None:

@@ -13,13 +13,11 @@ rendered to text first and filled in through a ``{}`` field.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Sequence
 
 from . import __version__
-from .constants import PhysicalConstants
+from .constants import PhysicalConstants, Record
 
 
 _FLOAT_FIELD = "{:.9g}"  # every float of a CSV document: 9 significant digits
@@ -70,11 +68,6 @@ def _csv_table(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return template.format(",".join(columns), *chain.from_iterable(zip(*cells)))
 
 
-# Encodes the rows in one pass of the C encoder, which json.dumps uses only
-# without indent.  NUL appears in its output only as this separator: json
-# escapes it inside strings.
-_ROWS_ENCODER = json.JSONEncoder(separators=("\0", ": "))
-
 # data.rows sits at depth 3 of the document: rows indent by 6, cells by 8
 _ROW_BREAK = "\n      ],\n      [\n        "
 _CELL_BREAK = ",\n        "
@@ -82,26 +75,40 @@ _CELL_BREAK = ",\n        "
 
 def _json_rows(rows: Sequence[Sequence[Any]]) -> str:
     """Non-empty rows of scalars at data.rows, laid out exactly as json.dumps(indent=2)."""
-    text = _ROWS_ENCODER.encode(rows)
+    import json
+
+    # One pass of the C encoder, which json.dumps uses only without indent.
+    # NUL appears in its output only as this separator: json escapes it
+    # inside strings.
+    text = json.JSONEncoder(separators=("\0", ": ")).encode(rows)
     # "[[c\0c]\0[c\0c]]": "]\0[" only between rows, since no scalar ends in "]"
     body = text[2:-2].replace("]\0[", _ROW_BREAK).replace("\0", _CELL_BREAK)
     return "[\n      [\n        " + body + "\n      ]\n    ]"
 
 
-@dataclass
-class OutputEnvelope:
+class OutputEnvelope(Record):
     """Tabular payload (columns x rows) plus scalar results and parameters.
 
     Rows are lists or tuples of lists or tuples of scalars (str, int, float,
     bool or None), one per column; both renderings rely on it, and a row of
-    another length raises ValueError.
+    another length raises ValueError.  No scalars means an empty dict.
     """
 
-    params: dict[str, Any]
-    constants: PhysicalConstants
-    columns: Sequence[str] = ()
-    rows: Sequence[Sequence[Any]] = ()
-    scalars: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("params", "constants", "columns", "rows", "scalars")
+
+    def __init__(
+        self,
+        params: dict[str, Any],
+        constants: PhysicalConstants,
+        columns: Sequence[str] = (),
+        rows: Sequence[Sequence[Any]] = (),
+        scalars: dict[str, Any] | None = None,
+    ) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "scalars", {} if scalars is None else scalars)
 
     def metadata(self) -> dict[str, Any]:
         return {
@@ -111,6 +118,8 @@ class OutputEnvelope:
         }
 
     def to_json(self) -> str:
+        import json  # ~2 ms to import: paid only by commands that print JSON
+
         data: dict[str, Any] = dict(self.scalars)
         if self.columns:
             data["columns"] = list(self.columns)

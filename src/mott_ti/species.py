@@ -8,12 +8,11 @@ statistics is always derived from the spin: integer spin pairs symmetrize
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants, table_rows
+from .constants import DEFAULT_CONSTANTS, PhysicalConstants, Record, table_rows
 from .errors import DomainError
 
 # Smallest accepted CM energy (keV): E in MeV stays a normal float above it,
@@ -54,15 +53,15 @@ class Polarization(Enum):
     ALIGNED = "aligned"
 
 
-@dataclass(frozen=True)
-class Spin:
+class Spin(Record):
     """Spin stored as 2s, an integer in [0, TWICE_S_MAX]."""
 
-    twice_s: int
+    __slots__ = ("twice_s",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.twice_s, int) or not 0 <= self.twice_s <= TWICE_S_MAX:
-            raise DomainError(f"2s must be an integer in [0, {TWICE_S_MAX}], got {self.twice_s!r}")
+    def __init__(self, twice_s: int) -> None:
+        if not isinstance(twice_s, int) or not 0 <= twice_s <= TWICE_S_MAX:
+            raise DomainError(f"2s must be an integer in [0, {TWICE_S_MAX}], got {twice_s!r}")
+        object.__setattr__(self, "twice_s", twice_s)
 
     @classmethod
     def parse(cls, text: str) -> "Spin":
@@ -128,42 +127,42 @@ def critical_eta(
     return math.sqrt((1.0 + 3.0 / abs(exchange_weight(spin, polarization))) / 2.0)
 
 
-@dataclass(frozen=True)
-class ParticleSpecies:
+class ParticleSpecies(Record):
     """One collision partner: charge number, mass (MeV), and spin."""
 
-    name: str
-    z: int
-    mass: float  # MeV
-    spin: Spin
+    __slots__ = ("name", "z", "mass", "spin")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.z <= Z_MAX:
-            raise DomainError(f"atomic number z must lie in [1, {Z_MAX:.0e}], got {self.z}")
-        if not MASS_MIN <= self.mass <= MASS_MAX:  # also false for nan
+    def __init__(self, name: str, z: int, mass: float, spin: Spin) -> None:
+        if not 1 <= z <= Z_MAX:
+            raise DomainError(f"atomic number z must lie in [1, {Z_MAX:.0e}], got {z}")
+        if not MASS_MIN <= mass <= MASS_MAX:  # also false for nan
             raise DomainError(f"mass must lie in [{MASS_MIN:g}, {MASS_MAX:g}] MeV, "
-                              f"got {self.mass}")
+                              f"got {mass}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "mass", mass)  # MeV
+        object.__setattr__(self, "spin", spin)
 
     def charge_squared(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
         """q^2 = Z^2 e^2 in MeV fm."""
         return self.z * self.z * constants.e_squared
 
 
-@dataclass(frozen=True)
-class CollisionSystem:
+class CollisionSystem(Record):
     """An identical pair of `species` colliding at `energy_cm` (keV, CM frame).
 
     The reduced mass of an identical pair is M/2, which is what every
     kinematic formula here uses.
     """
 
-    species: ParticleSpecies
-    energy_cm: float  # keV
+    __slots__ = ("species", "energy_cm")
 
-    def __post_init__(self) -> None:
-        if not ENERGY_MIN_KEV <= self.energy_cm < math.inf:  # also false for nan
+    def __init__(self, species: ParticleSpecies, energy_cm: float) -> None:
+        if not ENERGY_MIN_KEV <= energy_cm < math.inf:  # also false for nan
             raise DomainError(f"energy_cm must be finite and >= {ENERGY_MIN_KEV:g} keV, "
-                              f"got {self.energy_cm}")
+                              f"got {energy_cm}")
+        object.__setattr__(self, "species", species)
+        object.__setattr__(self, "energy_cm", energy_cm)  # keV
 
 
 def _parse_catalog(

@@ -1,6 +1,5 @@
 import math
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +13,7 @@ from mott_ti import (
     HardSphereParams,
     MottParams,
     ParticleSpecies,
+    PhysicalConstants,
     Polarization,
     Spin,
     Statistics,
@@ -387,7 +387,7 @@ def test_barrier_heights_near_published():
     ("r0", 5e-324, MASS_MIN),                           # R_B rounds to 0
 ])
 def test_barrier_out_of_float_range_raises(field, value, mass):
-    constants = replace(DEFAULT_CONSTANTS, **{field: value})
+    constants = PhysicalConstants(**{field: value})  # the other constants keep their defaults
     species = ParticleSpecies(name="x", z=2, mass=mass, spin=Spin(0))
     with pytest.raises(DomainError, match="Coulomb barrier of x"):
         barrier_height(species, constants)

@@ -456,7 +456,7 @@ def assert_refused(result, field):
 
 
 @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
-@pytest.mark.parametrize("field", list(vars(DEFAULT_CONSTANTS)))
+@pytest.mark.parametrize("field", DEFAULT_CONSTANTS.__slots__)
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
 def test_constants_file_values_are_checked(runner, tmp_path, argv, field, value):
     consts = tmp_path / "consts.txt"

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, none imports upward,
-every module-level name is used, and nothing is cached between calls.
+every module-level name is used, nothing is cached between calls, and no
+record is a dataclass.
 
 The package __init__ is exempt from the first two: its imports are the
 public re-exports.  For the third, a re-export is not a use: a name that
@@ -47,8 +48,8 @@ def unused_module_names(sources: dict[str, str]) -> list[str]:
 
     `sources` maps module names to their text.  A name counts as used if any
     module loads it, or any module but __init__ imports it by name: a
-    re-export alone is not a use.  Decorated definitions (click commands,
-    dataclasses) are exempt.
+    re-export alone is not a use.  Decorated definitions (click commands)
+    are exempt.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     used = set()
@@ -108,19 +109,19 @@ def test_the_check_sees_an_unused_module_name():
 CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
 
 
-def cache_decorators(source: str) -> list[str]:
-    """Functions, methods and classes under a CACHE_DECORATORS decorator.
+def decorator_name(decorator: ast.expr) -> str | None:
+    """The last name of a decorator, bare or dotted, called or not."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
 
-    The decorator counts by its last name, bare or dotted, called or not.
-    """
+
+def cache_decorators(source: str) -> list[str]:
+    """Functions, methods and classes under a CACHE_DECORATORS decorator."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             for decorator in node.decorator_list:
-                target = decorator.func if isinstance(decorator, ast.Call) else decorator
-                name = target.attr if isinstance(target, ast.Attribute) else getattr(
-                    target, "id", None)
-                if name in CACHE_DECORATORS:
+                if decorator_name(decorator) in CACHE_DECORATORS:
                     out.append(f"{node.name} (line {decorator.lineno})")
     return out
 
@@ -138,6 +139,42 @@ def test_the_check_sees_a_cache():
               "        return ()\n\n    @property\n    def l_max(self):\n        return 0\n")
     assert cache_decorators(source) == [
         "shifts (line 5)", "table (line 10)", "deltas (line 16)",
+    ]
+
+
+def dataclass_uses(source: str) -> list[str]:
+    """Imports of dataclasses and classes under a decorator named dataclass.
+
+    Records are constants.Record subclasses: a dataclass compiles its
+    generated methods when its module is imported, in every CLI process.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [f"import {a.name} (line {node.lineno})" for a in node.names
+                    if a.name.split(".")[0] == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            out.append(f"from dataclasses (line {node.lineno})")
+        elif isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                if decorator_name(decorator) == "dataclass":
+                    out.append(f"{node.name} (line {decorator.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_defines_no_dataclass(path):
+    assert dataclass_uses(path.read_text()) == []
+
+
+def test_the_check_sees_a_dataclass():
+    source = ("import dataclasses\nfrom dataclasses import dataclass, field\n\n\n"
+              "@dataclass\nclass A:\n    x: int\n\n\n"
+              "@dataclasses.dataclass(frozen=True)\nclass B:\n    y: int\n\n\n"
+              "class C:\n    __slots__ = ('z',)\n")
+    assert dataclass_uses(source) == [
+        "import dataclasses (line 1)", "from dataclasses (line 2)",
+        "A (line 5)", "B (line 10)",
     ]
 
 
@@ -190,9 +227,12 @@ def test_the_check_sees_an_upward_import():
 
 def test_cli_import_leaves_hashlib_unloaded():
     # the constants fingerprint imports hashlib when a document is rendered,
-    # so a command that exits before rendering never pays for it
+    # and the envelope imports json when it renders JSON, so a command that
+    # exits before rendering never pays for either, nor a CSV command for
+    # json; no module imports dataclasses
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    code = "import sys, mott_ti.cli; print('hashlib' in sys.modules)"
+    code = ("import sys, mott_ti.cli; "
+            "print([m in sys.modules for m in ('hashlib', 'dataclasses', 'json')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "False\n"
+    assert out == "[False, False, False]\n"
