@@ -4,7 +4,7 @@ The only physical parameter is kR (R = sum of the two radii).  Phase
 shifts follow tan(delta_l) = j_l(kR)/y_l(kR); cross sections are reported
 in units of R^2 and amplitudes in units of R, i.e. with R = 1 and k = kR.
 kR must lie in [KR_MIN, KR_MAX]; there the partial-wave ladder always
-reaches TRUNCATION_TOL with finite shifts.
+stops below its cap with finite shifts (see hard_sphere_phase_shifts).
 
 Identical pairs combine f(theta) and f(180 - theta).  As P_l(-x) = (-1)^l P_l(x),
 k f is E + O at theta and E - O at 180 - theta, E and O being the even-l
@@ -17,8 +17,8 @@ derivatives at 90 deg are partial-wave sums over P_l(0), P_l'(0) =
 l P_{l-1}(0) and P_l''(0) = -l(l+1) P_l(0) (DLMF 14.10, 18.9), so no
 finite differences enter the critical-kR scan.  P_l(0) is 0 at odd l, so
 one loop over even l steps P_{l+2}(0) = -(l+1) P_l(0)/(l+2), the operations
-of special.legendre_p_table at x = 0, with float coefficients as in
-special (same bits), and builds no table.  A critical-kR scan checks its
+of special's one Legendre recurrence at x = 0, with float coefficients as
+in special (same bits), and builds no table.  A critical-kR scan checks its
 inputs and takes eps w once, then calls the per-kR curvature per point.
 The phase-shift ladder takes one sin(delta_l) per wave, for its stop test
 and the weight (2l+1) e^{i delta_l} sin(delta_l) alike.
@@ -35,9 +35,8 @@ from .numerics import HALF_ANGLE_FACTOR, MAX_POINTS, bisect_root
 from .species import Polarization, Spin, Statistics, check_statistics, exchange_weight
 from .special import legendre_p_rows, spherical_bessel_j_table, spherical_bessel_y_table
 
-TRUNCATION_TOL = 1e-12  # the automatic ladder stops at |sin delta_l| below this
-AUTO_L_MARGIN = 15  # first cap ceil(kR) + 15; phase shifts decay super-exponentially for l > kR
-KR_MIN = 1e-6  # smallest accepted kR; pure s-wave there, and far below it the Bessel tables overflow
+TRUNCATION_TOL = 1e-12  # the ladder stops at |sin delta_l| below this times min(1, kR^5/45)
+KR_MIN = 1e-6  # smallest accepted kR; the ladder still takes l = 0..3, and far below it the Bessel tables overflow
 KR_MAX = 1000.0  # largest accepted kR; the ladder then needs about 1060 waves
 
 
@@ -85,35 +84,38 @@ def _check_kR(kR: float) -> None:
 
 
 def hard_sphere_phase_shifts(kR: float) -> PhaseShiftSet:
-    """Phase shifts delta_l = atan2(j_l, y_l) at x = kR, folded to (-pi/2, pi/2].
+    """Phase shifts delta_l with tan(delta_l) = j_l(kR)/y_l(kR).
 
-    delta_0 is set to -kR exactly (its closed form; shifts only matter
-    mod pi in observables).  The ladder stops at the first l > kR where
-    |sin delta_l| < TRUNCATION_TOL; one that reaches its cap ceil(kR) + 15
-    first (from kR ~ 17) is rebuilt with the cap doubled.
+    delta_0 is -kR exactly (its closed form; shifts only matter mod pi in
+    observables).  Every other shift is one atan2 that lands in [-pi/2, pi/2]
+    with no subtraction of pi, so tiny shifts keep their digits.  One j and one
+    y table run to the cap ceil(kR + 8 max(kR, 1)^(1/3)) + 4.  The ladder
+    stops at the first l > max(kR, 2) where |sin delta_l| < TRUNCATION_TOL
+    min(1, kR^5/45); kR^5/45 is the threshold-law size of delta_2 (DLMF
+    10.52), the leading wave of the 90 deg curvature.  On [KR_MIN, KR_MAX]
+    the stop lies at least 5 waves below the cap.  Against 40-digit mpmath
+    the 90 deg curvature is then within 2e-15 up to kR = 0.2, where it
+    vanishes like kR^4, and within 1e-12 up to kR = 30, relative to the
+    larger of it and its values at eps w = +-1.
     """
     _check_kR(kR)
-    cap = math.ceil(kR) + AUTO_L_MARGIN
-    atan2, sin, rect, pi = math.atan2, math.sin, cmath.rect, math.pi
-    half_pi = pi / 2.0
-    while True:
-        j = spherical_bessel_j_table(cap, kR)
-        y = spherical_bessel_y_table(cap, kR)
-        deltas, weights = [-kR], [rect(sin(-kR), -kR)]
-        c = 1.0  # 2l + 1
-        for l in range(1, cap + 1):
-            d = atan2(j[l], y[l])
-            if d > half_pi:
-                d -= pi
-            elif d <= -half_pi:
-                d += pi
-            s = sin(d)
-            c += 2.0
-            deltas.append(d)
-            weights.append(rect(c * s, d))
-            if l > kR and abs(s) < TRUNCATION_TOL:
-                return PhaseShiftSet(kR=kR, deltas=tuple(deltas), weights=tuple(weights))
-        cap *= 2
+    cap = math.ceil(kR + 8.0 * max(kR, 1.0) ** (1.0 / 3.0)) + 4
+    stop, tol = max(kR, 2.0), TRUNCATION_TOL * min(1.0, kR**5 / 45.0)
+    j = spherical_bessel_j_table(cap, kR)
+    y = spherical_bessel_y_table(cap, kR)
+    atan2, sin, rect = math.atan2, math.sin, cmath.rect
+    deltas, weights = [-kR], [rect(sin(-kR), -kR)]
+    c = 1.0  # 2l + 1
+    for l in range(1, cap + 1):
+        jl, yl = j[l], y[l]
+        d = atan2(-jl, -yl) if yl < 0.0 else atan2(jl, yl)
+        s = sin(d)
+        c += 2.0
+        deltas.append(d)
+        weights.append(rect(c * s, d))
+        if l > stop and abs(s) < tol:
+            return PhaseShiftSet(kR=kR, deltas=tuple(deltas), weights=tuple(weights))
+    raise AssertionError(f"the phase-shift ladder at kR = {kR} reached its cap {cap}")
 
 
 def _channels(xs: list[float], shifts: PhaseShiftSet) -> tuple[list, list]:
@@ -201,7 +203,7 @@ def _curvature_at_90(kR: float, eps_w: float) -> float:
         if l + 1 < n:
             df += w[l + 1] * k1 * p
         d2f -= wl * k * k1 * p
-        p = -k1 * p / (k + 2.0)  # legendre_p_table's step to l + 2 at x = 0
+        p = -k1 * p / (k + 2.0)  # the Legendre recurrence's step to l + 2 at x = 0
         k += 2.0
     re_f2f = (d2f * f.conjugate()).real
     slope2 = abs(df) ** 2

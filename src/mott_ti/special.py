@@ -89,31 +89,22 @@ def spherical_bessel_j_table(l_max: int, x: float) -> list[float]:
 
 
 def legendre_p_table(l_max: int, x: float) -> list[float]:
-    """P_0..P_{l_max} at x in [-1, 1] by the three-term recurrence."""
+    """P_0..P_{l_max} at x in [-1, 1]: the one column of legendre_p_rows(l_max, [x])."""
     if not abs(x) <= 1.0:  # also true for nan
         raise DomainError(f"|x| must be <= 1, got {x}")
     if l_max < 0:
         raise DomainError(f"l_max must be >= 0, got {l_max}")
-    p = [0.0] * (l_max + 1)
-    p[0] = 1.0
-    if l_max >= 1:
-        p[1] = x
-    k = 0.0  # l
-    for l in range(1, l_max):
-        k += 1.0
-        p[l + 1] = ((k + k + 1.0) * x * p[l] - k * p[l - 1]) / (k + 1.0)
-    return p
+    return [row[0] for row in legendre_p_rows(l_max, [x])]
 
 
 def legendre_p_rows(l_max: int, xs: list[float]) -> Iterator[list[float]]:
-    """Yield the rows P_l(xs), l = 0..l_max, of legendre_p_table's recurrence.
+    """Yield the rows P_l(xs), l = 0..l_max, of the three-term recurrence.
 
-    Each element takes the same operations in the same order as in
-    legendre_p_table, so column i equals legendre_p_table(l_max, xs[i]) bit
-    for bit.  One step of l is one pass over xs: cheaper than a table per x
-    on a grid, dearer at a single x.  Unlike the table it checks nothing:
-    its one caller, hardsphere._channels, passes x = cos(theta) of a checked
-    angle and the l_max of a phase-shift ladder.
+    Each column takes its own operations, so column i has the bits of
+    legendre_p_table(l_max, xs[i]), which is this recurrence at one point.
+    One step of l is one pass over xs: cheaper than a table per x on a grid.
+    Unlike the table it checks nothing: hardsphere._channels passes
+    x = cos(theta) of a checked angle and the l_max of a phase-shift ladder.
     """
     prev, row = [1.0] * len(xs), list(xs)
     yield prev

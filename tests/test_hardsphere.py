@@ -3,7 +3,9 @@ import math
 from functools import cache, reduce
 from operator import add, mul
 
+import mpmath
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,7 @@ from mott_ti import (
 )
 from mott_ti import hardsphere
 from mott_ti.analysis import angle_grid, build_curve
+from mott_ti.cli import main
 from mott_ti.hardsphere import KR_MAX, KR_MIN, TRUNCATION_TOL
 from mott_ti.numerics import (
     HALF_ANGLE_FACTOR,
@@ -190,7 +193,7 @@ def _point_channels(theta, shifts):
     angle_grid(100.0, 170.0, 0.5),  # only x < 0: the kernel steps |x|, the reference x
 ], ids=["default", "step0.1", "60-120", "10-80", "100-170"])
 def test_curve_kernel_is_bit_identical_to_point_by_point(monkeypatch, grid, kR):
-    # kR = 25 takes the doubled ladder (l_max 43 against a first cap of 40).
+    # kR = 25 takes 43 waves from tables of 54.
     # The reference is one Legendre table per angle at the signed x, its sums
     # taken once per (grid, kR) and combined for all 8 spin/polarization cases.
     # The kernel's channel sums are memoized on the same key to keep the test
@@ -245,7 +248,6 @@ def test_curve_kernel_evaluation_counts(monkeypatch, grid, columns):
 
 
 def test_truncation_robustness_doubling_l_max():
-    # above kR ~ 17 the first cap ceil(kR) + 15 is too short and is doubled;
     # the reference sums twice as many waves, delta_l = atan2(j_l, y_l)
     for kR in (0.5, 1.5, 3.0, 30.0, 100.0, 300.0):
         auto = hard_sphere_phase_shifts(kR)
@@ -275,6 +277,107 @@ def test_automatic_ladder_converges_up_to_kR_max():
         assert shifts.l_max > kR
         assert abs(math.sin(shifts.deltas[-1])) < TRUNCATION_TOL
         assert all(math.isfinite(d) for d in shifts.deltas)
+
+
+def test_ladder_stops_below_its_cap(monkeypatch):
+    # one j and one y table per call, both to the cap ceil(kR + 8 max(kR, 1)^(1/3)) + 4;
+    # the stop lies at least 5 waves below it on a dense log grid and at the
+    # zeros of j_1 and j_2, where the threshold kR^5/45 does not vanish
+    caps = []
+    for name in ("spherical_bessel_j_table", "spherical_bessel_y_table"):
+        table = getattr(hardsphere, name)
+        monkeypatch.setattr(hardsphere, name,
+                            lambda l_max, x, table=table: caps.append(l_max) or table(l_max, x))
+    n = 2000
+    grid = [min(KR_MIN * (KR_MAX / KR_MIN) ** (i / n), KR_MAX) for i in range(n + 1)]
+    for kR in grid + [4.4934094579090642, 5.76345919689455, 7.7252518369377072, 9.0950113304763552]:
+        caps.clear()
+        shifts = hard_sphere_phase_shifts(kR)
+        cap, other = caps
+        assert cap == other == math.ceil(kR + 8.0 * max(kR, 1.0) ** (1.0 / 3.0)) + 4
+        assert cap - shifts.l_max >= 5, kR
+        assert shifts.l_max >= 3
+
+
+def _mp_shifts(kR, l_max):
+    """delta_0..delta_{l_max} at kR from mpmath's half-integer Bessel functions, in (-pi/2, pi/2)."""
+    x = mpmath.mpf(kR)
+    return [mpmath.atan(mpmath.besselj(l + 0.5, x) / mpmath.bessely(l + 0.5, x))
+            for l in range(l_max + 1)]
+
+
+def _mp_curvature(kR, eps_w):
+    """_curvature_at_90 at 40 digits from the mpmath shifts, up to 10 waves past the ladder."""
+    with mpmath.workdps(40):
+        f = df = d2f = mpmath.mpc(0)
+        for l, d in enumerate(_mp_shifts(kR, hard_sphere_phase_shifts(kR).l_max + 10)):
+            w = (2 * l + 1) * mpmath.expj(d) * mpmath.sin(d)
+            f += w * mpmath.legendre(l, 0)
+            if l > 0:
+                df += w * l * mpmath.legendre(l - 1, 0)
+            d2f -= w * l * (l + 1) * mpmath.legendre(l, 0)
+        re_f2f, slope2 = mpmath.re(d2f * mpmath.conj(f)), abs(df) ** 2
+        d2 = 4 * (re_f2f + slope2) + eps_w * 4 * (re_f2f - slope2)
+        return HALF_ANGLE_FACTOR * d2 / mpmath.mpf(kR) ** 2
+
+
+_ORACLE_KR = [KR_MIN * (30.0 / KR_MIN) ** (i / 29) for i in range(30)]
+
+
+@pytest.mark.parametrize("kR", _ORACLE_KR, ids=[f"{kR:.3g}" for kR in _ORACLE_KR])
+def test_phase_shifts_and_curvature_match_mpmath(kR):
+    # every shift to a few ulps (relative below kR = 1, where none is near a
+    # zero of j_l); the curvature relative to the larger of it and its values
+    # at eps w = +-1, its A +- B, so a kR near a zero of one mix does not blow
+    # the ratio up.  Below kR = 0.2 the curvature's leading waves are shifts
+    # far below ulp(pi), which only an atan2 that lands in range keeps.
+    shifts = hard_sphere_phase_shifts(kR)
+    with mpmath.workdps(40):
+        exact = _mp_shifts(kR, shifts.l_max)
+    for d, e in zip(shifts.deltas[1:], exact[1:]):
+        assert abs(d - e) <= 1e-15 * (abs(e) if kR < 1.0 else 1.0)
+    reference = {eps_w: _mp_curvature(kR, eps_w) for eps_w in (1.0, -1.0, 1.0 / 3.0, -0.5)}
+    scale = max(abs(reference[1.0]), abs(reference[-1.0]))
+    for eps_w, value in reference.items():
+        error = abs(hardsphere._curvature_at_90(kR, eps_w) - value) / max(abs(value), scale)
+        assert error <= (2e-15 if kR <= 0.2 else 1e-12), eps_w
+
+
+@pytest.mark.parametrize("twice_s, polarization, limit", [
+    (0, Polarization.UNPOLARIZED, 32.0 / 3.0),  # eps w = 1
+    (1, Polarization.ALIGNED, 32.0),            # eps w = -1
+    (1, Polarization.UNPOLARIZED, 80.0 / 3.0),  # eps w = -1/2
+])
+def test_curvature_follows_the_threshold_law(twice_s, polarization, limit):
+    # delta_l ~ -x^{2l+1}/((2l+1)!! (2l-1)!!) (DLMF 10.52) gives the curvature
+    # kR^4 [16 (1 - eps w) + (16/3)(1 + eps w)] as kR -> 0, up to O(kR^2)
+    spin = Spin(twice_s)
+    for kR in (KR_MIN, 1e-5, 1e-4):
+        params = HardSphereParams(kR=kR, spin=spin, statistics=spin.statistics,
+                                  polarization=polarization)
+        assert hs_curvature_at_90(params) / kR**4 == pytest.approx(limit, rel=1e-7)
+
+
+def test_critical_kR_does_not_depend_on_a_small_lo():
+    # spin 0's root 1.44677067 from every lo up to the bracket, to a few ulps
+    root = find_critical_kR(Spin(0), Statistics.BOSON, scan=(0.2, 3.0))
+    for i in range(41):
+        lo = KR_MIN * (1.4 / KR_MIN) ** (i / 40)
+        assert abs(find_critical_kR(Spin(0), Statistics.BOSON, scan=(lo, 3.0)) - root) \
+            <= 4 * math.ulp(root), lo
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["plateau", "--kr", "0.0001", "--spin", "0"], "# curvature_90=1.06666666e-15"),
+    (["hardsphere", "--spin", "0", "--critical-scan", "0.001", "3"], "# critical_kR=1.44677067"),
+    (["hardsphere", "--spin", "0", "--critical-scan", "0.00001", "3"], "# critical_kR=1.44677067"),
+])
+def test_cli_keeps_the_small_kR_digits(argv, line):
+    # mpmath: curvature 1.0666666570e-15 at kR = 1e-4 (the kR^4 term alone
+    # would round to ...67), and the scans find the root, not their lo
+    result = CliRunner().invoke(main, argv, env={"MOTT_TI_CONSTANTS": None})
+    assert result.exit_code == 0
+    assert line in result.stdout.splitlines()
 
 
 def test_kR_above_bound_rejected():
