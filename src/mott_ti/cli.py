@@ -5,6 +5,13 @@ embeds the parameters that produced it.  Exit codes: 0 success (including
 a scan that finds nothing), 2 usage or validation error, 3 numerical
 failure (a root was asserted but the bracket holds no sign change).
 
+The parser is the standard library's argparse, and no parser takes an
+abbreviated option.  An option value that starts with '-' is read as a
+value only if it is a plain negative number (-1, -0.5); write any other
+as --option=VALUE (--eta=-1e3).  No numeric option takes a negative value
+anyway (the grid lies inside (0, 180); eta, kR, steps and tolerances are
+> 0), so either form exits 2.
+
 Set MOTT_TI_CONSTANTS to a constants file (same plain-text format as the
 species catalog, rows of ``name value``) to override the built-in
 physical constants.
@@ -13,8 +20,8 @@ physical constants.
 from __future__ import annotations
 
 import os
-
-import click
+import sys
+from argparse import ArgumentParser, ArgumentTypeError
 
 from . import __version__
 from .analysis import (SystemReportRow, angle_grid, build_curve, plateau as plateau_op,
@@ -52,66 +59,55 @@ def _constants() -> PhysicalConstants:
         try:
             return load_constants(path)
         except (OSError, ValueError) as exc:
-            raise click.UsageError(f"cannot load constants from {CONSTANTS_ENV_VAR}: {exc}")
+            raise DomainError(f"cannot load constants from {CONSTANTS_ENV_VAR}: {exc}")
     return DEFAULT_CONSTANTS
 
 
 def _catalog(path: str | None, constants: PhysicalConstants):
+    """The built-in catalog, or the one in `path`; a missing file or a directory exits 2."""
     if path is None:
         return builtin_catalog(constants)
     try:
         return load_species_catalog(path, constants)
     except (OSError, ValueError) as exc:
-        raise click.UsageError(f"cannot load catalog {path}: {exc}")
+        raise DomainError(f"cannot load catalog {path}: {exc}")
 
 
 def _emit(fmt: str, params: dict, constants: PhysicalConstants, **payload) -> None:
     """Write the envelope of `params`, `constants` and the payload in `fmt`."""
-    click.echo(OutputEnvelope(params=params, constants=constants, **payload).render(fmt), nl=False)
+    sys.stdout.write(OutputEnvelope(params=params, constants=constants, **payload).render(fmt))
 
 
-def _parse_spin(ctx, param, value: str | None) -> Spin | None:
-    if value is None:
-        return None
+def _spin(text: str) -> Spin:
     try:
-        return Spin.parse(value)
+        return Spin.parse(text)
     except ValueError as exc:  # DomainError included
-        raise click.BadParameter(f"invalid spin {value!r}: {exc}") from exc
+        raise ArgumentTypeError(f"invalid spin {text!r}: {exc}") from exc
 
 
-# Options shared by several subcommands, each declared once here.
-
-def spin_option(required: bool = True):
-    return click.option("--spin", metavar="SPIN", callback=_parse_spin, required=required,
-                        help="Spin as 0, 1, 1/2, 9/2, ...")
-
-
-polarization_option = click.option(
-    "--polarization", type=click.Choice([p.value for p in Polarization]),
-    default=Polarization.UNPOLARIZED.value, show_default=True,
-    callback=lambda ctx, param, value: Polarization(value),
-    help="Spin preparation of the pair.",
-)
-eta_option = click.option("--eta", type=float, default=None,
-                          help="Sommerfeld parameter (a = 1 fm).")
-kr_option = click.option("--kr", type=float, default=None, help="kR of a hard-sphere curve.")
-catalog_option = click.option(
-    "--catalog", type=click.Path(exists=True, dir_okay=False), default=None,
-    help="Species catalog file (defaults to the built-in one).",
-)
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-    show_default=True, help="Output format.",
-)
+# Options shared by several subcommands, each declared once here as a flag and
+# its add_argument keywords.
+SPIN = ("--spin", {"type": _spin, "required": True, "metavar": "SPIN",
+                   "help": "Spin as 0, 1, 1/2, 9/2, ..."})
+POLARIZATION = ("--polarization", {
+    "type": Polarization, "default": Polarization.UNPOLARIZED.value,
+    "metavar": "{" + ",".join(p.value for p in Polarization) + "}",
+    "help": "Spin preparation of the pair. [default: %(default)s]",
+})
+ETA = ("--eta", {"type": float, "help": "Sommerfeld parameter (a = 1 fm)."})
+KR = ("--kr", {"type": float, "help": "kR of a hard-sphere curve."})
+CATALOG = ("--catalog", {"help": "Species catalog file (defaults to the built-in one)."})
+FORMAT = ("--format", {"dest": "fmt", "choices": ("csv", "json"), "default": "csv",
+                       "help": "Output format. [default: %(default)s]"})
+# --theta-min, --theta-max and --theta-step, in that order, defaulting to angle_grid's
+GRID = tuple((f"--theta-{suffix}", {"type": float, "default": default,
+                                    "help": f"Grid {noun} (degrees). [default: %(default)s]"})
+             for suffix, default, noun in zip(("min", "max", "step"), angle_grid.__defaults__,
+                                              ("start", "end", "step")))
 
 
-def grid_options(fn):
-    """--theta-min, --theta-max and --theta-step, in that order, defaulting to angle_grid's."""
-    options = zip(("min", "max", "step"), angle_grid.__defaults__, ("start", "end", "step"))
-    for suffix, default, noun in reversed(list(options)):
-        fn = click.option(f"--theta-{suffix}", type=float, default=default, show_default=True,
-                          help=f"Grid {noun} (degrees).")(fn)
-    return fn
+def _flag(name: str, text: str):
+    return (name, {"action": "store_true", "help": text})
 
 
 def _grid(theta_min: float, theta_max: float, theta_step: float, fmt: str) -> tuple[float, ...]:
@@ -128,39 +124,6 @@ def _grid(theta_min: float, theta_max: float, theta_step: float, fmt: str) -> tu
     return grid
 
 
-class _Command(click.Command):
-    """A subcommand whose library errors become the documented exit codes.
-
-    DomainError exits 2 with the subcommand's usage line; RootNotFoundError exits 3.
-    """
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except DomainError as exc:
-            raise click.UsageError(str(exc), ctx) from exc
-        except RootNotFoundError as exc:
-            click.echo(f"error: {exc}", err=True)
-            ctx.exit(EXIT_NUMERICAL_FAILURE)
-
-
-class _Group(click.Group):
-    command_class = _Command
-
-
-@click.group(cls=_Group)
-@click.version_option(__version__, prog_name="mott-ti")
-def main():
-    """Identical-particle scattering cross sections and transverse isotropy."""
-
-
-@main.command()
-@spin_option()
-@click.option("--numeric", is_flag=True,
-              help="Also locate the critical eta numerically and report the difference.")
-@click.option("--bracket", type=float, nargs=2, default=(0.5, 4.0), show_default=True,
-              help="Eta bracket for the numeric root search.")
-@format_option
 def critical(spin: Spin, numeric: bool, bracket, fmt: str):
     """Critical Sommerfeld parameter sqrt(3s+2) for the given spin."""
     constants = _constants()
@@ -176,20 +139,6 @@ def critical(spin: Spin, numeric: bool, bracket, fmt: str):
     _emit(fmt, params, constants, scalars=scalars)
 
 
-@main.command()
-@click.option("--system", "system_name", type=str, default=None,
-              help="Species name or pair, e.g. 'alpha' or 'alpha-alpha'.")
-@click.option("--energy", type=float, default=None, help="CM energy in keV (with --system).")
-@eta_option
-@spin_option(required=False)
-@polarization_option
-@click.option("--incoherent-only", is_flag=True,
-              help="Emit only the distinguishable-particle (incoherent) sum.")
-@click.option("--normalize", type=click.Choice(["rutherford90"]), default=None,
-              help="Divide by the 90-degree Rutherford value a^2.")
-@grid_options
-@catalog_option
-@format_option
 def angular(system_name, energy, eta, spin, polarization, incoherent_only,
             normalize, theta_min, theta_max, theta_step, catalog, fmt):
     """Angular distribution of the symmetrized Coulomb cross section."""
@@ -199,15 +148,13 @@ def angular(system_name, energy, eta, spin, polarization, incoherent_only,
 
     if system_name is not None:
         if energy is None:
-            raise click.UsageError("--system requires --energy")
+            raise DomainError("--system requires --energy")
         if eta is not None or spin is not None:
-            raise click.UsageError("--system and --eta/--spin are mutually exclusive")
+            raise DomainError("--system and --eta/--spin are mutually exclusive")
         parts = system_name.split("-")
         if len(parts) == 2:
             if parts[0] != parts[1]:
-                raise click.UsageError(
-                    f"only identical pairs are supported, got {system_name!r}"
-                )
+                raise DomainError(f"only identical pairs are supported, got {system_name!r}")
             system_name = parts[0]
         species = find_species(system_name, _catalog(catalog, constants))
         system = CollisionSystem(species=species, energy_cm=energy)
@@ -218,12 +165,12 @@ def angular(system_name, energy, eta, spin, polarization, incoherent_only,
                       mass_mev=species.mass, z=species.z)
     elif eta is not None:
         if energy is not None or catalog is not None:
-            raise click.UsageError("--energy and --catalog require --system")
+            raise DomainError("--energy and --catalog require --system")
         if spin is None and not incoherent_only:
-            raise click.UsageError("--eta requires --spin")
+            raise DomainError("--eta requires --spin")
         a = 1.0
     else:
-        raise click.UsageError("provide either --system/--energy or --eta/--spin")
+        raise DomainError("provide either --system/--energy or --eta/--spin")
     check_eta(eta)
 
     params.update(eta=eta, a_fm=a, polarization=polarization.value,
@@ -247,9 +194,6 @@ def angular(system_name, energy, eta, spin, polarization, incoherent_only,
     _emit(fmt, params, constants, columns=columns, rows=rows)
 
 
-@main.command()
-@catalog_option
-@format_option
 def table(catalog, fmt):
     """Critical energies, barriers, sigma(90) and feasibility per species."""
     constants = _constants()
@@ -260,16 +204,6 @@ def table(catalog, fmt):
     _emit(fmt, params, constants, columns=columns, rows=data)
 
 
-@main.command()
-@spin_option()
-@eta_option
-@click.option("--eta-critical", is_flag=True, help="Use the critical eta for this spin.")
-@kr_option
-@polarization_option
-@click.option("--epsilon", type=float, default=0.05, show_default=True,
-              help="Flatness tolerance |sigma/sigma(90) - 1|.")
-@grid_options
-@format_option
 def plateau(spin, eta, eta_critical, kr, polarization, epsilon,
             theta_min, theta_max, theta_step, fmt):
     """Flatness plateau around 90 degrees for a Coulomb or hard-sphere curve."""
@@ -280,13 +214,13 @@ def plateau(spin, eta, eta_critical, kr, polarization, epsilon,
               "theta_step": theta_step}
     if kr is not None:
         if eta is not None or eta_critical:
-            raise click.UsageError("--kr and --eta/--eta-critical are mutually exclusive")
+            raise DomainError("--kr and --eta/--eta-critical are mutually exclusive")
         model = HardSphereParams(kR=kr, spin=spin, statistics=spin.statistics,
                                  polarization=polarization)
         params.update(model="hard-sphere", kR=kr)
     else:
         if eta_critical == (eta is not None):
-            raise click.UsageError("provide exactly one of --eta or --eta-critical")
+            raise DomainError("provide exactly one of --eta or --eta-critical")
         eta_val = critical_eta(spin, polarization) if eta_critical else eta
         model = MottParams(a=1.0, eta=eta_val, spin=spin, polarization=polarization)
         params.update(model="mott-coulomb", eta=eta_val, a_fm=1.0)
@@ -301,12 +235,6 @@ def plateau(spin, eta, eta_critical, kr, polarization, epsilon,
     _emit(fmt, params, constants, scalars=scalars)
 
 
-@main.command()
-@spin_option()
-@click.option("--delta", type=float, default=0.05, show_default=True,
-              help="Fractional eta shift around the critical value.")
-@grid_options
-@format_option
 def sweep(spin, delta, theta_min, theta_max, theta_step, fmt):
     """Shape sensitivity: curves at eta_C (1 +- delta) with min/flat/max labels."""
     constants = _constants()
@@ -330,22 +258,12 @@ def sweep(spin, delta, theta_min, theta_max, theta_step, fmt):
     _emit(fmt, params, constants, scalars=scalars, columns=columns, rows=rows)
 
 
-@main.command()
-@kr_option
-@spin_option()
-@polarization_option
-@click.option("--critical-scan", type=float, nargs=2, default=None,
-              help="Scan [LO, HI] for the critical kR; prints 'none' when absent.")
-@click.option("--step", type=float, default=0.05, show_default=True,
-              help="Scan step in kR.")
-@grid_options
-@format_option
 def hardsphere(kr, spin, polarization, critical_scan, step,
                theta_min, theta_max, theta_step, fmt):
     """Hard-sphere cross sections (units of R^2) and the critical-kR scan."""
     constants = _constants()
     if critical_scan is not None and kr is not None:
-        raise click.UsageError("--kr and --critical-scan are mutually exclusive")
+        raise DomainError("--kr and --critical-scan are mutually exclusive")
     if critical_scan is not None:
         params = {"command": "hardsphere", "spin": str(spin),
                   "statistics": spin.statistics.value, "polarization": polarization.value,
@@ -356,7 +274,7 @@ def hardsphere(kr, spin, polarization, critical_scan, step,
         _emit(fmt, params, constants, scalars={"critical_kR": root})
         return
     if kr is None:
-        raise click.UsageError("provide either --kr or --critical-scan")
+        raise DomainError("provide either --kr or --critical-scan")
     grid = _grid(theta_min, theta_max, theta_step, fmt)
     model = HardSphereParams(kR=kr, spin=spin, statistics=spin.statistics,
                              polarization=polarization)
@@ -367,6 +285,84 @@ def hardsphere(kr, spin, polarization, critical_scan, step,
               "theta_step": theta_step}
     rows = list(zip(curve.thetas, curve.values))
     _emit(fmt, params, constants, columns=["theta_deg", "sigma_over_R2"], rows=rows)
+
+
+# Each subcommand with its options, in the order that --help lists them.
+COMMANDS = (
+    (critical, (
+        SPIN,
+        _flag("--numeric", "Also locate the critical eta numerically and report the difference."),
+        ("--bracket", {"type": float, "nargs": 2, "default": (0.5, 4.0), "metavar": ("LO", "HI"),
+                       "help": "Eta bracket for the numeric root search. [default: %(default)s]"}),
+        FORMAT,
+    )),
+    (angular, (
+        ("--system", {"dest": "system_name", "metavar": "SYSTEM",
+                      "help": "Species name or pair, e.g. 'alpha' or 'alpha-alpha'."}),
+        ("--energy", {"type": float, "help": "CM energy in keV (with --system)."}),
+        ETA, ("--spin", {**SPIN[1], "required": False}), POLARIZATION,
+        _flag("--incoherent-only", "Emit only the distinguishable-particle (incoherent) sum."),
+        ("--normalize", {"choices": ("rutherford90",),
+                         "help": "Divide by the 90-degree Rutherford value a^2."}),
+        *GRID, CATALOG, FORMAT,
+    )),
+    (table, (CATALOG, FORMAT)),
+    (plateau, (
+        SPIN, ETA, _flag("--eta-critical", "Use the critical eta for this spin."), KR, POLARIZATION,
+        ("--epsilon", {"type": float, "default": 0.05, "help": "Flatness tolerance "
+                       "|sigma/sigma(90) - 1|. [default: %(default)s]"}),
+        *GRID, FORMAT,
+    )),
+    (sweep, (
+        SPIN,
+        ("--delta", {"type": float, "default": 0.05, "help": "Fractional eta shift around "
+                     "the critical value. [default: %(default)s]"}),
+        *GRID, FORMAT,
+    )),
+    (hardsphere, (
+        KR, SPIN, POLARIZATION,
+        ("--critical-scan", {"type": float, "nargs": 2, "metavar": ("LO", "HI"), "help":
+                             "Scan [LO, HI] for the critical kR; prints 'none' when absent."}),
+        ("--step", {"type": float, "default": 0.05,
+                    "help": "Scan step in kR. [default: %(default)s]"}),
+        *GRID, FORMAT,
+    )),
+)
+
+
+def build_parser(prog: str) -> ArgumentParser:
+    """One parser with a subparser per entry of COMMANDS."""
+    parser = ArgumentParser(prog=prog, description=main.__doc__, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    subparsers = parser.add_subparsers(metavar="COMMAND", required=True)
+    for command, options in COMMANDS:
+        sub = subparsers.add_parser(command.__name__, help=command.__doc__,
+                                    description=command.__doc__, allow_abbrev=False)
+        for flag, spec in options:
+            sub.add_argument(flag, **spec)
+        sub.set_defaults(command=(command, sub))
+    return parser
+
+
+def main(args=None, prog_name=None):
+    """Identical-particle scattering cross sections and transverse isotropy."""
+    options = vars(build_parser(prog_name or "mott-ti").parse_args(args))
+    command, parser = options.pop("command")
+    try:
+        command(**options)
+    except DomainError as exc:
+        parser.error(str(exc))
+    except RootNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_NUMERICAL_FAILURE)
+    sys.exit(0)
+
+
+# main ends in SystemExit, as click's standalone mode does: click.testing.CliRunner,
+# the in-process oracle of bench/, calls main.main and reads main.name.  Both
+# attributes go once that oracle calls main itself (ROADMAP item 1).
+main.name = "mott-ti"
+main.main = main
 
 
 if __name__ == "__main__":

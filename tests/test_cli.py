@@ -1,20 +1,24 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mott_ti.cli import main
+from mott_ti.cli import build_parser, main
 from mott_ti.constants import DEFAULT_CONSTANTS
 from mott_ti.species import MASS_MAX, MASS_MIN, TWICE_S_MAX, Z_MAX
 from test_golden import strict_json
 
 SQRT2 = math.sqrt(2.0)
-BUILTIN_CATALOG = Path(__file__).resolve().parents[1] / "src" / "mott_ti" / "data" / "species.txt"
+SRC = Path(__file__).resolve().parents[1] / "src"
+BUILTIN_CATALOG = SRC / "mott_ti" / "data" / "species.txt"
 
 
 @pytest.fixture
@@ -139,8 +143,8 @@ def test_angular_aligned_fermions_next_to_90_are_not_negative(runner):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert ("Error: theta grid points 89.99999998 and 89.99999998999999 both print as 90; "
-            "use a coarser --theta-step\n") in result.output
+    assert ("mott-ti angular: error: theta grid points 89.99999998 and 89.99999998999999 "
+            "both print as 90; use a coarser --theta-step\n") in result.output
     # JSON writes each angle's repr, so the same grid prints five distinct angles
     result = runner.invoke(main, args + ["--format", "json"])
     assert result.exit_code == 0
@@ -181,14 +185,15 @@ def test_angular_stat_mismatch_rejected(runner, command, spin, stat):
     result = runner.invoke(main, command + ["--spin", spin, "--stat", stat])
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert "No such option '--stat'" in result.output
+    assert f"mott-ti: error: unrecognized arguments: --stat {stat}\n" in result.output
 
 
 def test_angular_unknown_species(runner):
     result = runner.invoke(main, ["angular", "--system", "muon", "--energy", "10"])
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert "Error: unknown species 'muon' (catalog has: d, 6Li, alpha)\n" in result.output
+    assert ("mott-ti angular: error: unknown species 'muon' (catalog has: d, 6Li, alpha)\n"
+            in result.output)
 
 
 def test_a_stray_key_error_is_a_bug_not_a_usage_error(runner, monkeypatch):
@@ -521,7 +526,7 @@ def test_species_extremes_exit_2_or_give_strict_json(tmp_path_factory, z, mass, 
     row_field = spin_field or (None if MASS_MIN <= mass <= MASS_MAX else "mass")
     for argv, field in (
         (["table", "--format", "json", "--catalog", str(catalog)], row_field),
-        (["critical", "--spin", f"{twice_s}/2", "--format", "json"], spin_field),
+        (["critical", f"--spin={twice_s}/2", "--format", "json"], spin_field),
     ):
         result = CliRunner().invoke(main, argv, env={"MOTT_TI_CONSTANTS": None})
         if field:
@@ -536,16 +541,85 @@ def test_species_extremes_exit_2_or_give_strict_json(tmp_path_factory, z, mass, 
 def test_shared_options_agree():
     # an option that several subcommands take means the same in each; only
     # whether --spin is required may differ
+    parser = build_parser("mott-ti")
+    subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == ["critical", "angular", "table", "plateau", "sweep",
+                                        "hardsphere"]
     seen = {}
-    for command in main.commands.values():
-        for param in command.params:
-            if not isinstance(param, click.Option):
-                continue
-            spec = (param.help, param.default, param.type.to_info_dict(), param.show_default,
-                    param.metavar, param.callback, None if param.name == "spin" else param.required)
-            for opt in param.opts:
-                first, first_spec = seen.setdefault(opt, (command.name, spec))
-                assert spec == first_spec, (opt, first, command.name)
+    for name, command in subparsers.choices.items():
+        for action in command._actions:
+            spec = (type(action), action.dest, action.help, action.default, action.type,
+                    action.choices, action.nargs, action.metavar,
+                    None if action.dest == "spin" else action.required)
+            for opt in action.option_strings:
+                first, first_spec = seen.setdefault(opt, (name, spec))
+                assert spec == first_spec, (opt, first, name)
+    assert len(seen) > 10
+
+
+# ------------------------------------------- the subprocess and the in-process run
+
+# bench/ checks every `python -m mott_ti.cli` op against the same argv run
+# in-process through CliRunner, as here: same exit code, same stdout bytes.
+PARITY_CASES = [
+    *((argv + ["--format", fmt], 0) for argv in (
+        ["critical", "--spin", "1"],
+        ["angular", "--eta", "1.5", "--spin", "0"] + GRID,
+        ["table"],
+        ["plateau", "--spin", "1/2", "--eta-critical"],
+        ["sweep", "--spin", "2", "--theta-step", "2"],
+        ["hardsphere", "--kr", "1.5", "--spin", "0"] + GRID,
+    ) for fmt in ("csv", "json")),
+    (["plateau", "--spin", "0"], 2),
+    (["critical", "--spin", "1/2", "--numeric"], 3),
+    (["--version"], 0),
+]
+
+
+@pytest.mark.parametrize("argv,code", PARITY_CASES, ids=[" ".join(c[0]) for c in PARITY_CASES])
+def test_subprocess_and_cli_runner_agree(argv, code):
+    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "mott_ti.cli", *argv], cwd=SRC.parent, env=env,
+                          capture_output=True, check=False)
+    result = CliRunner().invoke(main, argv, env={"MOTT_TI_CONSTANTS": None})
+    assert (proc.returncode, result.exit_code) == (code, code), proc.stderr
+    assert result.stdout_bytes == proc.stdout
+    assert bool(proc.stdout) == (code == 0)
+
+
+# ----------------------------------------------- where argparse differs from click
+
+@pytest.mark.parametrize("argv,message", [
+    # no parser takes an abbreviated option
+    (["plateau", "--spin", "0", "--eta-crit"], "unrecognized arguments: --eta-crit"),
+    (["critical", "--spin", "1", "--num"], "unrecognized arguments: --num"),
+    # only a plain negative number is read as a value; --option=VALUE takes any
+    (["angular", "--eta", "-1e3", "--spin", "0"], "argument --eta: expected one argument"),
+    (["angular", "--eta=-1e3", "--spin", "0"], "eta must lie in (0, 1e+06], got -1000.0"),
+    (["angular", "--eta", "-1", "--spin", "0"], "eta must lie in (0, 1e+06], got -1.0"),
+    ([], "the following arguments are required: COMMAND"),
+])
+def test_argparse_usage_errors_exit_2(runner, argv, message):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert message in result.stderr
+
+
+def test_version_line(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert result.stdout == "mott-ti, version 0.1.0\n"
+
+
+@pytest.mark.parametrize("name", ["missing.txt", "."])
+def test_catalog_that_is_no_file_exits_2(runner, tmp_path, name):
+    path = tmp_path / name
+    for argv in (["table"], ["angular", "--system", "alpha", "--energy", "400"]):
+        result = runner.invoke(main, argv + ["--catalog", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"cannot load catalog {path}: " in result.stderr
 
 
 # ------------------------------------------------------- envelope and formats

@@ -44,12 +44,11 @@ def test_the_check_sees_an_unused_import():
 
 
 def unused_module_names(sources: dict[str, str]) -> list[str]:
-    """Undecorated module-level defs and assignments that no module loads or imports.
+    """Module-level defs and assignments that no module loads or imports.
 
     `sources` maps module names to their text.  A name counts as used if any
     module loads it, or any module but __init__ imports it by name: a
-    re-export alone is not a use.  Decorated definitions (click commands)
-    are exempt.
+    re-export alone is not a use.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     used = set()
@@ -63,7 +62,7 @@ def unused_module_names(sources: dict[str, str]) -> list[str]:
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [] if node.decorator_list else [node.name]
+                names = [node.name]
             elif isinstance(node, ast.Assign):
                 names = [t.id for t in node.targets if isinstance(t, ast.Name)]
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
@@ -93,15 +92,16 @@ def test_every_module_level_name_is_used():
 def test_the_check_sees_an_unused_module_name():
     # Row is used by output's import, STEP only re-exported by __init__
     sources = {
-        "cli": ("import click\n\nOPTIONS = [1]\n\n\ndef add_options(options):\n"
-                "    return options\n\n\n@click.command()\ndef table():\n"
-                "    return OPTIONS\n"),
+        "cli": ("OPTIONS = [1]\n\n\ndef add_options(options):\n"
+                "    return options\n\n\ndef table():\n    return OPTIONS\n\n\n"
+                "COMMANDS = [table]\n"),
         "analysis": "LIMIT: int = 3\nSTEP = 0.5\n\n\nclass Row:\n    pass\n",
         "__init__": "from .analysis import Row, STEP\n",
         "output": "from .analysis import Row\n",
     }
     assert unused_module_names(sources) == [
-        "cli.add_options (line 6)", "analysis.LIMIT (line 1)", "analysis.STEP (line 2)",
+        "cli.add_options (line 4)", "cli.COMMANDS (line 12)", "analysis.LIMIT (line 1)",
+        "analysis.STEP (line 2)",
     ]
 
 
@@ -229,10 +229,11 @@ def test_cli_import_leaves_hashlib_unloaded():
     # the constants fingerprint imports hashlib when a document is rendered,
     # and the envelope imports json when it renders JSON, so a command that
     # exits before rendering never pays for either, nor a CSV command for
-    # json; no module imports dataclasses
+    # json; no module imports dataclasses, and the CLI is argparse's, so
+    # neither click nor the inspect it pulls in loads
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    code = ("import sys, mott_ti.cli; "
-            "print([m in sys.modules for m in ('hashlib', 'dataclasses', 'json')])")
+    names = ("hashlib", "dataclasses", "json", "click", "inspect")
+    code = f"import sys, mott_ti.cli; print([m in sys.modules for m in {names}])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[False, False, False]\n"
+    assert out == f"{[False] * len(names)}\n"
