@@ -19,7 +19,9 @@ finite differences enter the critical-kR scan.  P_l(0) is 0 at odd l, so
 one loop over even l steps P_{l+2}(0) = -(l+1) P_l(0)/(l+2), the operations
 of special's one Legendre recurrence at x = 0, with float coefficients as
 in special (same bits), and builds no table.  A critical-kR scan checks its
-inputs and takes eps w once, then calls the per-kR curvature per point.
+inputs and takes eps w once, then calls the per-kR curvature per point;
+at eps w = -1 (aligned fermions) the curvature is positive at every kR, so
+that scan returns None before any point (see find_critical_kR).
 The phase-shift ladder takes one sin(delta_l) per wave, for its stop test
 and the weight (2l+1) e^{i delta_l} sin(delta_l) alike.
 """
@@ -227,6 +229,15 @@ def find_critical_kR(
     one further out ends the scan, so a sign change up to step/2 short of hi
     can be missed: spin 0 on (0.23, 1.45) stops at 1.43 and returns None,
     though the curvature changes sign at 1.44677.
+
+    After the input checks, aligned fermions (eps w = -1) return None
+    without a point.  With r = Re f'' f* and s = |f'|^2 at 90 deg, the
+    curvature is HALF_ANGLE_FACTOR [4 (r + s) + eps w 4 (r - s)] / kR^2
+    (_curvature_at_90).  At eps w = -1 the r terms cancel and 8
+    HALF_ANGLE_FACTOR s / kR^2 is left: sigma(90) = 0 is a minimum, never
+    flat.  On [KR_MIN, 10], every kR a scan may visit, s >= 0.79 |r| (the
+    smallest ratio is near kR 2.584), so the float value 4 (r + s) - 4 (r - s)
+    stays positive at every point and a scan could never see a sign change.
     """
     lo, hi = scan
     if not 0.0 < lo < hi <= 10.0:
@@ -238,6 +249,8 @@ def find_critical_kR(
     _check_kR(lo)  # every point lies in [lo, hi], and hi <= 10 < KR_MAX
     check_statistics(spin, statistics)
     eps_w = exchange_weight(spin, polarization)
+    if eps_w == -1.0:  # sigma(90) = 0 is a minimum at every kR; see above
+        return None
 
     def curv(kR: float) -> float:
         return _curvature_at_90(kR, eps_w)

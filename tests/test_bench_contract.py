@@ -65,14 +65,34 @@ def test_pinned_call_shapes():
     assert plateau(curve, 0.05).curvature_90 == pytest.approx(128.0, rel=1e-6)
 
 
-@pytest.mark.parametrize("lo,hi,step", [(0.2, 3.0, 0.05), (0.23, 1.45, 0.05), (0.2, 3.02, 0.05)])
-def test_scan_visits_the_oracle_grid(monkeypatch, lo, hi, step):
+@pytest.mark.parametrize("twice_s,lo,hi,step", [
+    pytest.param(twice_s, lo, hi, step, id=f"{'spin9h-' * (twice_s == 9)}{lo}-{hi}-{step}")
+    for twice_s, lo, hi, step in [
+        (1, 0.2, 3.0, 0.05), (1, 0.23, 1.45, 0.05), (1, 0.2, 3.02, 0.05),
+        # spin 9/2 unpolarized changes sign at 2.46965, so its scans end short of it
+        (9, 0.2, 2.42, 0.05), (9, 0.23, 1.45, 0.05), (9, 1.1, 2.4, 0.013),
+    ]
+])
+def test_scan_visits_the_oracle_grid(monkeypatch, twice_s, lo, hi, step):
     # bench/oracle.py scan_grid copies the points a scan with no root visits;
     # the critical-scan check compares roots against brackets on that grid
     visited = []
     curvature = hardsphere._curvature_at_90
     monkeypatch.setattr(hardsphere, "_curvature_at_90",
                         lambda kR, eps_w: visited.append(kR) or curvature(kR, eps_w))
-    spin = Spin(1)
+    spin = Spin(twice_s)
     assert find_critical_kR(spin, spin.statistics, (lo, hi), step) is None
     assert visited == _bench_module("oracle").scan_grid(lo, hi, step)
+
+
+@pytest.mark.parametrize("twice_s", [1, 3, 5, 7, 9])
+@pytest.mark.parametrize("lo,hi,points", [(0.2, 1.7, 20), (0.8, 3.8, 70), (1.4, 5.9, 120)])
+def test_oracle_finds_no_aligned_fermion_bracket(twice_s, lo, hi, points):
+    # the critical-scan check passes the None an aligned fermion scan returns
+    # only while the reference curvature has no sign change on its grid
+    step = (hi - lo) / points  # CriticalScan's shape: lo in [0.2, 1.4], hi - lo in [1.5, 4.5]
+    oracle = _bench_module("oracle")
+    assert oracle.first_root_bracket(lo, hi, step, twice_s, aligned=True) is None
+    spin = Spin(twice_s)
+    assert find_critical_kR(spin, spin.statistics, (lo, hi), step,
+                            polarization=Polarization.ALIGNED) is None

@@ -486,6 +486,19 @@ def test_fermion_curvature_always_positive():
             assert curvature_at_90(p, Statistics.FERMION) > 0.0
 
 
+def test_aligned_fermion_curvature_is_32a2_1_plus_eta2():
+    # eps w = -1 leaves 48 a^2 - 16 a^2 (1 - 2 eta^2) = 32 a^2 (1 + eta^2) > 0:
+    # never flat, as the hard sphere's 8 |f'(90)|^2 at eps w = -1
+    for twice_s in (1, 9, 19):
+        spin = Spin(twice_s)
+        for a in (1.0, 7.25):
+            for i in range(2001):  # eta log-spaced over [1e-6, ETA_MAX]
+                eta = min(1e-6 * (ETA_MAX / 1e-6) ** (i / 2000), ETA_MAX)
+                p = MottParams(a=a, eta=eta, spin=spin, polarization=Polarization.ALIGNED)
+                expected = 32.0 * a * a * (1.0 + eta * eta)
+                assert abs(curvature_at_90(p, spin.statistics) - expected) <= 1e-15 * expected, eta
+
+
 def test_curvature_finite_at_a_max_and_eta_max():
     for twice_s in (0, 1):
         spin = Spin(twice_s)

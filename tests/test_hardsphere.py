@@ -35,7 +35,7 @@ from mott_ti.numerics import (
     second_derivative,
 )
 from mott_ti.species import exchange_weight
-from reference import hs_total_cross_section
+from reference import hs_total_cross_section, scan_reference
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -579,14 +579,83 @@ def test_scan_validation():
 
 def test_scan_point_cap_checked_before_any_evaluation(monkeypatch):
     # the scan checks its inputs once, at its boundary: the point count, lo
-    # against KR_MIN and the statistics, before any curvature is taken
+    # against KR_MIN and the statistics, before any curvature is taken; aligned
+    # fermions, which skip their scan, raise the same errors first
     calls = []
     monkeypatch.setattr(hardsphere, "_curvature_at_90", lambda kR, eps_w: calls.append(kR))
-    for spin, statistics, scan, step, match in [
-        (Spin(0), Statistics.BOSON, (0.2, 3.0), 2.8 / MAX_POINTS, "scan points"),
-        (Spin(0), Statistics.BOSON, (1e-7, 1.0), 0.05, "kR must lie in"),
-        (Spin(1), Statistics.BOSON, (0.2, 3.0), 0.05, "spin 1/2 implies fermion"),
-    ]:
+    monkeypatch.setattr(hardsphere, "hard_sphere_phase_shifts", lambda kR: calls.append(kR))
+    boson, fermion = Statistics.BOSON, Statistics.FERMION
+    unpolarized, aligned = Polarization.UNPOLARIZED, Polarization.ALIGNED
+    rows = [
+        (Spin(0), boson, (0.2, 3.0), 2.8 / MAX_POINTS, unpolarized, "scan points"),
+        (Spin(0), boson, (1e-7, 1.0), 0.05, unpolarized, "kR must lie in"),
+        (Spin(1), boson, (0.2, 3.0), 0.05, unpolarized, "spin 1/2 implies fermion"),
+        (Spin(1), fermion, (0.2, 3.0), 2.8 / MAX_POINTS, aligned, "scan points"),
+        (Spin(9), fermion, (1e-7, 1.0), 0.05, aligned, "kR must lie in"),
+        (Spin(1), fermion, (0.0, 3.0), 0.05, aligned, "scan range"),
+        (Spin(1), fermion, (0.5, 12.0), 0.05, aligned, "scan range"),
+        (Spin(1), boson, (0.2, 3.0), 0.05, aligned, "spin 1/2 implies fermion"),
+    ] + [(Spin(3), fermion, (0.5, 3.0), step, aligned, "step must be")
+         for step in (math.nan, -0.1, math.inf)]
+    for spin, statistics, scan, step, polarization, match in rows:
+        assert (exchange_weight(spin, polarization) == -1.0) == (polarization is aligned)
         with pytest.raises(DomainError, match=match):
-            find_critical_kR(spin, statistics, scan=scan, step=step)
+            find_critical_kR(spin, statistics, scan=scan, step=step, polarization=polarization)
     assert calls == []
+
+
+def test_aligned_fermion_curvature_is_positive_over_the_scan_domain():
+    # at eps w = -1 the curvature is 8 |f'(90)|^2 times the half-angle factor
+    # over kR^2; over every kR a scan may visit it stays at least 0.75 times
+    # |the eps w = +1 curvature, 8 Re f'' f*| (the smallest ratio is 0.80,
+    # near kR 2.584), far from any rounding to <= 0
+    for i in range(4001):
+        kR = min(KR_MIN * (10.0 / KR_MIN) ** (i / 4000), 10.0)
+        aligned = hardsphere._curvature_at_90(kR, -1.0)
+        assert aligned > 0.0, kR
+        assert aligned >= 0.75 * abs(hardsphere._curvature_at_90(kR, 1.0)), kR
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(hardsphere, name)
+    monkeypatch.setattr(hardsphere, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(twice_s=st.sampled_from(range(1, 20, 2)),
+       lo=st.floats(KR_MIN, 9.0),
+       width=st.floats(1e-3, 1.0),
+       points=st.integers(1, 1999))
+def test_aligned_fermions_scan_nothing(twice_s, lo, width, points):
+    # sigma(90) of an aligned fermion pair is a minimum at every kR, so the
+    # scan returns None before its first point, as the full scan does
+    hi = min(lo + width * (10.0 - lo), 10.0)
+    step = (hi - lo) / points
+    spin = Spin(twice_s)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        curvatures = _count_calls(monkeypatch, "_curvature_at_90")
+        ladders = _count_calls(monkeypatch, "hard_sphere_phase_shifts")
+        assert find_critical_kR(spin, spin.statistics, scan=(lo, hi), step=step,
+                                polarization=Polarization.ALIGNED) is None
+        assert curvatures == [] and ladders == []
+    assert scan_reference(spin, spin.statistics, scan=(lo, hi), step=step,
+                          polarization=Polarization.ALIGNED) is None
+
+
+@pytest.mark.parametrize("twice_s, polarization", [
+    (twice_s, polarization) for twice_s in range(10) for polarization in Polarization
+    if twice_s % 2 == 0 or polarization is Polarization.UNPOLARIZED
+])
+def test_other_scans_visit_the_points_of_the_full_scan(monkeypatch, twice_s, polarization):
+    # every preparation but aligned fermions scans as before: same points, same bits
+    spin = Spin(twice_s)
+    visited = _count_calls(monkeypatch, "_curvature_at_90")
+    for scan, step in [((0.2, 3.0), 0.05), ((KR_MIN, 10.0), 0.01), ((1.3, 2.6), 0.0137)]:
+        runs = []
+        for search in (find_critical_kR, scan_reference):
+            visited.clear()
+            root = search(spin, spin.statistics, scan=scan, step=step, polarization=polarization)
+            runs.append((visited[:], repr(root)))
+        assert runs[0] == runs[1], scan
