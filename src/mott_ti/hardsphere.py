@@ -16,29 +16,36 @@ The 90 deg curvature is exact: with x = cos(theta), f and its theta
 derivatives at 90 deg are partial-wave sums over P_l(0), P_l'(0) =
 l P_{l-1}(0) and P_l''(0) = -l(l+1) P_l(0) (DLMF 14.10, 18.9), so no
 finite differences enter the critical-kR scan.  P_l(0) is 0 at odd l, so
-one loop over even l steps P_{l+2}(0) = -(l+1) P_l(0)/(l+2), the operations
-of special's one Legendre recurrence at x = 0, with float coefficients as
-in special (same bits), and builds no table.  A critical-kR scan checks its
-inputs and takes eps w once, then calls the per-kR curvature per point;
-at eps w = -1 (aligned fermions) the curvature is positive at every kR, so
-that scan returns None before any point (see find_critical_kR).
-The phase-shift ladder takes one sin(delta_l) per wave, for its stop test
-and the weight (2l+1) e^{i delta_l} sin(delta_l) alike.
+the sums step P_{l+2}(0) = -(l+1) P_l(0)/(l+2) once per even l, the
+operations of special's one Legendre recurrence at x = 0, with float
+coefficients as in special (same bits), and build no table.  A critical-kR
+scan checks its inputs and takes eps w once, then calls the per-kR
+curvature per point; at eps w = -1 (aligned fermions) the curvature is
+positive at every kR, so that scan returns None before any point (see
+find_critical_kR).
+
+There is one phase-shift ladder, the generator _waves: one pass per kR over
+one j table (special.spherical_bessel_j_table), with y_l stepped upward in
+the same loop, yielding each shift and its weight (2l+1) e^{i delta_l}
+sin(delta_l), one sin(delta_l) per wave for the weight and the stop test
+alike.  hard_sphere_phase_shifts collects it into a PhaseShiftSet; the
+90 deg curvature sums its waves as they come and keeps none of them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 
 from .constants import Record
 from .errors import DomainError
 from .numerics import HALF_ANGLE_FACTOR, MAX_POINTS, bisect_root
 from .species import Polarization, Spin, Statistics, check_statistics, exchange_weight
-from .special import legendre_p_rows, spherical_bessel_j_table, spherical_bessel_y_table
+from .special import legendre_p_rows, spherical_bessel_j_table
 
 TRUNCATION_TOL = 1e-12  # the ladder stops at |sin delta_l| below this times min(1, kR^5/45)
-KR_MIN = 1e-6  # smallest accepted kR; the ladder still takes l = 0..3, and far below it the Bessel tables overflow
+KR_MIN = 1e-6  # smallest accepted kR; the ladder still takes l = 0..3, and far below it y_l overflows
 KR_MAX = 1000.0  # largest accepted kR; the ladder then needs about 1060 waves
 
 
@@ -90,33 +97,48 @@ def hard_sphere_phase_shifts(kR: float) -> PhaseShiftSet:
 
     delta_0 is -kR exactly (its closed form; shifts only matter mod pi in
     observables).  Every other shift is one atan2 that lands in [-pi/2, pi/2]
-    with no subtraction of pi, so tiny shifts keep their digits.  One j and one
-    y table run to the cap ceil(kR + 8 max(kR, 1)^(1/3)) + 4.  The ladder
-    stops at the first l > max(kR, 2) where |sin delta_l| < TRUNCATION_TOL
-    min(1, kR^5/45); kR^5/45 is the threshold-law size of delta_2 (DLMF
-    10.52), the leading wave of the 90 deg curvature.  On [KR_MIN, KR_MAX]
-    the stop lies at least 5 waves below the cap.  Against 40-digit mpmath
-    the 90 deg curvature is then within 2e-15 up to kR = 0.2, where it
-    vanishes like kR^4, and within 1e-12 up to kR = 30, relative to the
-    larger of it and its values at eps w = +-1.
+    with no subtraction of pi, so tiny shifts keep their digits.  The shifts
+    and weights are those of the one ladder, _waves: a j table to the cap
+    ceil(kR + 8 max(kR, 1)^(1/3)) + 4, with y_l stepped in the same loop.
+    The ladder stops at the first l > max(kR, 2) where |sin delta_l| <
+    TRUNCATION_TOL min(1, kR^5/45); kR^5/45 is the threshold-law size of
+    delta_2 (DLMF 10.52), the leading wave of the 90 deg curvature.  On
+    [KR_MIN, KR_MAX] the stop lies at least 5 waves below the cap.  Against
+    40-digit mpmath the 90 deg curvature is then within 2e-15 up to kR =
+    0.2, where it vanishes like kR^4, and within 1e-12 up to kR = 30,
+    relative to the larger of it and its values at eps w = +-1.
     """
     _check_kR(kR)
+    deltas, weights = zip(*_waves(kR))
+    return PhaseShiftSet(kR=kR, deltas=deltas, weights=weights)
+
+
+def _waves(kR: float) -> Iterator[tuple[float, complex]]:
+    """Yield (delta_l, (2l+1) e^{i delta_l} sin delta_l) for l = 0, 1, ... up to the stop.
+
+    The one phase-shift ladder (see hard_sphere_phase_shifts); kR is checked
+    by the caller.  y_l runs upward in the loop, with the operations of
+    special.spherical_bessel_y_table in order (same bits), so only the j
+    table is built.  On [KR_MIN, KR_MAX] y stays finite up to the cap (about
+    1e97 at KR_MIN), so the table's overflow guard is not needed here.
+    """
     cap = math.ceil(kR + 8.0 * max(kR, 1.0) ** (1.0 / 3.0)) + 4
     stop, tol = max(kR, 2.0), TRUNCATION_TOL * min(1.0, kR**5 / 45.0)
     j = spherical_bessel_j_table(cap, kR)
-    y = spherical_bessel_y_table(cap, kR)
     atan2, sin, rect = math.atan2, math.sin, cmath.rect
-    deltas, weights = [-kR], [rect(sin(-kR), -kR)]
+    yield -kR, rect(sin(-kR), -kR)
+    cos_x = math.cos(kR)
+    y_prev, yl = -cos_x / kR, -cos_x / (kR * kR) - sin(kR) / kR  # y_0, y_1
     c = 1.0  # 2l + 1
     for l in range(1, cap + 1):
-        jl, yl = j[l], y[l]
+        jl = j[l]
         d = atan2(-jl, -yl) if yl < 0.0 else atan2(jl, yl)
         s = sin(d)
         c += 2.0
-        deltas.append(d)
-        weights.append(rect(c * s, d))
+        yield d, rect(c * s, d)
         if l > stop and abs(s) < tol:
-            return PhaseShiftSet(kR=kR, deltas=tuple(deltas), weights=tuple(weights))
+            return
+        y_prev, yl = yl, c / kR * yl - y_prev
     raise AssertionError(f"the phase-shift ladder at kR = {kR} reached its cap {cap}")
 
 
@@ -193,20 +215,26 @@ def hs_curvature_at_90(params: HardSphereParams) -> float:
 
 
 def _curvature_at_90(kR: float, eps_w: float) -> float:
-    """hs_curvature_at_90 at kR for exchange weight eps w; kR is checked by the caller."""
-    w = hard_sphere_phase_shifts(kR).weights
-    n = len(w)
+    """hs_curvature_at_90 at kR for exchange weight eps w; kR is checked by the caller.
+
+    k f and its x-derivatives at x = 0 are summed as the ladder yields each
+    weight, every sum left to right: f over even l with P_l(0), f' over odd
+    l with l P_{l-1}(0), f'' over even l with -l(l+1) P_l(0).
+    """
     f = df = d2f = 0.0 + 0.0j  # k f and its x-derivatives at x = 0
-    p = 1.0  # P_l(0) at even l; P_l(0) = 0 at odd l, whose terms are skipped
-    k = 0.0  # l
-    for l in range(0, n, 2):
-        wl, k1 = w[l], k + 1.0
-        f += wl * p
-        if l + 1 < n:
-            df += w[l + 1] * k1 * p
-        d2f -= wl * k * k1 * p
-        p = -k1 * p / (k + 2.0)  # the Legendre recurrence's step to l + 2 at x = 0
-        k += 2.0
+    p = 1.0  # P_l(0) at the last even l; P_l(0) = 0 at odd l
+    k = k1 = 0.0  # l and l + 1 at the last even l
+    odd = False
+    for _, w in _waves(kR):
+        if odd:
+            df += w * k1 * p
+            p = -k1 * p / (k + 2.0)  # the Legendre recurrence's step to l + 2 at x = 0
+            k += 2.0
+        else:
+            k1 = k + 1.0
+            f += w * p
+            d2f -= w * k * k1 * p
+        odd = not odd
     re_f2f = (d2f * f.conjugate()).real
     slope2 = abs(df) ** 2
     d2 = 4.0 * (re_f2f + slope2) + eps_w * (4.0 * (re_f2f - slope2))

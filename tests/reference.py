@@ -4,11 +4,13 @@ Importable as `reference`: tests/ has no __init__.py, so pytest puts this
 directory on sys.path.
 """
 
+import cmath
 import math
 
 from mott_ti import hardsphere
 from mott_ti.errors import DomainError
-from mott_ti.numerics import MAX_POINTS, bisect_root
+from mott_ti.numerics import HALF_ANGLE_FACTOR, MAX_POINTS, bisect_root
+from mott_ti.special import spherical_bessel_j_table, spherical_bessel_y_table
 from mott_ti.species import Polarization, check_statistics, exchange_weight
 
 
@@ -57,3 +59,46 @@ def scan_reference(spin, statistics, scan=(0.2, 3.0), step=0.05,
             return bisect_root(curv, x, x_next, f, f_next)
         x, f = x_next, f_next
     return x if f == 0.0 else None
+
+
+def two_table_phase_shifts(kR):
+    """hard_sphere_phase_shifts as it was with a j and a y table to the cap."""
+    hardsphere._check_kR(kR)
+    cap = math.ceil(kR + 8.0 * max(kR, 1.0) ** (1.0 / 3.0)) + 4
+    stop, tol = max(kR, 2.0), hardsphere.TRUNCATION_TOL * min(1.0, kR**5 / 45.0)
+    j = spherical_bessel_j_table(cap, kR)
+    y = spherical_bessel_y_table(cap, kR)
+    atan2, sin, rect = math.atan2, math.sin, cmath.rect
+    deltas, weights = [-kR], [rect(sin(-kR), -kR)]
+    c = 1.0  # 2l + 1
+    for l in range(1, cap + 1):
+        jl, yl = j[l], y[l]
+        d = atan2(-jl, -yl) if yl < 0.0 else atan2(jl, yl)
+        s = sin(d)
+        c += 2.0
+        deltas.append(d)
+        weights.append(rect(c * s, d))
+        if l > stop and abs(s) < tol:
+            return hardsphere.PhaseShiftSet(kR=kR, deltas=tuple(deltas), weights=tuple(weights))
+    raise AssertionError(f"the phase-shift ladder at kR = {kR} reached its cap {cap}")
+
+
+def two_pass_curvature_at_90(kR, eps_w):
+    """hardsphere._curvature_at_90 as it was: the weights of a two-table ladder, then one loop."""
+    w = two_table_phase_shifts(kR).weights
+    n = len(w)
+    f = df = d2f = 0.0 + 0.0j  # k f and its x-derivatives at x = 0
+    p = 1.0  # P_l(0) at even l; P_l(0) = 0 at odd l, whose terms are skipped
+    k = 0.0  # l
+    for l in range(0, n, 2):
+        wl, k1 = w[l], k + 1.0
+        f += wl * p
+        if l + 1 < n:
+            df += w[l + 1] * k1 * p
+        d2f -= wl * k * k1 * p
+        p = -k1 * p / (k + 2.0)  # the Legendre recurrence's step to l + 2 at x = 0
+        k += 2.0
+    re_f2f = (d2f * f.conjugate()).real
+    slope2 = abs(df) ** 2
+    d2 = 4.0 * (re_f2f + slope2) + eps_w * (4.0 * (re_f2f - slope2))
+    return HALF_ANGLE_FACTOR * d2 / kR**2

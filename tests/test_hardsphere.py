@@ -35,7 +35,12 @@ from mott_ti.numerics import (
     second_derivative,
 )
 from mott_ti.species import exchange_weight
-from reference import hs_total_cross_section, scan_reference
+from reference import (
+    hs_total_cross_section,
+    scan_reference,
+    two_pass_curvature_at_90,
+    two_table_phase_shifts,
+)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -279,24 +284,71 @@ def test_automatic_ladder_converges_up_to_kR_max():
         assert all(math.isfinite(d) for d in shifts.deltas)
 
 
+# the zeros of j_1 and j_2, where the threshold kR^5/45 does not vanish
+_J1_J2_ZEROS = [4.4934094579090642, 5.76345919689455, 7.7252518369377072, 9.0950113304763552]
+
+
 def test_ladder_stops_below_its_cap(monkeypatch):
-    # one j and one y table per call, both to the cap ceil(kR + 8 max(kR, 1)^(1/3)) + 4;
-    # the stop lies at least 5 waves below it on a dense log grid and at the
-    # zeros of j_1 and j_2, where the threshold kR^5/45 does not vanish
-    caps = []
-    for name in ("spherical_bessel_j_table", "spherical_bessel_y_table"):
-        table = getattr(hardsphere, name)
-        monkeypatch.setattr(hardsphere, name,
-                            lambda l_max, x, table=table: caps.append(l_max) or table(l_max, x))
+    # one j table per call, to the cap ceil(kR + 8 max(kR, 1)^(1/3)) + 4, and
+    # no y table; the stop lies at least 5 waves below the cap on a dense log
+    # grid and at the zeros of j_1 and j_2, where the threshold kR^5/45 does
+    # not vanish
+    caps = {"j": [], "y": []}
+    j_table = hardsphere.spherical_bessel_j_table
+    monkeypatch.setattr(hardsphere, "spherical_bessel_j_table",
+                        lambda l_max, x: caps["j"].append(l_max) or j_table(l_max, x))
+    # hardsphere imports no y table; set one anyway, so a y table that comes
+    # back into the module is counted
+    y_table = spherical_bessel_y_table
+    monkeypatch.setattr(hardsphere, "spherical_bessel_y_table",
+                        lambda l_max, x: caps["y"].append(l_max) or y_table(l_max, x),
+                        raising=False)
     n = 2000
     grid = [min(KR_MIN * (KR_MAX / KR_MIN) ** (i / n), KR_MAX) for i in range(n + 1)]
-    for kR in grid + [4.4934094579090642, 5.76345919689455, 7.7252518369377072, 9.0950113304763552]:
-        caps.clear()
+    for kR in grid + _J1_J2_ZEROS:
+        caps["j"].clear()
         shifts = hard_sphere_phase_shifts(kR)
-        cap, other = caps
-        assert cap == other == math.ceil(kR + 8.0 * max(kR, 1.0) ** (1.0 / 3.0)) + 4
+        (cap,) = caps["j"]
+        assert cap == math.ceil(kR + 8.0 * max(kR, 1.0) ** (1.0 / 3.0)) + 4
+        assert caps["y"] == []
         assert cap - shifts.l_max >= 5, kR
         assert shifts.l_max >= 3
+
+
+def test_ladder_has_the_bits_of_the_two_table_ladder():
+    # stepping y_l inside the ladder keeps every shift and weight of the
+    # j and y tables it replaced
+    n = 2000
+    grid = [min(KR_MIN * (KR_MAX / KR_MIN) ** (i / n), KR_MAX) for i in range(n + 1)]
+    for kR in grid + _J1_J2_ZEROS:
+        shifts, reference = hard_sphere_phase_shifts(kR), two_table_phase_shifts(kR)
+        assert shifts.deltas == reference.deltas, kR
+        assert shifts.weights == reference.weights, kR
+
+
+def test_curvature_has_the_bits_of_the_two_pass_sum():
+    # summing f, f' and f'' as the waves arrive keeps each sum's order
+    eps_ws = (1.0, 1.0 / 3.0, 1.0 / 5.0, 1.0 / 10.0, -1.0 / 4.0, -1.0 / 2.0, -1.0 / 10.0, -1.0)
+    n = 1000
+    grid = [min(KR_MIN * (10.0 / KR_MIN) ** (i / n), 10.0) for i in range(n + 1)]
+    for kR in grid + _J1_J2_ZEROS:
+        for eps_w in eps_ws:
+            assert hardsphere._curvature_at_90(kR, eps_w) == two_pass_curvature_at_90(kR, eps_w)
+
+
+def test_ladder_y_stays_finite_up_to_its_cap():
+    # the ladder steps y_l with the operations of spherical_bessel_y_table
+    # (the shifts above have its bits); up to the cap the table stays finite
+    # on all of [KR_MIN, KR_MAX], its largest value being about 1e97 at
+    # KR_MIN, so the table's overflow guard has nothing to catch there
+    n = 200
+    largest = {}
+    for kR in [min(KR_MIN * (KR_MAX / KR_MIN) ** (i / n), KR_MAX) for i in range(n + 1)]:
+        y = spherical_bessel_y_table(math.ceil(kR + 8.0 * max(kR, 1.0) ** (1.0 / 3.0)) + 4, kR)
+        assert all(map(math.isfinite, y)), kR
+        largest[kR] = max(map(abs, y))
+    assert max(largest, key=largest.get) == KR_MIN
+    assert 1e96 < largest[KR_MIN] < 1e98
 
 
 def _mp_shifts(kR, l_max):
@@ -583,7 +635,7 @@ def test_scan_point_cap_checked_before_any_evaluation(monkeypatch):
     # fermions, which skip their scan, raise the same errors first
     calls = []
     monkeypatch.setattr(hardsphere, "_curvature_at_90", lambda kR, eps_w: calls.append(kR))
-    monkeypatch.setattr(hardsphere, "hard_sphere_phase_shifts", lambda kR: calls.append(kR))
+    monkeypatch.setattr(hardsphere, "spherical_bessel_j_table", lambda l_max, x: calls.append(x))
     boson, fermion = Statistics.BOSON, Statistics.FERMION
     unpolarized, aligned = Polarization.UNPOLARIZED, Polarization.ALIGNED
     rows = [
@@ -636,7 +688,7 @@ def test_aligned_fermions_scan_nothing(twice_s, lo, width, points):
     spin = Spin(twice_s)
     with pytest.MonkeyPatch.context() as monkeypatch:
         curvatures = _count_calls(monkeypatch, "_curvature_at_90")
-        ladders = _count_calls(monkeypatch, "hard_sphere_phase_shifts")
+        ladders = _count_calls(monkeypatch, "spherical_bessel_j_table")
         assert find_critical_kR(spin, spin.statistics, scan=(lo, hi), step=step,
                                 polarization=Polarization.ALIGNED) is None
         assert curvatures == [] and ladders == []

@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, none imports upward,
-every module-level name is used, nothing is cached between calls, and no
-record is a dataclass.
+every module-level name is used, nothing is cached between calls, no record
+is a dataclass, and one phase-shift ladder builds the only Bessel table.
 
 The package __init__ is exempt from the first two: its imports are the
 public re-exports.  For the third, a re-export is not a use: a name that
@@ -79,6 +79,7 @@ REEXPORT_ONLY = {
     "hardsphere.hs_amplitude": "traced by bench/",
     "hardsphere.hs_identical_cross_section": "traced by bench/",
     "special.legendre_p_table": "traced by bench/",
+    "special.spherical_bessel_y_table": "traced by bench/; scipy oracle of the ladder's y",
     "kinematics.wavenumber": "traced by bench/",
 }
 
@@ -103,6 +104,37 @@ def test_the_check_sees_an_unused_module_name():
         "cli.add_options (line 4)", "cli.COMMANDS (line 12)", "analysis.LIMIT (line 1)",
         "analysis.STEP (line 2)",
     ]
+
+
+def call_sites(sources: dict[str, str], name: str) -> list[str]:
+    """Calls of `name`, bare or as an attribute, in each module of `sources`."""
+    out = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+                out.append(f"{module} (line {node.lineno})")
+    return out
+
+
+def test_one_phase_shift_ladder():
+    # hardsphere._waves builds the one j table and steps y_l itself
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(call_sites(sources, "spherical_bessel_j_table")) == 1
+    assert call_sites(sources, "spherical_bessel_y_table") == []
+
+
+def test_the_check_sees_a_call_site():
+    sources = {
+        "hardsphere": ("from . import special\nfrom .special import spherical_bessel_j_table\n\n"
+                       "j = spherical_bessel_j_table(4, 1.0)\n"
+                       "y = special.spherical_bessel_y_table(4, 1.0)\n"),
+        "analysis": "table = spherical_bessel_j_table\nx = table(2, 0.5)\n",
+    }
+    assert call_sites(sources, "spherical_bessel_j_table") == ["hardsphere (line 4)"]
+    assert call_sites(sources, "spherical_bessel_y_table") == ["hardsphere (line 5)"]
 
 
 # functools' memoizing decorators: the package keeps no state between calls
