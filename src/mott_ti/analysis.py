@@ -64,9 +64,7 @@ class CrossSectionCurve(Record):
         for v in values:
             if not math.isfinite(v):
                 raise DomainError(f"non-finite cross section {v}")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "model", model)
+        self._store(thetas, values, model)
 
     def is_symmetric_grid(self) -> bool:
         n = len(self.thetas)
@@ -89,11 +87,7 @@ class PlateauReport(Record):
         curvature_90: float,     # half-angle convention, exact for the curve's model
         reference_value: float,  # sigma(90)
     ) -> None:
-        object.__setattr__(self, "theta_lo", theta_lo)
-        object.__setattr__(self, "theta_hi", theta_hi)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "curvature_90", curvature_90)
-        object.__setattr__(self, "reference_value", reference_value)
+        self._store(theta_lo, theta_hi, width, curvature_90, reference_value)
 
 
 class SweepResult(Record):
@@ -111,12 +105,8 @@ class SweepResult(Record):
         energy_ratio_below: float,              # E(eta_low)/E(eta_C) - 1
         energy_ratio_above: float,              # E(eta_high)/E(eta_C) - 1
     ) -> None:
-        object.__setattr__(self, "etas", etas)
-        object.__setattr__(self, "curves", curves)
-        object.__setattr__(self, "classifications", classifications)
-        object.__setattr__(self, "energy_shift_first_order", energy_shift_first_order)
-        object.__setattr__(self, "energy_ratio_below", energy_ratio_below)
-        object.__setattr__(self, "energy_ratio_above", energy_ratio_above)
+        self._store(etas, curves, classifications, energy_shift_first_order,
+                    energy_ratio_below, energy_ratio_above)
 
 
 class SystemReportRow(Record):
@@ -140,17 +130,9 @@ class SystemReportRow(Record):
         sigma90_reference_barn: float | None,
         note: str,
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "spin", spin)
-        object.__setattr__(self, "e_critical_kev", e_critical_kev)
-        object.__setattr__(self, "barrier_kev", barrier_kev)
-        object.__setattr__(self, "sigma90_scaling_barn", sigma90_scaling_barn)
-        object.__setattr__(self, "sigma90_direct_barn", sigma90_direct_barn)
-        object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "condition_lhs", condition_lhs)
-        object.__setattr__(self, "condition_rhs", condition_rhs)
-        object.__setattr__(self, "sigma90_reference_barn", sigma90_reference_barn)
-        object.__setattr__(self, "note", note)
+        self._store(name, spin, e_critical_kev, barrier_kev, sigma90_scaling_barn,
+                    sigma90_direct_barn, feasible, condition_lhs, condition_rhs,
+                    sigma90_reference_barn, note)
 
 
 def angle_grid(start: float = 1.0, stop: float = 179.0, step: float = 0.5) -> tuple[float, ...]:

@@ -292,7 +292,8 @@ COMMANDS = (
     (critical, (
         SPIN,
         _flag("--numeric", "Also locate the critical eta numerically and report the difference."),
-        ("--bracket", {"type": float, "nargs": 2, "default": (0.5, 4.0), "metavar": ("LO", "HI"),
+        ("--bracket", {"type": float, "nargs": 2, "metavar": ("LO", "HI"),
+                       "default": critical_eta_numeric.__defaults__[0],  # its bracket
                        "help": "Eta bracket for the numeric root search. [default: %(default)s]"}),
         FORMAT,
     )),
@@ -323,7 +324,7 @@ COMMANDS = (
         KR, SPIN, POLARIZATION,
         ("--critical-scan", {"type": float, "nargs": 2, "metavar": ("LO", "HI"), "help":
                              "Scan [LO, HI] for the critical kR; prints 'none' when absent."}),
-        ("--step", {"type": float, "default": 0.05,
+        ("--step", {"type": float, "default": find_critical_kR.__defaults__[1],  # its step
                     "help": "Scan step in kR. [default: %(default)s]"}),
         *GRID, FORMAT,
     )),

@@ -8,8 +8,8 @@ converts internally; cross sections are reported in fm^2/sr and barn/sr
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterator
-from pathlib import Path
 
 from .errors import DomainError
 
@@ -19,8 +19,8 @@ BARN_PER_FM2 = 0.01  # 1 barn = 100 fm^2
 class Record:
     """Base of the package's immutable records: slotted and compared by value.
 
-    A record names its fields in ``__slots__`` and stores them in its own
-    ``__init__`` with ``object.__setattr__``; afterwards assigning or
+    A record names its fields in ``__slots__``; its ``__init__`` checks its
+    arguments and passes them to ``_store`` once.  Afterwards assigning or
     deleting an attribute raises AttributeError.  Equality, hash and repr
     go over the fields in ``__slots__`` order, and copy and pickle rebuild
     a record by passing them to ``__init__`` by position.
@@ -33,6 +33,11 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _store(self, *values: object) -> None:
+        """Fill the fields in ``__slots__`` order; a wrong count raises ValueError."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple[object, ...]:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -66,11 +71,7 @@ class PhysicalConstants(Record):
         nucleon_mass: float = 938.9187,  # MeV (proton/neutron average)
         r0: float = 1.4,                 # fm (nuclear radius parameter)
     ) -> None:
-        object.__setattr__(self, "hbar_c", hbar_c)
-        object.__setattr__(self, "e_squared", e_squared)
-        object.__setattr__(self, "amu", amu)
-        object.__setattr__(self, "nucleon_mass", nucleon_mass)
-        object.__setattr__(self, "r0", r0)
+        self._store(hbar_c, e_squared, amu, nucleon_mass, r0)
         for name in self.__slots__:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # also false for nan
@@ -92,13 +93,16 @@ class PhysicalConstants(Record):
 DEFAULT_CONSTANTS = PhysicalConstants()
 
 
-def table_rows(text: str, source: str, shape: str) -> Iterator[tuple[str, list[str]]]:
-    """(``source:line``, fields) of each row of a plain-text table.
+def table_rows(path: str | os.PathLike[str], source: str,
+               shape: str) -> Iterator[tuple[str, list[str]]]:
+    """(``source:line``, fields) of each row of the plain-text table in file `path`.
 
     ``#`` starts a comment; blank lines are skipped.  `shape` names the
     fields, e.g. ``'name value'``; a row with another field count raises
     ValueError.
     """
+    with open(path) as file:
+        text = file.read()
     width = len(shape.split())
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
@@ -109,14 +113,14 @@ def table_rows(text: str, source: str, shape: str) -> Iterator[tuple[str, list[s
         yield f"{source}:{lineno}", tokens
 
 
-def load_constants(path: str | Path) -> PhysicalConstants:
+def load_constants(path: str | os.PathLike[str]) -> PhysicalConstants:
     """Read constants from a plain-text table (one ``name value`` per line).
 
     Names absent from the file keep their default values; every value must
     be finite and positive.
     """
     overrides: dict[str, float] = {}
-    for where, (name, value) in table_rows(Path(path).read_text(), str(path), "name value"):
+    for where, (name, value) in table_rows(path, str(path), "name value"):
         if name not in PhysicalConstants.__slots__:
             raise ValueError(f"{where}: unknown constant {name!r}")
         overrides[name] = float(value)

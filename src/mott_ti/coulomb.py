@@ -29,7 +29,7 @@ import sys
 
 from .constants import Record
 from .errors import DivergenceError, DomainError
-from .numerics import bisect_root, half_angle_curvature, second_derivative
+from .numerics import HALF_ANGLE_FACTOR, bisect_root, half_angle_curvature, second_derivative
 from .species import Polarization, Spin, Statistics, check_statistics, exchange_weight
 
 # Angle step (degrees) of the finite-difference cross-check curvature_at_90_fd.
@@ -72,10 +72,7 @@ class MottParams(Record):
     ) -> None:
         check_eta(eta)
         check_a(a)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "spin", spin)
-        object.__setattr__(self, "polarization", polarization)
+        self._store(a, eta, spin, polarization)
 
 
 def check_a(a: float) -> float:
@@ -205,15 +202,15 @@ def curvature_at_90_fd(params: MottParams) -> float:
 def curvature_at_90(params: MottParams, statistics: Statistics) -> float:
     """Half-angle curvature of the cross section at 90 deg, 16 a^2 [3 + eps w (1 - 2 eta^2)].
 
-    At 90 deg the incoherent sum has half-angle curvature 48 a^2 and the
-    interference term 16 a^2 (1 - 2 eta^2); they combine with the same
-    sign eps and weight w as the cross sections themselves.  `statistics`
+    HALF_ANGLE_FACTOR times the curvature in theta at 90 deg: 12 a^2 from the
+    incoherent sum and 4 a^2 (1 - 2 eta^2) from the interference term, which
+    combine with the sign eps and weight w of the cross sections.  `statistics`
     must match the spin; the sign itself comes from the spin.
     """
     check_statistics(params.spin, statistics)
     a2 = params.a**2
     eps_w = exchange_weight(params.spin, params.polarization)
-    return 48.0 * a2 + eps_w * (16.0 * a2 * (1.0 - 2.0 * params.eta**2))
+    return HALF_ANGLE_FACTOR * (12.0 * a2 + eps_w * (4.0 * a2 * (1.0 - 2.0 * params.eta**2)))
 
 
 def critical_eta_numeric(spin: Spin, bracket: tuple[float, float] = (0.5, 4.0)) -> float:

@@ -60,9 +60,7 @@ class PhaseShiftSet(Record):
         deltas: tuple[float, ...],
         weights: tuple[complex, ...],  # (2l+1) e^{i d_l} sin d_l
     ) -> None:
-        object.__setattr__(self, "kR", kR)
-        object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "weights", weights)
+        self._store(kR, deltas, weights)
 
     @property
     def l_max(self) -> int:
@@ -81,10 +79,7 @@ class HardSphereParams(Record):
     ) -> None:
         _check_kR(kR)
         check_statistics(spin, statistics)
-        object.__setattr__(self, "kR", kR)
-        object.__setattr__(self, "spin", spin)
-        object.__setattr__(self, "statistics", statistics)
-        object.__setattr__(self, "polarization", polarization)
+        self._store(kR, spin, statistics, polarization)
 
 
 def _check_kR(kR: float) -> None:

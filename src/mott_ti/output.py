@@ -13,8 +13,8 @@ rendered to text first and filled in through a ``{}`` field.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import chain
-from typing import Any, Sequence
 
 from . import __version__
 from .constants import PhysicalConstants, Record
@@ -28,7 +28,7 @@ def format_number(x: float) -> str:
     return _FLOAT_FIELD.format(x)
 
 
-def _plain(value: Any) -> str:
+def _plain(value: object) -> str:
     if value is None:
         return "none"
     if isinstance(value, bool):
@@ -38,14 +38,14 @@ def _plain(value: Any) -> str:
     return str(value)
 
 
-def _csv_cell(value: Any) -> str:
+def _csv_cell(value: object) -> str:
     text = _plain(value)
     if "," in text or '"' in text or "\n" in text:
         text = '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _csv_table(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def _csv_table(columns: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Header line and rows of a CSV table, the rows filled in by one str.format.
 
     A column of floats only (exact type: no bool, int or float subclass) is
@@ -73,7 +73,7 @@ _ROW_BREAK = "\n      ],\n      [\n        "
 _CELL_BREAK = ",\n        "
 
 
-def _json_rows(rows: Sequence[Sequence[Any]]) -> str:
+def _json_rows(rows: Sequence[Sequence[object]]) -> str:
     """Non-empty rows of scalars at data.rows, laid out exactly as json.dumps(indent=2)."""
     import json
 
@@ -98,19 +98,15 @@ class OutputEnvelope(Record):
 
     def __init__(
         self,
-        params: dict[str, Any],
+        params: dict[str, object],
         constants: PhysicalConstants,
         columns: Sequence[str] = (),
-        rows: Sequence[Sequence[Any]] = (),
-        scalars: dict[str, Any] | None = None,
+        rows: Sequence[Sequence[object]] = (),
+        scalars: dict[str, object] | None = None,
     ) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "scalars", {} if scalars is None else scalars)
+        self._store(params, constants, columns, rows, {} if scalars is None else scalars)
 
-    def metadata(self) -> dict[str, Any]:
+    def metadata(self) -> dict[str, object]:
         return {
             "tool": "mott-ti",
             "version": __version__,
@@ -120,7 +116,7 @@ class OutputEnvelope(Record):
     def to_json(self) -> str:
         import json  # ~2 ms to import: paid only by commands that print JSON
 
-        data: dict[str, Any] = dict(self.scalars)
+        data: dict[str, object] = dict(self.scalars)
         if self.columns:
             data["columns"] = list(self.columns)
             data["rows"] = []

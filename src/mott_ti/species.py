@@ -8,9 +8,8 @@ statistics is always derived from the spin: integer spin pairs symmetrize
 from __future__ import annotations
 
 import math
+import os
 from enum import Enum
-from importlib import resources
-from pathlib import Path
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants, Record, table_rows
 from .errors import DomainError
@@ -61,7 +60,7 @@ class Spin(Record):
     def __init__(self, twice_s: int) -> None:
         if not isinstance(twice_s, int) or not 0 <= twice_s <= TWICE_S_MAX:
             raise DomainError(f"2s must be an integer in [0, {TWICE_S_MAX}], got {twice_s!r}")
-        object.__setattr__(self, "twice_s", twice_s)
+        self._store(twice_s)
 
     @classmethod
     def parse(cls, text: str) -> "Spin":
@@ -138,10 +137,7 @@ class ParticleSpecies(Record):
         if not MASS_MIN <= mass <= MASS_MAX:  # also false for nan
             raise DomainError(f"mass must lie in [{MASS_MIN:g}, {MASS_MAX:g}] MeV, "
                               f"got {mass}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "mass", mass)  # MeV
-        object.__setattr__(self, "spin", spin)
+        self._store(name, z, mass, spin)
 
     def charge_squared(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
         """q^2 = Z^2 e^2 in MeV fm."""
@@ -161,18 +157,17 @@ class CollisionSystem(Record):
         if not ENERGY_MIN_KEV <= energy_cm < math.inf:  # also false for nan
             raise DomainError(f"energy_cm must be finite and >= {ENERGY_MIN_KEV:g} keV, "
                               f"got {energy_cm}")
-        object.__setattr__(self, "species", species)
-        object.__setattr__(self, "energy_cm", energy_cm)  # keV
+        self._store(species, energy_cm)
 
 
-def _parse_catalog(
-    text: str,
+def _read_catalog(
+    path: str | os.PathLike[str],
     constants: PhysicalConstants,
     source: str,
 ) -> list[ParticleSpecies]:
     out: list[ParticleSpecies] = []
     for _, (name, z_text, mass_text, twice_s_text) in table_rows(
-        text, source, "name Z A-or-mass 2s"
+        path, source, "name Z A-or-mass 2s"
     ):
         # integer third column = mass number A (mass = A x amu);
         # a decimal literal is an exact mass in MeV
@@ -192,19 +187,19 @@ def _parse_catalog(
 
 
 def load_species_catalog(
-    path: str | Path,
+    path: str | os.PathLike[str],
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> list[ParticleSpecies]:
     """Load a plain-text species table: ``name  Z  A-or-mass  2s`` per line."""
-    return _parse_catalog(Path(path).read_text(), constants, str(path))
+    return _read_catalog(path, constants, str(path))
 
 
 def builtin_catalog(
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> list[ParticleSpecies]:
     """The shipped catalog: d, alpha, 6Li."""
-    text = resources.files("mott_ti").joinpath("data/species.txt").read_text()
-    return _parse_catalog(text, constants, "data/species.txt")
+    path = os.path.join(os.path.dirname(__file__), "data", "species.txt")
+    return _read_catalog(path, constants, "data/species.txt")
 
 
 def find_species(name: str, catalog: list[ParticleSpecies]) -> ParticleSpecies:

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 import os
@@ -11,8 +12,11 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mott_ti.analysis import angle_grid
 from mott_ti.cli import build_parser, main
 from mott_ti.constants import DEFAULT_CONSTANTS
+from mott_ti.coulomb import critical_eta_numeric
+from mott_ti.hardsphere import find_critical_kR
 from mott_ti.species import MASS_MAX, MASS_MIN, TWICE_S_MAX, Z_MAX
 from test_golden import strict_json
 
@@ -555,6 +559,21 @@ def test_shared_options_agree():
                 first, first_spec = seen.setdefault(opt, (name, spec))
                 assert spec == first_spec, (opt, first, name)
     assert len(seen) > 10
+
+
+def test_option_defaults_are_the_library_defaults():
+    # each option that feeds a library parameter takes that parameter's default
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    parser = build_parser("mott-ti")
+    grid = parser.parse_args(["plateau", "--spin", "0"])
+    assert (grid.theta_min, grid.theta_max, grid.theta_step) == tuple(
+        default(angle_grid, name) for name in ("start", "stop", "step"))
+    assert parser.parse_args(["hardsphere", "--spin", "0"]).step == default(find_critical_kR,
+                                                                             "step")
+    assert parser.parse_args(["critical", "--spin", "0"]).bracket == default(
+        critical_eta_numeric, "bracket")
 
 
 # ------------------------------------------- the subprocess and the in-process run

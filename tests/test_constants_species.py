@@ -25,6 +25,12 @@ from mott_ti.species import (
 )
 
 
+@pytest.mark.parametrize("values", [(), (1, 3)])
+def test_record_store_takes_one_value_per_field(values):
+    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is (shorter|longer)"):
+        Spin.__new__(Spin)._store(*values)
+
+
 def test_default_constants_values():
     c = DEFAULT_CONSTANTS
     assert c.hbar_c == 197.3269804

@@ -507,6 +507,19 @@ def test_curvature_finite_at_a_max_and_eta_max():
             assert math.isfinite(curvature_at_90(p, spin.statistics))
 
 
+def test_curvature_half_angle_factor_keeps_the_bits():
+    # HALF_ANGLE_FACTOR [12 a^2 + eps w 4 a^2 (1 - 2 eta^2)] scales by an exact 4,
+    # so it is 48 a^2 + eps w 16 a^2 (1 - 2 eta^2) bit for bit while both stay normal
+    rng = random.Random(26)
+    for _ in range(2000):
+        a, eta = 10.0 ** rng.uniform(-100.0, 147.0), 10.0 ** rng.uniform(-3.0, 6.0)
+        spin, polarization = Spin(rng.randrange(10)), rng.choice(list(Polarization))
+        eps_w = exchange_weight(spin, polarization)
+        expected = 48.0 * a**2 + eps_w * (16.0 * a**2 * (1.0 - 2.0 * eta**2))
+        p = MottParams(a=a, eta=eta, spin=spin, polarization=polarization)
+        assert curvature_at_90(p, spin.statistics) == expected, (a, eta, spin, polarization)
+
+
 def test_curvature_sign_flips_across_critical():
     spin = Spin(0)
     below = MottParams(a=1.0, eta=0.9 * SQRT2, spin=spin)

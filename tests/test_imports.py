@@ -1,6 +1,8 @@
 """Every module of the package uses each name it imports, none imports upward,
 every module-level name is used, nothing is cached between calls, no record
-is a dataclass, and one phase-shift ladder builds the only Bessel table.
+is a dataclass, only constants.Record stores fields past Record.__setattr__,
+one phase-shift ladder builds the only Bessel table, and importing the CLI
+loads only what it uses.
 
 The package __init__ is exempt from the first two: its imports are the
 public re-exports.  For the third, a re-export is not a use: a name that
@@ -210,6 +212,47 @@ def test_the_check_sees_a_dataclass():
     ]
 
 
+def setattr_bypasses(sources: dict[str, str]) -> list[str]:
+    """Uses of object.__setattr__ outside constants.Record.
+
+    Record._store is the one place that fills a record's fields; every
+    other assignment to a record raises AttributeError.
+    """
+    out = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        home = set()
+        for node in tree.body:
+            if module == "constants" and isinstance(node, ast.ClassDef) and node.name == "Record":
+                home = set(map(id, ast.walk(node)))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                 and isinstance(node.value, ast.Name) and node.value.id == "object"
+                 and id(node) not in home]
+        out += [f"{module} (line {line})" for line in sorted(lines)]
+    return out
+
+
+def test_only_record_bypasses_setattr():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert setattr_bypasses(sources) == []
+
+
+def test_the_check_sees_a_setattr_bypass():
+    record = ("class Record:\n    def _store(self, *values):\n"
+              "        for name, value in zip(self.__slots__, values, strict=True):\n"
+              "            object.__setattr__(self, name, value)\n\n\n")
+    spin = ("class Spin(Record):\n    __slots__ = ('twice_s',)\n\n"
+            "    def __init__(self, twice_s):\n"
+            "        object.__setattr__(self, 'twice_s', twice_s)\n")
+    sources = {
+        "constants": record + spin,
+        "species": record + "store = object.__setattr__\n",
+    }
+    assert setattr_bypasses(sources) == ["constants (line 11)", "species (line 4)",
+                                         "species (line 7)"]
+
+
 # Bottom to top: a module imports only from its own layer or the ones below.
 # `from . import __version__` reads the package itself, which sets that name
 # before it imports any module, so it is not ranked.
@@ -269,3 +312,18 @@ def test_cli_import_leaves_hashlib_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == f"{[False] * len(names)}\n"
+
+
+def test_cli_import_loads_only_what_it_uses():
+    # python -S: no site hook preloads a module, so this sees what the package
+    # itself pulls in.  The shipped catalog and user files are read with open(),
+    # and no module imports typing, so beyond argparse only the package and
+    # four small modules load
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = ("import argparse, sys\nbefore = set(sys.modules)\nimport mott_ti.cli\n"
+            "print(*sorted(set(sys.modules) - before))")
+    loaded = set(subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                                text=True, check=True).stdout.split())
+    assert loaded.isdisjoint({"pathlib", "importlib.resources", "tempfile", "typing"})
+    package = {"mott_ti"} | {f"mott_ti.{p.stem}" for p in MODULES}
+    assert loaded - package <= {"__future__", "cmath", "collections.abc", "math"}
