@@ -20,9 +20,10 @@ the sums step P_{l+2}(0) = -(l+1) P_l(0)/(l+2) once per even l, the
 operations of special's one Legendre recurrence at x = 0, with float
 coefficients as in special (same bits), and build no table.  A critical-kR
 scan checks its inputs and takes eps w once, then calls the per-kR
-curvature per point; at eps w = -1 (aligned fermions) the curvature is
-positive at every kR, so that scan returns None before any point (see
-find_critical_kR).
+curvature per point.  At eps w <= -1/8 (aligned fermions, and unpolarized
+fermions with 2s <= 7) the curvature is positive at every kR a scan may
+visit, so those scans return None before any point (see find_critical_kR);
+only bosons and unpolarized fermions with 2s >= 9 scan.
 
 There is one phase-shift ladder, the generator _waves: one pass per kR over
 one j table (special.spherical_bessel_j_table), with y_l stepped upward in
@@ -253,14 +254,18 @@ def find_critical_kR(
     can be missed: spin 0 on (0.23, 1.45) stops at 1.43 and returns None,
     though the curvature changes sign at 1.44677.
 
-    After the input checks, aligned fermions (eps w = -1) return None
-    without a point.  With r = Re f'' f* and s = |f'|^2 at 90 deg, the
-    curvature is HALF_ANGLE_FACTOR [4 (r + s) + eps w 4 (r - s)] / kR^2
-    (_curvature_at_90).  At eps w = -1 the r terms cancel and 8
-    HALF_ANGLE_FACTOR s / kR^2 is left: sigma(90) = 0 is a minimum, never
-    flat.  On [KR_MIN, 10], every kR a scan may visit, s >= 0.79 |r| (the
-    smallest ratio is near kR 2.584), so the float value 4 (r + s) - 4 (r - s)
-    stays positive at every point and a scan could never see a sign change.
+    After the input checks, every eps w <= -1/8 returns None without a
+    point: aligned fermions (eps w = -1) and unpolarized fermions with
+    2s <= 7 (eps w = -1/2 ... -1/8).  With r = Re f'' f* and s = |f'|^2 at
+    90 deg, the curvature is HALF_ANGLE_FACTOR [4 (r + s) + eps w 4 (r - s)]
+    / kR^2 (_curvature_at_90), linear in eps w.  Interval arithmetic over
+    the exact partial-wave sums proves it positive on [KR_MIN, 10], every kR
+    a scan may visit, at eps w = -1 and at eps w = -1/8
+    (tests/test_hardsphere.py::test_certify_no_critical_kR_up_to_eps_w_minus_one_eighth),
+    so it is positive at every eps w in between.  At eps w = -1/8 the float
+    value keeps at least 1% of |its value at eps w = +1| (the smallest ratio,
+    0.0124, is near kR 2.584), far above its rounding error, so the full scan
+    could never see a sign change.
     """
     lo, hi = scan
     if not 0.0 < lo < hi <= 10.0:
@@ -272,7 +277,7 @@ def find_critical_kR(
     _check_kR(lo)  # every point lies in [lo, hi], and hi <= 10 < KR_MAX
     check_statistics(spin, statistics)
     eps_w = exchange_weight(spin, polarization)
-    if eps_w == -1.0:  # sigma(90) = 0 is a minimum at every kR; see above
+    if eps_w <= -0.125:  # the curvature is positive at every kR; see above
         return None
 
     def curv(kR: float) -> float:

@@ -30,12 +30,12 @@ def hs_total_cross_section(shifts):
 
 def scan_reference(spin, statistics, scan=(0.2, 3.0), step=0.05,
                    polarization=Polarization.UNPOLARIZED):
-    """find_critical_kR as it was before aligned fermions skipped their scan.
+    """find_critical_kR as it was before any preparation skipped its scan.
 
-    Every preparation, aligned fermions included, scans lo, lo + step, ...
-    and takes the curvature at each point through hardsphere._curvature_at_90,
-    looked up at call time, so a test that wraps that name sees these points
-    too.
+    Every preparation, those with eps w <= -1/8 included, scans lo,
+    lo + step, ... and takes the curvature at each point through
+    hardsphere._curvature_at_90, looked up at call time, so a test that
+    wraps that name sees these points too.
     """
     lo, hi = scan
     if not 0.0 < lo < hi <= 10.0:

@@ -68,7 +68,9 @@ def test_pinned_call_shapes():
 @pytest.mark.parametrize("twice_s,lo,hi,step", [
     pytest.param(twice_s, lo, hi, step, id=f"{'spin9h-' * (twice_s == 9)}{lo}-{hi}-{step}")
     for twice_s, lo, hi, step in [
-        (1, 0.2, 3.0, 0.05), (1, 0.23, 1.45, 0.05), (1, 0.2, 3.02, 0.05),
+        # spin 0 changes sign at 1.44677: (0.23, 1.45) stops at 1.43 and misses
+        # it, (0.2, 1.43) moves its last point onto hi
+        (0, 0.2, 1.4, 0.05), (0, 0.23, 1.45, 0.05), (0, 0.2, 1.43, 0.05),
         # spin 9/2 unpolarized changes sign at 2.46965, so its scans end short of it
         (9, 0.2, 2.42, 0.05), (9, 0.23, 1.45, 0.05), (9, 1.1, 2.4, 0.013),
     ]
@@ -88,11 +90,14 @@ def test_scan_visits_the_oracle_grid(monkeypatch, twice_s, lo, hi, step):
 @pytest.mark.parametrize("twice_s", [1, 3, 5, 7, 9])
 @pytest.mark.parametrize("lo,hi,points", [(0.2, 1.7, 20), (0.8, 3.8, 70), (1.4, 5.9, 120)])
 def test_oracle_finds_no_aligned_fermion_bracket(twice_s, lo, hi, points):
-    # the critical-scan check passes the None an aligned fermion scan returns
-    # only while the reference curvature has no sign change on its grid
+    # the critical-scan check passes the None a skipped scan returns (aligned
+    # fermions, and unpolarized ones with 2s <= 7) only while the reference
+    # curvature has no sign change on its grid
     step = (hi - lo) / points  # CriticalScan's shape: lo in [0.2, 1.4], hi - lo in [1.5, 4.5]
     oracle = _bench_module("oracle")
-    assert oracle.first_root_bracket(lo, hi, step, twice_s, aligned=True) is None
     spin = Spin(twice_s)
-    assert find_critical_kR(spin, spin.statistics, (lo, hi), step,
-                            polarization=Polarization.ALIGNED) is None
+    for polarization in Polarization if twice_s <= 7 else [Polarization.ALIGNED]:
+        aligned = polarization is Polarization.ALIGNED
+        assert oracle.first_root_bracket(lo, hi, step, twice_s, aligned=aligned) is None
+        assert find_critical_kR(spin, spin.statistics, (lo, hi), step,
+                                polarization=polarization) is None
