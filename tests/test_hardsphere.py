@@ -929,12 +929,15 @@ def test_aligned_fermions_scan_nothing(preparation, lo, width, points):
 
 @pytest.mark.parametrize("twice_s, polarization", [
     (twice_s, polarization) for twice_s in range(10) for polarization in Polarization
-    if (twice_s, polarization) not in _SKIPPED
+    if twice_s % 2 == 0 or polarization is Polarization.UNPOLARIZED
 ])
 def test_other_scans_visit_the_points_of_the_full_scan(monkeypatch, twice_s, polarization):
     # every preparation with eps w > -1/8 (bosons, unpolarized 2s >= 9) scans
-    # as before: same points, same bits
+    # as before: same points, same bits.  The unpolarized fermions with
+    # 2s <= 7 visit no point, and the full scan over the whole of each range
+    # finds no root for them either
     spin = Spin(twice_s)
+    skipped = (twice_s, polarization) in _SKIPPED
     visited = _count_calls(monkeypatch, "_curvature_at_90")
     for scan, step in [((0.2, 3.0), 0.05), ((KR_MIN, 10.0), 0.01), ((1.3, 2.6), 0.0137)]:
         runs = []
@@ -942,4 +945,9 @@ def test_other_scans_visit_the_points_of_the_full_scan(monkeypatch, twice_s, pol
             visited.clear()
             root = search(spin, spin.statistics, scan=scan, step=step, polarization=polarization)
             runs.append((visited[:], repr(root)))
-        assert runs[0] == runs[1], scan
+        if skipped:
+            assert runs[0] == ([], "None"), scan
+            points = round((scan[1] - scan[0]) / step) + 1
+            assert runs[1][1] == "None" and len(runs[1][0]) == points, scan
+        else:
+            assert runs[0] == runs[1], scan
