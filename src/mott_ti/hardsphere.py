@@ -23,7 +23,10 @@ scan checks its inputs and takes eps w once, then calls the per-kR
 curvature per point.  At eps w <= -1/8 (aligned fermions, and unpolarized
 fermions with 2s <= 7) the curvature is positive at every kR a scan may
 visit, so those scans return None before any point (see find_critical_kR);
-only bosons and unpolarized fermions with 2s >= 9 scan.
+only bosons and unpolarized fermions with 2s >= 9 scan.  Those evaluate no
+point below a certified bound, CERTIFIED_BOUNDS: kR 2.22 for eps w <= 0,
+1.88 for eps w <= 1/3 and 1.44 for eps w <= 1, each just below the first
+root of its row (2.2328, 1.88402, 1.44677).
 
 There is one phase-shift ladder, the generator _waves: one pass per kR over
 one j table (special.spherical_bessel_j_table), with y_l stepped upward in
@@ -48,6 +51,12 @@ from .special import legendre_p_rows, spherical_bessel_j_table
 TRUNCATION_TOL = 1e-12  # the ladder stops at |sin delta_l| below this times min(1, kR^5/45)
 KR_MIN = 1e-6  # smallest accepted kR; the ladder still takes l = 0..3, and far below it y_l overflows
 KR_MAX = 1000.0  # largest accepted kR; the ladder then needs about 1060 waves
+
+# Certified bounds of the critical-kR scan: in a row (e, b) the 90 deg
+# curvature is positive at every kR in [KR_MIN, b] for every eps w in [-1, e]
+# (see find_critical_kR); each row's first root lies just above b: 2.2328,
+# 1.88402 and 1.44677.
+CERTIFIED_BOUNDS = ((0.0, 2.22), (1.0 / 3.0, 1.88), (1.0, 1.44))
 
 
 class PhaseShiftSet(Record):
@@ -254,6 +263,16 @@ def find_critical_kR(
     can be missed: spin 0 on (0.23, 1.45) stops at 1.43 and returns None,
     though the curvature changes sign at 1.44677.
 
+    The scan steps through the same grid points but evaluates none below a
+    certified bound b, the largest of CERTIFIED_BOUNDS whose row (e, b) has
+    eps w <= e: 2.22 for unpolarized fermions with 2s >= 9 (eps w <= 0),
+    1.88 for unpolarized bosons with 2s >= 2 (eps w <= 1/3) and 1.44 for
+    spin 0 and every aligned boson (eps w = 1).  It evaluates the curvature
+    from the last grid point at or below b on, as that point may open the
+    bracket, and returns None with no evaluation when no point lies above
+    b.  Every bracket, every value handed to bisect_root and so every root
+    is that of the scan that evaluates every point.
+
     After the input checks, every eps w <= -1/8 returns None without a
     point: aligned fermions (eps w = -1) and unpolarized fermions with
     2s <= 7 (eps w = -1/2 ... -1/8).  With r = Re f'' f* and s = |f'|^2 at
@@ -266,6 +285,16 @@ def find_critical_kR(
     value keeps at least 1% of |its value at eps w = +1| (the smallest ratio,
     0.0124, is near kR 2.584), far above its rounding error, so the full scan
     could never see a sign change.
+
+    The bounds rest on the same linearity: interval arithmetic proves the
+    curvature positive at eps w = e on [KR_MIN, b] for each row
+    (tests/test_hardsphere.py::test_certify_the_scan_bounds), and at eps w =
+    -1 on [KR_MIN, 10], so it is positive on [KR_MIN, b] for every eps w in
+    [-1, e].  The float value there keeps at least 0.1% of the larger of
+    |its value at eps w = +1| and its value at -1
+    (::test_curvature_keeps_a_margin_below_each_scan_bound), and each bound
+    lies below its row's first root
+    (::test_each_scan_bound_lies_below_its_rows_first_root).
     """
     lo, hi = scan
     if not 0.0 < lo < hi <= 10.0:
@@ -283,7 +312,20 @@ def find_critical_kR(
     def curv(kR: float) -> float:
         return _curvature_at_90(kR, eps_w)
 
-    x, f = lo, curv(lo)
+    # walk the grid to its last point at or below the bound, where C > 0
+    # (see above), evaluating nothing: that point may open the bracket.
+    # Every eps w here lies in (-1/8, 1], so some row covers it
+    bound = max(b for e, b in CERTIFIED_BOUNDS if eps_w <= e)
+    x = lo
+    while x + step < hi + step / 2.0:
+        x_next = min(x + step, hi)
+        if x_next > bound:
+            break
+        x = x_next
+    else:
+        if x <= bound:
+            return None  # every grid point lies at or below the bound
+    f = curv(x)
     while f != 0.0 and x + step < hi + step / 2.0:
         x_next = min(x + step, hi)
         f_next = curv(x_next)

@@ -6,9 +6,9 @@ invocation that produced it.  Rendering is deterministic: no timestamps,
 fixed key order, Unix line endings, '.' decimal separator, and CSV cells
 printed with 9 significant digits.
 
-A CSV table is rendered by one ``str.format`` call: columns whose cells are
-all floats become ``{:.9g}`` fields of the template, every other cell is
-rendered to text first and filled in through a ``{}`` field.
+A CSV table is rendered by one printf-style ``%`` call: columns whose cells
+are all floats become ``%.9g`` fields of the template, every other cell is
+rendered to text first and filled in through a ``%s`` field.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from . import __version__
 from .constants import PhysicalConstants, Record
 
 
-_FLOAT_FIELD = "{:.9g}"  # every float of a CSV document: 9 significant digits
+_FLOAT_FIELD = "%.9g"  # every float of a CSV document: 9 significant digits
 
 
 def format_number(x: float) -> str:
     """CSV numeric cell: 9 significant digits."""
-    return _FLOAT_FIELD.format(x)
+    return _FLOAT_FIELD % x
 
 
 def _plain(value: object) -> str:
@@ -46,12 +46,12 @@ def _csv_cell(value: object) -> str:
 
 
 def _csv_table(columns: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Header line and rows of a CSV table, the rows filled in by one str.format.
+    """Header line and rows of a CSV table, the rows filled in by one printf-style %.
 
     A column of floats only (exact type: no bool, int or float subclass) is
     a _FLOAT_FIELD of the template, format_number's text, which never needs
     quoting; any other cell goes through _csv_cell and is passed in as an
-    argument, so braces in its text are never parsed as fields.
+    argument, so a % in its text is never parsed as a field.
     """
     if set(map(len, rows)) - {len(columns)}:
         raise ValueError(f"every row must hold {len(columns)} cells, one per column")
@@ -62,10 +62,10 @@ def _csv_table(columns: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
             fields.append(_FLOAT_FIELD)
             cells.append(column)
         else:
-            fields.append("{}")
+            fields.append("%s")
             cells.append(map(_csv_cell, column))
-    template = "\n".join(["{}"] + [",".join(fields)] * len(rows))
-    return template.format(",".join(columns), *chain.from_iterable(zip(*cells)))
+    template = "\n".join(["%s"] + [",".join(fields)] * len(rows))
+    return template % (",".join(columns), *chain.from_iterable(zip(*cells)))
 
 
 # data.rows sits at depth 3 of the document: rows indent by 6, cells by 8

@@ -61,6 +61,22 @@ def scan_reference(spin, statistics, scan=(0.2, 3.0), step=0.05,
     return x if f == 0.0 else None
 
 
+def evaluated_points(visited, eps_w):
+    """The part of a full scan's evaluations that find_critical_kR makes at eps w.
+
+    The full scan evaluates its grid in increasing order, then the finder's
+    points inside the bracket.  find_critical_kR evaluates them from the last
+    grid point at or below its bound on (the largest bound of
+    hardsphere.CERTIFIED_BOUNDS whose row covers eps w), and none when no
+    point lies above the bound or at eps w <= -1/8, whose scans it skips.
+    """
+    bound = max(b for e, b in hardsphere.CERTIFIED_BOUNDS if eps_w <= e)
+    above = next((i for i, x in enumerate(visited) if x > bound), None)
+    if eps_w <= -0.125 or above is None:
+        return []
+    return visited[max(above - 1, 0):]
+
+
 def two_table_phase_shifts(kR):
     """hard_sphere_phase_shifts as it was with a j and a y table to the cap."""
     hardsphere._check_kR(kR)

@@ -26,8 +26,11 @@ from mott_ti import (
     sensitivity_sweep,
 )
 from mott_ti import hardsphere
+from mott_ti.species import exchange_weight
+from reference import evaluated_points
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+_PREFIX = {0: "", 2: "spin1-", 9: "spin9h-"}  # test ids by 2s
 
 
 def _bench_module(name):
@@ -65,26 +68,37 @@ def test_pinned_call_shapes():
     assert plateau(curve, 0.05).curvature_90 == pytest.approx(128.0, rel=1e-6)
 
 
-@pytest.mark.parametrize("twice_s,lo,hi,step", [
-    pytest.param(twice_s, lo, hi, step, id=f"{'spin9h-' * (twice_s == 9)}{lo}-{hi}-{step}")
-    for twice_s, lo, hi, step in [
+@pytest.mark.parametrize("twice_s,lo,hi,step,evaluated", [
+    pytest.param(twice_s, lo, hi, step, evaluated,
+                 id=f"{_PREFIX[twice_s]}{lo}-{hi}-{step}")
+    for twice_s, lo, hi, step, evaluated in [
         # spin 0 changes sign at 1.44677: (0.23, 1.45) stops at 1.43 and misses
-        # it, (0.2, 1.43) moves its last point onto hi
-        (0, 0.2, 1.4, 0.05), (0, 0.23, 1.45, 0.05), (0, 0.2, 1.43, 0.05),
-        # spin 9/2 unpolarized changes sign at 2.46965, so its scans end short of it
-        (9, 0.2, 2.42, 0.05), (9, 0.23, 1.45, 0.05), (9, 1.1, 2.4, 0.013),
+        # it, (0.2, 1.43) moves its last point onto hi; all three lie at or
+        # below its certified bound 1.44, and (1.3, 1.446) crosses it
+        (0, 0.2, 1.4, 0.05, 0), (0, 0.23, 1.45, 0.05, 0), (0, 0.2, 1.43, 0.05, 0),
+        (0, 1.3, 1.446, 0.003, 4),
+        # spin 1 unpolarized changes sign at 1.88402, past its bound 1.88
+        (2, 1.7, 1.883, 0.002, 3),
+        # spin 9/2 unpolarized changes sign at 2.46965, so its scans end short
+        # of it; they cross its bound 2.22 but for (0.23, 1.45)
+        (9, 0.2, 2.42, 0.05, 5), (9, 0.23, 1.45, 0.05, 0), (9, 1.1, 2.4, 0.013, 15),
+        (9, 2.0, 2.46, 0.01, 25),
     ]
 ])
-def test_scan_visits_the_oracle_grid(monkeypatch, twice_s, lo, hi, step):
-    # bench/oracle.py scan_grid copies the points a scan with no root visits;
-    # the critical-scan check compares roots against brackets on that grid
+def test_scan_visits_the_oracle_grid(monkeypatch, twice_s, lo, hi, step, evaluated):
+    # bench/oracle.py scan_grid copies the grid of a scan with no root; the
+    # critical-scan check compares roots against brackets on that grid.  The
+    # scan walks that grid and evaluates it from its last point at or below
+    # the certified bound on, none when the whole grid lies at or below it
     visited = []
     curvature = hardsphere._curvature_at_90
     monkeypatch.setattr(hardsphere, "_curvature_at_90",
                         lambda kR, eps_w: visited.append(kR) or curvature(kR, eps_w))
     spin = Spin(twice_s)
     assert find_critical_kR(spin, spin.statistics, (lo, hi), step) is None
-    assert visited == _bench_module("oracle").scan_grid(lo, hi, step)
+    grid = _bench_module("oracle").scan_grid(lo, hi, step)
+    assert visited == evaluated_points(grid, exchange_weight(spin, Polarization.UNPOLARIZED))
+    assert len(visited) == evaluated and visited == grid[len(grid) - evaluated:]
 
 
 @pytest.mark.parametrize("twice_s", [1, 3, 5, 7, 9])

@@ -33,11 +33,13 @@ from mott_ti.hardsphere import KR_MAX, KR_MIN, TRUNCATION_TOL
 from mott_ti.numerics import (
     HALF_ANGLE_FACTOR,
     MAX_POINTS,
+    bisect_root,
     half_angle_curvature,
     second_derivative,
 )
 from mott_ti.species import exchange_weight
 from reference import (
+    evaluated_points,
     hs_total_cross_section,
     scan_reference,
     two_pass_curvature_at_90,
@@ -582,15 +584,17 @@ def test_critical_kR_has_the_digits_of_a_long_bisection(monkeypatch, twice_s, po
 
 
 def test_critical_kR_search_evaluates_each_kR_once(monkeypatch):
-    # spin 0 on (0.2, 3.0): 26 scan points up to the bracket (1.40, 1.45), then
-    # the finder, which takes both bracket ends from the scan
+    # spin 0 on (0.2, 3.0): nothing up to 1.40, the last scan point at or
+    # below the certified bound 1.44, then the bracket (1.40, 1.45) and the
+    # finder, which takes both bracket ends from the scan
     visited = []
     curvature = hardsphere._curvature_at_90
     monkeypatch.setattr(hardsphere, "_curvature_at_90",
                         lambda kR, eps_w: visited.append(kR) or curvature(kR, eps_w))
     root = find_critical_kR(Spin(0), Statistics.BOSON, scan=(0.2, 3.0), step=0.05)
     assert 1.4 < root < 1.45
-    assert 26 < len(visited) <= 26 + 10
+    assert visited[:2] == pytest.approx([1.4, 1.45], abs=1e-12)
+    assert 2 < len(visited) <= 2 + 10
     assert len(set(visited)) == len(visited)
 
 
@@ -688,6 +692,21 @@ def test_curvature_at_minus_one_eighth_keeps_a_one_percent_margin():
         kR = min(KR_MIN * (10.0 / KR_MIN) ** (i / 4000), 10.0)
         value = hardsphere._curvature_at_90(kR, -0.125)
         assert value >= 0.01 * abs(hardsphere._curvature_at_90(kR, 1.0)), kR
+
+
+@pytest.mark.parametrize("eps_w, bound", hardsphere.CERTIFIED_BOUNDS)
+def test_curvature_keeps_a_margin_below_each_scan_bound(eps_w, bound):
+    # the float companion of test_certify_the_scan_bounds: on [KR_MIN, b] the
+    # float curvature at eps w = e keeps at least 0.1% of the larger of
+    # |C(+1)| and C(-1), the scale within which it is 1e-12 from 40-digit
+    # mpmath (the smallest ratios, at the bounds: 0.0084 for e = 0, 0.0037
+    # for 1/3, 0.0059 for 1).  C is linear in eps w, so no eps w in [-1/8, e]
+    # rounds to a sign the full scan would see below the bound
+    for i in range(4001):
+        kR = min(KR_MIN * (bound / KR_MIN) ** (i / 4000), bound)
+        scale = max(abs(hardsphere._curvature_at_90(kR, 1.0)),
+                    hardsphere._curvature_at_90(kR, -1.0))
+        assert hardsphere._curvature_at_90(kR, eps_w) >= 1e-3 * scale, kR
 
 
 # A certificate that the 90 deg curvature C(kR, eps w) is positive on [KR_MIN,
@@ -845,15 +864,15 @@ def _cell(a, b, eps_w):
     return lower, middle.b, abs(r).b
 
 
-def _certify_positive_curvature(eps_w, cells=30, max_depth=40):
-    """(cells certified, smallest lower bound of C(kR, eps w)/|C(kR, +1)|) over [KR_MIN, 10].
+def _certify_positive_curvature(eps_w, hi=10.0, cells=30, max_depth=40):
+    """(cells certified, smallest lower bound of C(kR, eps w)/|C(kR, +1)|) over [KR_MIN, hi].
 
     Fails where the curvature is negative at a cell's middle, or when
     halving max_depth times gives no positive bound.
     """
     eps_w = _iv(eps_w)
-    edges = [KR_MIN * (10.0 / KR_MIN) ** (i / cells) for i in range(cells + 1)]
-    edges[0], edges[-1] = KR_MIN, 10.0
+    edges = [KR_MIN * (hi / KR_MIN) ** (i / cells) for i in range(cells + 1)]
+    edges[0], edges[-1] = KR_MIN, hi
     todo = [(a, b, 0) for a, b in zip(edges, edges[1:])][::-1]  # popped from small kR up
     certified, smallest = 0, math.inf
     while todo:
@@ -889,6 +908,50 @@ def test_certify_no_critical_kR_up_to_eps_w_minus_one_eighth(eps_w, minimum):
         iv.prec = precision
     print(f"eps w = {eps_w}: {cells} cells, smallest bound on C/|C(+1)| {smallest:.3g}")
     assert 0.0 < smallest <= minimum
+
+
+@pytest.mark.parametrize("eps_w, bound", hardsphere.CERTIFIED_BOUNDS)
+def test_certify_the_scan_bounds(eps_w, bound):
+    # proves C(kR, e) > 0 on [KR_MIN, b] for each row (e, b) of the scan's
+    # table; with C(kR, -1) > 0 on [KR_MIN, 10] (the certificate above) and
+    # C linear in eps w, C is positive there at every eps w in [-1, e], so
+    # find_critical_kR evaluates no grid point below the last one at or below
+    # b.  A row added or moved without a proof fails here.  Each row takes
+    # 34-35 cells in about 0.2 s; the smallest lower bounds of C/|C(+1)| are
+    # 5.1e-4 (e = 0), 5.2e-3 (1/3) and 0.059 (1)
+    precision = iv.prec
+    iv.prec = 100
+    try:
+        cells, smallest = _certify_positive_curvature(Fraction(eps_w), hi=bound)
+    finally:
+        iv.prec = precision
+    print(f"eps w <= {eps_w:.6g}, kR <= {bound}: {cells} cells, "
+          f"smallest bound on C/|C(+1)| {smallest:.3g}")
+    assert cells >= 30 and smallest > 0.0
+
+
+@pytest.mark.parametrize("eps_w, bound", hardsphere.CERTIFIED_BOUNDS)
+def test_each_scan_bound_lies_below_its_rows_first_root(eps_w, bound):
+    # eps w_C(kR) (ROADMAP item 12) falls through 1 at 1.44677 (spin 0 and
+    # every aligned boson), 1/3 at 1.88402 (spin 1 unpolarized) and 0 at
+    # 2.2328, each a little past its row's bound: no bound cuts off a root
+    first_root = {1.0: 1.44677067, 1.0 / 3.0: 1.88401581, 0.0: 2.23282368}[eps_w]
+
+    def curv(kR):
+        return hardsphere._curvature_at_90(kR, eps_w)
+
+    xs = [0.2 + 0.01 * i for i in range(281)]
+    lo, hi = next((a, b) for a, b in zip(xs, xs[1:]) if (curv(a) > 0.0) != (curv(b) > 0.0))
+    root = bisect_root(curv, lo, hi, curv(lo), curv(hi))
+    assert f"{root:.9g}" == f"{first_root:.9g}"
+    assert bound < root < bound + 0.015
+    for twice_s in range(20):
+        spin = Spin(twice_s)
+        for polarization in Polarization:
+            if exchange_weight(spin, polarization) == eps_w:
+                full = scan_reference(spin, spin.statistics, scan=(0.2, 3.0), step=0.05,
+                                      polarization=polarization)
+                assert abs(full - root) <= 4 * math.ulp(root)  # another bracket, a few ulps
 
 
 def _count_calls(monkeypatch, name):
@@ -932,22 +995,54 @@ def test_aligned_fermions_scan_nothing(preparation, lo, width, points):
     if twice_s % 2 == 0 or polarization is Polarization.UNPOLARIZED
 ])
 def test_other_scans_visit_the_points_of_the_full_scan(monkeypatch, twice_s, polarization):
-    # every preparation with eps w > -1/8 (bosons, unpolarized 2s >= 9) scans
-    # as before: same points, same bits.  The unpolarized fermions with
-    # 2s <= 7 visit no point, and the full scan over the whole of each range
-    # finds no root for them either
+    # every preparation with eps w > -1/8 (bosons, unpolarized 2s >= 9) finds
+    # the full scan's root, same bits, and evaluates the full scan's points
+    # from its last grid point at or below its certified bound on.  The
+    # unpolarized fermions with 2s <= 7 visit no point, and the full scan
+    # over the whole of each range finds no root for them either
     spin = Spin(twice_s)
-    skipped = (twice_s, polarization) in _SKIPPED
+    eps_w = exchange_weight(spin, polarization)
     visited = _count_calls(monkeypatch, "_curvature_at_90")
     for scan, step in [((0.2, 3.0), 0.05), ((KR_MIN, 10.0), 0.01), ((1.3, 2.6), 0.0137)]:
         runs = []
         for search in (find_critical_kR, scan_reference):
             visited.clear()
             root = search(spin, spin.statistics, scan=scan, step=step, polarization=polarization)
-            runs.append((visited[:], repr(root)))
-        if skipped:
-            assert runs[0] == ([], "None"), scan
-            points = round((scan[1] - scan[0]) / step) + 1
-            assert runs[1][1] == "None" and len(runs[1][0]) == points, scan
-        else:
-            assert runs[0] == runs[1], scan
+            runs.append(([kR for kR, _ in visited], repr(root)))
+        (points, root), (full, full_root) = runs
+        assert root == full_root, scan
+        assert points == evaluated_points(full, eps_w), scan
+        if (twice_s, polarization) in _SKIPPED:
+            assert points == [] and root == "None", scan
+            assert len(full) == round((scan[1] - scan[0]) / step) + 1, scan
+        else:  # every range starts two or more grid points below the bound
+            assert 0 < len(points) < len(full), scan
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(twice_s=st.integers(0, 19),
+       polarization=st.sampled_from(Polarization),
+       bound=st.sampled_from([b for _, b in hardsphere.CERTIFIED_BOUNDS]),
+       below=st.floats(0.0, 1.0),
+       width=st.floats(1e-3, 8.0),
+       points=st.integers(1, 400))
+def test_scans_keep_the_full_scans_roots_and_its_points_from_the_bound(
+        twice_s, polarization, bound, below, width, points):
+    # a scan from lo in [KR_MIN, b] across each bound b returns the full
+    # scan's root, same repr, and evaluates exactly the full scan's points
+    # from its last grid point at or below its own bound on
+    lo = KR_MIN + below * (bound - KR_MIN)
+    hi = min(bound + width, 10.0)
+    step = (hi - lo) / points
+    spin = Spin(twice_s)
+    runs = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        visited = _count_calls(monkeypatch, "_curvature_at_90")
+        for search in (find_critical_kR, scan_reference):
+            visited.clear()
+            root = search(spin, spin.statistics, scan=(lo, hi), step=step,
+                          polarization=polarization)
+            runs.append(([kR for kR, _ in visited], repr(root)))
+    (points_evaluated, root), (full, full_root) = runs
+    assert root == full_root
+    assert points_evaluated == evaluated_points(full, exchange_weight(spin, polarization))

@@ -1,12 +1,13 @@
 import json
 import math
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mott_ti import DEFAULT_CONSTANTS
-from mott_ti.output import OutputEnvelope, format_number
+from mott_ti.output import OutputEnvelope, _csv_cell, _csv_table, format_number
 
 
 def test_format_number_nine_significant_digits():
@@ -125,7 +126,8 @@ def _json_oracle(env):
 
 
 _TRICKY_TEXT = ["", "\0", "]\0[", "]", "[", '"', "\\", '", "', '"rows": []', "a,b", "x\ny",
-                "naïve", "σ/Ω", "\u2028", "😀", "{", "}", "{0}", "{:.9g}"]
+                "naïve", "σ/Ω", "\u2028", "😀", "{", "}", "{0}", "{:.9g}", "%", "%s", "%%",
+                "%(x)s", "%.9g"]
 _TEXT = st.one_of(st.sampled_from(_TRICKY_TEXT), st.text(max_size=8))
 _FLOATS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, 0.1]),
@@ -177,3 +179,37 @@ def test_renderings_equal_the_plain_forms(env):
 def test_csv_rejects_a_row_of_another_length(rows):
     with pytest.raises(ValueError, match="2 cells"):
         _envelope(["a", "b"], rows).to_csv()
+
+
+def _str_format_table(columns, rows):
+    """_csv_table as it was, through {:.9g} and {} fields and one str.format."""
+    fields, cells = [], []
+    for column in zip(*rows):
+        if set(map(type, column)) == {float}:
+            fields.append("{:.9g}")
+            cells.append(column)
+        else:
+            fields.append("{}")
+            cells.append(map(_csv_cell, column))
+    template = "\n".join(["{}"] + [",".join(fields)] * len(rows))
+    return template.format(",".join(columns), *chain.from_iterable(zip(*cells)))
+
+
+def _mott_rows(n):
+    # angular's three float columns: theta, sigma and its ratio to sigma(90)
+    return [(0.5 + 179.0 * i / (n - 1), 1.0 / (1.0 + i) ** 3, math.sqrt(i) * 1e-3)
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("columns, rows", [
+    (["theta_deg", "sigma", "ratio"], _mott_rows(n)) for n in (357, 713, 1781)
+] + [
+    (["%s", "{}", "a,b"], [("%", "{}", '"q"'), ("x\ny", True, 7), (None, math.inf, "%(x)s"),
+                           ("%%", False, -0.0)]),
+    (["t", "%.9g"], [(math.inf, "%d"), (-math.inf, "{0}"), (math.nan, None), (5e-324, 10**30)]),
+    (["x"], []),
+], ids=["mott-357", "mott-713", "mott-1781", "mixed", "specials", "no-rows"])
+def test_csv_table_keeps_the_bytes_of_the_str_format_render(columns, rows):
+    # the printf-style template renders the bytes the {:.9g}/{} template did,
+    # a % or braces in a cell or a column name included
+    assert _csv_table(columns, rows) == _str_format_table(columns, rows)
