@@ -11,7 +11,8 @@ degrees, and a value past float range raises DivergenceError.  Three calls
 share it: mott_cross_sections, sigma_inc + eps w sigma_int for an identical
 pair; identical_cross_section, its one-point call; and
 incoherent_cross_sections, sigma_inc alone (eps w = 0).  check_a and
-check_eta bound a and eta for all three.
+check_eta bound a and eta for all three.  curvature_at_90_fd takes its 7
+stencil values from one call of it.
 
 Curvature convention: curvature_at_90 is the second derivative of the
 cross section with respect to the HALF-angle theta/2, i.e. 4 times
@@ -190,13 +191,16 @@ def curvature_at_90_fd(params: MottParams) -> float:
     """Half-angle curvature at 90 deg from finite differences of the cross section.
 
     The independent check of curvature_at_90; production paths use the
-    closed form.
+    closed form.  The 7 stencil angles 90 + k h of second_derivative (h =
+    CURVATURE_STEP_DEG/2) go through one _cross_sections call, whose fold
+    makes 90 - k h and 90 + k h one value: 4 of the 7 are computed, each
+    with the bits of identical_cross_section.
     """
-
-    def f(theta_deg: float) -> float:
-        return identical_cross_section(theta_deg, params)
-
-    return half_angle_curvature(second_derivative(f, 90.0, CURVATURE_STEP_DEG))
+    h = CURVATURE_STEP_DEG / 2.0
+    thetas = tuple(90.0 + k * h for k in (-4, -2, -1, 0, 1, 2, 4))
+    eps_w = exchange_weight(params.spin, params.polarization)
+    sigma = dict(zip(thetas, _cross_sections(thetas, params.a, params.eta, eps_w)))
+    return half_angle_curvature(second_derivative(sigma.__getitem__, 90.0, CURVATURE_STEP_DEG))
 
 
 def curvature_at_90(params: MottParams, statistics: Statistics) -> float:

@@ -24,9 +24,10 @@ curvature per point.  At eps w <= -1/8 (aligned fermions, and unpolarized
 fermions with 2s <= 7) the curvature is positive at every kR a scan may
 visit, so those scans return None before any point (see find_critical_kR);
 only bosons and unpolarized fermions with 2s >= 9 scan.  Those evaluate no
-point below a certified bound, CERTIFIED_BOUNDS: kR 2.22 for eps w <= 0,
-1.88 for eps w <= 1/3 and 1.44 for eps w <= 1, each just below the first
-root of its row (2.2328, 1.88402, 1.44677).
+point below a certified bound, CERTIFIED_BOUNDS: kR 2.46 for eps w <=
+-1/10, 2.22 for eps w <= 0, 2.08 for 1/9, 2.05 for 1/7, 1.99 for 1/5, 1.88
+for 1/3 and 1.44 for 1, each just below the first root of its row
+(2.46965, 2.2328, 2.09002, 2.05610, 1.99969, 1.88402, 1.44677).
 
 There is one phase-shift ladder, the generator _waves: one pass per kR over
 one j table (special.spherical_bessel_j_table), with y_l stepped upward in
@@ -54,9 +55,18 @@ KR_MAX = 1000.0  # largest accepted kR; the ladder then needs about 1060 waves
 
 # Certified bounds of the critical-kR scan: in a row (e, b) the 90 deg
 # curvature is positive at every kR in [KR_MIN, b] for every eps w in [-1, e]
-# (see find_critical_kR); each row's first root lies just above b: 2.2328,
-# 1.88402 and 1.44677.
-CERTIFIED_BOUNDS = ((0.0, 2.22), (1.0 / 3.0, 1.88), (1.0, 1.44))
+# (see find_critical_kR); each row's first root lies just above b: 2.46965,
+# 2.2328, 2.09002, 2.05610, 1.99969, 1.88402 and 1.44677.  Sorted by e, with
+# b falling, so the largest b whose row covers eps w is the tightest.
+CERTIFIED_BOUNDS = (
+    (-0.1, 2.46),       # unpolarized 2s = 9
+    (0.0, 2.22),        # unpolarized fermions with 2s >= 11
+    (1.0 / 9.0, 2.08),  # unpolarized 2s = 8 and bosons with 2s >= 10
+    (1.0 / 7.0, 2.05),  # unpolarized 2s = 6
+    (0.2, 1.99),        # unpolarized 2s = 4
+    (1.0 / 3.0, 1.88),  # unpolarized 2s = 2
+    (1.0, 1.44),        # spin 0 and every aligned boson
+)
 
 
 class PhaseShiftSet(Record):
@@ -265,13 +275,16 @@ def find_critical_kR(
 
     The scan steps through the same grid points but evaluates none below a
     certified bound b, the largest of CERTIFIED_BOUNDS whose row (e, b) has
-    eps w <= e: 2.22 for unpolarized fermions with 2s >= 9 (eps w <= 0),
-    1.88 for unpolarized bosons with 2s >= 2 (eps w <= 1/3) and 1.44 for
-    spin 0 and every aligned boson (eps w = 1).  It evaluates the curvature
-    from the last grid point at or below b on, as that point may open the
-    bracket, and returns None with no evaluation when no point lies above
-    b.  Every bracket, every value handed to bisect_root and so every root
-    is that of the scan that evaluates every point.
+    eps w <= e: 2.46 for unpolarized 2s = 9 (eps w = -1/10), 2.22 for
+    unpolarized fermions with 2s >= 11 (eps w <= 0), 2.08 for unpolarized
+    2s = 8 and bosons with 2s >= 10 (eps w <= 1/9), 2.05 for unpolarized
+    2s = 6 (1/7), 1.99 for unpolarized 2s = 4 (1/5), 1.88 for unpolarized
+    2s = 2 (1/3) and 1.44 for spin 0 and every aligned boson (eps w = 1).  It
+    evaluates the curvature from the last grid point at or below b on, as
+    that point may open the bracket, and returns None with no evaluation
+    when no point lies above b.  Every bracket, every value handed to
+    bisect_root and so every root is that of the scan that evaluates every
+    point.
 
     After the input checks, every eps w <= -1/8 returns None without a
     point: aligned fermions (eps w = -1) and unpolarized fermions with

@@ -15,8 +15,10 @@ MAX_POINTS = 100_000
 HALF_ANGLE_FACTOR = 4.0
 
 # Most evaluations bisect_root spends inside its bracket.  The searches here
-# need at most about 46 (critical_eta_numeric on the bracket (1e-6, 1e6));
-# bisection takes 52 to split a one-binade bracket down to its last ulp.
+# need at most 43 (critical_eta_numeric on the bracket (1e-6, 1e6), at
+# 2s = 88 of the even 2s whose root it holds) and a critical-kR search at
+# most 29 (in 6,000 random scans); bisection takes 52 to split a one-binade
+# bracket down to its last ulp.
 MAX_EVALS = 64
 
 
@@ -52,13 +54,16 @@ def bisect_root(
     Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971) 168): secant
     steps on the bracket, where the value at an end that stays put for a
     second step in a row is halved, and halved again at every further one.
-    Every iterate lies strictly inside the bracket: a secant point that is
-    nan, inf or outside falls back to the midpoint, and one within 2 ulps
-    of an end moves 2 ulps in, so the step after the root is met crosses
-    it.  Ends at an exact zero, or at a bracket at most 4 ulps wide or
-    after MAX_EVALS evaluations of f (a noisy f) with the end of smaller
-    |f|.  End values of very different size cost about log2 of their ratio
-    in extra steps, while the halvings balance them.
+    Every iterate lies strictly inside the bracket: a secant point within
+    2 ulps of an end moves 2 ulps in, so the step after the root is met
+    crosses it.  One that rounds onto an end (the secant puts the root
+    within half an ulp of it) moves 2 ulps in, once per search and only
+    while the denominator g_hi - g_lo is finite; a second such point, one
+    from an overflowed denominator, and one that is nan, inf or outside
+    fall back to the midpoint.  Ends at an exact zero, or at a bracket at
+    most 4 ulps wide or after MAX_EVALS evaluations of f (a noisy f) with
+    the end of smaller |f|.  End values of very different size cost about
+    log2 of their ratio in extra steps, while the halvings balance them.
     Raises RootNotFoundError when f_lo and f_hi do not change sign.
     """
     if not lo < hi:
@@ -71,13 +76,18 @@ def bisect_root(
         raise RootNotFoundError(f"no sign change in [{lo}, {hi}]")
     g_lo, g_hi = f_lo, f_hi  # secant weights: f at each end, halved while it is kept
     kept = None  # the end that stayed put in the last step
+    probe = True  # a secant point on an end may still move 2 ulps in once
     for _ in range(MAX_EVALS):
         tiny = 2.0 * math.ulp(max(abs(lo), abs(hi)))
         if hi - lo <= 2.0 * tiny:
             break
-        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        denominator = g_hi - g_lo
+        x = hi - g_hi * (hi - lo) / denominator
         if lo < x < hi:
             x = min(max(x, lo + tiny), hi - tiny)
+        elif probe and (x == lo or x == hi) and math.isfinite(denominator):
+            probe = False
+            x = lo + tiny if x == lo else hi - tiny
         else:
             x = 0.5 * (lo + hi)
         f_x = f(x)

@@ -30,7 +30,7 @@ from mott_ti.species import exchange_weight
 from reference import evaluated_points
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-_PREFIX = {0: "", 2: "spin1-", 9: "spin9h-"}  # test ids by 2s
+_PREFIX = {0: "", 2: "spin1-", 4: "spin2-", 6: "spin3-", 8: "spin4-", 9: "spin9h-"}  # ids by 2s
 
 
 def _bench_module(name):
@@ -79,10 +79,13 @@ def test_pinned_call_shapes():
         (0, 1.3, 1.446, 0.003, 4),
         # spin 1 unpolarized changes sign at 1.88402, past its bound 1.88
         (2, 1.7, 1.883, 0.002, 3),
+        # spin 2, 3 and 4 unpolarized change sign at 1.99969, 2.05610 and
+        # 2.09002, past their bounds 1.99, 2.05 and 2.08
+        (4, 1.9, 1.999, 0.002, 5), (6, 1.98, 2.055, 0.002, 4), (8, 2.0, 2.089, 0.002, 6),
         # spin 9/2 unpolarized changes sign at 2.46965, so its scans end short
-        # of it; they cross its bound 2.22 but for (0.23, 1.45)
-        (9, 0.2, 2.42, 0.05, 5), (9, 0.23, 1.45, 0.05, 0), (9, 1.1, 2.4, 0.013, 15),
-        (9, 2.0, 2.46, 0.01, 25),
+        # of it; all but (2.40, 2.469) lie at or below its bound 2.46
+        (9, 0.2, 2.42, 0.05, 0), (9, 0.23, 1.45, 0.05, 0), (9, 1.1, 2.4, 0.013, 0),
+        (9, 2.0, 2.46, 0.01, 0), (9, 2.40, 2.469, 0.002, 6),
     ]
 ])
 def test_scan_visits_the_oracle_grid(monkeypatch, twice_s, lo, hi, step, evaluated):

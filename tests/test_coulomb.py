@@ -24,6 +24,7 @@ from mott_ti import (
     incoherent_cross_sections,
     mott_cross_sections,
 )
+from mott_ti import coulomb
 from mott_ti.coulomb import A_MAX, A_MIN, CURVATURE_STEP_DEG, ETA_MAX, check_eta_bracket
 from mott_ti.numerics import MAX_EVALS, bisect_root, half_angle_curvature, second_derivative
 from mott_ti.species import exchange_weight
@@ -467,6 +468,40 @@ def test_second_derivative_calls_f_at_7_distinct_points_with_the_two_stencils_bi
     assert repr(got) == repr(expected)
 
 
+def _seven_call_curvature_at_90_fd(params):
+    """curvature_at_90_fd as it was: one identical_cross_section call per stencil angle."""
+    return half_angle_curvature(second_derivative(
+        lambda theta: identical_cross_section(theta, params), 90.0, CURVATURE_STEP_DEG))
+
+
+def test_fd_curvature_keeps_the_bits_of_the_seven_call_form(monkeypatch):
+    # one _cross_sections call takes the 7 stencil angles, whose fold computes
+    # 4 values; every value, and so every curvature and every critical_eta_numeric
+    # root, keeps its bits
+    kernel, calls = coulomb._cross_sections, []
+    monkeypatch.setattr(coulomb, "_cross_sections",
+                        lambda thetas, *args: calls.append(thetas) or kernel(thetas, *args))
+    rng = random.Random(29)
+    for _ in range(1000):
+        a = 10.0 ** rng.uniform(math.log10(A_MIN), math.log10(A_MAX))
+        params = MottParams(a=min(max(a, A_MIN), A_MAX),
+                            eta=min(10.0 ** rng.uniform(-3.0, 6.0), ETA_MAX),
+                            spin=Spin(rng.randrange(20)),
+                            polarization=rng.choice(list(Polarization)))
+        expected = _seven_call_curvature_at_90_fd(params)
+        calls.clear()
+        assert repr(curvature_at_90_fd(params)) == repr(expected)
+        (thetas,) = calls
+        assert len(set(thetas)) == 7 and len({min(t, 180.0 - t) for t in thetas}) == 4
+    for twice_s, (lo, hi) in [(0, (0.5, 4.0)), (2, (0.5, 4.0)), (4, (0.5, 4.0)),
+                              (0, (1e-6, 1e6)), (4, (1e-6, 1e6)), (88, (1e-6, 1e6))]:
+        def curv(eta):
+            return _seven_call_curvature_at_90_fd(MottParams(a=1.0, eta=eta, spin=Spin(twice_s)))
+
+        expected = bisect_root(curv, lo, hi, curv(lo), curv(hi))
+        assert repr(critical_eta_numeric(Spin(twice_s), (lo, hi))) == repr(expected)
+
+
 @pytest.mark.parametrize(
     "twice_s,eta,expected",
     [(1, 1.0, 56.0), (3, 2.0, 76.0)],  # 16[3 - (1-2 eta^2)/(2s+1)], derived by hand
@@ -679,3 +714,33 @@ def test_bisect_root_falls_back_to_the_midpoint_near_overflow():
     root = bisect_root(lambda x: calls.append(x) or x - 1.2, 1.0, 2.0, -1.5e308, 1.5e308)
     assert calls[0] == 1.5
     assert abs(root - 1.2) <= 2 * math.ulp(1.2)
+
+
+def test_bisect_root_probes_2_ulps_in_where_the_secant_lands_on_an_end():
+    # the root lies 1e-17 below 2, within half an ulp of hi, so the first
+    # secant point rounds onto hi: one probe 2 ulps in ends the search,
+    # where the midpoint fallback took 49 evaluations; the same at lo
+    tiny = 2.0 * math.ulp(2.0)
+    calls = []
+    root = bisect_root(lambda x: calls.append(x) or (x - 2.0) + 1e-17, 1.0, 2.0, -1.0, 1e-17)
+    assert calls == [2.0 - tiny] and root == 2.0
+    calls.clear()
+    root = bisect_root(lambda x: calls.append(x) or (x - 1.0) - 1e-17, 1.0, 2.0, -1e-17, 1.0)
+    assert calls == [1.0 + tiny] and root == 1.0
+
+
+def test_bisect_root_probes_an_end_once():
+    # f_hi = 1e-30 against f_lo = -1 puts the secant point on hi: the first
+    # landing probes 2 ulps in, and the second, on the probe that became hi,
+    # falls back to the midpoint
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return 1e-30 if x >= 1.5 else -1.0
+
+    root = bisect_root(step, 1.0, 2.0, -1.0, 1e-30)
+    probe = 2.0 - 2.0 * math.ulp(2.0)
+    assert calls[:2] == [probe, 0.5 * (1.0 + probe)]
+    assert all(1.0 < x < 2.0 for x in calls)
+    assert abs(root - 1.5) <= 4 * math.ulp(1.5) and step(root) > 0.0

@@ -598,6 +598,37 @@ def test_critical_kR_search_evaluates_each_kR_once(monkeypatch):
     assert len(set(visited)) == len(visited)
 
 
+@pytest.mark.parametrize("twice_s, evaluations", [(0, 8), (2, 8), (4, 7), (6, 7), (8, 8), (9, 12)])
+def test_critical_kR_search_evaluation_counts(monkeypatch, twice_s, evaluations):
+    # unpolarized on (0.2, 3.0), step 0.05: the bracket's two ends, the first
+    # grid points past the certified bound, and the finder's points; before
+    # the rows for 2s = 4, 6, 8 and 9 and the finder's probe these were 8, 8,
+    # 9, 24, 12 and 17
+    visited = _count_calls(monkeypatch, "_curvature_at_90")
+    spin = Spin(twice_s)
+    assert find_critical_kR(spin, spin.statistics, scan=(0.2, 3.0), step=0.05) is not None
+    assert len(visited) == evaluations
+
+
+def test_finder_probes_once_where_the_secant_lands_on_an_end():
+    # spin 3 unpolarized (eps w = 1/7): the third iterate meets the root to
+    # C = -2.5e-15 and the next secant point rounds onto hi.  One probe 2 ulps
+    # in ends the search, where 33 midpoints from the far side took 36
+    # evaluations
+    lo, hi = 2.014972284467493, 2.0697368502619695
+    calls = []
+
+    def curv(kR):
+        calls.append(kR)
+        return hardsphere._curvature_at_90(kR, 1.0 / 7.0)
+
+    f_lo, f_hi = curv(lo), curv(hi)
+    calls.clear()
+    root = bisect_root(curv, lo, hi, f_lo, f_hi)
+    assert repr(root) == "2.056097993741009"
+    assert len(calls) <= 6
+
+
 def test_critical_kR_bosons_spin0():
     root = find_critical_kR(Spin(0), Statistics.BOSON, scan=(0.2, 3.0), step=0.05)
     assert root is not None
@@ -694,13 +725,24 @@ def test_curvature_at_minus_one_eighth_keeps_a_one_percent_margin():
         assert value >= 0.01 * abs(hardsphere._curvature_at_90(kR, 1.0)), kR
 
 
+def test_scan_bounds_rise_in_eps_w_and_fall_in_kR():
+    # sorted by e with b strictly falling: each row is the tightest for the
+    # eps w between the e before it and its own, so no row is dead and the
+    # largest b of the rows that cover eps w is that row's
+    es = [e for e, _ in hardsphere.CERTIFIED_BOUNDS]
+    bs = [b for _, b in hardsphere.CERTIFIED_BOUNDS]
+    assert all(e1 < e2 for e1, e2 in zip(es, es[1:]))
+    assert all(b1 > b2 for b1, b2 in zip(bs, bs[1:]))
+
+
 @pytest.mark.parametrize("eps_w, bound", hardsphere.CERTIFIED_BOUNDS)
 def test_curvature_keeps_a_margin_below_each_scan_bound(eps_w, bound):
     # the float companion of test_certify_the_scan_bounds: on [KR_MIN, b] the
     # float curvature at eps w = e keeps at least 0.1% of the larger of
     # |C(+1)| and C(-1), the scale within which it is 1e-12 from 40-digit
-    # mpmath (the smallest ratios, at the bounds: 0.0084 for e = 0, 0.0037
-    # for 1/3, 0.0059 for 1).  C is linear in eps w, so no eps w in [-1/8, e]
+    # mpmath (the smallest ratios, at the bounds: 0.0018 for e = -1/10, 0.0084
+    # for 0, 0.0082 for 1/9, 0.0052 for 1/7, 0.0085 for 1/5, 0.0037 for 1/3
+    # and 0.0059 for 1).  C is linear in eps w, so no eps w in [-1/8, e]
     # rounds to a sign the full scan would see below the bound
     for i in range(4001):
         kR = min(KR_MIN * (bound / KR_MIN) ** (i / 4000), bound)
@@ -917,8 +959,9 @@ def test_certify_the_scan_bounds(eps_w, bound):
     # C linear in eps w, C is positive there at every eps w in [-1, e], so
     # find_critical_kR evaluates no grid point below the last one at or below
     # b.  A row added or moved without a proof fails here.  Each row takes
-    # 34-35 cells in about 0.2 s; the smallest lower bounds of C/|C(+1)| are
-    # 5.1e-4 (e = 0), 5.2e-3 (1/3) and 0.059 (1)
+    # 34-38 cells in about 0.2 s; the smallest lower bounds of C/|C(+1)| are
+    # 1.2e-4 (e = -1/10), 5.1e-4 (0), 2.3e-3 (1/9), 4.8e-3 (1/7), 4.7e-3
+    # (1/5), 5.2e-3 (1/3) and 0.059 (1)
     precision = iv.prec
     iv.prec = 100
     try:
@@ -933,9 +976,13 @@ def test_certify_the_scan_bounds(eps_w, bound):
 @pytest.mark.parametrize("eps_w, bound", hardsphere.CERTIFIED_BOUNDS)
 def test_each_scan_bound_lies_below_its_rows_first_root(eps_w, bound):
     # eps w_C(kR) (ROADMAP item 12) falls through 1 at 1.44677 (spin 0 and
-    # every aligned boson), 1/3 at 1.88402 (spin 1 unpolarized) and 0 at
-    # 2.2328, each a little past its row's bound: no bound cuts off a root
-    first_root = {1.0: 1.44677067, 1.0 / 3.0: 1.88401581, 0.0: 2.23282368}[eps_w]
+    # every aligned boson), 1/3 at 1.88402 (spin 1 unpolarized), 1/5 at
+    # 1.99969 (spin 2), 1/7 at 2.05610 (spin 3), 1/9 at 2.09002 (spin 4), 0
+    # at 2.2328 and -1/10 at 2.46965 (spin 9/2), each a little past its row's
+    # bound: no bound cuts off a root
+    first_root = {1.0: 1.44677067, 1.0 / 3.0: 1.88401581, 0.2: 1.99968632,
+                  1.0 / 7.0: 2.05609799, 1.0 / 9.0: 2.09001646, 0.0: 2.23282368,
+                  -0.1: 2.46965055}[eps_w]
 
     def curv(kR):
         return hardsphere._curvature_at_90(kR, eps_w)
