@@ -20,28 +20,29 @@ the sums step P_{l+2}(0) = -(l+1) P_l(0)/(l+2) once per even l, the
 operations of special's one Legendre recurrence at x = 0, with float
 coefficients as in special (same bits), and build no table.  A critical-kR
 scan checks its inputs and takes eps w once, then calls the per-kR
-curvature per point.  At eps w <= -1/8 (aligned fermions, and unpolarized
-fermions with 2s <= 7) the curvature is positive at every kR a scan may
-visit, so those scans return None before any point (see find_critical_kR);
-only bosons and unpolarized fermions with 2s >= 9 scan.  Those evaluate no
-point below a certified bound, CERTIFIED_BOUNDS: kR 2.46 for eps w <=
--1/10, 2.22 for eps w <= 0, 2.08 for 1/9, 2.05 for 1/7, 1.99 for 1/5, 1.88
-for 1/3 and 1.44 for 1, each just below the first root of its row
-(2.46965, 2.2328, 2.09002, 2.05610, 1.99969, 1.88402, 1.44677).
+curvature per point.  It evaluates no point below its certified bound in
+CERTIFIED_BOUNDS.  The curvature is linear in eps w, and in a row (e, b)
+interval arithmetic proves it positive on [KR_MIN, b] at eps w = e and at
+-1, so at every eps w in between (the certificate tests are named in
+find_critical_kR).  A scan that ends at or below its bound returns None
+before any point: with the first row's b at 10, the top of the scan
+domain, that is every scan of an aligned fermion or of an unpolarized
+fermion with 2s <= 7.
 
 There is one phase-shift ladder, the generator _waves: one pass per kR over
 one j table (special.spherical_bessel_j_table), with y_l stepped upward in
 the same loop, yielding each shift and its weight (2l+1) e^{i delta_l}
 sin(delta_l), one sin(delta_l) per wave for the weight and the stop test
-alike.  hard_sphere_phase_shifts collects it into a PhaseShiftSet; the
-90 deg curvature sums its waves as they come and keeps none of them.
+alike.  Curves and the 90 deg curvature sum its weights as they come and
+keep none of them; hard_sphere_phase_shifts collects it into a
+PhaseShiftSet.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .constants import Record
 from .errors import DomainError
@@ -55,17 +56,18 @@ KR_MAX = 1000.0  # largest accepted kR; the ladder then needs about 1060 waves
 
 # Certified bounds of the critical-kR scan: in a row (e, b) the 90 deg
 # curvature is positive at every kR in [KR_MIN, b] for every eps w in [-1, e]
-# (see find_critical_kR); each row's first root lies just above b: 2.46965,
-# 2.2328, 2.09002, 2.05610, 1.99969, 1.88402 and 1.44677.  Sorted by e, with
-# b falling, so the largest b whose row covers eps w is the tightest.
+# (see find_critical_kR).  Sorted by e, with b falling, so the first row
+# that covers eps w is the tightest; the last e is 1, so one row covers
+# every preparation.  Each comment names the row's first root.
 CERTIFIED_BOUNDS = (
-    (-0.1, 2.46),       # unpolarized 2s = 9
-    (0.0, 2.22),        # unpolarized fermions with 2s >= 11
-    (1.0 / 9.0, 2.08),  # unpolarized 2s = 8 and bosons with 2s >= 10
-    (1.0 / 7.0, 2.05),  # unpolarized 2s = 6
-    (0.2, 1.99),        # unpolarized 2s = 4
-    (1.0 / 3.0, 1.88),  # unpolarized 2s = 2
-    (1.0, 1.44),        # spin 0 and every aligned boson
+    (-0.125, 10.0),     # none up to 10: aligned fermions, unpolarized 2s <= 7
+    (-0.1, 2.46),       # 2.46965: unpolarized 2s = 9
+    (0.0, 2.22),        # 2.2328: unpolarized fermions with 2s >= 11
+    (1.0 / 9.0, 2.08),  # 2.09002: unpolarized 2s = 8 and bosons with 2s >= 10
+    (1.0 / 7.0, 2.05),  # 2.05610: unpolarized 2s = 6
+    (0.2, 1.99),        # 1.99969: unpolarized 2s = 4
+    (1.0 / 3.0, 1.88),  # 1.88402: unpolarized 2s = 2
+    (1.0, 1.44),        # 1.44677: spin 0 and every aligned boson
 )
 
 
@@ -157,14 +159,15 @@ def _waves(kR: float) -> Iterator[tuple[float, complex]]:
     raise AssertionError(f"the phase-shift ladder at kR = {kR} reached its cap {cap}")
 
 
-def _channels(xs: list[float], shifts: PhaseShiftSet) -> tuple[list, list]:
+def _channels(xs: list[float], weights: Iterable[complex]) -> tuple[list, list]:
     """(E, O), the even-l and odd-l sums of k f at each cos(theta) in xs.
 
-    One Legendre recurrence is stepped over all of xs; each sum runs left to
-    right from the int 0, as sum() does.
+    One Legendre recurrence is stepped over all of xs, one row per weight
+    w_l, l = 0, 1, ...; each sum runs left to right from the int 0, as
+    sum() does.
     """
     sums = [[0] * len(xs), [0] * len(xs)]
-    for l, (w, p) in enumerate(zip(shifts.weights, legendre_p_rows(shifts.l_max, xs))):
+    for l, (w, p) in enumerate(zip(weights, legendre_p_rows(xs))):
         sums[l % 2] = [s + w * v for s, v in zip(sums[l % 2], p)]
     return sums[0], sums[1]
 
@@ -181,7 +184,7 @@ def hs_amplitude(theta_deg: float, shifts: PhaseShiftSet) -> complex:
     """
     if not 0.0 <= theta_deg <= 180.0:
         raise DomainError(f"theta must be in [0, 180], got {theta_deg}")
-    (even,), (odd,) = _channels([_cos(theta_deg)], shifts)
+    (even,), (odd,) = _channels([_cos(theta_deg)], shifts.weights)
     return (even + odd) / shifts.kR
 
 
@@ -190,13 +193,13 @@ def hs_cross_sections(thetas: tuple[float, ...], params: HardSphereParams) -> tu
 
     (2/kR^2) [(1 + eps w)|E|^2 + (1 - eps w)|O|^2] with E, O the even- and
     odd-wave parts of k f(theta); no terms cancel, and the aligned-fermion
-    zero at 90 degrees is exact.  The phase shifts, eps w and kR^2 are
-    taken once, and one Legendre recurrence is stepped over all distinct
-    |x| = |cos(theta)| at once.  The recurrence gives P_l(-x) = (-1)^l P_l(x)
-    bit for bit, so |E|^2 and |O|^2 at -x are those at |x|, and the result
-    equals point-by-point evaluation on any grid.
+    zero at 90 degrees is exact.  The ladder's weights are summed as _waves
+    yields them, eps w and kR^2 are taken once, and one Legendre recurrence
+    is stepped over all distinct |x| = |cos(theta)| at once.  The recurrence
+    gives P_l(-x) = (-1)^l P_l(x) bit for bit, so |E|^2 and |O|^2 at -x are
+    those at |x|, and the result equals point-by-point evaluation on any
+    grid.
     """
-    shifts = hard_sphere_phase_shifts(params.kR)
     eps_w = exchange_weight(params.spin, params.polarization)
     kr2 = params.kR**2
     for theta in thetas:
@@ -205,7 +208,8 @@ def hs_cross_sections(thetas: tuple[float, ...], params: HardSphereParams) -> tu
     abs_xs = [abs(_cos(theta)) for theta in thetas]
     distinct = list(dict.fromkeys(abs_xs))
     sigma = {}
-    for x, even, odd in zip(distinct, *_channels(distinct, shifts)):
+    weights = (w for _, w in _waves(params.kR))
+    for x, even, odd in zip(distinct, *_channels(distinct, weights)):
         e2, o2 = abs(even) ** 2, abs(odd) ** 2
         # e2 + eps_w * e2, not (1 + eps_w) * e2: the bits of inc + eps_w * int
         sigma[x] = 2.0 * ((e2 + eps_w * e2) + (o2 - eps_w * o2)) / kr2
@@ -273,41 +277,25 @@ def find_critical_kR(
     can be missed: spin 0 on (0.23, 1.45) stops at 1.43 and returns None,
     though the curvature changes sign at 1.44677.
 
-    The scan steps through the same grid points but evaluates none below a
-    certified bound b, the largest of CERTIFIED_BOUNDS whose row (e, b) has
-    eps w <= e: 2.46 for unpolarized 2s = 9 (eps w = -1/10), 2.22 for
-    unpolarized fermions with 2s >= 11 (eps w <= 0), 2.08 for unpolarized
-    2s = 8 and bosons with 2s >= 10 (eps w <= 1/9), 2.05 for unpolarized
-    2s = 6 (1/7), 1.99 for unpolarized 2s = 4 (1/5), 1.88 for unpolarized
-    2s = 2 (1/3) and 1.44 for spin 0 and every aligned boson (eps w = 1).  It
-    evaluates the curvature from the last grid point at or below b on, as
-    that point may open the bracket, and returns None with no evaluation
-    when no point lies above b.  Every bracket, every value handed to
-    bisect_root and so every root is that of the scan that evaluates every
-    point.
+    The scan steps through the same grid points, but of those at or below a
+    certified bound b it evaluates only the last, as that point may open the
+    bracket; b is that of the first row (e, b) of CERTIFIED_BOUNDS with
+    eps w <= e.  A scan that ends at or below b returns None before any
+    point; at eps w <= -1/8 (the first row, b = 10) that is every scan.
+    Every bracket, every value handed to bisect_root and so every root is
+    that of the scan that evaluates every point.
 
-    After the input checks, every eps w <= -1/8 returns None without a
-    point: aligned fermions (eps w = -1) and unpolarized fermions with
-    2s <= 7 (eps w = -1/2 ... -1/8).  With r = Re f'' f* and s = |f'|^2 at
+    The bounds rest on linearity.  With r = Re f'' f* and s = |f'|^2 at
     90 deg, the curvature is HALF_ANGLE_FACTOR [4 (r + s) + eps w 4 (r - s)]
     / kR^2 (_curvature_at_90), linear in eps w.  Interval arithmetic over
-    the exact partial-wave sums proves it positive on [KR_MIN, 10], every kR
-    a scan may visit, at eps w = -1 and at eps w = -1/8
-    (tests/test_hardsphere.py::test_certify_no_critical_kR_up_to_eps_w_minus_one_eighth),
-    so it is positive at every eps w in between.  At eps w = -1/8 the float
-    value keeps at least 1% of |its value at eps w = +1| (the smallest ratio,
-    0.0124, is near kR 2.584), far above its rounding error, so the full scan
-    could never see a sign change.
-
-    The bounds rest on the same linearity: interval arithmetic proves the
-    curvature positive at eps w = e on [KR_MIN, b] for each row
-    (tests/test_hardsphere.py::test_certify_the_scan_bounds), and at eps w =
-    -1 on [KR_MIN, 10], so it is positive on [KR_MIN, b] for every eps w in
-    [-1, e].  The float value there keeps at least 0.1% of the larger of
-    |its value at eps w = +1| and its value at -1
-    (::test_curvature_keeps_a_margin_below_each_scan_bound), and each bound
-    lies below its row's first root
-    (::test_each_scan_bound_lies_below_its_rows_first_root).
+    the exact partial-wave sums proves it positive on [KR_MIN, 10] at eps w
+    = -1 (tests/test_hardsphere.py::test_certify_no_critical_kR_up_to_eps_w_minus_one_eighth)
+    and on [KR_MIN, b] at eps w = e for each row
+    (::test_certify_the_scan_bounds), so it is positive on [KR_MIN, b] at
+    every eps w in [-1, e].  The float value there keeps at least 0.1% of
+    the larger of |its value at eps w = +1| and its value at -1, far above
+    its rounding error (::test_curvature_keeps_a_margin_below_each_scan_bound),
+    so the full scan could never see a sign change below b.
     """
     lo, hi = scan
     if not 0.0 < lo < hi <= 10.0:
@@ -319,30 +307,23 @@ def find_critical_kR(
     _check_kR(lo)  # every point lies in [lo, hi], and hi <= 10 < KR_MAX
     check_statistics(spin, statistics)
     eps_w = exchange_weight(spin, polarization)
-    if eps_w <= -0.125:  # the curvature is positive at every kR; see above
-        return None
+    bound = next(b for e, b in CERTIFIED_BOUNDS if eps_w <= e)
+    if hi <= bound:
+        return None  # every grid point lies at or below the bound
 
     def curv(kR: float) -> float:
         return _curvature_at_90(kR, eps_w)
 
-    # walk the grid to its last point at or below the bound, where C > 0
-    # (see above), evaluating nothing: that point may open the bracket.
-    # Every eps w here lies in (-1/8, 1], so some row covers it
-    bound = max(b for e, b in CERTIFIED_BOUNDS if eps_w <= e)
-    x = lo
-    while x + step < hi + step / 2.0:
-        x_next = min(x + step, hi)
-        if x_next > bound:
-            break
-        x = x_next
-    else:
-        if x <= bound:
-            return None  # every grid point lies at or below the bound
-    f = curv(x)
+    # f stays None while x lies at or below the bound, where C > 0 (see above)
+    x, f = lo, (curv(lo) if lo > bound else None)
     while f != 0.0 and x + step < hi + step / 2.0:
         x_next = min(x + step, hi)
-        f_next = curv(x_next)
-        if (f > 0.0) != (f_next > 0.0):
-            return bisect_root(curv, x, x_next, f, f_next)
-        x, f = x_next, f_next
+        if x_next > bound:
+            if f is None:
+                f = curv(x)  # the last point at or below the bound may open the bracket
+            f_next = curv(x_next)
+            if (f > 0.0) != (f_next > 0.0):
+                return bisect_root(curv, x, x_next, f, f_next)
+            f = f_next
+        x = x_next
     return x if f == 0.0 else None

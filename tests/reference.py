@@ -66,13 +66,13 @@ def evaluated_points(visited, eps_w):
 
     The full scan evaluates its grid in increasing order, then the finder's
     points inside the bracket.  find_critical_kR evaluates them from the last
-    grid point at or below its bound on (the largest bound of
-    hardsphere.CERTIFIED_BOUNDS whose row covers eps w), and none when no
-    point lies above the bound or at eps w <= -1/8, whose scans it skips.
+    grid point at or below its bound on (the bound of the first row of
+    hardsphere.CERTIFIED_BOUNDS that covers eps w), and none when no point
+    lies above the bound.
     """
-    bound = max(b for e, b in hardsphere.CERTIFIED_BOUNDS if eps_w <= e)
+    bound = next(b for e, b in hardsphere.CERTIFIED_BOUNDS if eps_w <= e)
     above = next((i for i, x in enumerate(visited) if x > bound), None)
-    if eps_w <= -0.125 or above is None:
+    if above is None:
         return []
     return visited[max(above - 1, 0):]
 

@@ -208,8 +208,9 @@ def test_curve_kernel_is_bit_identical_to_point_by_point(monkeypatch, grid, kR):
     # The kernel's channel sums are memoized on the same key to keep the test
     # fast; each case still combines them on its own.
     kernel = hardsphere._channels
-    memo = cache(lambda xs, shifts: kernel(list(xs), shifts))
-    monkeypatch.setattr(hardsphere, "_channels", lambda xs, shifts: memo(tuple(xs), shifts))
+    memo = cache(lambda xs, weights: kernel(list(xs), weights))
+    monkeypatch.setattr(hardsphere, "_channels",
+                        lambda xs, weights: memo(tuple(xs), tuple(weights)))
     shifts = hard_sphere_phase_shifts(kR)
     squares = [(abs(e) ** 2, abs(o) ** 2) for e, o in (_point_channels(t, shifts) for t in grid)]
     for twice_s in (0, 1, 2, 9):
@@ -232,12 +233,19 @@ def test_curve_kernel_is_bit_identical_to_point_by_point(monkeypatch, grid, kR):
     (angle_grid(10.0, 80.0, 0.5), 141),   # no mirrors: every point
 ])
 def test_curve_kernel_evaluation_counts(monkeypatch, grid, columns):
-    calls = {"rows": [], "tables": 0, "shifts": 0}
+    # one ladder (one j table) per curve, its weights summed as they come:
+    # no PhaseShiftSet is built
+    calls = {"rows": [], "tables": 0, "shifts": 0, "ladders": 0}
     rows, shifts = hardsphere.legendre_p_rows, hardsphere.hard_sphere_phase_shifts
+    j_table = hardsphere.spherical_bessel_j_table
 
-    def counted_rows(l_max, x_values):
+    def counted_rows(x_values):
         calls["rows"].append(len(x_values))
-        return rows(l_max, x_values)
+        return rows(x_values)
+
+    def counted_ladder(l_max, x):
+        calls["ladders"] += 1
+        return j_table(l_max, x)
 
     def counted_table(l_max, x):
         calls["tables"] += 1
@@ -252,8 +260,9 @@ def test_curve_kernel_evaluation_counts(monkeypatch, grid, columns):
     # comes back into the module is counted
     monkeypatch.setattr(hardsphere, "legendre_p_table", counted_table, raising=False)
     monkeypatch.setattr(hardsphere, "hard_sphere_phase_shifts", counted_shifts)
+    monkeypatch.setattr(hardsphere, "spherical_bessel_j_table", counted_ladder)
     build_curve(HardSphereParams(kR=1.5, spin=Spin(0), statistics=Statistics.BOSON), grid)
-    assert calls == {"rows": [columns], "tables": 0, "shifts": 1}
+    assert calls == {"rows": [columns], "tables": 0, "shifts": 0, "ladders": 1}
 
 
 def test_truncation_robustness_doubling_l_max():
@@ -725,14 +734,26 @@ def test_curvature_at_minus_one_eighth_keeps_a_one_percent_margin():
         assert value >= 0.01 * abs(hardsphere._curvature_at_90(kR, 1.0)), kR
 
 
+def _check_bound_table(table):
+    es = [e for e, _ in table]
+    bs = [b for _, b in table]
+    assert all(e1 < e2 for e1, e2 in zip(es, es[1:]))
+    assert all(b1 > b2 for b1, b2 in zip(bs, bs[1:]))
+    assert es[-1] >= 1.0  # eps w <= 1 always, so next() finds a row for aligned bosons too
+    assert bs[0] == 10.0  # the top of the scan domain: the lowest eps w scan nothing
+
+
 def test_scan_bounds_rise_in_eps_w_and_fall_in_kR():
     # sorted by e with b strictly falling: each row is the tightest for the
     # eps w between the e before it and its own, so no row is dead and the
-    # largest b of the rows that cover eps w is that row's
-    es = [e for e, _ in hardsphere.CERTIFIED_BOUNDS]
-    bs = [b for _, b in hardsphere.CERTIFIED_BOUNDS]
-    assert all(e1 < e2 for e1, e2 in zip(es, es[1:]))
-    assert all(b1 > b2 for b1, b2 in zip(bs, bs[1:]))
+    # first row that covers eps w is the tightest.  The last row covers every
+    # eps w and the first reaches the top of the scan domain; a table
+    # without either end fails
+    table = hardsphere.CERTIFIED_BOUNDS
+    _check_bound_table(table)
+    for cut in (table[1:], table[:-1]):
+        with pytest.raises(AssertionError):
+            _check_bound_table(cut)
 
 
 @pytest.mark.parametrize("eps_w, bound", hardsphere.CERTIFIED_BOUNDS)
@@ -740,10 +761,11 @@ def test_curvature_keeps_a_margin_below_each_scan_bound(eps_w, bound):
     # the float companion of test_certify_the_scan_bounds: on [KR_MIN, b] the
     # float curvature at eps w = e keeps at least 0.1% of the larger of
     # |C(+1)| and C(-1), the scale within which it is 1e-12 from 40-digit
-    # mpmath (the smallest ratios, at the bounds: 0.0018 for e = -1/10, 0.0084
-    # for 0, 0.0082 for 1/9, 0.0052 for 1/7, 0.0085 for 1/5, 0.0037 for 1/3
-    # and 0.0059 for 1).  C is linear in eps w, so no eps w in [-1/8, e]
-    # rounds to a sign the full scan would see below the bound
+    # mpmath (the smallest ratios: 0.0124 for e = -1/8, near kR 2.58, and at
+    # the bounds 0.0018 for -1/10, 0.0084 for 0, 0.0082 for 1/9, 0.0052 for
+    # 1/7, 0.0085 for 1/5, 0.0037 for 1/3 and 0.0059 for 1).  C is linear in
+    # eps w, so no eps w in [-1, e] rounds to a sign the full scan would see
+    # below the bound
     for i in range(4001):
         kR = min(KR_MIN * (bound / KR_MIN) ** (i / 4000), bound)
         scale = max(abs(hardsphere._curvature_at_90(kR, 1.0)),
@@ -958,10 +980,11 @@ def test_certify_the_scan_bounds(eps_w, bound):
     # table; with C(kR, -1) > 0 on [KR_MIN, 10] (the certificate above) and
     # C linear in eps w, C is positive there at every eps w in [-1, e], so
     # find_critical_kR evaluates no grid point below the last one at or below
-    # b.  A row added or moved without a proof fails here.  Each row takes
-    # 34-38 cells in about 0.2 s; the smallest lower bounds of C/|C(+1)| are
-    # 1.2e-4 (e = -1/10), 5.1e-4 (0), 2.3e-3 (1/9), 4.8e-3 (1/7), 4.7e-3
-    # (1/5), 5.2e-3 (1/3) and 0.059 (1)
+    # b.  A row added or moved without a proof fails here.  The first row,
+    # (-1/8, 10), repeats the certificate above at -1/8 (94 cells); every
+    # other row takes 34-38 cells in about 0.2 s.  The smallest lower bounds
+    # of C/|C(+1)| are 6.3e-3 (e = -1/8), 1.2e-4 (-1/10), 5.1e-4 (0), 2.3e-3
+    # (1/9), 4.8e-3 (1/7), 4.7e-3 (1/5), 5.2e-3 (1/3) and 0.059 (1)
     precision = iv.prec
     iv.prec = 100
     try:
@@ -979,14 +1002,22 @@ def test_each_scan_bound_lies_below_its_rows_first_root(eps_w, bound):
     # every aligned boson), 1/3 at 1.88402 (spin 1 unpolarized), 1/5 at
     # 1.99969 (spin 2), 1/7 at 2.05610 (spin 3), 1/9 at 2.09002 (spin 4), 0
     # at 2.2328 and -1/10 at 2.46965 (spin 9/2), each a little past its row's
-    # bound: no bound cuts off a root
-    first_root = {1.0: 1.44677067, 1.0 / 3.0: 1.88401581, 0.2: 1.99968632,
-                  1.0 / 7.0: 2.05609799, 1.0 / 9.0: 2.09001646, 0.0: 2.23282368,
-                  -0.1: 2.46965055}[eps_w]
-
+    # bound: no bound cuts off a root.  Below kR 10 it stays above -1/8, so
+    # the first row has none: the curvature at -1/8 keeps its sign on the
+    # grid, and full scans of unpolarized spin 7/2 (eps w = -1/8) find none
     def curv(kR):
         return hardsphere._curvature_at_90(kR, eps_w)
 
+    if bound == 10.0:
+        assert eps_w == -0.125
+        xs = [0.2 + 0.01 * i for i in range(981)]
+        assert all(curv(x) > 0.0 for x in xs)
+        assert scan_reference(Spin(7), Statistics.FERMION, scan=(0.2, 10.0), step=0.01) is None
+        assert scan_reference(Spin(7), Statistics.FERMION) is None
+        return
+    first_root = {1.0: 1.44677067, 1.0 / 3.0: 1.88401581, 0.2: 1.99968632,
+                  1.0 / 7.0: 2.05609799, 1.0 / 9.0: 2.09001646, 0.0: 2.23282368,
+                  -0.1: 2.46965055}[eps_w]
     xs = [0.2 + 0.01 * i for i in range(281)]
     lo, hi = next((a, b) for a, b in zip(xs, xs[1:]) if (curv(a) > 0.0) != (curv(b) > 0.0))
     root = bisect_root(curv, lo, hi, curv(lo), curv(hi))
@@ -1069,15 +1100,16 @@ def test_other_scans_visit_the_points_of_the_full_scan(monkeypatch, twice_s, pol
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(twice_s=st.integers(0, 19),
        polarization=st.sampled_from(Polarization),
-       bound=st.sampled_from([b for _, b in hardsphere.CERTIFIED_BOUNDS]),
+       bound=st.sampled_from([b for _, b in hardsphere.CERTIFIED_BOUNDS if b < 10.0]),
        below=st.floats(0.0, 1.0),
        width=st.floats(1e-3, 8.0),
        points=st.integers(1, 400))
 def test_scans_keep_the_full_scans_roots_and_its_points_from_the_bound(
         twice_s, polarization, bound, below, width, points):
-    # a scan from lo in [KR_MIN, b] across each bound b returns the full
-    # scan's root, same repr, and evaluates exactly the full scan's points
-    # from its last grid point at or below its own bound on
+    # a scan from lo in [KR_MIN, b] across each bound b below the top of the
+    # scan domain returns the full scan's root, same repr, and evaluates
+    # exactly the full scan's points from its last grid point at or below its
+    # own bound on
     lo = KR_MIN + below * (bound - KR_MIN)
     hi = min(bound + width, 10.0)
     step = (hi - lo) / points

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import pytest
 import scipy.special as ss
@@ -113,7 +114,7 @@ def test_legendre_values():
 @pytest.mark.parametrize("x", [-1.0, -0.7, -0.2, 0.0, 0.3, 0.9, 1.0])
 def test_legendre_against_scipy(x):
     table = legendre_p_table(25, x)
-    column = [row[0] for row in legendre_p_rows(25, [x])]
+    column = [row[0] for row in islice(legendre_p_rows([x]), 26)]
     for l in range(26):
         expected = float(ss.eval_legendre(l, x))
         assert table[l] == pytest.approx(expected, rel=1e-12, abs=1e-14)
@@ -131,8 +132,11 @@ EDGE_XS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.0 - 2.0**-53]
 @example(l_max=1100, xs=EDGE_XS)
 def test_legendre_rows_are_the_tables_columns(l_max, xs):
     # repr tells -0.0 from 0.0, so the columns carry the table's bits and signs
-    rows = list(legendre_p_rows(l_max, xs))
+    # the rows run without end; the first l_max + 1 are the tables'
+    ladder = legendre_p_rows(xs)
+    rows = list(islice(ladder, l_max + 1))
     assert len(rows) == l_max + 1
+    assert len(next(ladder)) == len(xs)
     assert all(len(row) == len(xs) for row in rows)
     for i, x in enumerate(xs):
         assert [repr(row[i]) for row in rows] == list(map(repr, legendre_p_table(l_max, x)))
