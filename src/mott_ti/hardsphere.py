@@ -9,8 +9,9 @@ stops below its cap with finite shifts (see hard_sphere_phase_shifts).
 Identical pairs combine f(theta) and f(180 - theta).  As P_l(-x) = (-1)^l P_l(x),
 k f is E + O at theta and E - O at 180 - theta, E and O being the even-l
 (symmetric channel) and odd-l (antisymmetric channel) partial-wave sums.  A
-curve steps one Legendre recurrence over all of its distinct |x| at once
-(special.legendre_p_rows), one pass over the grid per l.
+curve takes the ladder's weights once and makes one pass over the waves per
+distinct |x| (_channels), stepping P_l(x) in local variables, two waves at a
+time; no row or table of P_l is built.
 
 The 90 deg curvature is exact: with x = cos(theta), f and its theta
 derivatives at 90 deg are partial-wave sums over P_l(0), P_l'(0) =
@@ -33,9 +34,9 @@ There is one phase-shift ladder, the generator _waves: one pass per kR over
 one j table (special.spherical_bessel_j_table), with y_l stepped upward in
 the same loop, yielding each shift and its weight (2l+1) e^{i delta_l}
 sin(delta_l), one sin(delta_l) per wave for the weight and the stop test
-alike.  Curves and the 90 deg curvature sum its weights as they come and
-keep none of them; hard_sphere_phase_shifts collects it into a
-PhaseShiftSet.
+alike.  The 90 deg curvature sums its weights as they come and keeps none
+of them; a curve keeps them in one tuple, as it passes over them once per
+|x|; hard_sphere_phase_shifts collects the ladder into a PhaseShiftSet.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .constants import Record
 from .errors import DomainError
 from .numerics import HALF_ANGLE_FACTOR, MAX_POINTS, bisect_root
 from .species import Polarization, Spin, Statistics, check_statistics, exchange_weight
-from .special import legendre_p_rows, spherical_bessel_j_table
+from .special import spherical_bessel_j_table
 
 TRUNCATION_TOL = 1e-12  # the ladder stops at |sin delta_l| below this times min(1, kR^5/45)
 KR_MIN = 1e-6  # smallest accepted kR; the ladder still takes l = 0..3, and far below it y_l overflows
@@ -162,14 +163,38 @@ def _waves(kR: float) -> Iterator[tuple[float, complex]]:
 def _channels(xs: list[float], weights: Iterable[complex]) -> tuple[list, list]:
     """(E, O), the even-l and odd-l sums of k f at each cos(theta) in xs.
 
-    One Legendre recurrence is stepped over all of xs, one row per weight
-    w_l, l = 0, 1, ...; each sum runs left to right from the int 0, as
-    sum() does.
+    One pass over the weights w_l, l = 0, 1, ..., per x, two waves (an even
+    and an odd l) per step: P_l(x) runs in local variables with the
+    operations of special.legendre_p_table (same bits), and each sum runs
+    left to right from the int 0, as sum() does.  No row of P_l is kept.
     """
-    sums = [[0] * len(xs), [0] * len(xs)]
-    for l, (w, p) in enumerate(zip(weights, legendre_p_rows(xs))):
-        sums[l % 2] = [s + w * v for s, v in zip(sums[l % 2], p)]
-    return sums[0], sums[1]
+    w = tuple(weights)
+    if len(w) < 2:  # l = 0 alone: E = w_0 P_0, O = 0
+        return [sum(v * 1.0 for v in w)] * len(xs), [0] * len(xs)
+    # per pair (l, l + 1), l = 2, 4, ...: its weights and the c, k, d of the
+    # steps to l and to l + 1, i.e. 2l - 1, l - 1, l and 2l + 1, l, l + 1
+    steps, k = [], 1.0  # l - 1
+    for l in range(2, len(w) - 1, 2):
+        c, d = k + k + 1.0, k + 1.0
+        steps.append((w[l], w[l + 1], c, k, d, c + 2.0, d, d + 1.0))
+        k = d + 1.0
+    # an odd count leaves one even wave after the pairs, l = k + 1
+    w0, w1, wl, last = w[0], w[1], w[-1], len(w) % 2
+    c, d = k + k + 1.0, k + 1.0
+    even, odd = [], []
+    for x in xs:
+        q, p = 1.0, x  # P_{l-2}, P_{l-1} before the step to an even l
+        e, o = 0 + w0 * q, 0 + w1 * p
+        for we, wo, c0, k0, d0, c1, k1, d1 in steps:
+            q = (c0 * x * p - k0 * q) / d0
+            p = (c1 * x * q - k1 * p) / d1
+            e = e + we * q
+            o = o + wo * p
+        if last:
+            e = e + wl * ((c * x * p - k * q) / d)
+        even.append(e)
+        odd.append(o)
+    return even, odd
 
 
 def _cos(theta_deg: float) -> float:
@@ -193,12 +218,11 @@ def hs_cross_sections(thetas: tuple[float, ...], params: HardSphereParams) -> tu
 
     (2/kR^2) [(1 + eps w)|E|^2 + (1 - eps w)|O|^2] with E, O the even- and
     odd-wave parts of k f(theta); no terms cancel, and the aligned-fermion
-    zero at 90 degrees is exact.  The ladder's weights are summed as _waves
-    yields them, eps w and kR^2 are taken once, and one Legendre recurrence
-    is stepped over all distinct |x| = |cos(theta)| at once.  The recurrence
-    gives P_l(-x) = (-1)^l P_l(x) bit for bit, so |E|^2 and |O|^2 at -x are
-    those at |x|, and the result equals point-by-point evaluation on any
-    grid.
+    zero at 90 degrees is exact.  The ladder runs once, eps w and kR^2 are
+    taken once, and _channels makes one pass over the waves per distinct
+    |x| = |cos(theta)|.  The recurrence gives P_l(-x) = (-1)^l P_l(x) bit for
+    bit, so |E|^2 and |O|^2 at -x are those at |x|, and the result equals
+    point-by-point evaluation (one legendre_p_table per angle) on any grid.
     """
     eps_w = exchange_weight(params.spin, params.polarization)
     kr2 = params.kR**2
@@ -275,7 +299,13 @@ def find_critical_kR(
     result, not an error.  A point less than step/2 past hi moves onto hi and
     one further out ends the scan, so a sign change up to step/2 short of hi
     can be missed: spin 0 on (0.23, 1.45) stops at 1.43 and returns None,
-    though the curvature changes sign at 1.44677.
+    though the curvature changes sign at 1.44677.  Two sign changes in one
+    cell cancel, so the scan then returns a later root or None: spin 9/2 on
+    (2.3, 3.0) at step 0.5 returns None, though the roots 2.46965 and
+    2.70435 both lie in the cell [2.3, 2.8].  At the default step that blinds
+    every eps w in (-0.111175, about -0.1107), whose first two roots share a
+    cell near kR 2.584 (the upper end moves with lo); no spin has such an
+    eps w.
 
     The scan steps through the same grid points, but of those at or below a
     certified bound b it evaluates only the last, as that point may open the

@@ -2,14 +2,14 @@
 
 The coefficients 2l + 1, l, ... are stepped as floats equal to the ints,
 so the values have the bits of int coefficients, and the arithmetic stays
-float by float, which CPython runs faster than int by float.
+float by float, which CPython runs faster than int by float.  Hard-sphere
+curves step the Legendre recurrence in their own loop, one x at a time, and
+build no table (hardsphere._channels); legendre_p_table has its bits.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from itertools import islice
 
 from .errors import DomainError
 
@@ -90,30 +90,19 @@ def spherical_bessel_j_table(l_max: int, x: float) -> list[float]:
 
 
 def legendre_p_table(l_max: int, x: float) -> list[float]:
-    """P_0..P_{l_max} at x in [-1, 1]: the one column of the first rows of legendre_p_rows([x])."""
+    """P_0..P_{l_max} at x in [-1, 1] by the three-term recurrence.
+
+    Step l -> l + 1 is (c * x * P_l - k * P_{l-1}) / d with c, k, d =
+    2l + 1, l, l + 1; hardsphere._channels takes the same operations.
+    """
     if not abs(x) <= 1.0:  # also true for nan
         raise DomainError(f"|x| must be <= 1, got {x}")
     if l_max < 0:
         raise DomainError(f"l_max must be >= 0, got {l_max}")
-    return [row[0] for row in islice(legendre_p_rows([x]), l_max + 1)]
-
-
-def legendre_p_rows(xs: list[float]) -> Iterator[list[float]]:
-    """Yield the rows P_l(xs), l = 0, 1, ..., of the three-term recurrence, without end.
-
-    Each column takes its own operations, so column i has the bits of
-    legendre_p_table(l_max, xs[i]), which is this recurrence at one point.
-    One step of l is one pass over xs: cheaper than a table per x on a grid.
-    Unlike the table it checks nothing: hardsphere._channels passes
-    x = cos(theta) of a checked angle and zips the rows with the weights of
-    a phase-shift ladder, which ends them.
-    """
-    prev, row = [1.0] * len(xs), list(xs)
-    yield prev
-    yield row
+    p = [1.0, x][: l_max + 1]
     k = 1.0  # l
-    while True:
+    for _ in range(1, l_max):
         c, d = k + k + 1.0, k + 1.0
-        prev, row = row, [(c * x * p - k * q) / d for x, p, q in zip(xs, row, prev)]
-        yield row
+        p.append((c * x * p[-1] - k * p[-2]) / d)
         k = d
+    return p

@@ -1,5 +1,4 @@
 import math
-from itertools import islice
 
 import pytest
 import scipy.special as ss
@@ -12,7 +11,7 @@ from mott_ti import (
     spherical_bessel_j_table,
     spherical_bessel_y_table,
 )
-from mott_ti.special import X_MIN, legendre_p_rows
+from mott_ti.special import X_MIN
 
 
 def test_j_closed_forms_at_1():
@@ -114,32 +113,9 @@ def test_legendre_values():
 @pytest.mark.parametrize("x", [-1.0, -0.7, -0.2, 0.0, 0.3, 0.9, 1.0])
 def test_legendre_against_scipy(x):
     table = legendre_p_table(25, x)
-    column = [row[0] for row in islice(legendre_p_rows([x]), 26)]
     for l in range(26):
         expected = float(ss.eval_legendre(l, x))
         assert table[l] == pytest.approx(expected, rel=1e-12, abs=1e-14)
-        assert column[l] == pytest.approx(expected, rel=1e-12, abs=1e-14)
-
-
-EDGE_XS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.0 - 2.0**-53]
-
-
-@settings(max_examples=100, deadline=None)
-@given(l_max=st.integers(0, 1100),
-       xs=st.lists(st.floats(-1.0, 1.0) | st.sampled_from(EDGE_XS), max_size=12))
-@example(l_max=0, xs=[])
-@example(l_max=1100, xs=[])
-@example(l_max=1100, xs=EDGE_XS)
-def test_legendre_rows_are_the_tables_columns(l_max, xs):
-    # repr tells -0.0 from 0.0, so the columns carry the table's bits and signs
-    # the rows run without end; the first l_max + 1 are the tables'
-    ladder = legendre_p_rows(xs)
-    rows = list(islice(ladder, l_max + 1))
-    assert len(rows) == l_max + 1
-    assert len(next(ladder)) == len(xs)
-    assert all(len(row) == len(xs) for row in rows)
-    for i, x in enumerate(xs):
-        assert [repr(row[i]) for row in rows] == list(map(repr, legendre_p_table(l_max, x)))
 
 
 def _int_coefficient_j(l_max, x):
@@ -182,13 +158,24 @@ def _int_coefficient_p(l_max, x):
     return p
 
 
+EDGE_XS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.0 - 2.0**-53]
+
+
 @settings(max_examples=100, deadline=None)
 @given(l_max=st.integers(0, 1100), log_x=st.floats(math.log(X_MIN), math.log(1100.0)),
-       u=st.floats(-1.0, 1.0))
+       u=st.floats(-1.0, 1.0) | st.sampled_from(EDGE_XS))
 @example(l_max=1100, log_x=math.log(X_MIN), u=1.0)  # y overflows, j rescales
 @example(l_max=40, log_x=math.log(1100.0), u=-1.0)  # upward j
+@example(l_max=0, log_x=0.0, u=-0.0)
+@example(l_max=1100, log_x=0.0, u=0.0)
+@example(l_max=1100, log_x=0.0, u=-0.0)
+@example(l_max=1100, log_x=0.0, u=-1.0)
+@example(l_max=1100, log_x=0.0, u=5e-324)
+@example(l_max=1100, log_x=0.0, u=-5e-324)
+@example(l_max=1100, log_x=0.0, u=1.0 - 2.0**-53)
 def test_float_coefficients_keep_the_bits_of_int_ones(l_max, log_x, u):
-    # each float coefficient equals its int, so every value is the same float
+    # each float coefficient equals its int, so every value is the same float;
+    # P_l is compared by repr, which tells -0.0 from 0.0 (the EDGE_XS examples)
     x = min(max(math.exp(log_x), X_MIN), 1100.0)
     assert spherical_bessel_j_table(l_max, x) == _int_coefficient_j(l_max, x)
     assert spherical_bessel_y_table(l_max, x) == _int_coefficient_y(l_max, x)
