@@ -5,6 +5,12 @@ embeds the parameters that produced it.  Exit codes: 0 success (including
 a scan that finds nothing), 2 usage or validation error, 3 numerical
 failure (a root was asserted but the bracket holds no sign change).
 
+A command reads the parsed options (args.spin, args.theta_step, ...) and
+returns its parameter echo and its payload (columns, rows, scalars).  main
+loads the constants into args.constants before any command runs, so a bad
+constants file wins over every error a command reports, and writes the one
+document.
+
 The parser is the standard library's argparse, and no parser takes an
 abbreviated option.  An option value that starts with '-' is read as a
 value only if it is a plain negative number (-1, -0.5); write any other
@@ -63,19 +69,14 @@ def _constants() -> PhysicalConstants:
     return DEFAULT_CONSTANTS
 
 
-def _catalog(path: str | None, constants: PhysicalConstants):
-    """The built-in catalog, or the one in `path`; a missing file or a directory exits 2."""
-    if path is None:
-        return builtin_catalog(constants)
+def _catalog(args):
+    """The built-in catalog, or the one in --catalog; a missing file or a directory exits 2."""
+    if args.catalog is None:
+        return builtin_catalog(args.constants)
     try:
-        return load_species_catalog(path, constants)
+        return load_species_catalog(args.catalog, args.constants)
     except (OSError, ValueError) as exc:
-        raise DomainError(f"cannot load catalog {path}: {exc}")
-
-
-def _emit(fmt: str, params: dict, constants: PhysicalConstants, **payload) -> None:
-    """Write the envelope of `params`, `constants` and the payload in `fmt`."""
-    sys.stdout.write(OutputEnvelope(params=params, constants=constants, **payload).render(fmt))
+        raise DomainError(f"cannot load catalog {args.catalog}: {exc}")
 
 
 def _spin(text: str) -> Spin:
@@ -97,7 +98,7 @@ POLARIZATION = ("--polarization", {
 ETA = ("--eta", {"type": float, "help": "Sommerfeld parameter (a = 1 fm)."})
 KR = ("--kr", {"type": float, "help": "kR of a hard-sphere curve."})
 CATALOG = ("--catalog", {"help": "Species catalog file (defaults to the built-in one)."})
-FORMAT = ("--format", {"dest": "fmt", "choices": ("csv", "json"), "default": "csv",
+FORMAT = ("--format", {"choices": ("csv", "json"), "default": "csv",
                        "help": "Output format. [default: %(default)s]"})
 # --theta-min, --theta-max and --theta-step, in that order, defaulting to angle_grid's
 GRID = tuple((f"--theta-{suffix}", {"type": float, "default": default,
@@ -110,13 +111,13 @@ def _flag(name: str, text: str):
     return (name, {"action": "store_true", "help": text})
 
 
-def _grid(theta_min: float, theta_max: float, theta_step: float, fmt: str) -> tuple[float, ...]:
+def _grid(args) -> tuple[float, ...]:
     """angle_grid's points, refused in CSV (9 digits) when two adjacent ones print alike.
 
     JSON writes each float's repr, which tells any two points apart.
     """
-    grid = angle_grid(theta_min, theta_max, theta_step)
-    texts = list(map(format_number, grid)) if fmt == "csv" else []
+    grid = angle_grid(args.theta_min, args.theta_max, args.theta_step)
+    texts = list(map(format_number, grid)) if args.format == "csv" else []
     for i in range(1, len(texts)):
         if texts[i - 1] == texts[i]:
             raise DomainError(f"theta grid points {grid[i - 1]} and {grid[i]} both print as "
@@ -124,107 +125,103 @@ def _grid(theta_min: float, theta_max: float, theta_step: float, fmt: str) -> tu
     return grid
 
 
-def critical(spin: Spin, numeric: bool, bracket, fmt: str):
+def critical(args):
     """Critical Sommerfeld parameter sqrt(3s+2) for the given spin."""
-    constants = _constants()
-    bracket = check_eta_bracket(bracket)
-    eta_c = critical_eta(spin)
+    bracket = check_eta_bracket(args.bracket)
+    eta_c = critical_eta(args.spin)
     scalars = {"eta_critical": eta_c}
-    if numeric:
-        eta_num = critical_eta_numeric(spin, bracket)
+    if args.numeric:
+        eta_num = critical_eta_numeric(args.spin, bracket)
         scalars["eta_critical_numeric"] = eta_num
         scalars["difference"] = eta_num - eta_c
-    params = {"command": "critical", "spin": str(spin), "numeric": numeric,
+    params = {"spin": str(args.spin), "numeric": args.numeric,
               "bracket_lo": bracket[0], "bracket_hi": bracket[1]}
-    _emit(fmt, params, constants, scalars=scalars)
+    return params, {"scalars": scalars}
 
 
-def angular(system_name, energy, eta, spin, polarization, incoherent_only,
-            normalize, theta_min, theta_max, theta_step, catalog, fmt):
+def angular(args):
     """Angular distribution of the symmetrized Coulomb cross section."""
-    constants = _constants()
-    grid = _grid(theta_min, theta_max, theta_step, fmt)
-    params = {"command": "angular"}
+    grid = _grid(args)
+    name, eta, spin = args.system, args.eta, args.spin
+    params = {}
 
-    if system_name is not None:
-        if energy is None:
+    if name is not None:
+        if args.energy is None:
             raise DomainError("--system requires --energy")
         if eta is not None or spin is not None:
             raise DomainError("--system and --eta/--spin are mutually exclusive")
-        parts = system_name.split("-")
+        parts = name.split("-")
         if len(parts) == 2:
             if parts[0] != parts[1]:
-                raise DomainError(f"only identical pairs are supported, got {system_name!r}")
-            system_name = parts[0]
-        species = find_species(system_name, _catalog(catalog, constants))
-        system = CollisionSystem(species=species, energy_cm=energy)
-        a = half_closest_approach(system, constants)
-        eta = sommerfeld_eta(system, constants)
+                raise DomainError(f"only identical pairs are supported, got {name!r}")
+            name = parts[0]
+        species = find_species(name, _catalog(args))
+        system = CollisionSystem(species=species, energy_cm=args.energy)
+        a = half_closest_approach(system, args.constants)
+        eta = sommerfeld_eta(system, args.constants)
         spin = species.spin
-        params.update(system=species.name, energy_kev=energy,
+        params.update(system=species.name, energy_kev=args.energy,
                       mass_mev=species.mass, z=species.z)
     elif eta is not None:
-        if energy is not None or catalog is not None:
+        if args.energy is not None or args.catalog is not None:
             raise DomainError("--energy and --catalog require --system")
-        if spin is None and not incoherent_only:
+        if spin is None and not args.incoherent_only:
             raise DomainError("--eta requires --spin")
         a = 1.0
     else:
         raise DomainError("provide either --system/--energy or --eta/--spin")
     check_eta(eta)
 
-    params.update(eta=eta, a_fm=a, polarization=polarization.value,
-                  incoherent_only=incoherent_only,
-                  normalize=normalize or "none",
-                  theta_min=theta_min, theta_max=theta_max, theta_step=theta_step)
+    params.update(eta=eta, a_fm=a, polarization=args.polarization.value,
+                  incoherent_only=args.incoherent_only,
+                  normalize=args.normalize or "none",
+                  theta_min=args.theta_min, theta_max=args.theta_max,
+                  theta_step=args.theta_step)
 
-    if incoherent_only:
+    if args.incoherent_only:
         values = incoherent_cross_sections(grid, a)
     else:
-        mott = MottParams(a=a, eta=eta, spin=spin, polarization=polarization)
+        mott = MottParams(a=a, eta=eta, spin=spin, polarization=args.polarization)
         values = build_curve(mott, grid).values
         params.update(spin=str(spin), statistics=spin.statistics.value)
 
-    if normalize == "rutherford90":
+    if args.normalize == "rutherford90":
         columns = ["theta_deg", "sigma_over_ruth90"]
         rows = [(t, v / (a * a)) for t, v in zip(grid, values)]
     else:
         columns = ["theta_deg", "sigma_fm2_per_sr", "sigma_barn_per_sr"]
         rows = [(t, v, v * BARN_PER_FM2) for t, v in zip(grid, values)]
-    _emit(fmt, params, constants, columns=columns, rows=rows)
+    return params, {"columns": columns, "rows": rows}
 
 
-def table(catalog, fmt):
+def table(args):
     """Critical energies, barriers, sigma(90) and feasibility per species."""
-    constants = _constants()
-    rows = table_one(_catalog(catalog, constants), constants)
+    rows = table_one(_catalog(args), args.constants)
     columns = list(SystemReportRow.__slots__)
     data = [[str(getattr(r, c)) if c == "spin" else getattr(r, c) for c in columns] for r in rows]
-    params = {"command": "table", "catalog": catalog or "builtin"}
-    _emit(fmt, params, constants, columns=columns, rows=data)
+    return {"catalog": args.catalog or "builtin"}, {"columns": columns, "rows": data}
 
 
-def plateau(spin, eta, eta_critical, kr, polarization, epsilon,
-            theta_min, theta_max, theta_step, fmt):
+def plateau(args):
     """Flatness plateau around 90 degrees for a Coulomb or hard-sphere curve."""
-    constants = _constants()
-    grid = _grid(theta_min, theta_max, theta_step, fmt)
-    params = {"command": "plateau", "spin": str(spin), "polarization": polarization.value,
-              "epsilon": epsilon, "theta_min": theta_min, "theta_max": theta_max,
-              "theta_step": theta_step}
-    if kr is not None:
-        if eta is not None or eta_critical:
+    grid = _grid(args)
+    spin, polarization = args.spin, args.polarization
+    params = {"spin": str(spin), "polarization": polarization.value,
+              "epsilon": args.epsilon, "theta_min": args.theta_min,
+              "theta_max": args.theta_max, "theta_step": args.theta_step}
+    if args.kr is not None:
+        if args.eta is not None or args.eta_critical:
             raise DomainError("--kr and --eta/--eta-critical are mutually exclusive")
-        model = HardSphereParams(kR=kr, spin=spin, statistics=spin.statistics,
+        model = HardSphereParams(kR=args.kr, spin=spin, statistics=spin.statistics,
                                  polarization=polarization)
-        params.update(model="hard-sphere", kR=kr)
+        params.update(model="hard-sphere", kR=args.kr)
     else:
-        if eta_critical == (eta is not None):
+        if args.eta_critical == (args.eta is not None):
             raise DomainError("provide exactly one of --eta or --eta-critical")
-        eta_val = critical_eta(spin, polarization) if eta_critical else eta
-        model = MottParams(a=1.0, eta=eta_val, spin=spin, polarization=polarization)
-        params.update(model="mott-coulomb", eta=eta_val, a_fm=1.0)
-    report = plateau_op(build_curve(model, grid), epsilon)
+        eta = critical_eta(spin, polarization) if args.eta_critical else args.eta
+        model = MottParams(a=1.0, eta=eta, spin=spin, polarization=polarization)
+        params.update(model="mott-coulomb", eta=eta, a_fm=1.0)
+    report = plateau_op(build_curve(model, grid), args.epsilon)
     scalars = {
         "theta_lo_deg": report.theta_lo,
         "theta_hi_deg": report.theta_hi,
@@ -232,15 +229,14 @@ def plateau(spin, eta, eta_critical, kr, polarization, epsilon,
         "curvature_90": report.curvature_90,
         "reference_value": report.reference_value,
     }
-    _emit(fmt, params, constants, scalars=scalars)
+    return params, {"scalars": scalars}
 
 
-def sweep(spin, delta, theta_min, theta_max, theta_step, fmt):
+def sweep(args):
     """Shape sensitivity: curves at eta_C (1 +- delta) with min/flat/max labels."""
-    constants = _constants()
-    result = sensitivity_sweep(spin, delta, _grid(theta_min, theta_max, theta_step, fmt))
-    params = {"command": "sweep", "spin": str(spin), "delta": delta,
-              "theta_min": theta_min, "theta_max": theta_max, "theta_step": theta_step}
+    result = sensitivity_sweep(args.spin, args.delta, _grid(args))
+    params = {"spin": str(args.spin), "delta": args.delta, "theta_min": args.theta_min,
+              "theta_max": args.theta_max, "theta_step": args.theta_step}
     scalars = {
         "classification": ",".join(result.classifications),
         "eta_below": result.etas[0],
@@ -252,42 +248,39 @@ def sweep(spin, delta, theta_min, theta_max, theta_step, fmt):
     }
     columns = ["branch", "eta", "theta_deg", "sigma_over_ruth90"]
     rows = []
-    for branch, eta_val, curve in zip(("below", "critical", "above"),
-                                      result.etas, result.curves):
-        rows.extend((branch, eta_val, t, v) for t, v in zip(curve.thetas, curve.values))
-    _emit(fmt, params, constants, scalars=scalars, columns=columns, rows=rows)
+    for branch, eta, curve in zip(("below", "critical", "above"), result.etas, result.curves):
+        rows.extend((branch, eta, t, v) for t, v in zip(curve.thetas, curve.values))
+    return params, {"scalars": scalars, "columns": columns, "rows": rows}
 
 
-def hardsphere(kr, spin, polarization, critical_scan, step,
-               theta_min, theta_max, theta_step, fmt):
+def hardsphere(args):
     """Hard-sphere cross sections (units of R^2) and the critical-kR scan."""
-    constants = _constants()
-    if critical_scan is not None and kr is not None:
+    kr, spin, polarization, scan = args.kr, args.spin, args.polarization, args.critical_scan
+    if scan is not None and kr is not None:
         raise DomainError("--kr and --critical-scan are mutually exclusive")
-    if critical_scan is not None:
-        params = {"command": "hardsphere", "spin": str(spin),
-                  "statistics": spin.statistics.value, "polarization": polarization.value,
-                  "scan_lo": critical_scan[0], "scan_hi": critical_scan[1],
-                  "step": step}
-        root = find_critical_kR(spin, spin.statistics, tuple(critical_scan), step,
+    if scan is not None:
+        params = {"spin": str(spin), "statistics": spin.statistics.value,
+                  "polarization": polarization.value, "scan_lo": scan[0], "scan_hi": scan[1],
+                  "step": args.step}
+        root = find_critical_kR(spin, spin.statistics, tuple(scan), args.step,
                                 polarization=polarization)
-        _emit(fmt, params, constants, scalars={"critical_kR": root})
-        return
+        return params, {"scalars": {"critical_kR": root}}
     if kr is None:
         raise DomainError("provide either --kr or --critical-scan")
-    grid = _grid(theta_min, theta_max, theta_step, fmt)
+    grid = _grid(args)
     model = HardSphereParams(kR=kr, spin=spin, statistics=spin.statistics,
                              polarization=polarization)
     curve = build_curve(model, grid)
-    params = {"command": "hardsphere", "kR": kr, "spin": str(spin),
-              "statistics": spin.statistics.value, "polarization": polarization.value,
-              "theta_min": theta_min, "theta_max": theta_max,
-              "theta_step": theta_step}
+    params = {"kR": kr, "spin": str(spin), "statistics": spin.statistics.value,
+              "polarization": polarization.value, "theta_min": args.theta_min,
+              "theta_max": args.theta_max, "theta_step": args.theta_step}
     rows = list(zip(curve.thetas, curve.values))
-    _emit(fmt, params, constants, columns=["theta_deg", "sigma_over_R2"], rows=rows)
+    return params, {"columns": ["theta_deg", "sigma_over_R2"], "rows": rows}
 
 
-# Each subcommand with its options, in the order that --help lists them.
+# Each subcommand with its options, in the order that --help lists them.  A
+# command takes the parsed namespace, where each option is the attribute its
+# flag names, and returns (params, payload) for main to write.
 COMMANDS = (
     (critical, (
         SPIN,
@@ -298,7 +291,7 @@ COMMANDS = (
         FORMAT,
     )),
     (angular, (
-        ("--system", {"dest": "system_name", "metavar": "SYSTEM",
+        ("--system", {"metavar": "SYSTEM",
                       "help": "Species name or pair, e.g. 'alpha' or 'alpha-alpha'."}),
         ("--energy", {"type": float, "help": "CM energy in keV (with --system)."}),
         ETA, ("--spin", {**SPIN[1], "required": False}), POLARIZATION,
@@ -347,10 +340,14 @@ def build_parser(prog: str) -> ArgumentParser:
 
 def main(args=None, prog_name=None):
     """Identical-particle scattering cross sections and transverse isotropy."""
-    options = vars(build_parser(prog_name or "mott-ti").parse_args(args))
-    command, parser = options.pop("command")
+    args = build_parser(prog_name or "mott-ti").parse_args(args)
+    command, parser = args.command
     try:
-        command(**options)
+        args.constants = _constants()
+        params, payload = command(args)
+        envelope = OutputEnvelope({"command": command.__name__, **params}, args.constants,
+                                  **payload)
+        sys.stdout.write(envelope.render(args.format))
     except DomainError as exc:
         parser.error(str(exc))
     except RootNotFoundError as exc:

@@ -7,12 +7,12 @@ rather than returned as inf.  Cross sections are fm^2/sr for a in fm.
 Every Coulomb cross section is one evaluation in S = cos(theta) and
 C = sin(theta), a sum of non-negative terms taken once per folded angle
 min(theta, 180 - theta): it is never negative and exactly even about 90
-degrees, and a value past float range raises DivergenceError.  Three calls
+degrees, and a value past float range raises DivergenceError.  Two calls
 share it: mott_cross_sections, sigma_inc + eps w sigma_int for an identical
-pair; identical_cross_section, its one-point call; and
-incoherent_cross_sections, sigma_inc alone (eps w = 0).  check_a and
-check_eta bound a and eta for all three.  curvature_at_90_fd takes its 7
-stencil values from one call of it.
+pair, which takes eps w once per call; and incoherent_cross_sections,
+sigma_inc alone (eps w = 0).  check_a and check_eta bound a and eta for
+both.  identical_cross_section and curvature_at_90_fd each make one
+mott_cross_sections call, at one angle and at the 7 stencil angles.
 
 Curvature convention: curvature_at_90 is the second derivative of the
 cross section with respect to the HALF-angle theta/2, i.e. 4 times
@@ -110,7 +110,7 @@ def _overflow(theta_deg: float, a: float) -> DivergenceError:
 
 def _cross_sections(thetas: tuple[float, ...], a: float, eta: float,
                     eps_w: float) -> tuple[float, ...]:
-    """The one evaluation behind the three public calls below; see mott_cross_sections.
+    """The one evaluation behind the two public calls below; see mott_cross_sections.
 
     `a` and `eta` are checked by the caller; eps_w = 0 gives sigma_inc and
     takes no interference phase.
@@ -173,8 +173,7 @@ def mott_cross_sections(thetas: tuple[float, ...], params: MottParams) -> tuple[
 
 def identical_cross_section(theta_deg: float, params: MottParams) -> float:
     """Symmetrized Coulomb cross section at one angle, fm^2/sr; see mott_cross_sections."""
-    eps_w = exchange_weight(params.spin, params.polarization)
-    return _cross_sections((theta_deg,), params.a, params.eta, eps_w)[0]
+    return mott_cross_sections((theta_deg,), params)[0]
 
 
 def incoherent_cross_sections(thetas: tuple[float, ...], a: float) -> tuple[float, ...]:
@@ -192,14 +191,13 @@ def curvature_at_90_fd(params: MottParams) -> float:
 
     The independent check of curvature_at_90; production paths use the
     closed form.  The 7 stencil angles 90 + k h of second_derivative (h =
-    CURVATURE_STEP_DEG/2) go through one _cross_sections call, whose fold
-    makes 90 - k h and 90 + k h one value: 4 of the 7 are computed, each
-    with the bits of identical_cross_section.
+    CURVATURE_STEP_DEG/2) go through one mott_cross_sections call, whose
+    fold makes 90 - k h and 90 + k h one value: 4 of the 7 are computed,
+    each with the bits of identical_cross_section.
     """
     h = CURVATURE_STEP_DEG / 2.0
     thetas = tuple(90.0 + k * h for k in (-4, -2, -1, 0, 1, 2, 4))
-    eps_w = exchange_weight(params.spin, params.polarization)
-    sigma = dict(zip(thetas, _cross_sections(thetas, params.a, params.eta, eps_w)))
+    sigma = dict(zip(thetas, mott_cross_sections(thetas, params)))
     return half_angle_curvature(second_derivative(sigma.__getitem__, 90.0, CURVATURE_STEP_DEG))
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mott_ti.analysis import angle_grid
 from mott_ti.cli import build_parser, main
-from mott_ti.constants import DEFAULT_CONSTANTS
+from mott_ti.constants import DEFAULT_CONSTANTS, load_constants
 from mott_ti.coulomb import critical_eta_numeric
 from mott_ti.hardsphere import find_critical_kR
 from mott_ti.species import MASS_MAX, MASS_MIN, TWICE_S_MAX, Z_MAX
@@ -701,6 +701,43 @@ def test_constants_env_override(runner, tmp_path):
     assert float(c_alt["a_fm"]) == pytest.approx(
         float(c_plain["a_fm"]) * 1.44 / 1.4399645, rel=1e-6
     )
+
+
+# One argv per command and mode, each beside an argv that the command itself
+# refuses with exit 2
+CONSTANTS_CASES = [
+    (["critical", "--spin", "0"], ["critical", "--spin", "0", "--bracket", "3", "2"]),
+    (["angular", "--system", "alpha", "--energy", "400"] + GRID, ["angular", "--eta", "1"]),
+    (["table"], ["table", "--catalog", "."]),
+    (["plateau", "--spin", "0", "--eta-critical"], ["plateau", "--spin", "0"]),
+    (["sweep", "--spin", "0", "--theta-step", "2"], ["sweep", "--spin", "0", "--delta", "1"]),
+    (["hardsphere", "--kr", "1.5", "--spin", "0"] + GRID,
+     ["hardsphere", "--spin", "0", "--kr", "1", "--critical-scan", "0.2", "3"]),
+    (["hardsphere", "--critical-scan", "0.2", "3", "--spin", "0"],
+     ["hardsphere", "--spin", "0"]),
+]
+
+
+@pytest.mark.parametrize("argv,refused", CONSTANTS_CASES,
+                         ids=[" ".join(c[0][:2]) for c in CONSTANTS_CASES])
+def test_every_command_runs_on_the_constants_file(runner, tmp_path, argv, refused):
+    # the document fingerprints the file's constants, and a file that does not
+    # load is the error reported even when the command would refuse its options
+    consts = tmp_path / "alt.txt"
+    consts.write_text("e_squared 1.44\n")
+    fingerprint = load_constants(consts).fingerprint()
+    assert fingerprint != DEFAULT_CONSTANTS.fingerprint()
+    result = runner.invoke(main, argv + ["--format", "json"],
+                           env={"MOTT_TI_CONSTANTS": str(consts)})
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["metadata"]["constants_fingerprint"] == fingerprint
+
+    plain = runner.invoke(main, refused, env={"MOTT_TI_CONSTANTS": None})
+    assert plain.exit_code == 2 and "cannot load constants" not in plain.output
+    (tmp_path / "bad.txt").write_text("nonsense 1 2 3\n")
+    bad = runner.invoke(main, refused, env={"MOTT_TI_CONSTANTS": str(tmp_path / "bad.txt")})
+    assert bad.exit_code == 2
+    assert "cannot load constants from MOTT_TI_CONSTANTS" in bad.output
 
 
 def test_constants_env_bad_file(runner, tmp_path):

@@ -1,8 +1,8 @@
 """Every module of the package uses each name it imports, none imports upward,
 every module-level name is used, nothing is cached between calls, no record
 is a dataclass, only constants.Record stores fields past Record.__setattr__,
-one phase-shift ladder builds the only Bessel table, and importing the CLI
-loads only what it uses.
+one phase-shift ladder builds the only Bessel table, every CLI command takes
+the parsed options alone, and importing the CLI loads only what it uses.
 
 The package __init__ is exempt from the first two: its imports are the
 public re-exports.  For the third, a re-export is not a use: a name that
@@ -10,6 +10,7 @@ only __init__ imports must be on the allowlist REEXPORT_ONLY.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -128,6 +129,18 @@ def test_one_phase_shift_ladder():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert len(call_sites(sources, "spherical_bessel_j_table")) == 1
     assert call_sites(sources, "spherical_bessel_y_table") == []
+
+
+def test_one_command_shape():
+    # each command takes the parsed namespace and returns its parameters and
+    # payload; cli.main alone loads the constants and builds the envelope
+    from mott_ti.cli import COMMANDS
+
+    cli = {"cli": (PACKAGE / "cli.py").read_text()}
+    assert len(call_sites(cli, "_constants")) == 1
+    assert len(call_sites(cli, "OutputEnvelope")) == 1
+    assert [command.__name__ for command, _ in COMMANDS
+            if len(inspect.signature(command).parameters) != 1] == []
 
 
 def test_the_check_sees_a_call_site():
