@@ -3,7 +3,10 @@
 Every command writes one CSV (default) or JSON document to stdout and
 embeds the parameters that produced it.  Exit codes: 0 success (including
 a scan that finds nothing), 2 usage or validation error, 3 numerical
-failure (a root was asserted but the bracket holds no sign change).
+failure (a root was asserted but the bracket holds no sign change).  An
+option that the chosen mode does not use exits 2 unless it holds its
+default: --step with --kr, --theta-* with --critical-scan, and --spin with
+--incoherent-only.
 
 A command reads the parsed options (args.spin, args.theta_step, ...) and
 returns its parameter echo and its payload (columns, rows, scalars).  main
@@ -86,8 +89,8 @@ def _spin(text: str) -> Spin:
         raise ArgumentTypeError(f"invalid spin {text!r}: {exc}") from exc
 
 
-# Options shared by several subcommands, each declared once here as a flag and
-# its add_argument keywords.
+# Options declared once here as a flag and its add_argument keywords: those
+# shared by several subcommands, and the ones whose default a command reads.
 SPIN = ("--spin", {"type": _spin, "required": True, "metavar": "SPIN",
                    "help": "Spin as 0, 1, 1/2, 9/2, ..."})
 POLARIZATION = ("--polarization", {
@@ -98,6 +101,8 @@ POLARIZATION = ("--polarization", {
 ETA = ("--eta", {"type": float, "help": "Sommerfeld parameter (a = 1 fm)."})
 KR = ("--kr", {"type": float, "help": "kR of a hard-sphere curve."})
 CATALOG = ("--catalog", {"help": "Species catalog file (defaults to the built-in one)."})
+STEP = ("--step", {"type": float, "default": find_critical_kR.__defaults__[1],  # its step
+                   "help": "Scan step in kR. [default: %(default)s]"})
 FORMAT = ("--format", {"choices": ("csv", "json"), "default": "csv",
                        "help": "Output format. [default: %(default)s]"})
 # --theta-min, --theta-max and --theta-step, in that order, defaulting to angle_grid's
@@ -111,18 +116,18 @@ def _flag(name: str, text: str):
     return (name, {"action": "store_true", "help": text})
 
 
-def _grid(args) -> tuple[float, ...]:
-    """angle_grid's points, refused in CSV (9 digits) when two adjacent ones print alike.
-
-    JSON writes each float's repr, which tells any two points apart.
+def _grid(args) -> tuple[tuple[float, ...], dict[str, float]]:
+    """angle_grid's points and the grid options' echo, refused in CSV (9 digits) when
+    two adjacent points print alike; JSON writes each float's repr, which tells them apart.
     """
-    grid = angle_grid(args.theta_min, args.theta_max, args.theta_step)
+    theta = {name: getattr(args, name) for name in ("theta_min", "theta_max", "theta_step")}
+    grid = angle_grid(*theta.values())
     texts = list(map(format_number, grid)) if args.format == "csv" else []
     for i in range(1, len(texts)):
         if texts[i - 1] == texts[i]:
             raise DomainError(f"theta grid points {grid[i - 1]} and {grid[i]} both print as "
                               f"{texts[i]}; use a coarser --theta-step")
-    return grid
+    return grid, theta
 
 
 def critical(args):
@@ -141,7 +146,7 @@ def critical(args):
 
 def angular(args):
     """Angular distribution of the symmetrized Coulomb cross section."""
-    grid = _grid(args)
+    grid, theta = _grid(args)
     name, eta, spin = args.system, args.eta, args.spin
     params = {}
 
@@ -167,6 +172,8 @@ def angular(args):
             raise DomainError("--energy and --catalog require --system")
         if spin is None and not args.incoherent_only:
             raise DomainError("--eta requires --spin")
+        if spin is not None and args.incoherent_only:
+            raise DomainError("--incoherent-only takes no --spin")
         a = 1.0
     else:
         raise DomainError("provide either --system/--energy or --eta/--spin")
@@ -174,9 +181,7 @@ def angular(args):
 
     params.update(eta=eta, a_fm=a, polarization=args.polarization.value,
                   incoherent_only=args.incoherent_only,
-                  normalize=args.normalize or "none",
-                  theta_min=args.theta_min, theta_max=args.theta_max,
-                  theta_step=args.theta_step)
+                  normalize=args.normalize or "none", **theta)
 
     if args.incoherent_only:
         values = incoherent_cross_sections(grid, a)
@@ -204,11 +209,10 @@ def table(args):
 
 def plateau(args):
     """Flatness plateau around 90 degrees for a Coulomb or hard-sphere curve."""
-    grid = _grid(args)
+    grid, theta = _grid(args)
     spin, polarization = args.spin, args.polarization
-    params = {"spin": str(spin), "polarization": polarization.value,
-              "epsilon": args.epsilon, "theta_min": args.theta_min,
-              "theta_max": args.theta_max, "theta_step": args.theta_step}
+    params = {"spin": str(spin), "polarization": polarization.value, "epsilon": args.epsilon,
+              **theta}
     if args.kr is not None:
         if args.eta is not None or args.eta_critical:
             raise DomainError("--kr and --eta/--eta-critical are mutually exclusive")
@@ -234,9 +238,9 @@ def plateau(args):
 
 def sweep(args):
     """Shape sensitivity: curves at eta_C (1 +- delta) with min/flat/max labels."""
-    result = sensitivity_sweep(args.spin, args.delta, _grid(args))
-    params = {"spin": str(args.spin), "delta": args.delta, "theta_min": args.theta_min,
-              "theta_max": args.theta_max, "theta_step": args.theta_step}
+    grid, theta = _grid(args)
+    result = sensitivity_sweep(args.spin, args.delta, grid)
+    params = {"spin": str(args.spin), "delta": args.delta, **theta}
     scalars = {
         "classification": ",".join(result.classifications),
         "eta_below": result.etas[0],
@@ -258,24 +262,25 @@ def hardsphere(args):
     kr, spin, polarization, scan = args.kr, args.spin, args.polarization, args.critical_scan
     if scan is not None and kr is not None:
         raise DomainError("--kr and --critical-scan are mutually exclusive")
+    pair = {"spin": str(spin), "statistics": spin.statistics.value,
+            "polarization": polarization.value}
     if scan is not None:
-        params = {"spin": str(spin), "statistics": spin.statistics.value,
-                  "polarization": polarization.value, "scan_lo": scan[0], "scan_hi": scan[1],
-                  "step": args.step}
+        if [args.theta_min, args.theta_max, args.theta_step] != [s["default"] for _, s in GRID]:
+            raise DomainError("--critical-scan takes no --theta-min, --theta-max or --theta-step")
         root = find_critical_kR(spin, spin.statistics, tuple(scan), args.step,
                                 polarization=polarization)
+        params = {**pair, "scan_lo": scan[0], "scan_hi": scan[1], "step": args.step}
         return params, {"scalars": {"critical_kR": root}}
     if kr is None:
         raise DomainError("provide either --kr or --critical-scan")
-    grid = _grid(args)
+    if args.step != STEP[1]["default"]:
+        raise DomainError("--kr takes no --step")
+    grid, theta = _grid(args)
     model = HardSphereParams(kR=kr, spin=spin, statistics=spin.statistics,
                              polarization=polarization)
     curve = build_curve(model, grid)
-    params = {"kR": kr, "spin": str(spin), "statistics": spin.statistics.value,
-              "polarization": polarization.value, "theta_min": args.theta_min,
-              "theta_max": args.theta_max, "theta_step": args.theta_step}
     rows = list(zip(curve.thetas, curve.values))
-    return params, {"columns": ["theta_deg", "sigma_over_R2"], "rows": rows}
+    return {"kR": kr, **pair, **theta}, {"columns": ["theta_deg", "sigma_over_R2"], "rows": rows}
 
 
 # Each subcommand with its options, in the order that --help lists them.  A
@@ -317,9 +322,7 @@ COMMANDS = (
         KR, SPIN, POLARIZATION,
         ("--critical-scan", {"type": float, "nargs": 2, "metavar": ("LO", "HI"), "help":
                              "Scan [LO, HI] for the critical kR; prints 'none' when absent."}),
-        ("--step", {"type": float, "default": find_critical_kR.__defaults__[1],  # its step
-                    "help": "Scan step in kR. [default: %(default)s]"}),
-        *GRID, FORMAT,
+        STEP, *GRID, FORMAT,
     )),
 )
 

@@ -6,15 +6,18 @@ invocation that produced it.  Rendering is deterministic: no timestamps,
 fixed key order, Unix line endings, '.' decimal separator, and CSV cells
 printed with 9 significant digits.
 
-A CSV table is rendered by one printf-style ``%`` call: columns whose cells
-are all floats become ``%.9g`` fields of the template, every other cell is
-rendered to text first and filled in through a ``%s`` field.
+Both renderings write a table's rows with one printf-style ``%`` call over
+one template: a column whose cells are all finite floats is a float field
+of the template (``%.9g`` in CSV, ``%r`` in JSON, which is json's own text
+for a finite float), every other cell is rendered to text first (CSV
+quoting, or ``json.dumps``) and filled in through a ``%s`` field.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import chain
+from math import isfinite
 
 from . import __version__
 from .constants import PhysicalConstants, Record
@@ -45,53 +48,43 @@ def _csv_cell(value: object) -> str:
     return text
 
 
-def _csv_table(columns: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Header line and rows of a CSV table, the rows filled in by one printf-style %.
+def _table(rows: Sequence[Sequence[object]], width: int, float_field: str, cell_text,
+           cell_break: str, row_break: str) -> str:
+    """Rows of a table, each of width cells, filled in by one printf-style %.
 
-    A column of floats only (exact type: no bool, int or float subclass) is
-    a _FLOAT_FIELD of the template, format_number's text, which never needs
-    quoting; any other cell goes through _csv_cell and is passed in as an
-    argument, so a % in its text is never parsed as a field.
+    A column of floats (exact type: no bool, int or float subclass) whose sum
+    is finite is a float_field of the template; any other cell goes through
+    cell_text, which must give a finite float the float_field's text, and is
+    passed in as an argument, so a % in its text is never parsed as a field.
     """
-    if set(map(len, rows)) - {len(columns)}:
-        raise ValueError(f"every row must hold {len(columns)} cells, one per column")
-    fields = []
-    cells = []
+    if set(map(len, rows)) - {width}:
+        raise ValueError(f"every row must hold {width} cells, one per column")
+    fields, cells = [], []
     for column in zip(*rows):
-        if set(map(type, column)) == {float}:
-            fields.append(_FLOAT_FIELD)
+        if set(map(type, column)) == {float} and isfinite(sum(column)):
+            fields.append(float_field)
             cells.append(column)
         else:
             fields.append("%s")
-            cells.append(map(_csv_cell, column))
-    template = "\n".join(["%s"] + [",".join(fields)] * len(rows))
-    return template % (",".join(columns), *chain.from_iterable(zip(*cells)))
+            cells.append(map(cell_text, column))
+    template = row_break.join([cell_break.join(fields)] * len(rows))
+    return template % tuple(chain.from_iterable(zip(*cells)))
 
 
-# data.rows sits at depth 3 of the document: rows indent by 6, cells by 8
-_ROW_BREAK = "\n      ],\n      [\n        "
-_CELL_BREAK = ",\n        "
-
-
-def _json_rows(rows: Sequence[Sequence[object]]) -> str:
-    """Non-empty rows of scalars at data.rows, laid out exactly as json.dumps(indent=2)."""
-    import json
-
-    # One pass of the C encoder, which json.dumps uses only without indent.
-    # NUL appears in its output only as this separator: json escapes it
-    # inside strings.
-    text = json.JSONEncoder(separators=("\0", ": ")).encode(rows)
-    # "[[c\0c]\0[c\0c]]": "]\0[" only between rows, since no scalar ends in "]"
-    body = text[2:-2].replace("]\0[", _ROW_BREAK).replace("\0", _CELL_BREAK)
-    return "[\n      [\n        " + body + "\n      ]\n    ]"
+def _csv_table(columns: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """Header line and rows of a CSV table; format_number's text never needs quoting."""
+    header = ",".join(columns)
+    if not rows:
+        return header
+    return header + "\n" + _table(rows, len(columns), _FLOAT_FIELD, _csv_cell, ",", "\n")
 
 
 class OutputEnvelope(Record):
     """Tabular payload (columns x rows) plus scalar results and parameters.
 
-    Rows are lists or tuples of lists or tuples of scalars (str, int, float,
-    bool or None), one per column; both renderings rely on it, and a row of
-    another length raises ValueError.  No scalars means an empty dict.
+    Rows (lists or tuples) hold one scalar (str, int, float, bool or None)
+    per column; both renderings fill them into one template per table, and
+    a row of another length raises ValueError.  No scalars is an empty dict.
     """
 
     __slots__ = ("params", "constants", "columns", "rows", "scalars")
@@ -123,9 +116,12 @@ class OutputEnvelope(Record):
         doc = {"metadata": self.metadata(), "params": self.params, "data": data}
         text = json.dumps(doc, indent=2) + "\n"
         if self.columns and self.rows:
+            # data.rows sits at depth 3 of the document: rows indent by 6, cells by 8
+            rows = _table(self.rows, len(self.columns), "%r", json.dumps, ",\n        ",
+                          "\n      ],\n      [\n        ")
             # data comes last, so the last match is data.rows even if params has a "rows": []
             head, _, tail = text.rpartition('"rows": []')
-            text = head + '"rows": ' + _json_rows(self.rows) + tail
+            text = head + '"rows": [\n      [\n        ' + rows + "\n      ]\n    ]" + tail
         return text
 
     def to_csv(self) -> str:

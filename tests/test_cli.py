@@ -333,6 +333,12 @@ def test_large_eta_curves_exit_0(runner, argv):
      "--energy and --catalog require --system"),
     (["angular", "--eta", "1", "--spin", "0", "--catalog", str(BUILTIN_CATALOG)],
      "--energy and --catalog require --system"),
+    # an option of the other mode is refused, not ignored
+    (["hardsphere", "--kr", "1.5", "--spin", "0", "--step", "7"], "--kr takes no --step"),
+    (["hardsphere", "--critical-scan", "0.2", "3", "--spin", "0", "--theta-step", "1e-9"],
+     "--critical-scan takes no --theta-min, --theta-max or --theta-step"),
+    (["angular", "--eta", "1", "--spin", "1", "--incoherent-only"],
+     "--incoherent-only takes no --spin"),
 ])
 def test_mode_conflicts_and_plateau_grids_exit_2(runner, argv, message):
     result = runner.invoke(main, argv)
@@ -590,6 +596,7 @@ PARITY_CASES = [
         ["hardsphere", "--kr", "1.5", "--spin", "0"] + GRID,
     ) for fmt in ("csv", "json")),
     (["plateau", "--spin", "0"], 2),
+    (["hardsphere", "--kr", "1.5", "--spin", "0", "--step", "7"], 2),
     (["critical", "--spin", "1/2", "--numeric"], 3),
     (["--version"], 0),
 ]

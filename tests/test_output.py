@@ -181,6 +181,12 @@ def test_csv_rejects_a_row_of_another_length(rows):
         _envelope(["a", "b"], rows).to_csv()
 
 
+@pytest.mark.parametrize("rows", [[(1.0, 2.0), (3.0,)], [(1.0,)], [(1.0, 2.0, 3.0)], [()]])
+def test_json_rejects_a_row_of_another_length(rows):
+    with pytest.raises(ValueError, match="2 cells"):
+        _envelope(["a", "b"], rows).to_json()
+
+
 def _str_format_table(columns, rows):
     """_csv_table as it was, through {:.9g} and {} fields and one str.format."""
     fields, cells = [], []
@@ -213,3 +219,28 @@ def test_csv_table_keeps_the_bytes_of_the_str_format_render(columns, rows):
     # the printf-style template renders the bytes the {:.9g}/{} template did,
     # a % or braces in a cell or a column name included
     assert _csv_table(columns, rows) == _str_format_table(columns, rows)
+
+
+def _json_rows(rows):
+    """data.rows as JSON wrote it: one C-encoder pass with NUL as item separator, then
+    two replacements that restore json.dumps(indent=2)'s layout."""
+    text = json.JSONEncoder(separators=("\0", ": ")).encode(rows)
+    body = text[2:-2].replace("]\0[", "\n      ],\n      [\n        ")
+    return "[\n      [\n        " + body.replace("\0", ",\n        ") + "\n      ]\n    ]"
+
+
+@pytest.mark.parametrize("columns, rows", [
+    (["theta_deg", "sigma", "ratio"], _mott_rows(n)) for n in (357, 713, 1781)
+] + [
+    (["%s", "{}", "a,b"], [("%", "{}", '"q"'), ("x\ny", True, 7), (None, math.inf, "%(x)s"),
+                           ("%%", False, -0.0)]),
+    (["t", "%.9g"], [(math.inf, "%d"), (-math.inf, "{0}"), (math.nan, None), (5e-324, 10**30)]),
+    (["big", "t"], [(1e308, 0.5), (1.7976931348623157e308, -0.0)]),
+], ids=["mott-357", "mott-713", "mott-1781", "mixed", "specials", "sum-overflows"])
+def test_json_rows_keep_the_bytes_of_the_encoder_render(columns, rows):
+    # the printf-style template with %r float fields renders the bytes the
+    # NUL-separated C-encoder pass did, specials, text with % and a finite
+    # column whose sum overflows (rendered cell by cell) included
+    text = _envelope(columns, rows).to_json()
+    head, _, tail = _envelope(columns, []).to_json().rpartition('"rows": []')
+    assert text == head + '"rows": ' + _json_rows(rows) + tail
