@@ -3,16 +3,36 @@
 Every command writes one CSV (default) or JSON document to stdout and
 embeds the parameters that produced it.  Exit codes: 0 success (including
 a scan that finds nothing), 2 usage or validation error, 3 numerical
-failure (a root was asserted but the bracket holds no sign change).  An
-option that the chosen mode does not use exits 2 unless it holds its
-default: --step with --kr, --theta-* with --critical-scan, and --spin with
---incoherent-only.
+failure (a root was asserted but the bracket holds no sign change).
+
+One rule, declared once in MODES, says which options go together.  An
+option is given when its parsed value differs from its default.  The
+selectors given pick the command's mode.  A missing requirement exits 2,
+and so does any option given that the mode neither selects, requires nor
+reads; --format is always read, and --theta-* stands for --theta-min,
+--theta-max and --theta-step:
+
+    command     selectors                  requires  reads
+    critical    (none)                     -         --spin
+    critical    --numeric                  -         --spin --bracket
+    angular     --system                   --energy  --polarization --normalize --theta-* --catalog
+    angular     --system --incoherent-only --energy  --normalize --theta-* --catalog
+    angular     --eta                      --spin    --polarization --normalize --theta-*
+    angular     --eta --incoherent-only    -         --normalize --theta-*
+    table       (none)                     -         --catalog
+    plateau     --eta, --eta-critical or --kr  -     --spin --polarization --epsilon --theta-*
+    sweep       (none)                     -         --spin --delta --theta-*
+    hardsphere  --kr                       -         --spin --polarization --theta-*
+    hardsphere  --critical-scan            -         --spin --polarization --step
+
+Under --incoherent-only, --eta only picks the mode: the incoherent sum at
+a = 1 fm does not depend on eta, which is still range-checked.
 
 A command reads the parsed options (args.spin, args.theta_step, ...) and
 returns its parameter echo and its payload (columns, rows, scalars).  main
-loads the constants into args.constants before any command runs, so a bad
-constants file wins over every error a command reports, and writes the one
-document.
+loads the constants into args.constants and then checks the mode, both
+before any command runs, so a bad constants file wins over every error the
+mode check or a command reports, and writes the one document.
 
 The parser is the standard library's argparse, and no parser takes an
 abbreviated option.  An option value that starts with '-' is read as a
@@ -36,13 +56,7 @@ from . import __version__
 from .analysis import (SystemReportRow, angle_grid, build_curve, plateau as plateau_op,
                        sensitivity_sweep, table_one)
 from .constants import BARN_PER_FM2, DEFAULT_CONSTANTS, PhysicalConstants, load_constants
-from .coulomb import (
-    MottParams,
-    check_eta,
-    check_eta_bracket,
-    critical_eta_numeric,
-    incoherent_cross_sections,
-)
+from .coulomb import MottParams, check_eta, critical_eta_numeric, incoherent_cross_sections
 from .errors import DomainError, RootNotFoundError
 from .hardsphere import HardSphereParams, find_critical_kR
 from .kinematics import half_closest_approach, sommerfeld_eta
@@ -89,8 +103,8 @@ def _spin(text: str) -> Spin:
         raise ArgumentTypeError(f"invalid spin {text!r}: {exc}") from exc
 
 
-# Options declared once here as a flag and its add_argument keywords: those
-# shared by several subcommands, and the ones whose default a command reads.
+# Options shared by several subcommands, declared once here as a flag and its
+# add_argument keywords.
 SPIN = ("--spin", {"type": _spin, "required": True, "metavar": "SPIN",
                    "help": "Spin as 0, 1, 1/2, 9/2, ..."})
 POLARIZATION = ("--polarization", {
@@ -101,8 +115,6 @@ POLARIZATION = ("--polarization", {
 ETA = ("--eta", {"type": float, "help": "Sommerfeld parameter (a = 1 fm)."})
 KR = ("--kr", {"type": float, "help": "kR of a hard-sphere curve."})
 CATALOG = ("--catalog", {"help": "Species catalog file (defaults to the built-in one)."})
-STEP = ("--step", {"type": float, "default": find_critical_kR.__defaults__[1],  # its step
-                   "help": "Scan step in kR. [default: %(default)s]"})
 FORMAT = ("--format", {"choices": ("csv", "json"), "default": "csv",
                        "help": "Output format. [default: %(default)s]"})
 # --theta-min, --theta-max and --theta-step, in that order, defaulting to angle_grid's
@@ -113,7 +125,7 @@ GRID = tuple((f"--theta-{suffix}", {"type": float, "default": default,
 
 
 def _flag(name: str, text: str):
-    return (name, {"action": "store_true", "help": text})
+    return (name, {"action": "store_true", "default": False, "help": text})
 
 
 def _grid(args) -> tuple[tuple[float, ...], dict[str, float]]:
@@ -132,29 +144,24 @@ def _grid(args) -> tuple[tuple[float, ...], dict[str, float]]:
 
 def critical(args):
     """Critical Sommerfeld parameter sqrt(3s+2) for the given spin."""
-    bracket = check_eta_bracket(args.bracket)
     eta_c = critical_eta(args.spin)
     scalars = {"eta_critical": eta_c}
     if args.numeric:
-        eta_num = critical_eta_numeric(args.spin, bracket)
+        eta_num = critical_eta_numeric(args.spin, args.bracket)
         scalars["eta_critical_numeric"] = eta_num
         scalars["difference"] = eta_num - eta_c
     params = {"spin": str(args.spin), "numeric": args.numeric,
-              "bracket_lo": bracket[0], "bracket_hi": bracket[1]}
+              "bracket_lo": args.bracket[0], "bracket_hi": args.bracket[1]}
     return params, {"scalars": scalars}
 
 
 def angular(args):
     """Angular distribution of the symmetrized Coulomb cross section."""
     grid, theta = _grid(args)
-    name, eta, spin = args.system, args.eta, args.spin
+    name, eta, spin, a = args.system, args.eta, args.spin, 1.0  # a = 1 fm under --eta
     params = {}
 
     if name is not None:
-        if args.energy is None:
-            raise DomainError("--system requires --energy")
-        if eta is not None or spin is not None:
-            raise DomainError("--system and --eta/--spin are mutually exclusive")
         parts = name.split("-")
         if len(parts) == 2:
             if parts[0] != parts[1]:
@@ -167,16 +174,6 @@ def angular(args):
         spin = species.spin
         params.update(system=species.name, energy_kev=args.energy,
                       mass_mev=species.mass, z=species.z)
-    elif eta is not None:
-        if args.energy is not None or args.catalog is not None:
-            raise DomainError("--energy and --catalog require --system")
-        if spin is None and not args.incoherent_only:
-            raise DomainError("--eta requires --spin")
-        if spin is not None and args.incoherent_only:
-            raise DomainError("--incoherent-only takes no --spin")
-        a = 1.0
-    else:
-        raise DomainError("provide either --system/--energy or --eta/--spin")
     check_eta(eta)
 
     params.update(eta=eta, a_fm=a, polarization=args.polarization.value,
@@ -214,14 +211,10 @@ def plateau(args):
     params = {"spin": str(spin), "polarization": polarization.value, "epsilon": args.epsilon,
               **theta}
     if args.kr is not None:
-        if args.eta is not None or args.eta_critical:
-            raise DomainError("--kr and --eta/--eta-critical are mutually exclusive")
         model = HardSphereParams(kR=args.kr, spin=spin, statistics=spin.statistics,
                                  polarization=polarization)
         params.update(model="hard-sphere", kR=args.kr)
     else:
-        if args.eta_critical == (args.eta is not None):
-            raise DomainError("provide exactly one of --eta or --eta-critical")
         eta = critical_eta(spin, polarization) if args.eta_critical else args.eta
         model = MottParams(a=1.0, eta=eta, spin=spin, polarization=polarization)
         params.update(model="mott-coulomb", eta=eta, a_fm=1.0)
@@ -260,21 +253,13 @@ def sweep(args):
 def hardsphere(args):
     """Hard-sphere cross sections (units of R^2) and the critical-kR scan."""
     kr, spin, polarization, scan = args.kr, args.spin, args.polarization, args.critical_scan
-    if scan is not None and kr is not None:
-        raise DomainError("--kr and --critical-scan are mutually exclusive")
     pair = {"spin": str(spin), "statistics": spin.statistics.value,
             "polarization": polarization.value}
     if scan is not None:
-        if [args.theta_min, args.theta_max, args.theta_step] != [s["default"] for _, s in GRID]:
-            raise DomainError("--critical-scan takes no --theta-min, --theta-max or --theta-step")
         root = find_critical_kR(spin, spin.statistics, tuple(scan), args.step,
                                 polarization=polarization)
         params = {**pair, "scan_lo": scan[0], "scan_hi": scan[1], "step": args.step}
         return params, {"scalars": {"critical_kR": root}}
-    if kr is None:
-        raise DomainError("provide either --kr or --critical-scan")
-    if args.step != STEP[1]["default"]:
-        raise DomainError("--kr takes no --step")
     grid, theta = _grid(args)
     model = HardSphereParams(kR=kr, spin=spin, statistics=spin.statistics,
                              polarization=polarization)
@@ -322,9 +307,61 @@ COMMANDS = (
         KR, SPIN, POLARIZATION,
         ("--critical-scan", {"type": float, "nargs": 2, "metavar": ("LO", "HI"), "help":
                              "Scan [LO, HI] for the critical kR; prints 'none' when absent."}),
-        STEP, *GRID, FORMAT,
+        ("--step", {"type": float, "default": find_critical_kR.__defaults__[1],  # its step
+                    "help": "Scan step in kR. [default: %(default)s]"}),
+        *GRID, FORMAT,
     )),
 )
+
+THETA = tuple(flag for flag, _ in GRID)
+# Each command's modes as (selectors, requires, reads), by flag: the table of the
+# module docstring, which _check_mode enforces before any command runs.
+MODES = {
+    "critical": (((), (), ("--spin",)), (("--numeric",), (), ("--spin", "--bracket"))),
+    "angular": (
+        (("--system",), ("--energy",), ("--polarization", "--normalize", *THETA, "--catalog")),
+        (("--system", "--incoherent-only"), ("--energy",), ("--normalize", *THETA, "--catalog")),
+        (("--eta",), ("--spin",), ("--polarization", "--normalize", *THETA)),
+        (("--eta", "--incoherent-only"), (), ("--normalize", *THETA)),
+    ),
+    "table": (((), (), ("--catalog",)),),
+    "plateau": tuple(((flag,), (), ("--spin", "--polarization", "--epsilon", *THETA))
+                     for flag in ("--eta", "--eta-critical", "--kr")),
+    "sweep": (((), (), ("--spin", "--delta", *THETA)),),
+    "hardsphere": ((("--kr",), (), ("--spin", "--polarization", *THETA)),
+                   (("--critical-scan",), (), ("--spin", "--polarization", "--step"))),
+}
+
+
+def _check_mode(name: str, options, args) -> None:
+    """DomainError unless the options given are one mode of MODES[name], whole.
+
+    An option is given when its parsed value differs from its default: argparse
+    passes a string default through the option's type, and parses nargs=2 to a list.
+    """
+    given = []
+    for flag, spec in options:
+        default = spec.get("default")
+        if isinstance(default, str) and "type" in spec:
+            default = spec["type"](default)
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if (tuple(value) if isinstance(value, list) else value) != default:
+            given.append(flag)
+    modes = MODES[name]
+    picks = [flag for flag in given if any(flag in mode[0] for mode in modes)]
+    found = [mode for mode in modes if set(mode[0]) == set(picks)]
+    if not found:
+        choices = " | ".join(" ".join(mode[0]) for mode in modes)
+        raise DomainError(f"{name} needs exactly one mode of {choices}; "
+                          f"got {' '.join(picks) or 'none'}")
+    [(selectors, requires, reads)] = found
+    mode = " ".join((name, *selectors))
+    missing = [flag for flag in requires if flag not in given]
+    if missing:
+        raise DomainError(f"{mode} requires {', '.join(missing)}")
+    unread = [flag for flag in given if flag not in (*selectors, *requires, *reads, "--format")]
+    if unread:
+        raise DomainError(f"{mode} takes no {', '.join(unread)}")
 
 
 def build_parser(prog: str) -> ArgumentParser:
@@ -347,6 +384,7 @@ def main(args=None, prog_name=None):
     command, parser = args.command
     try:
         args.constants = _constants()
+        _check_mode(command.__name__, dict(COMMANDS)[command], args)
         params, payload = command(args)
         envelope = OutputEnvelope({"command": command.__name__, **params}, args.constants,
                                   **payload)

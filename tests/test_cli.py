@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mott_ti.analysis import angle_grid
-from mott_ti.cli import build_parser, main
+from mott_ti.cli import COMMANDS, MODES, build_parser, main
 from mott_ti.constants import DEFAULT_CONSTANTS, load_constants
 from mott_ti.coulomb import critical_eta_numeric
 from mott_ti.hardsphere import find_critical_kR
@@ -320,25 +320,31 @@ def test_large_eta_curves_exit_0(runner, argv):
     (["angular", "--system", "alpha"], "--system requires --energy"),
     (["angular", "--system", "alpha-d", "--energy", "400"], "only identical pairs"),
     (["angular", "--eta", "1"], "--eta requires --spin"),
-    (["angular"], "provide either --system/--energy or --eta/--spin"),
+    (["angular"], "angular needs exactly one mode of --system | --system --incoherent-only"
+     " | --eta | --eta --incoherent-only; got none"),
     (["plateau", "--spin", "0", "--kr", "1", "--eta", "1"],
-     "--kr and --eta/--eta-critical are mutually exclusive"),
+     "plateau needs exactly one mode of --eta | --eta-critical | --kr; got --eta --kr"),
     (["hardsphere", "--spin", "0", "--kr", "1", "--critical-scan", "0.2", "3"],
-     "--kr and --critical-scan are mutually exclusive"),
+     "hardsphere needs exactly one mode of --kr | --critical-scan; got --kr --critical-scan"),
     (["plateau", "--spin", "0", "--eta", "2", "--theta-min", "10", "--theta-max", "100",
       "--theta-step", "10"], "odd-length grid symmetric about 90"),
     (["plateau", "--spin", "0", "--eta", "2", "--theta-min", "5", "--theta-max", "175",
       "--theta-step", "10"], "odd-length grid symmetric about 90"),
-    (["angular", "--eta", "1", "--spin", "0", "--energy", "5"],
-     "--energy and --catalog require --system"),
+    (["angular", "--eta", "1", "--spin", "0", "--energy", "5"], "angular --eta takes no --energy"),
     (["angular", "--eta", "1", "--spin", "0", "--catalog", str(BUILTIN_CATALOG)],
-     "--energy and --catalog require --system"),
+     "angular --eta takes no --catalog"),
     # an option of the other mode is refused, not ignored
     (["hardsphere", "--kr", "1.5", "--spin", "0", "--step", "7"], "--kr takes no --step"),
     (["hardsphere", "--critical-scan", "0.2", "3", "--spin", "0", "--theta-step", "1e-9"],
-     "--critical-scan takes no --theta-min, --theta-max or --theta-step"),
+     "hardsphere --critical-scan takes no --theta-step"),
     (["angular", "--eta", "1", "--spin", "1", "--incoherent-only"],
      "--incoherent-only takes no --spin"),
+    # options that played no part in the numbers, not echoed as if they had
+    (["critical", "--spin", "1", "--bracket", "1", "3"], "critical takes no --bracket"),
+    (["angular", "--eta", "1", "--incoherent-only", "--polarization", "aligned"],
+     "angular --eta --incoherent-only takes no --polarization"),
+    (["angular", "--system", "d", "--energy", "400", "--incoherent-only", "--polarization",
+      "aligned"], "angular --system --incoherent-only takes no --polarization"),
 ])
 def test_mode_conflicts_and_plateau_grids_exit_2(runner, argv, message):
     result = runner.invoke(main, argv)
@@ -349,6 +355,82 @@ def test_mode_conflicts_and_plateau_grids_exit_2(runner, argv, message):
 
 def test_hardsphere_requires_mode(runner):
     assert runner.invoke(main, ["hardsphere", "--spin", "0"]).exit_code == 2
+
+
+# The probe: from one baseline per mode of cli.MODES, each option given alone
+# with a valid value other than its default must exit 2 or change the document's
+# data lines, so no document echoes an option that played no part in its numbers.
+# Each baseline has spin != 0: at spin 0 the exchange weight is 1 under both
+# polarizations, and --polarization could change nothing.
+PROBE_BASELINES = [
+    ["critical", "--spin", "1"],
+    ["critical", "--spin", "1", "--numeric"],
+    ["angular", "--system", "d", "--energy", "400"],
+    ["angular", "--system", "d", "--energy", "400", "--incoherent-only"],
+    ["angular", "--eta", "1", "--spin", "1"],
+    ["angular", "--eta", "1", "--incoherent-only"],
+    ["table"],
+    ["plateau", "--spin", "1", "--eta", "2"],
+    ["plateau", "--spin", "1", "--eta-critical"],
+    ["plateau", "--spin", "1", "--kr", "1.5"],
+    ["sweep", "--spin", "1"],
+    ["hardsphere", "--spin", "1", "--kr", "1.5"],
+    # every step that finds the first root finds it to the same digits; --step 0.5
+    # puts both roots 2.46965 and 2.70435 in one cell and finds none (ROADMAP item 18)
+    ["hardsphere", "--spin", "9/2", "--critical-scan", "2.3", "3"],
+]
+# One probe value per option; CATALOG stands for a catalog whose d has Z = 2.
+# --theta-step 0.89 moves every plateau edge, where 0.25 or 1 can keep one.
+PROBE_VALUES = {
+    "--spin": ["2"], "--numeric": [], "--bracket": ["1", "3"], "--format": ["json"],
+    "--system": ["alpha"], "--energy": ["500"], "--eta": ["1.5"], "--polarization": ["aligned"],
+    "--incoherent-only": [], "--normalize": ["rutherford90"], "--theta-min": ["30"],
+    "--theta-max": ["150"], "--theta-step": ["0.89"], "--catalog": ["CATALOG"],
+    "--eta-critical": [], "--kr": ["2"], "--epsilon": ["0.01"], "--delta": ["0.1"],
+    "--critical-scan": ["2.5", "3"], "--step": ["0.5"],
+}
+# (baseline, option) pairs whose data lines stay the baseline's, with the reason
+PROBE_COINCIDENCES = {
+    ("angular --eta 1 --incoherent-only", "--eta"):
+        "--eta only picks the mode: the incoherent sum at a = 1 fm does not depend on eta",
+}
+PROBE_CASES = [(baseline, flag) for baseline in PROBE_BASELINES
+               for flag, _ in {c.__name__: o for c, o in COMMANDS}[baseline[0]]
+               if PROBE_VALUES[flag] or flag not in baseline]
+
+
+def data_lines(text):
+    return [line for line in text.splitlines() if not line.startswith("# ")]
+
+
+def test_the_probe_covers_every_mode_and_option():
+    for command, options in COMMANDS:
+        modes = MODES[command.__name__]
+        selectors = {flag for mode in modes for flag in mode[0]}
+        picked = sorted(sorted(selectors.intersection(argv))
+                        for argv in PROBE_BASELINES if argv[0] == command.__name__)
+        assert picked == sorted(sorted(mode[0]) for mode in modes)
+        assert {flag for flag, _ in options} <= PROBE_VALUES.keys()
+
+
+@pytest.mark.parametrize("baseline,flag", PROBE_CASES,
+                         ids=[f"{' '.join(b)} + {f}" for b, f in PROBE_CASES])
+def test_an_option_given_exits_2_or_changes_the_data(runner, tmp_path, baseline, flag):
+    catalog = tmp_path / "cat.txt"
+    catalog.write_text("d 2 2 2\n")
+    values = [str(catalog) if v == "CATALOG" else v for v in PROBE_VALUES[flag]]
+    argv = list(baseline)
+    if flag in argv:
+        start = argv.index(flag) + 1
+        argv[start:start + len(values)] = values
+    else:
+        argv += [flag, *values]
+    base = runner.invoke(main, baseline)
+    assert base.exit_code == 0, base.output
+    result = runner.invoke(main, argv)
+    assert result.exit_code in (0, 2), result.output
+    same = result.exit_code == 0 and data_lines(result.stdout) == data_lines(base.stdout)
+    assert same == ((" ".join(baseline), flag) in PROBE_COINCIDENCES), result.output
 
 
 @pytest.mark.parametrize("argv", [
@@ -597,6 +679,7 @@ PARITY_CASES = [
     ) for fmt in ("csv", "json")),
     (["plateau", "--spin", "0"], 2),
     (["hardsphere", "--kr", "1.5", "--spin", "0", "--step", "7"], 2),
+    (["critical", "--spin", "1", "--bracket", "1", "3"], 2),
     (["critical", "--spin", "1/2", "--numeric"], 3),
     (["--version"], 0),
 ]

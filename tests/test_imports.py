@@ -2,7 +2,8 @@
 every module-level name is used, nothing is cached between calls, no record
 is a dataclass, only constants.Record stores fields past Record.__setattr__,
 one phase-shift ladder builds the only Bessel table, every CLI command takes
-the parsed options alone, and importing the CLI loads only what it uses.
+the parsed options alone, one mode table covers every CLI option, and
+importing the CLI loads only what it uses.
 
 The package __init__ is exempt from the first two: its imports are the
 public re-exports.  For the third, a re-export is not a use: a name that
@@ -141,6 +142,22 @@ def test_one_command_shape():
     assert len(call_sites(cli, "OutputEnvelope")) == 1
     assert [command.__name__ for command, _ in COMMANDS
             if len(inspect.signature(command).parameters) != 1] == []
+
+
+def test_one_mode_table():
+    # cli.MODES declares every command's modes as (selectors, requires, reads),
+    # naming only that command's options; each option but --format has a use
+    from mott_ti.cli import COMMANDS, MODES
+
+    assert [command.__name__ for command, _ in COMMANDS] == list(MODES)
+    for command, options in COMMANDS:
+        modes = MODES[command.__name__]
+        flags = {flag for flag, _ in options}
+        named = {flag for mode in modes for part in mode for flag in part}
+        assert named <= flags, command.__name__
+        assert flags - named == {"--format"}, command.__name__
+        selectors = [frozenset(mode[0]) for mode in modes]
+        assert len(set(selectors)) == len(selectors), command.__name__
 
 
 def test_the_check_sees_a_call_site():
