@@ -13,8 +13,7 @@ reads; --format is always read, and --theta-* stands for --theta-min,
 --theta-max and --theta-step:
 
     command     selectors                  requires  reads
-    critical    (none)                     -         --spin
-    critical    --numeric                  -         --spin --bracket
+    critical    (none)                     -         --spin --numeric
     angular     --system                   --energy  --polarization --normalize --theta-* --catalog
     angular     --system --incoherent-only --energy  --normalize --theta-* --catalog
     angular     --eta                      --spin    --polarization --normalize --theta-*
@@ -26,7 +25,10 @@ reads; --format is always read, and --theta-* stands for --theta-min,
     hardsphere  --critical-scan            -         --spin --polarization --step
 
 Under --incoherent-only, --eta only picks the mode: the incoherent sum at
-a = 1 fm does not depend on eta, which is still range-checked.
+a = 1 fm does not depend on eta, which is still range-checked.  critical
+--numeric searches critical_eta_numeric's default bracket (0.5, 4), which
+holds eta_C for bosons up to 2s = 8; above that, and for every fermion, it
+exits 3.
 
 A command reads the parsed options (args.spin, args.theta_step, ...) and
 returns its parameter echo and its payload (columns, rows, scalars).  main
@@ -147,12 +149,10 @@ def critical(args):
     eta_c = critical_eta(args.spin)
     scalars = {"eta_critical": eta_c}
     if args.numeric:
-        eta_num = critical_eta_numeric(args.spin, args.bracket)
+        eta_num = critical_eta_numeric(args.spin)
         scalars["eta_critical_numeric"] = eta_num
         scalars["difference"] = eta_num - eta_c
-    params = {"spin": str(args.spin), "numeric": args.numeric,
-              "bracket_lo": args.bracket[0], "bracket_hi": args.bracket[1]}
-    return params, {"scalars": scalars}
+    return {"spin": str(args.spin), "numeric": args.numeric}, {"scalars": scalars}
 
 
 def angular(args):
@@ -181,6 +181,7 @@ def angular(args):
                   normalize=args.normalize or "none", **theta)
 
     if args.incoherent_only:
+        del params["polarization"]  # the incoherent sum does not read it
         values = incoherent_cross_sections(grid, a)
     else:
         mott = MottParams(a=a, eta=eta, spin=spin, polarization=args.polarization)
@@ -275,9 +276,6 @@ COMMANDS = (
     (critical, (
         SPIN,
         _flag("--numeric", "Also locate the critical eta numerically and report the difference."),
-        ("--bracket", {"type": float, "nargs": 2, "metavar": ("LO", "HI"),
-                       "default": critical_eta_numeric.__defaults__[0],  # its bracket
-                       "help": "Eta bracket for the numeric root search. [default: %(default)s]"}),
         FORMAT,
     )),
     (angular, (
@@ -317,7 +315,7 @@ THETA = tuple(flag for flag, _ in GRID)
 # Each command's modes as (selectors, requires, reads), by flag: the table of the
 # module docstring, which _check_mode enforces before any command runs.
 MODES = {
-    "critical": (((), (), ("--spin",)), (("--numeric",), (), ("--spin", "--bracket"))),
+    "critical": (((), (), ("--spin", "--numeric")),),
     "angular": (
         (("--system",), ("--energy",), ("--polarization", "--normalize", *THETA, "--catalog")),
         (("--system", "--incoherent-only"), ("--energy",), ("--normalize", *THETA, "--catalog")),
@@ -336,16 +334,17 @@ MODES = {
 def _check_mode(name: str, options, args) -> None:
     """DomainError unless the options given are one mode of MODES[name], whole.
 
-    An option is given when its parsed value differs from its default: argparse
-    passes a string default through the option's type, and parses nargs=2 to a list.
+    An option is given when its parsed value differs from its default, which
+    argparse passes through the option's type when it is a string.  A mode
+    without selectors reads every option of its command, so each refusal
+    names the option beside the selectors of the mode that refuses it.
     """
     given = []
     for flag, spec in options:
         default = spec.get("default")
         if isinstance(default, str) and "type" in spec:
             default = spec["type"](default)
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if (tuple(value) if isinstance(value, list) else value) != default:
+        if getattr(args, flag[2:].replace("-", "_")) != default:
             given.append(flag)
     modes = MODES[name]
     picks = [flag for flag in given if any(flag in mode[0] for mode in modes)]

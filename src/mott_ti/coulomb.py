@@ -90,14 +90,6 @@ def check_eta(eta: float) -> float:
     return eta
 
 
-def check_eta_bracket(bracket: tuple[float, float]) -> tuple[float, float]:
-    """`bracket` itself if 0 < lo < hi <= ETA_MAX; DomainError otherwise."""
-    lo, hi = bracket
-    if not check_eta(lo) < check_eta(hi):
-        raise DomainError(f"invalid eta bracket {bracket}")
-    return lo, hi
-
-
 def _pole(theta_deg: float) -> DivergenceError:
     return DivergenceError(f"theta = {theta_deg} deg: Coulomb cross section diverges at 0/180")
 
@@ -223,10 +215,13 @@ def critical_eta_numeric(spin: Spin, bracket: tuple[float, float] = (0.5, 4.0)) 
     numerics.bisect_root searches the bracket; near the root the
     finite-difference curvature is noise (about 1e-11 in eta), and the
     finder's evaluation cap ends a search that noise keeps open.
+    The bracket must satisfy 0 < lo < hi <= ETA_MAX (DomainError otherwise).
     Raises RootNotFoundError when the bracket contains no transition
     (always the case for fermions).
     """
-    lo, hi = check_eta_bracket(bracket)
+    lo, hi = bracket
+    if not check_eta(lo) < check_eta(hi):
+        raise DomainError(f"invalid eta bracket {bracket}")
 
     def curv(eta: float) -> float:
         return curvature_at_90_fd(MottParams(a=1.0, eta=eta, spin=spin))

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mott_ti.analysis import angle_grid
-from mott_ti.cli import COMMANDS, MODES, build_parser, main
+from mott_ti.cli import COMMANDS, MODES, THETA, build_parser, main
 from mott_ti.constants import DEFAULT_CONSTANTS, load_constants
-from mott_ti.coulomb import critical_eta_numeric
 from mott_ti.hardsphere import find_critical_kR
 from mott_ti.species import MASS_MAX, MASS_MIN, TWICE_S_MAX, Z_MAX
 from test_golden import strict_json
@@ -23,6 +23,7 @@ from test_golden import strict_json
 SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
 BUILTIN_CATALOG = SRC / "mott_ti" / "data" / "species.txt"
+README = SRC.parent / "README.md"
 
 
 @pytest.fixture
@@ -73,9 +74,11 @@ def test_critical_negative_spin_usage_error(runner):
 
 
 def test_critical_numeric_bad_bracket_exits_3(runner):
-    result = runner.invoke(main, ["critical", "--spin", "0", "--numeric",
-                                  "--bracket", "3", "4"])
+    # eta_C = sqrt(17) lies past the one bracket the search takes, (0.5, 4)
+    result = runner.invoke(main, ["critical", "--spin", "5", "--numeric"])
     assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "[0.5, 4.0]" in result.stderr
 
 
 def test_critical_numeric_fermion_exits_3(runner):
@@ -340,7 +343,6 @@ def test_large_eta_curves_exit_0(runner, argv):
     (["angular", "--eta", "1", "--spin", "1", "--incoherent-only"],
      "--incoherent-only takes no --spin"),
     # options that played no part in the numbers, not echoed as if they had
-    (["critical", "--spin", "1", "--bracket", "1", "3"], "critical takes no --bracket"),
     (["angular", "--eta", "1", "--incoherent-only", "--polarization", "aligned"],
      "angular --eta --incoherent-only takes no --polarization"),
     (["angular", "--system", "d", "--energy", "400", "--incoherent-only", "--polarization",
@@ -351,6 +353,31 @@ def test_mode_conflicts_and_plateau_grids_exit_2(runner, argv, message):
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     assert message in result.output
+
+
+def readme_modes():
+    """MODES as README's "Command line" table states it, with --theta-* expanded.
+
+    A row's selectors cell is none or alternatives in backquotes, each one mode
+    of the row's requires and reads.
+    """
+    def flags(names):
+        return tuple(flag for name in names
+                     for flag in (THETA if name == "--theta-*" else (name,)))
+
+    lines = README.read_text().splitlines()
+    start = lines.index("| command | selectors | requires | reads |") + 2
+    modes = {}
+    for line in lines[start:lines.index("", start)]:
+        cells = [re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|")]
+        [command], selectors, requires, reads = cells
+        modes[command] = modes.get(command, ()) + tuple(
+            (tuple(group.split()), flags(requires), flags(reads)) for group in selectors or [""])
+    return modes
+
+
+def test_readme_states_the_mode_table():
+    assert readme_modes() == MODES
 
 
 def test_hardsphere_requires_mode(runner):
@@ -364,7 +391,6 @@ def test_hardsphere_requires_mode(runner):
 # polarizations, and --polarization could change nothing.
 PROBE_BASELINES = [
     ["critical", "--spin", "1"],
-    ["critical", "--spin", "1", "--numeric"],
     ["angular", "--system", "d", "--energy", "400"],
     ["angular", "--system", "d", "--energy", "400", "--incoherent-only"],
     ["angular", "--eta", "1", "--spin", "1"],
@@ -382,7 +408,7 @@ PROBE_BASELINES = [
 # One probe value per option; CATALOG stands for a catalog whose d has Z = 2.
 # --theta-step 0.89 moves every plateau edge, where 0.25 or 1 can keep one.
 PROBE_VALUES = {
-    "--spin": ["2"], "--numeric": [], "--bracket": ["1", "3"], "--format": ["json"],
+    "--spin": ["2"], "--numeric": [], "--format": ["json"],
     "--system": ["alpha"], "--energy": ["500"], "--eta": ["1.5"], "--polarization": ["aligned"],
     "--incoherent-only": [], "--normalize": ["rutherford90"], "--theta-min": ["30"],
     "--theta-max": ["150"], "--theta-step": ["0.89"], "--catalog": ["CATALOG"],
@@ -445,13 +471,11 @@ def test_an_option_given_exits_2_or_changes_the_data(runner, tmp_path, baseline,
     ["hardsphere", "--spin", "0", "--critical-scan", "0.2", "3", "--step", "nan"],
     ["plateau", "--spin", "0", "--kr", "inf"],
     ["plateau", "--spin", "0", "--eta", "1", "--epsilon", "nan"],
-    ["critical", "--spin", "0", "--numeric", "--bracket", "-1", "4"],
     ["hardsphere", "--kr", "1e-100", "--spin", "0"],
     ["plateau", "--spin", "0", "--kr", "1e-100"],
     ["hardsphere", "--spin", "0", "--critical-scan", "1e-100", "1"],
     ["angular", "--spin", "0", "--eta", "1.7e308"],
     ["plateau", "--spin", "0", "--eta", "1.7e308"],
-    ["critical", "--spin", "0", "--numeric", "--bracket", "1e-300", "1.7e308"],
     ["angular", "--system", "alpha", "--energy", "5e-324"],
     ["angular", "--spin", "0", "--eta", "1", "--theta-min", "5e-324"],
     ["angular", "--eta", "1", "--incoherent-only", "--theta-min", "5e-324"],
@@ -460,9 +484,6 @@ def test_an_option_given_exits_2_or_changes_the_data(runner, tmp_path, baseline,
     ["angular", "--eta", "-1", "--incoherent-only"],
     ["angular", "--eta", "2e6", "--incoherent-only"],
     ["angular", "--eta", "nan", "--incoherent-only", "--format", "json"],
-    ["critical", "--spin", "0", "--bracket", "nan", "inf", "--format", "json"],
-    ["critical", "--spin", "0", "--bracket", "5", "1"],
-    ["critical", "--spin", "0", "--bracket", "0.5", "2e6"],
     ["angular", "--system", "alpha", "--energy", "397", "--spin", "1/2"],
     # the eta derived from --energy is checked in every mode: 2.8e6 here
     ["angular", "--system", "alpha", "--energy", "1e-10", "--incoherent-only"],
@@ -494,8 +515,6 @@ def grid_cases(argv):
 
 
 GUARD_CASES = [
-    ["critical", "--spin", "0", "--numeric", "--bracket", "X", "4"],
-    ["critical", "--spin", "0", "--numeric", "--bracket", "0.5", "X"],
     ["angular", "--system", "alpha", "--energy", "X"] + GRID,
     ["angular", "--system", "alpha", "--incoherent-only", "--energy", "X"] + GRID,
     ["angular", "--system", "alpha", "--normalize", "rutherford90", "--energy", "X"] + GRID,
@@ -660,8 +679,6 @@ def test_option_defaults_are_the_library_defaults():
         default(angle_grid, name) for name in ("start", "stop", "step"))
     assert parser.parse_args(["hardsphere", "--spin", "0"]).step == default(find_critical_kR,
                                                                              "step")
-    assert parser.parse_args(["critical", "--spin", "0"]).bracket == default(
-        critical_eta_numeric, "bracket")
 
 
 # ------------------------------------------- the subprocess and the in-process run
@@ -702,6 +719,8 @@ def test_subprocess_and_cli_runner_agree(argv, code):
     # no parser takes an abbreviated option
     (["plateau", "--spin", "0", "--eta-crit"], "unrecognized arguments: --eta-crit"),
     (["critical", "--spin", "1", "--num"], "unrecognized arguments: --num"),
+    # the numeric search takes one bracket, critical_eta_numeric's default
+    (["critical", "--spin", "1", "--bracket", "1", "3"], "unrecognized arguments: --bracket 1 3"),
     # only a plain negative number is read as a value; --option=VALUE takes any
     (["angular", "--eta", "-1e3", "--spin", "0"], "argument --eta: expected one argument"),
     (["angular", "--eta=-1e3", "--spin", "0"], "eta must lie in (0, 1e+06], got -1000.0"),
@@ -794,9 +813,9 @@ def test_constants_env_override(runner, tmp_path):
 
 
 # One argv per command and mode, each beside an argv that the command itself
-# refuses with exit 2
+# refuses with exit 2, or that fails with exit 3 (critical has no option to refuse)
 CONSTANTS_CASES = [
-    (["critical", "--spin", "0"], ["critical", "--spin", "0", "--bracket", "3", "2"]),
+    (["critical", "--spin", "0"], ["critical", "--spin", "1/2", "--numeric"]),
     (["angular", "--system", "alpha", "--energy", "400"] + GRID, ["angular", "--eta", "1"]),
     (["table"], ["table", "--catalog", "."]),
     (["plateau", "--spin", "0", "--eta-critical"], ["plateau", "--spin", "0"]),
@@ -823,7 +842,7 @@ def test_every_command_runs_on_the_constants_file(runner, tmp_path, argv, refuse
     assert json.loads(result.stdout)["metadata"]["constants_fingerprint"] == fingerprint
 
     plain = runner.invoke(main, refused, env={"MOTT_TI_CONSTANTS": None})
-    assert plain.exit_code == 2 and "cannot load constants" not in plain.output
+    assert plain.exit_code in (2, 3) and "cannot load constants" not in plain.output
     (tmp_path / "bad.txt").write_text("nonsense 1 2 3\n")
     bad = runner.invoke(main, refused, env={"MOTT_TI_CONSTANTS": str(tmp_path / "bad.txt")})
     assert bad.exit_code == 2

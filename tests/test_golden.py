@@ -49,7 +49,7 @@ def test_json_goldens_are_strict_json(name):
 
 @pytest.mark.parametrize("argv", [
     ["angular", "--eta", "nan", "--incoherent-only", "--format", "json"],
-    ["critical", "--spin", "0", "--bracket", "nan", "inf", "--format", "json"],
+    ["hardsphere", "--spin", "0", "--critical-scan", "0.2", "nan", "--format", "json"],
 ])
 def test_json_output_is_strict_json(argv):
     # a non-finite input is refused (exit 2, no document), never echoed as NaN

@@ -420,6 +420,64 @@ def test_phase_shifts_and_curvature_match_mpmath(kR):
         assert error <= (2e-15 if kR <= 0.2 else 1e-12), eps_w
 
 
+_XS_THETAS = (1.0, 30.0, 60.0, 89.5, 90.0, 150.0)
+
+
+@cache
+def _mp_cross_sections(kR):
+    """{theta: (sigma at eps w = +1, at -1)} at 40 digits, at hardsphere._cos(theta) itself.
+
+    The shifts, 10 waves past the ladder, come from the upward recurrences
+    of j_l and y_l at 80 digits: from kR = 10 on, j_l/y_l keeps 40 digits to
+    there.  P_l steps by its three-term recurrence, as mpmath.legendre takes
+    seconds per call at l ~ 1000.
+    """
+    with mpmath.workdps(80):
+        x = mpmath.mpf(kR)
+        sin_x, cos_x = mpmath.sin(x), mpmath.cos(x)
+        j = (sin_x / x, sin_x / x**2 - cos_x / x)  # j_l, j_{l+1}
+        y = (-cos_x / x, -cos_x / x**2 - sin_x / x)
+        deltas = []
+        for l in range(hard_sphere_phase_shifts(kR).l_max + 11):
+            deltas.append(mpmath.atan(j[0] / y[0]))
+            j = (j[1], (2 * l + 3) / x * j[1] - j[0])
+            y = (y[1], (2 * l + 3) / x * y[1] - y[0])
+    out = {}
+    with mpmath.workdps(40):
+        for theta in _XS_THETAS:
+            c = mpmath.mpf(abs(hardsphere._cos(theta)))
+            even = odd = mpmath.mpc(0)
+            q, p = mpmath.mpf(0), mpmath.mpf(1)  # P_{l-1}, P_l
+            for l, d in enumerate(deltas):
+                term = (2 * l + 1) * mpmath.expj(d) * mpmath.sin(d) * p
+                if l % 2:
+                    odd += term
+                else:
+                    even += term
+                q, p = p, ((2 * l + 1) * c * p - l * q) / (l + 1)
+            e2, o2 = abs(even) ** 2, abs(odd) ** 2
+            out[theta] = tuple(2 * ((1 + s) * e2 + (1 - s) * o2) / mpmath.mpf(kR) ** 2
+                               for s in (1, -1))
+    return out
+
+
+@pytest.mark.parametrize("kR", [10.0, 30.0, 100.0, 300.0, 1000.0])
+@pytest.mark.parametrize("spin,polarization,eps_w", [
+    (Spin(0), Polarization.UNPOLARIZED, 1),
+    (Spin(1), Polarization.ALIGNED, -1),
+], ids=["eps_w+1", "eps_w-1"])
+def test_cross_sections_match_mpmath_up_to_kr_max(kR, spin, polarization, eps_w):
+    # the bound stated in hs_cross_sections, relative to the larger of the
+    # values at eps w = +-1 at that angle
+    params = HardSphereParams(kR=kR, spin=spin, statistics=spin.statistics,
+                              polarization=polarization)
+    reference = _mp_cross_sections(kR)
+    for theta, value in zip(_XS_THETAS, hardsphere.hs_cross_sections(_XS_THETAS, params)):
+        plus, minus = reference[theta]
+        exact = plus if eps_w == 1 else minus
+        assert abs(value - exact) <= 5e-12 * max(plus, minus), theta
+
+
 @pytest.mark.parametrize("twice_s, polarization, limit", [
     (0, Polarization.UNPOLARIZED, 32.0 / 3.0),  # eps w = 1
     (1, Polarization.ALIGNED, 32.0),            # eps w = -1

@@ -146,7 +146,9 @@ def test_one_command_shape():
 
 def test_one_mode_table():
     # cli.MODES declares every command's modes as (selectors, requires, reads),
-    # naming only that command's options; each option but --format has a use
+    # naming only that command's options; each option but --format has a use.
+    # A mode without selectors reads every option but --format, so a refused
+    # option is always named beside the selectors of the mode that refuses it
     from mott_ti.cli import COMMANDS, MODES
 
     assert [command.__name__ for command, _ in COMMANDS] == list(MODES)
@@ -158,6 +160,9 @@ def test_one_mode_table():
         assert flags - named == {"--format"}, command.__name__
         selectors = [frozenset(mode[0]) for mode in modes]
         assert len(set(selectors)) == len(selectors), command.__name__
+        for selected, requires, reads in modes:
+            if not selected:
+                assert {*requires, *reads} == flags - {"--format"}, command.__name__
 
 
 def test_the_check_sees_a_call_site():
