@@ -153,7 +153,7 @@ def angle_grid(start: float = 1.0, stop: float = 179.0, step: float = 0.5) -> tu
 def _kernels(model: MottParams | HardSphereParams):
     """The model's cross sections sigmas(grid, model) and exact 90 deg curvature(model)."""
     if isinstance(model, MottParams):
-        return mott_cross_sections, lambda m: curvature_at_90(m, m.spin.statistics)
+        return mott_cross_sections, curvature_at_90
     if isinstance(model, HardSphereParams):
         return hs_cross_sections, hs_curvature_at_90
     raise TypeError(f"unsupported model type {type(model).__name__}")
@@ -225,7 +225,7 @@ def sensitivity_sweep(
     for eta in etas:
         params = MottParams(a=1.0, eta=eta, spin=spin)
         curves.append(build_curve(params, grid))
-        labels.append(classify_curvature(curvature_at_90(params, spin.statistics)))
+        labels.append(classify_curvature(curvature_at_90(params)))
     return SweepResult(
         etas=etas,
         curves=tuple(curves),

@@ -12,17 +12,17 @@ and so does any option given that the mode neither selects, requires nor
 reads; --format is always read, and --theta-* stands for --theta-min,
 --theta-max and --theta-step:
 
-    command     selectors                  requires  reads
-    critical    (none)                     -         --spin --numeric
-    angular     --system                   --energy  --polarization --normalize --theta-* --catalog
-    angular     --system --incoherent-only --energy  --normalize --theta-* --catalog
-    angular     --eta                      --spin    --polarization --normalize --theta-*
-    angular     --eta --incoherent-only    -         --normalize --theta-*
-    table       (none)                     -         --catalog
-    plateau     --eta, --eta-critical or --kr  -     --spin --polarization --epsilon --theta-*
-    sweep       (none)                     -         --spin --delta --theta-*
-    hardsphere  --kr                       -         --spin --polarization --theta-*
-    hardsphere  --critical-scan            -         --spin --polarization --step
+    command     selectors                      requires  reads
+    critical    (none)                         -         --spin --numeric
+    angular     --system                       --energy  --polarization --normalize --theta-* --catalog
+    angular     --system --incoherent-only     --energy  --normalize --theta-* --catalog
+    angular     --eta                          --spin    --polarization --normalize --theta-*
+    angular     --eta --incoherent-only        -         --normalize --theta-*
+    table       (none)                         -         --catalog
+    plateau     --eta, --eta-critical or --kr  -         --spin --polarization --epsilon --theta-*
+    sweep       (none)                         -         --spin --delta --theta-*
+    hardsphere  --kr                           -         --spin --polarization --theta-*
+    hardsphere  --critical-scan                -         --spin --polarization --step
 
 Under --incoherent-only, --eta only picks the mode: the incoherent sum at
 a = 1 fm does not depend on eta, which is still range-checked.  critical
@@ -212,8 +212,7 @@ def plateau(args):
     params = {"spin": str(spin), "polarization": polarization.value, "epsilon": args.epsilon,
               **theta}
     if args.kr is not None:
-        model = HardSphereParams(kR=args.kr, spin=spin, statistics=spin.statistics,
-                                 polarization=polarization)
+        model = HardSphereParams(kR=args.kr, spin=spin, polarization=polarization)
         params.update(model="hard-sphere", kR=args.kr)
     else:
         eta = critical_eta(spin, polarization) if args.eta_critical else args.eta
@@ -257,13 +256,11 @@ def hardsphere(args):
     pair = {"spin": str(spin), "statistics": spin.statistics.value,
             "polarization": polarization.value}
     if scan is not None:
-        root = find_critical_kR(spin, spin.statistics, tuple(scan), args.step,
-                                polarization=polarization)
+        root = find_critical_kR(spin, scan=tuple(scan), step=args.step, polarization=polarization)
         params = {**pair, "scan_lo": scan[0], "scan_hi": scan[1], "step": args.step}
         return params, {"scalars": {"critical_kR": root}}
     grid, theta = _grid(args)
-    model = HardSphereParams(kR=kr, spin=spin, statistics=spin.statistics,
-                             polarization=polarization)
+    model = HardSphereParams(kR=kr, spin=spin, polarization=polarization)
     curve = build_curve(model, grid)
     rows = list(zip(curve.thetas, curve.values))
     return {"kR": kr, **pair, **theta}, {"columns": ["theta_deg", "sigma_over_R2"], "rows": rows}
@@ -305,7 +302,7 @@ COMMANDS = (
         KR, SPIN, POLARIZATION,
         ("--critical-scan", {"type": float, "nargs": 2, "metavar": ("LO", "HI"), "help":
                              "Scan [LO, HI] for the critical kR; prints 'none' when absent."}),
-        ("--step", {"type": float, "default": find_critical_kR.__defaults__[1],  # its step
+        ("--step", {"type": float, "default": find_critical_kR.__defaults__[-2],  # its step
                     "help": "Scan step in kR. [default: %(default)s]"}),
         *GRID, FORMAT,
     )),

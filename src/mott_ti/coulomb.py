@@ -193,13 +193,13 @@ def curvature_at_90_fd(params: MottParams) -> float:
     return half_angle_curvature(second_derivative(sigma.__getitem__, 90.0, CURVATURE_STEP_DEG))
 
 
-def curvature_at_90(params: MottParams, statistics: Statistics) -> float:
+def curvature_at_90(params: MottParams, statistics: Statistics | None = None) -> float:
     """Half-angle curvature of the cross section at 90 deg, 16 a^2 [3 + eps w (1 - 2 eta^2)].
 
     HALF_ANGLE_FACTOR times the curvature in theta at 90 deg: 12 a^2 from the
     incoherent sum and 4 a^2 (1 - 2 eta^2) from the interference term, which
-    combine with the sign eps and weight w of the cross sections.  `statistics`
-    must match the spin; the sign itself comes from the spin.
+    combine with the sign eps and weight w of the cross sections, both from the
+    spin.  `statistics` is optional and only checked: a mismatch raises DomainError.
     """
     check_statistics(params.spin, statistics)
     a2 = params.a**2

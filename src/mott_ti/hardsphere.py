@@ -91,18 +91,20 @@ class PhaseShiftSet(Record):
 
 
 class HardSphereParams(Record):
+    """Hard-sphere curve inputs; `statistics` is optional, only checked, and stored as the spin's."""
+
     __slots__ = ("kR", "spin", "statistics", "polarization")
 
     def __init__(
         self,
         kR: float,
         spin: Spin,
-        statistics: Statistics,
+        statistics: Statistics | None = None,
         polarization: Polarization = Polarization.UNPOLARIZED,
     ) -> None:
         _check_kR(kR)
         check_statistics(spin, statistics)
-        self._store(kR, spin, statistics, polarization)
+        self._store(kR, spin, spin.statistics, polarization)
 
 
 def _check_kR(kR: float) -> None:
@@ -290,16 +292,17 @@ def _curvature_at_90(kR: float, eps_w: float) -> float:
 
 def find_critical_kR(
     spin: Spin,
-    statistics: Statistics,
+    statistics: Statistics | None = None,
     scan: tuple[float, float] = (0.2, 3.0),
     step: float = 0.05,
     polarization: Polarization = Polarization.UNPOLARIZED,
 ) -> float | None:
     """Smallest kR in `scan` where the 90 deg curvature changes sign, or None.
 
-    Scans lo, lo + step, ... (at most MAX_POINTS points), then hands the
-    first bracketing pair and its two curvatures to numerics.bisect_root,
-    which ends a few ulps from the root.  Absence of a transition is a valid
+    `statistics` is optional and only checked against the spin.  Scans lo,
+    lo + step, ... (at most MAX_POINTS points), then hands the first
+    bracketing pair and its two curvatures to numerics.bisect_root, which
+    ends a few ulps from the root.  Absence of a transition is a valid
     result, not an error.  A point less than step/2 past hi moves onto hi and
     one further out ends the scan, so a sign change up to step/2 short of hi
     can be missed: spin 0 on (0.23, 1.45) stops at 1.43 and returns None,

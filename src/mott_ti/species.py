@@ -90,9 +90,9 @@ class Spin(Record):
         return str(self.twice_s // 2) if self.twice_s % 2 == 0 else f"{self.twice_s}/2"
 
 
-def check_statistics(spin: Spin, statistics: Statistics) -> None:
-    """Raise DomainError unless a caller's statistics matches the spin's parity."""
-    if statistics is not spin.statistics:
+def check_statistics(spin: Spin, statistics: Statistics | None) -> None:
+    """Raise DomainError unless a caller's statistics, if given, matches the spin's parity."""
+    if statistics is not None and statistics is not spin.statistics:
         raise DomainError(
             f"spin {spin} implies {spin.statistics.value}, got {statistics.value}"
         )

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mott_ti import cli
 from mott_ti.analysis import angle_grid
 from mott_ti.cli import COMMANDS, MODES, THETA, build_parser, main
 from mott_ti.constants import DEFAULT_CONSTANTS, load_constants
@@ -355,16 +356,17 @@ def test_mode_conflicts_and_plateau_grids_exit_2(runner, argv, message):
     assert message in result.output
 
 
+def mode_flags(names):
+    """The flags of a mode table cell, with --theta-* expanded."""
+    return tuple(flag for name in names for flag in (THETA if name == "--theta-*" else (name,)))
+
+
 def readme_modes():
     """MODES as README's "Command line" table states it, with --theta-* expanded.
 
     A row's selectors cell is none or alternatives in backquotes, each one mode
     of the row's requires and reads.
     """
-    def flags(names):
-        return tuple(flag for name in names
-                     for flag in (THETA if name == "--theta-*" else (name,)))
-
     lines = README.read_text().splitlines()
     start = lines.index("| command | selectors | requires | reads |") + 2
     modes = {}
@@ -372,12 +374,55 @@ def readme_modes():
         cells = [re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|")]
         [command], selectors, requires, reads = cells
         modes[command] = modes.get(command, ()) + tuple(
-            (tuple(group.split()), flags(requires), flags(reads)) for group in selectors or [""])
+            (tuple(group.split()), mode_flags(requires), mode_flags(reads))
+            for group in selectors or [""])
     return modes
 
 
 def test_readme_states_the_mode_table():
     assert readme_modes() == MODES
+
+
+def docstring_modes(doc):
+    """MODES as the table in the cli module docstring `doc` states it.
+
+    Each cell is cut at the columns where the header names begin.  A row's
+    selectors cell is (none) or alternatives split at ", " and " or ", each
+    one mode of the row's requires and reads; a requires cell of - is empty.
+    """
+    lines = doc.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.split() == ["command", "selectors", "requires", "reads"])
+    cuts = [0, *(lines[start].index(name) for name in ("selectors", "requires", "reads")), None]
+    modes = {}
+    for line in lines[start + 1:lines.index("", start)]:
+        command, selectors, requires, reads = (line[a:b].strip() for a, b in zip(cuts, cuts[1:]))
+        groups = [""] if selectors == "(none)" else re.split(r", | or ", selectors)
+        requires = () if requires == "-" else requires.split()
+        modes[command] = modes.get(command, ()) + tuple(
+            (tuple(group.split()), mode_flags(requires), mode_flags(reads.split()))
+            for group in groups)
+    return modes
+
+
+def test_cli_docstring_states_the_mode_table():
+    assert docstring_modes(cli.__doc__) == MODES
+
+
+def test_the_check_reads_the_docstring_table_by_column():
+    header = "\n    command     selectors                  requires  reads\n"
+    aligned = ("    table       (none)                     -         --catalog\n"
+               "    plateau     --eta or --kr              -         --theta-*\n"
+               "    angular     --eta --incoherent-only    --spin    --normalize\n\n")
+    assert docstring_modes(header + aligned) == {
+        "table": (((), (), ("--catalog",)),),
+        "plateau": ((("--eta",), (), THETA), (("--kr",), (), THETA)),
+        "angular": ((("--eta", "--incoherent-only"), ("--spin",), ("--normalize",)),),
+    }
+    # a selectors cell that runs past the requires column is cut there
+    overrun = "    plateau     --eta, --eta-critical or --kr  -     --spin\n\n"
+    assert docstring_modes(header + overrun) == {"plateau": tuple(
+        ((group,), ("kr", "-"), ("--spin",)) for group in ("--eta", "--eta-critical", "--"))}
 
 
 def test_hardsphere_requires_mode(runner):

@@ -336,6 +336,16 @@ def test_statistics_spin_mismatch_raises():
         curvature_at_90(p, Statistics.FERMION)
 
 
+@pytest.mark.parametrize("polarization", list(Polarization))
+@pytest.mark.parametrize("twice_s", range(10))
+def test_omitting_statistics_changes_no_curvature(twice_s, polarization):
+    # the statistics argument is optional and only checked: the sign is the spin's
+    spin = Spin(twice_s)
+    for eta in (0.3, 1.0, SQRT2, 3.0):
+        params = MottParams(a=1.5, eta=eta, spin=spin, polarization=polarization)
+        assert curvature_at_90(params) == curvature_at_90(params, spin.statistics)
+
+
 def test_aligned_equals_unpolarized_for_spin0():
     unpol = MottParams(a=1.0, eta=SQRT2, spin=Spin(0))
     aligned = MottParams(a=1.0, eta=SQRT2, spin=Spin(0), polarization=Polarization.ALIGNED)

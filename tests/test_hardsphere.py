@@ -20,6 +20,7 @@ from mott_ti import (
     find_critical_kR,
     hard_sphere_phase_shifts,
     hs_amplitude,
+    hs_cross_sections,
     hs_curvature_at_90,
     hs_identical_cross_section,
     legendre_p_table,
@@ -577,6 +578,22 @@ def test_statistics_mismatch_raises():
         HardSphereParams(kR=1.0, spin=Spin(0), statistics=Statistics.FERMION)
     with pytest.raises(DomainError):
         find_critical_kR(Spin(0), Statistics.FERMION)
+
+
+@pytest.mark.parametrize("polarization", list(Polarization))
+@pytest.mark.parametrize("twice_s", range(10))
+def test_omitting_statistics_changes_no_result(twice_s, polarization):
+    # the statistics argument is optional and only checked: the record stores
+    # the spin's, so every cross section and root keeps its bits
+    spin = Spin(twice_s)
+    grid = (30.0, 89.5, 90.0, 151.0)
+    for kR in (0.3, 1.5, 4.0):
+        given = HardSphereParams(kR, spin, spin.statistics, polarization)
+        omitted = HardSphereParams(kR, spin, polarization=polarization)
+        assert omitted == given and omitted.statistics is spin.statistics
+        assert hs_cross_sections(grid, omitted) == hs_cross_sections(grid, given)
+    scan = {"scan": (0.2, 3.0), "step": 0.05, "polarization": polarization}
+    assert find_critical_kR(spin, **scan) == find_critical_kR(spin, spin.statistics, **scan)
 
 
 @pytest.mark.parametrize("kR", [math.nan, math.inf, -1.0])

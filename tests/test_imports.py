@@ -2,8 +2,9 @@
 every module-level name is used, nothing is cached between calls, no record
 is a dataclass, only constants.Record stores fields past Record.__setattr__,
 one phase-shift ladder builds the only Bessel table, every CLI command takes
-the parsed options alone, one mode table covers every CLI option, and
-importing the CLI loads only what it uses.
+the parsed options alone, one mode table covers every CLI option, no call
+passes a statistics that the spin decides, and importing the CLI loads only
+what it uses.
 
 The package __init__ is exempt from the first two: its imports are the
 public re-exports.  For the third, a re-export is not a use: a name that
@@ -112,15 +113,16 @@ def test_the_check_sees_an_unused_module_name():
     ]
 
 
-def call_sites(sources: dict[str, str], name: str) -> list[str]:
-    """Calls of `name`, bare or as an attribute, in each module of `sources`."""
+def call_sites(sources: dict[str, str], name: str, where=lambda call: True) -> list[str]:
+    """Calls of `name`, bare or as an attribute, that satisfy `where`, in each module."""
     out = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == name and where(node):
                 out.append(f"{module} (line {node.lineno})")
     return out
 
@@ -174,6 +176,38 @@ def test_the_check_sees_a_call_site():
     }
     assert call_sites(sources, "spherical_bessel_j_table") == ["hardsphere (line 4)"]
     assert call_sites(sources, "spherical_bessel_y_table") == ["hardsphere (line 5)"]
+
+
+# The callables that still take an optional statistics, each with the number of
+# arguments before it.  The spin decides the statistics, so no call passes one.
+STATISTICS_AFTER = {"HardSphereParams": 2, "find_critical_kR": 1, "curvature_at_90": 1}
+
+
+def statistics_arguments(sources: dict[str, str]) -> list[str]:
+    """Calls of STATISTICS_AFTER's callables that pass a statistics, by keyword or position."""
+    return [site for name, before in STATISTICS_AFTER.items()
+            for site in call_sites(sources, name, lambda call: len(call.args) > before
+                                   or any(k.arg == "statistics" for k in call.keywords))]
+
+
+def test_no_call_passes_a_statistics():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert statistics_arguments(sources) == []
+
+
+def test_the_check_sees_a_statistics_argument():
+    sources = {
+        "cli": ("model = HardSphereParams(kR=1.0, spin=spin, statistics=spin.statistics)\n"
+                "root = hardsphere.find_critical_kR(spin, spin.statistics)\n"
+                "none = find_critical_kR(spin, scan=(0.2, 3.0), step=0.05)\n"),
+        "analysis": ("c = curvature_at_90(params)\n"
+                     "d = curvature_at_90(params, Statistics.BOSON)\n"
+                     "hs = HardSphereParams(1.5, spin, polarization=polarization)\n"
+                     "bad = HardSphereParams(1.5, spin, None, polarization)\n"),
+    }
+    assert statistics_arguments(sources) == [
+        "cli (line 1)", "analysis (line 4)", "cli (line 2)", "analysis (line 2)",
+    ]
 
 
 # functools' memoizing decorators: the package keeps no state between calls

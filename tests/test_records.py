@@ -52,7 +52,7 @@ RECORDS = {
                  {"polarization": Polarization.UNPOLARIZED}),
     PhaseShiftSet: (lambda: (0.5, (-0.5,), (cmath.rect(-0.479425538604203, -0.5),)), {}),
     HardSphereParams: (lambda: (1.4, Spin(1), Statistics.FERMION, Polarization.ALIGNED),
-                       {"polarization": Polarization.UNPOLARIZED}),
+                       {"statistics": None, "polarization": Polarization.UNPOLARIZED}),
     CrossSectionCurve: (lambda: ((45.0, 90.0, 135.0), (3.0, 2.0, 3.0), _mott()), {}),
     PlateauReport: (lambda: (80.0, 100.0, 20.0, 1.5, 2.0), {}),
     SweepResult: (lambda: ((1.3, 1.41, 1.5), (_curve(), _curve(), _curve()),
@@ -103,6 +103,8 @@ def test_defaults(cls):
     make, defaults = RECORDS[cls]
     required = make()[:len(cls.__slots__) - len(defaults)]
     record = cls(*required)
+    if cls is HardSphereParams:
+        defaults = {**defaults, "statistics": record.spin.statistics}  # None stores the spin's
     assert {name: getattr(record, name) for name in defaults} == defaults
 
 
