@@ -5,24 +5,13 @@ embeds the parameters that produced it.  Exit codes: 0 success (including
 a scan that finds nothing), 2 usage or validation error, 3 numerical
 failure (a root was asserted but the bracket holds no sign change).
 
-One rule, declared once in MODES, says which options go together.  An
-option is given when its parsed value differs from its default.  The
-selectors given pick the command's mode.  A missing requirement exits 2,
-and so does any option given that the mode neither selects, requires nor
-reads; --format is always read, and --theta-* stands for --theta-min,
---theta-max and --theta-step:
-
-    command     selectors                      requires  reads
-    critical    (none)                         -         --spin --numeric
-    angular     --system                       --energy  --polarization --normalize --theta-* --catalog
-    angular     --system --incoherent-only     --energy  --normalize --theta-* --catalog
-    angular     --eta                          --spin    --polarization --normalize --theta-*
-    angular     --eta --incoherent-only        -         --normalize --theta-*
-    table       (none)                         -         --catalog
-    plateau     --eta, --eta-critical or --kr  -         --spin --polarization --epsilon --theta-*
-    sweep       (none)                         -         --spin --delta --theta-*
-    hardsphere  --kr                           -         --spin --polarization --theta-*
-    hardsphere  --critical-scan                -         --spin --polarization --step
+One rule, declared once in MODES, says which options go together, and
+README's "Command line" section shows it as a table.  An option is given
+when its parsed value differs from its default.  The selectors given pick
+the command's mode.  A missing requirement exits 2, and so does any option
+given that the mode neither selects, requires nor reads; --format is always
+read.  A command that MODES does not list has one mode, which reads every
+option the command takes.
 
 Under --incoherent-only, --eta only picks the mode: the incoherent sum at
 a = 1 fm does not depend on eta, which is still range-checked.  critical
@@ -309,20 +298,18 @@ COMMANDS = (
 )
 
 THETA = tuple(flag for flag, _ in GRID)
-# Each command's modes as (selectors, requires, reads), by flag: the table of the
-# module docstring, which _check_mode enforces before any command runs.
+# Each command's modes as (selectors, requires, reads), by flag, which
+# _check_mode enforces before any command runs.  A command with one mode,
+# which reads every option it takes, has no entry.
 MODES = {
-    "critical": (((), (), ("--spin", "--numeric")),),
     "angular": (
         (("--system",), ("--energy",), ("--polarization", "--normalize", *THETA, "--catalog")),
         (("--system", "--incoherent-only"), ("--energy",), ("--normalize", *THETA, "--catalog")),
         (("--eta",), ("--spin",), ("--polarization", "--normalize", *THETA)),
         (("--eta", "--incoherent-only"), (), ("--normalize", *THETA)),
     ),
-    "table": (((), (), ("--catalog",)),),
     "plateau": tuple(((flag,), (), ("--spin", "--polarization", "--epsilon", *THETA))
                      for flag in ("--eta", "--eta-critical", "--kr")),
-    "sweep": (((), (), ("--spin", "--delta", *THETA)),),
     "hardsphere": ((("--kr",), (), ("--spin", "--polarization", *THETA)),
                    (("--critical-scan",), (), ("--spin", "--polarization", "--step"))),
 }
@@ -331,11 +318,14 @@ MODES = {
 def _check_mode(name: str, options, args) -> None:
     """DomainError unless the options given are one mode of MODES[name], whole.
 
-    An option is given when its parsed value differs from its default, which
-    argparse passes through the option's type when it is a string.  A mode
-    without selectors reads every option of its command, so each refusal
-    names the option beside the selectors of the mode that refuses it.
+    A command without an entry has one mode, which reads every option, so
+    there is nothing to check.  An option is given when its parsed value
+    differs from its default, which argparse passes through the option's
+    type when it is a string.
     """
+    modes = MODES.get(name)
+    if modes is None:
+        return
     given = []
     for flag, spec in options:
         default = spec.get("default")
@@ -343,7 +333,6 @@ def _check_mode(name: str, options, args) -> None:
             default = spec["type"](default)
         if getattr(args, flag[2:].replace("-", "_")) != default:
             given.append(flag)
-    modes = MODES[name]
     picks = [flag for flag in given if any(flag in mode[0] for mode in modes)]
     found = [mode for mode in modes if set(mode[0]) == set(picks)]
     if not found:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,6 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mott_ti import cli
 from mott_ti.analysis import angle_grid
 from mott_ti.cli import COMMANDS, MODES, THETA, build_parser, main
 from mott_ti.constants import DEFAULT_CONSTANTS, load_constants
@@ -86,6 +86,17 @@ def test_critical_numeric_fermion_exits_3(runner):
     # fermions have no Coulomb transition; asserting a root is a numerical failure
     result = runner.invoke(main, ["critical", "--spin", "1/2", "--numeric"])
     assert result.exit_code == 3
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1B: a fermion has no critical eta")
+@pytest.mark.parametrize("argv", [
+    ["critical", "--spin", "1/2"],
+    ["plateau", "--spin", "1/2", "--eta-critical"],
+    ["sweep", "--spin", "1/2"],
+])
+def test_no_critical_eta_for_fermions(runner, argv):
+    # each exits 0 today, and critical prints eta_C 1.87082869
+    assert runner.invoke(main, argv).exit_code == 2
 
 
 # --------------------------------------------------------------------- angular
@@ -241,6 +252,18 @@ def test_table_output(runner):
     assert table["6Li"]["note"] == ""
 
 
+def test_table_note_needs_both_forms_off_the_reference(runner, tmp_path):
+    # a d of mass number 4: the scaling form gives 842.5 barn, but the direct
+    # one lies 4% from the reference 135
+    cat = tmp_path / "cat.txt"
+    cat.write_text("d 1 4 2\n")
+    result = runner.invoke(main, ["table", "--catalog", str(cat)])
+    assert result.exit_code == 0
+    [row] = csv_table(result.output)
+    assert float(row["sigma90_direct_barn"]) == pytest.approx(140.45, rel=1e-4)
+    assert row["note"] == ""
+
+
 # --------------------------------------------------------------------- plateau
 
 def test_plateau_critical_spin0(runner):
@@ -364,8 +387,8 @@ def mode_flags(names):
 def readme_modes():
     """MODES as README's "Command line" table states it, with --theta-* expanded.
 
-    A row's selectors cell is none or alternatives in backquotes, each one mode
-    of the row's requires and reads.
+    A row's selectors cell is alternatives in backquotes, each one mode of the
+    row's requires and reads.
     """
     lines = README.read_text().splitlines()
     start = lines.index("| command | selectors | requires | reads |") + 2
@@ -375,63 +398,52 @@ def readme_modes():
         [command], selectors, requires, reads = cells
         modes[command] = modes.get(command, ()) + tuple(
             (tuple(group.split()), mode_flags(requires), mode_flags(reads))
-            for group in selectors or [""])
+            for group in selectors)
     return modes
 
 
 def test_readme_states_the_mode_table():
     assert readme_modes() == MODES
+    # and names the commands it leaves out, each with one mode
+    rest = [f"`{command.__name__}`" for command, _ in COMMANDS if command.__name__ not in MODES]
+    text = " ".join(README.read_text().split())
+    assert f"{', '.join(rest[:-1])} and {rest[-1]} have one mode each," in text
 
 
-def docstring_modes(doc):
-    """MODES as the table in the cli module docstring `doc` states it.
-
-    Each cell is cut at the columns where the header names begin.  A row's
-    selectors cell is (none) or alternatives split at ", " and " or ", each
-    one mode of the row's requires and reads; a requires cell of - is empty.
+def readme_examples():
+    """Each `mott-ti` line of README's sh blocks, as its argv and the result
+    that its comment quotes ("none" or a decimal number), or None.
     """
-    lines = doc.splitlines()
-    start = next(i for i, line in enumerate(lines)
-                 if line.split() == ["command", "selectors", "requires", "reads"])
-    cuts = [0, *(lines[start].index(name) for name in ("selectors", "requires", "reads")), None]
-    modes = {}
-    for line in lines[start + 1:lines.index("", start)]:
-        command, selectors, requires, reads = (line[a:b].strip() for a, b in zip(cuts, cuts[1:]))
-        groups = [""] if selectors == "(none)" else re.split(r", | or ", selectors)
-        requires = () if requires == "-" else requires.split()
-        modes[command] = modes.get(command, ()) + tuple(
-            (tuple(group.split()), mode_flags(requires), mode_flags(reads.split()))
-            for group in groups)
-    return modes
+    out = []
+    for block in README.read_text().split("```sh\n")[1:]:
+        for line in block[:block.index("```")].splitlines():
+            command, _, comment = line.partition("#")
+            if command.startswith("mott-ti "):
+                quoted = re.search(r'"(\w+)"|\d+\.\d+', comment)
+                out.append((shlex.split(command)[1:], quoted and (quoted[1] or quoted[0])))
+    return out
 
 
-def test_cli_docstring_states_the_mode_table():
-    assert docstring_modes(cli.__doc__) == MODES
+README_EXAMPLES = readme_examples()
 
 
-def test_the_check_reads_the_docstring_table_by_column():
-    header = "\n    command     selectors                  requires  reads\n"
-    aligned = ("    table       (none)                     -         --catalog\n"
-               "    plateau     --eta or --kr              -         --theta-*\n"
-               "    angular     --eta --incoherent-only    --spin    --normalize\n\n")
-    assert docstring_modes(header + aligned) == {
-        "table": (((), (), ("--catalog",)),),
-        "plateau": ((("--eta",), (), THETA), (("--kr",), (), THETA)),
-        "angular": ((("--eta", "--incoherent-only"), ("--spin",), ("--normalize",)),),
-    }
-    # a selectors cell that runs past the requires column is cut there
-    overrun = "    plateau     --eta, --eta-critical or --kr  -     --spin\n\n"
-    assert docstring_modes(header + overrun) == {"plateau": tuple(
-        ((group,), ("kr", "-"), ("--spin",)) for group in ("--eta", "--eta-critical", "--"))}
+@pytest.mark.parametrize("argv,quoted", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_examples_run(runner, argv, quoted):
+    result = runner.invoke(main, argv, env={"MOTT_TI_CONSTANTS": None})
+    assert result.exit_code == 0, result.output
+    if quoted:
+        assert data_lines(result.stdout)[-1] == quoted
 
 
 def test_hardsphere_requires_mode(runner):
     assert runner.invoke(main, ["hardsphere", "--spin", "0"]).exit_code == 2
 
 
-# The probe: from one baseline per mode of cli.MODES, each option given alone
-# with a valid value other than its default must exit 2 or change the document's
-# data lines, so no document echoes an option that played no part in its numbers.
+# The probe: from one baseline per mode of cli.MODES, and one per command it
+# does not list, each option given alone with a valid value other than its
+# default must exit 2 or change the document's data lines, so no document
+# echoes an option that played no part in its numbers.
 # Each baseline has spin != 0: at spin 0 the exchange weight is 1 under both
 # polarizations, and --polarization could change nothing.
 PROBE_BASELINES = [
@@ -476,7 +488,7 @@ def data_lines(text):
 
 def test_the_probe_covers_every_mode_and_option():
     for command, options in COMMANDS:
-        modes = MODES[command.__name__]
+        modes = MODES.get(command.__name__, [((), (), ())])  # no entry: one mode, no selectors
         selectors = {flag for mode in modes for flag in mode[0]}
         picked = sorted(sorted(selectors.intersection(argv))
                         for argv in PROBE_BASELINES if argv[0] == command.__name__)

@@ -35,6 +35,14 @@ def test_golden_output(case):
     assert stdout == (GOLDEN / f"{case['name']}.out").read_bytes()
 
 
+def test_every_golden_file_belongs_to_a_case():
+    # each case has its .out and .exit, and no file outlives its case
+    names = [c["name"] for c in CASES]
+    assert len(set(names)) == len(names)
+    files = {f"{name}{suffix}" for name in names for suffix in (".out", ".exit")}
+    assert {path.name for path in GOLDEN.iterdir()} == files | {"cases.json"}
+
+
 def strict_json(text):
     """json.loads that refuses NaN and Infinity, which are not JSON."""
     def refuse(name):

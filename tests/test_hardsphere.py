@@ -759,6 +759,15 @@ def test_scan_finds_the_first_of_two_roots_in_one_cell():
     assert root is not None and f"{root:.8f}" == "2.46965055"
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1B: the scan stops short of hi")
+def test_scan_sees_a_sign_change_next_to_hi():
+    # the grid 0.23, 0.28, ... ends at 1.43, since 1.48 lies more than step/2
+    # past hi, so the sign change at 1.44677 is never bracketed; the scan
+    # (0.23, 1.46) moves 1.48 onto hi and returns 1.4467706740563588
+    root = find_critical_kR(Spin(0), scan=(0.23, 1.45))
+    assert root == pytest.approx(1.44677, abs=1e-5)
+
+
 def test_scan_validation():
     with pytest.raises(DomainError):
         find_critical_kR(Spin(0), Statistics.BOSON, scan=(0.0, 3.0))
