@@ -7,12 +7,12 @@ rather than returned as inf.  Cross sections are fm^2/sr for a in fm.
 Every Coulomb cross section is one evaluation in S = cos(theta) and
 C = sin(theta), a sum of non-negative terms taken once per folded angle
 min(theta, 180 - theta): it is never negative and exactly even about 90
-degrees, and a value past float range raises DivergenceError.  Two calls
+degrees, and a value past float range raises DivergenceError.  Three calls
 share it: mott_cross_sections, sigma_inc + eps w sigma_int for an identical
-pair, which takes eps w once per call; and incoherent_cross_sections,
-sigma_inc alone (eps w = 0).  check_a and check_eta bound a and eta for
-both.  identical_cross_section and curvature_at_90_fd each make one
-mott_cross_sections call, at one angle and at the 7 stencil angles.
+pair, which takes eps w once per call; incoherent_cross_sections, sigma_inc
+alone (eps w = 0); and the finite-difference kernel below.  check_a and
+check_eta bound a and eta for all three.  identical_cross_section makes one
+mott_cross_sections call.
 
 Curvature convention: curvature_at_90 is the second derivative of the
 cross section with respect to the HALF-angle theta/2, i.e. 4 times
@@ -20,7 +20,11 @@ d^2(sigma)/d(theta)^2.  One closed form covers both statistics and both
 polarizations, 16 a^2 [3 + eps w (1 - 2 eta^2)] (eps = +1 for bosons, -1
 for fermions; w = 1 aligned, 1/(2s+1) unpolarized); its sign classifies
 90 degrees as a local minimum (> 0) or maximum (< 0).  Finite differences
-(curvature_at_90_fd) serve only as the independent check of that form.
+serve only as the independent check of that form, through one kernel,
+_fd_curvature: one _cross_sections call at the module-level 7-angle stencil
+_STENCIL, then second_derivative.  curvature_at_90_fd applies it to one
+MottParams; critical_eta_numeric checks eta at its bracket and takes eps w
+once per search, then applies it at each eta with no MottParams.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ A_MIN = 3e-154
 
 # Degrees to radians, as math.radians multiplies.
 _TO_RAD = math.pi / 180.0
+
+# The 7 angles 90 + k h, h = CURVATURE_STEP_DEG/2, at which
+# numerics.second_derivative reads f: the stencil of _fd_curvature.
+_STENCIL = tuple(90.0 + k * (CURVATURE_STEP_DEG / 2.0) for k in (-4, -2, -1, 0, 1, 2, 4))
 
 # Smallest normal float: a C^2 below it puts sigma past float range (see
 # mott_cross_sections).
@@ -178,19 +186,28 @@ def incoherent_cross_sections(thetas: tuple[float, ...], a: float) -> tuple[floa
     return _cross_sections(thetas, check_a(a), 0.0, 0.0)
 
 
+def _fd_curvature(a: float, eta: float, eps_w: float) -> float:
+    """The one finite-difference kernel: curvature_at_90_fd at a, eta and eps w.
+
+    `a` and `eta` are checked by the caller.  One _cross_sections call takes
+    the 7 stencil angles _STENCIL; second_derivative reads its values back.
+    """
+    sigma = dict(zip(_STENCIL, _cross_sections(_STENCIL, a, eta, eps_w)))
+    return half_angle_curvature(second_derivative(sigma.__getitem__, 90.0, CURVATURE_STEP_DEG))
+
+
 def curvature_at_90_fd(params: MottParams) -> float:
     """Half-angle curvature at 90 deg from finite differences of the cross section.
 
     The independent check of curvature_at_90; production paths use the
-    closed form.  The 7 stencil angles 90 + k h of second_derivative (h =
-    CURVATURE_STEP_DEG/2) go through one mott_cross_sections call, whose
-    fold makes 90 - k h and 90 + k h one value: 4 of the 7 are computed,
-    each with the bits of identical_cross_section.
+    closed form.  It is the one kernel _fd_curvature at the params' a, eta
+    and eps w: the 7 stencil angles 90 + k h of second_derivative (h =
+    CURVATURE_STEP_DEG/2, module-level in _STENCIL) go through one
+    _cross_sections call, whose fold makes 90 - k h and 90 + k h one value:
+    4 of the 7 are computed, each with the bits of identical_cross_section.
     """
-    h = CURVATURE_STEP_DEG / 2.0
-    thetas = tuple(90.0 + k * h for k in (-4, -2, -1, 0, 1, 2, 4))
-    sigma = dict(zip(thetas, mott_cross_sections(thetas, params)))
-    return half_angle_curvature(second_derivative(sigma.__getitem__, 90.0, CURVATURE_STEP_DEG))
+    eps_w = exchange_weight(params.spin, params.polarization)
+    return _fd_curvature(params.a, params.eta, eps_w)
 
 
 def curvature_at_90(params: MottParams, statistics: Statistics | None = None) -> float:
@@ -212,18 +229,23 @@ def critical_eta_numeric(spin: Spin, bracket: tuple[float, float] = (0.5, 4.0)) 
 
     Deliberately ignores the closed forms for both the curvature and the
     critical value, so it cross-checks the interference formula end to end.
-    numerics.bisect_root searches the bracket; near the root the
+    The bracket must satisfy 0 < lo < hi <= ETA_MAX (DomainError otherwise);
+    eta is checked there, at the bracket, and eps w is taken once per search.
+    numerics.bisect_root searches the bracket, and each of its iterates lies
+    strictly inside it, so every evaluation is the one kernel _fd_curvature
+    at a = 1 (the root does not depend on a), with no per-point MottParams:
+    the bits of curvature_at_90_fd at each eta.  Near the root the
     finite-difference curvature is noise (about 1e-11 in eta), and the
-    finder's evaluation cap ends a search that noise keeps open.
-    The bracket must satisfy 0 < lo < hi <= ETA_MAX (DomainError otherwise).
-    Raises RootNotFoundError when the bracket contains no transition
-    (always the case for fermions).
+    finder's evaluation cap ends a search that noise keeps open.  Raises
+    RootNotFoundError when the bracket contains no transition (always the
+    case for fermions).
     """
     lo, hi = bracket
     if not check_eta(lo) < check_eta(hi):
         raise DomainError(f"invalid eta bracket {bracket}")
+    eps_w = exchange_weight(spin, Polarization.UNPOLARIZED)
 
     def curv(eta: float) -> float:
-        return curvature_at_90_fd(MottParams(a=1.0, eta=eta, spin=spin))
+        return _fd_curvature(1.0, eta, eps_w)
 
     return bisect_root(curv, lo, hi, curv(lo), curv(hi))

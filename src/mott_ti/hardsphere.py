@@ -300,27 +300,32 @@ def find_critical_kR(
     """Smallest kR in `scan` where the 90 deg curvature changes sign, or None.
 
     `statistics` is optional and only checked against the spin.  Scans lo,
-    lo + step, ... (at most MAX_POINTS points), then hands the first
-    bracketing pair and its two curvatures to numerics.bisect_root, which
-    ends a few ulps from the root.  Absence of a transition is a valid
-    result, not an error.  A point less than step/2 past hi moves onto hi and
-    one further out ends the scan, so a sign change up to step/2 short of hi
-    can be missed: spin 0 on (0.23, 1.45) stops at 1.43 and returns None,
-    though the curvature changes sign at 1.44677.  Two sign changes in one
-    cell cancel, so the scan then returns a later root or None: spin 9/2 on
-    (2.3, 3.0) at step 0.5 returns None, though the roots 2.46965 and
-    2.70435 both lie in the cell [2.3, 2.8].  At the default step that blinds
-    every eps w in (-0.111175, about -0.1107), whose first two roots share a
-    cell near kR 2.584 (the upper end moves with lo); no spin has such an
-    eps w.
+    lo + step, ... (at most MAX_POINTS points; a step of at most half the
+    float spacing below hi, which could not advance, raises DomainError), then
+    hands the first bracketing pair and its two curvatures to
+    numerics.bisect_root, which ends a few ulps from the root.  Absence of a
+    transition is a valid result, not an error.  A point less than step/2
+    past hi moves onto hi and one further out ends the scan, so a sign
+    change up to step/2 short of hi can be missed: spin 0 on (0.23, 1.45)
+    stops at 1.43 and returns None, though the curvature changes sign at
+    1.44677.  Two sign changes in one cell cancel, so the scan then returns
+    a later root or None: spin 9/2 on (2.3, 3.0) at step 0.5 returns None,
+    though the roots 2.46965 and 2.70435 both lie in the cell [2.3, 2.8].
+    At the default step that blinds every eps w in (-0.111175, about
+    -0.1107), whose first two roots share a cell near kR 2.584 (the upper
+    end moves with lo); no spin has such an eps w.
 
     The scan steps through the same grid points, but of those at or below a
     certified bound b it evaluates only the last, as that point may open the
     bracket; b is that of the first row (e, b) of CERTIFIED_BOUNDS with
     eps w <= e.  A scan that ends at or below b returns None before any
     point; at eps w <= -1/8 (the first row, b = 10) that is every scan.
-    Every bracket, every value handed to bisect_root and so every root is
-    that of the scan that evaluates every point.
+    Otherwise b lies below hi, so every grid point up to b is x + step: once
+    the inputs are checked and eps w taken, a bare walk adds the step up to
+    the last point at or below b, the same floats without the main loop's
+    tests, and the main loop starts there.  Every bracket, every value
+    handed to bisect_root and so every root is that of the scan that
+    evaluates every point.
 
     The bounds rest on linearity.  With r = Re f'' f* and s = |f'|^2 at
     90 deg, the curvature is HALF_ANGLE_FACTOR [4 (r + s) + eps w 4 (r - s)]
@@ -341,6 +346,10 @@ def find_critical_kR(
         raise DomainError(f"step must be positive and finite, got {step}")
     if (hi - lo) / step + 1 > MAX_POINTS:
         raise DomainError(f"step {step} gives more than {MAX_POINTS} scan points")
+    # x + step rounds back to x below hi once step is at most half the float
+    # spacing there, so the scan never ends unless its second point is hi
+    if step <= math.ulp(math.nextafter(hi, 0.0)) / 2.0 and lo + step < hi:
+        raise DomainError(f"step {step} is at most half the float spacing below hi = {hi}")
     _check_kR(lo)  # every point lies in [lo, hi], and hi <= 10 < KR_MAX
     check_statistics(spin, statistics)
     eps_w = exchange_weight(spin, polarization)
@@ -353,14 +362,14 @@ def find_critical_kR(
 
     # f stays None while x lies at or below the bound, where C > 0 (see above)
     x, f = lo, (curv(lo) if lo > bound else None)
-    while f != 0.0 and x + step < hi + step / 2.0:
+    while x + step <= bound:  # below the bound < hi, the next grid point is x + step
+        x += step
+    while f != 0.0 and x + step < hi + step / 2.0:  # every x_next lies above the bound
         x_next = min(x + step, hi)
-        if x_next > bound:
-            if f is None:
-                f = curv(x)  # the last point at or below the bound may open the bracket
-            f_next = curv(x_next)
-            if (f > 0.0) != (f_next > 0.0):
-                return bisect_root(curv, x, x_next, f, f_next)
-            f = f_next
-        x = x_next
+        if f is None:
+            f = curv(x)  # the last point at or below the bound may open the bracket
+        f_next = curv(x_next)
+        if (f > 0.0) != (f_next > 0.0):
+            return bisect_root(curv, x, x_next, f, f_next)
+        x, f = x_next, f_next
     return x if f == 0.0 else None

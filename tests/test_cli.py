@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mott_ti import hardsphere
 from mott_ti.analysis import angle_grid
 from mott_ti.cli import COMMANDS, MODES, THETA, build_parser, main
 from mott_ti.constants import DEFAULT_CONSTANTS, load_constants
@@ -320,6 +321,20 @@ def test_hardsphere_scan_none_result(runner):
     assert result.exit_code == 0  # absence is a result, not a failure
     row = csv_table(result.output)[0]
     assert row["critical_kR"] == "none"
+
+
+def test_hardsphere_scan_step_below_the_float_spacing_exits_2(runner, monkeypatch):
+    # the scan could not advance past 2: refused before eps w is taken, so
+    # before any loop runs
+    def no_scan(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(hardsphere, "exchange_weight", no_scan)
+    result = runner.invoke(main, ["hardsphere", "--spin", "0", "--critical-scan", "2",
+                                  "2.0000000000000004", "--step", "1e-20"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert "step 1e-20 is at most half the float spacing" in result.output
 
 
 def test_hardsphere_curve(runner):

@@ -503,13 +503,80 @@ def test_fd_curvature_keeps_the_bits_of_the_seven_call_form(monkeypatch):
         assert repr(curvature_at_90_fd(params)) == repr(expected)
         (thetas,) = calls
         assert len(set(thetas)) == 7 and len({min(t, 180.0 - t) for t in thetas}) == 4
-    for twice_s, (lo, hi) in [(0, (0.5, 4.0)), (2, (0.5, 4.0)), (4, (0.5, 4.0)),
-                              (0, (1e-6, 1e6)), (4, (1e-6, 1e6)), (88, (1e-6, 1e6))]:
-        def curv(eta):
-            return _seven_call_curvature_at_90_fd(MottParams(a=1.0, eta=eta, spin=Spin(twice_s)))
+    for twice_s, bracket in [(0, (0.5, 4.0)), (2, (0.5, 4.0)), (4, (0.5, 4.0)),
+                             (0, (1e-6, 1e6)), (4, (1e-6, 1e6)), (88, (1e-6, 1e6))]:
+        expected = _seven_call_search(Spin(twice_s), bracket)
+        assert repr(critical_eta_numeric(Spin(twice_s), bracket)) == repr(expected)
 
-        expected = bisect_root(curv, lo, hi, curv(lo), curv(hi))
-        assert repr(critical_eta_numeric(Spin(twice_s), (lo, hi))) == repr(expected)
+
+def _seven_call_search(spin, bracket):
+    """critical_eta_numeric as it was: a MottParams and the seven-call form at each eta."""
+    lo, hi = bracket
+    if not coulomb.check_eta(lo) < coulomb.check_eta(hi):
+        raise DomainError(f"invalid eta bracket {bracket}")
+
+    def curv(eta):
+        return _seven_call_curvature_at_90_fd(MottParams(a=1.0, eta=eta, spin=spin))
+
+    return bisect_root(curv, lo, hi, curv(lo), curv(hi))
+
+
+def _outcome(search, *args):
+    """The repr of a search's root, or the type and text of the error it raises."""
+    try:
+        return repr(search(*args))
+    except (DomainError, RootNotFoundError) as error:
+        return f"{type(error).__name__}: {error}"
+
+
+_ETA = st.one_of(st.floats(0.0, ETA_MAX, exclude_min=True),
+                 st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(twice_s=st.integers(0, 88), lo=_ETA, hi=_ETA)
+@example(twice_s=2, lo=0.7, hi=3.3)
+@example(twice_s=88, lo=1e-6, hi=1e6)
+@example(twice_s=1, lo=0.5, hi=4.0)
+@example(twice_s=0, lo=4.0, hi=0.5)
+def test_eta_search_evaluates_one_kernel_inside_its_bracket(twice_s, lo, hi):
+    # the search checks eta at its bracket and takes eps w once; each
+    # evaluation is then one _cross_sections call at the 7 stencil angles and
+    # an eta in [lo, hi], with no MottParams, and the search keeps the root,
+    # or the error, of the seven-call form
+    spin = Spin(twice_s)
+    expected = _outcome(_seven_call_search, spin, (lo, hi))
+    built, weights, kernel_calls, iterates = [], [], [], []
+    init, weight, kernel, finder = (MottParams.__init__, coulomb.exchange_weight,
+                                    coulomb._cross_sections, coulomb.bisect_root)
+
+    def construct(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def bisect(f, *args):
+        return finder(lambda eta: iterates.append(eta) or f(eta), *args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(MottParams, "__init__", construct)
+        monkeypatch.setattr(coulomb, "exchange_weight",
+                            lambda *args: weights.append(args) or weight(*args))
+        monkeypatch.setattr(coulomb, "_cross_sections",
+                            lambda *args: kernel_calls.append(args) or kernel(*args))
+        monkeypatch.setattr(coulomb, "bisect_root", bisect)
+        got = _outcome(critical_eta_numeric, spin, (lo, hi))
+    assert got == expected
+    assert built == []
+    if expected.startswith("DomainError"):  # refused at the bracket, before any evaluation
+        assert weights == [] and kernel_calls == []
+        return
+    assert len(weights) == 1
+    h = CURVATURE_STEP_DEG / 2.0
+    stencil = sorted(90.0 + k * h for k in (-4, -2, -1, 0, 1, 2, 4))
+    assert all(sorted(thetas) == stencil for thetas, _, _, _ in kernel_calls)
+    etas = [eta for _, _, eta, _ in kernel_calls]
+    assert etas == [lo, hi, *iterates]  # one call per evaluation: both ends, then the finder's
+    assert all(lo <= eta <= hi for eta in etas)
 
 
 @pytest.mark.parametrize(

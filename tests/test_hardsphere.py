@@ -780,6 +780,30 @@ def test_scan_validation():
         find_critical_kR(Spin(0), Statistics.BOSON, scan=(1e-7, 1.0))
 
 
+def test_a_step_that_cannot_advance_is_refused_before_the_scan():
+    # x + step would round back to x below hi, so the scan would never reach
+    # hi, while (hi - lo) / step stays under MAX_POINTS; the check raises
+    # before eps w is taken, so before any loop runs.  A step of one float
+    # spacing just below a power of two, and one whose second point rounds
+    # onto hi, advance and still scan as the full scan does
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        def no_scan(*args):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(hardsphere, "exchange_weight", no_scan)
+        for scan, step in [((2.0, 2.0000000000000004), 1e-20), ((1.5, 1.5000000000000004), 1e-17),
+                           ((1.4399999999999999, 1.4400000000000002), 1e-17),
+                           ((2.0, 2.0000000000000004), math.ulp(2.0000000000000004) / 2.0),
+                           ((1.9999999999999991, 2.0), math.ulp(1.9999999999999998) / 2.0)]:
+            assert (scan[1] - scan[0]) / step + 1 <= MAX_POINTS
+            with pytest.raises(DomainError, match=f"step {step} is at most half the float spacing"):
+                find_critical_kR(Spin(0), scan=scan, step=step)
+    for scan, step in [((1.9999999999999991, 2.0), math.ulp(1.9999999999999998)),
+                       ((2.4999999999999996, 2.5), math.ulp(2.4999999999999996) / 2.0)]:
+        assert repr(find_critical_kR(Spin(0), scan=scan, step=step)) \
+            == repr(scan_reference(Spin(0), None, scan=scan, step=step))
+
+
 def test_scan_point_cap_checked_before_any_evaluation(monkeypatch):
     # the scan checks its inputs once, at its boundary: the point count, lo
     # against KR_MIN and the statistics, before any curvature is taken; the
@@ -1208,23 +1232,49 @@ def test_other_scans_visit_the_points_of_the_full_scan(monkeypatch, twice_s, pol
             assert 0 < len(points) < len(full), scan
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(twice_s=st.integers(0, 19),
-       polarization=st.sampled_from(Polarization),
-       bound=st.sampled_from([b for _, b in hardsphere.CERTIFIED_BOUNDS if b < 10.0]),
-       below=st.floats(0.0, 1.0),
+# every preparation with eps w > -1/8, whose certified bound lies below 10
+_BOUNDED = [(twice_s, polarization) for twice_s in range(20) for polarization in Polarization
+            if (twice_s, polarization) not in _SKIPPED]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(preparation=st.sampled_from(_BOUNDED),
+       kind=st.sampled_from(["below", "above", "tail", "under"]),
+       start=st.floats(0.0, 1.0),
        width=st.floats(1e-3, 8.0),
-       points=st.integers(1, 400))
+       points=st.integers(1, 400),
+       short=st.floats(0.01, 0.49),
+       past=st.floats(0.01, 0.99))
 def test_scans_keep_the_full_scans_roots_and_its_points_from_the_bound(
-        twice_s, polarization, bound, below, width, points):
-    # a scan from lo in [KR_MIN, b] across each bound b below the top of the
-    # scan domain returns the full scan's root, same repr, and evaluates
-    # exactly the full scan's points from its last grid point at or below its
-    # own bound on
-    lo = KR_MIN + below * (bound - KR_MIN)
-    hi = min(bound + width, 10.0)
-    step = (hi - lo) / points
+        preparation, kind, start, width, points, short, past):
+    # a scan from lo in [KR_MIN, b] ("below") or in [b, 10) ("above"), b the
+    # preparation's own certified bound, returns the full scan's root, same
+    # repr, and evaluates exactly the full scan's points from its last grid
+    # point at or below b on.  A "tail" scan's last grid point lies `short`
+    # steps below b and its successor past hi + step/2 (hi lies `past` of the
+    # way from b to that point + step/2), so the scan ends there having
+    # evaluated nothing, as the full scan sees no point above b; an "under"
+    # scan ends at or below b and returns None before any point
+    twice_s, polarization = preparation
     spin = Spin(twice_s)
+    eps_w = exchange_weight(spin, polarization)
+    bound = next(b for e, b in hardsphere.CERTIFIED_BOUNDS if eps_w <= e)
+    if kind == "below":
+        lo = KR_MIN + start * (bound - KR_MIN)
+        hi = min(bound + width, 10.0)
+        step = (hi - lo) / points
+    elif kind == "above":
+        lo = bound + start * (10.0 - bound - 1e-3)
+        hi = min(lo + width, 10.0)
+        step = (hi - lo) / points
+    elif kind == "tail":
+        step = max(start, 1e-3) * (bound - KR_MIN) / (points + short)
+        lo = bound - (points + short) * step
+        hi = bound + past * (0.5 - short) * step
+    else:
+        lo = KR_MIN + start * (bound - KR_MIN) / 2.0
+        hi = lo + min(width / 8.0, 1.0) * (bound - lo)
+        step = (hi - lo) / points
     runs = []
     with pytest.MonkeyPatch.context() as monkeypatch:
         visited = _count_calls(monkeypatch, "_curvature_at_90")
@@ -1235,4 +1285,8 @@ def test_scans_keep_the_full_scans_roots_and_its_points_from_the_bound(
             runs.append(([kR for kR, _ in visited], repr(root)))
     (points_evaluated, root), (full, full_root) = runs
     assert root == full_root
-    assert points_evaluated == evaluated_points(full, exchange_weight(spin, polarization))
+    assert points_evaluated == evaluated_points(full, eps_w)
+    if kind == "tail":
+        assert max(full) <= bound < hi and points_evaluated == [] and root == "None"
+    if kind == "under":
+        assert hi <= bound and points_evaluated == [] and root == "None"

@@ -1,10 +1,11 @@
 """Every module of the package uses each name it imports, none imports upward,
 every module-level name is used, nothing is cached between calls, no record
 is a dataclass, only constants.Record stores fields past Record.__setattr__,
-one phase-shift ladder builds the only Bessel table, every CLI command takes
-the parsed options alone, one mode table covers every option of each CLI
-command with a choice of modes, no call passes a statistics that the spin
-decides, and importing the CLI loads only what it uses.
+one phase-shift ladder builds the only Bessel table, one finite-difference
+kernel makes the only stencil call, every CLI command takes the parsed
+options alone, one mode table covers every option of each CLI command with
+a choice of modes, no call passes a statistics that the spin decides, and
+importing the CLI loads only what it uses.
 
 The package __init__ is exempt from the first two: its imports are the
 public re-exports.  For the third, a re-export is not a use: a name that
@@ -82,6 +83,7 @@ def unused_module_names(sources: dict[str, str]) -> list[str]:
 # check fails when one of them gains a caller in the package or disappears.
 REEXPORT_ONLY = {
     "coulomb.identical_cross_section": "traced by bench/",
+    "coulomb.curvature_at_90_fd": "traced by bench/; the tests' FD oracle",
     "hardsphere.hard_sphere_phase_shifts": "traced by bench/; the tests' ladder entry",
     "hardsphere.hs_amplitude": "traced by bench/",
     "hardsphere.hs_identical_cross_section": "traced by bench/",
@@ -132,6 +134,17 @@ def test_one_phase_shift_ladder():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert len(call_sites(sources, "spherical_bessel_j_table")) == 1
     assert call_sites(sources, "spherical_bessel_y_table") == []
+
+
+def test_one_finite_difference_kernel():
+    # coulomb._fd_curvature makes the one stencil call, through which
+    # curvature_at_90_fd and critical_eta_numeric both evaluate
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(call_sites(sources, "second_derivative")) == 1
+    kernel = next(node for node in ast.parse(sources["coulomb"]).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_fd_curvature")
+    body = ast.get_source_segment(sources["coulomb"], kernel)
+    assert len(call_sites({"coulomb": body}, "second_derivative")) == 1
 
 
 def test_one_command_shape():
