@@ -42,7 +42,13 @@ REFERENCE_SIGMA90_BARN: dict[str, float] = {"d": 135.0, "6Li": 1.17, "alpha": 2.
 
 
 class CrossSectionCurve(Record):
-    """Sampled angular distribution of one model."""
+    """Sampled angular distribution of one model.
+
+    The constructor checks the angles in one pass, each against the one
+    before (0 first) and 180, and the values in one C-level sum: a finite sum
+    means every value is finite, and only a sum that is not walks the values
+    again, to name the first non-finite one in the DomainError.
+    """
 
     __slots__ = ("thetas", "values", "model")
 
@@ -61,17 +67,19 @@ class CrossSectionCurve(Record):
             if not prev < t < 180.0:
                 raise DomainError(f"angles must be strictly increasing inside (0, 180): {t}")
             prev = t
-        for v in values:
-            if not math.isfinite(v):
-                raise DomainError(f"non-finite cross section {v}")
+        if not math.isfinite(sum(values)):  # a nan or an inf in values, or a sum past float range
+            for v in values:
+                if not math.isfinite(v):
+                    raise DomainError(f"non-finite cross section {v}")
         self._store(thetas, values, model)
 
     def is_symmetric_grid(self) -> bool:
-        n = len(self.thetas)
-        return all(
-            abs(self.thetas[i] + self.thetas[n - 1 - i] - 180.0) < 1e-9
-            for i in range(n // 2 + 1)
-        )
+        """Whether each angle and its mirror image in the grid sum to 180 within 1e-9."""
+        thetas = self.thetas
+        for t, mirror in zip(thetas[:len(thetas) // 2 + 1], reversed(thetas)):
+            if not abs(t + mirror - 180.0) < 1e-9:
+                return False
+        return True
 
 
 class PlateauReport(Record):
@@ -147,7 +155,7 @@ def angle_grid(start: float = 1.0, stop: float = 179.0, step: float = 0.5) -> tu
     n = round(count)
     if abs(start + n * step - stop) > 1e-9:
         raise DomainError(f"step {step} does not divide [{start}, {stop}] evenly")
-    return tuple(start + i * step for i in range(n + 1))
+    return tuple([start + step * i for i in range(n + 1)])
 
 
 def _kernels(model: MottParams | HardSphereParams):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Iterator
 
 from .errors import DomainError
@@ -84,10 +85,20 @@ class PhysicalConstants(Record):
 
     def fingerprint(self) -> str:
         """Short hash identifying the constant set in output metadata."""
-        import hashlib  # ~4 ms to import: paid only by commands that render a document
+        # imported here, so only commands that render a document pay for it, and
+        # from CPython's lean builtin SHA-256, as random.py does for SHA-512:
+        # hashlib loads OpenSSL's _hashlib, ~2.5 ms more per process.  The
+        # version picks the module, so no call repeats a failing import
+        try:
+            if sys.version_info >= (3, 12):
+                from _sha2 import sha256
+            else:
+                from _sha256 import sha256
+        except ImportError:  # an interpreter built without it
+            from hashlib import sha256
 
         text = ",".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
+        return sha256(text.encode()).hexdigest()[:12]
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

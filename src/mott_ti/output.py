@@ -7,10 +7,13 @@ fixed key order, Unix line endings, '.' decimal separator, and CSV cells
 printed with 9 significant digits.
 
 Both renderings write a table's rows with one printf-style ``%`` call over
-one template: a column whose cells are all finite floats is a float field
+one template.  The rows are flattened once, row-major, into the cells that
+are the ``%`` arguments, and each column is a stride of them, read with no
+transposing: a column whose cells are all finite floats is a float field
 of the template (``%.9g`` in CSV, ``%r`` in JSON, which is json's own text
-for a finite float), every other cell is rendered to text first (CSV
-quoting, or ``json.dumps``) and filled in through a ``%s`` field.
+for a finite float), every other column's cells are rendered to text first
+(CSV quoting, or ``json.dumps``), written back into their stride and filled
+in through a ``%s`` field.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import chain
 from math import isfinite
+from operator import countOf
 
 from . import __version__
 from .constants import PhysicalConstants, Record
@@ -52,23 +56,29 @@ def _table(rows: Sequence[Sequence[object]], width: int, float_field: str, cell_
            cell_break: str, row_break: str) -> str:
     """Rows of a table, each of width cells, filled in by one printf-style %.
 
-    A column of floats (exact type: no bool, int or float subclass) whose sum
-    is finite is a float_field of the template; any other cell goes through
-    cell_text, which must give a finite float the float_field's text, and is
-    passed in as an argument, so a % in its text is never parsed as a field.
+    The rows are flattened once, row-major, into the list of cells that is
+    also the % argument tuple, so column i is the stride cells[i::width]: no
+    transposing.  A column of floats (exact type: no bool, int or float
+    subclass) whose sum is finite is a float_field of the template; any other
+    column's cells go through cell_text, whose texts are written back into
+    the same stride.  cell_text must give a finite float the float_field's
+    text, and its texts are arguments, so a % in them is never parsed.
     """
-    if set(map(len, rows)) - {width}:
+    if countOf(map(len, rows), width) != len(rows):
         raise ValueError(f"every row must hold {width} cells, one per column")
-    fields, cells = [], []
-    for column in zip(*rows):
-        if set(map(type, column)) == {float} and isfinite(sum(column)):
+    cells = []
+    for row in rows:
+        cells += row
+    fields = []
+    for i in range(width):
+        column = cells[i::width]
+        if countOf(map(type, column), float) == len(column) and isfinite(sum(column)):
             fields.append(float_field)
-            cells.append(column)
         else:
             fields.append("%s")
-            cells.append(map(cell_text, column))
+            cells[i::width] = map(cell_text, column)
     template = row_break.join([cell_break.join(fields)] * len(rows))
-    return template % tuple(chain.from_iterable(zip(*cells)))
+    return template % tuple(cells)
 
 
 def _csv_table(columns: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

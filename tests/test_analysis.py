@@ -213,17 +213,123 @@ def test_boson_curves_are_non_negative(log_eta, a, log_kr, twice_s, polarization
 
 
 def test_curve_validation_rejects_bad_grid():
+    # an angle or value out of range: test_curve_names_the_first_offender
     model = MottParams(a=1.0, eta=SQRT2, spin=Spin(0))
-    with pytest.raises(DomainError):
-        CrossSectionCurve(thetas=(10.0, 5.0), values=(1.0, 1.0), model=model)
-    with pytest.raises(DomainError):
-        CrossSectionCurve(thetas=(10.0, 190.0), values=(1.0, 1.0), model=model)
-    with pytest.raises(DomainError):
-        CrossSectionCurve(thetas=(10.0,), values=(math.inf,), model=model)
     with pytest.raises(DomainError, match="same length"):
         CrossSectionCurve(thetas=(10.0, 20.0), values=(1.0,), model=model)
     with pytest.raises(DomainError, match="at least one point"):
         CrossSectionCurve(thetas=(), values=(), model=model)
+
+
+def _first_offender(thetas, values):
+    """The DomainError message of the per-item checks, angles first, or None if none fails."""
+    prev = 0.0
+    for t in thetas:
+        if not prev < t < 180.0:
+            return f"angles must be strictly increasing inside (0, 180): {t}"
+        prev = t
+    for v in values:
+        if not math.isfinite(v):
+            return f"non-finite cross section {v}"
+    return None
+
+
+def _check_curve(thetas, values):
+    model = MottParams(a=1.0, eta=SQRT2, spin=Spin(0))
+    expected = _first_offender(thetas, values)
+    if expected is None:
+        assert CrossSectionCurve(thetas, values, model).thetas == thetas
+    else:
+        with pytest.raises(DomainError) as info:
+            CrossSectionCurve(thetas, values, model)
+        assert str(info.value) == expected
+
+
+_ANGLE = "angles must be strictly increasing inside (0, 180): "
+
+
+@pytest.mark.parametrize("thetas, values, message", [
+    ((10.0, 5.0), (1.0, 1.0), _ANGLE + "5.0"),
+    ((10.0, 190.0), (1.0, 1.0), _ANGLE + "190.0"),
+    ((10.0, math.nan, 20.0), (1.0, 1.0, 1.0), _ANGLE + "nan"),
+    ((0.0, 10.0), (1.0, 1.0), _ANGLE + "0.0"),
+    ((10.0, 180.0), (1.0, 1.0), _ANGLE + "180.0"),
+    ((10.0, 20.0, 179.5, 180.0), (1.0,) * 4, _ANGLE + "180.0"),
+    ((10.0, 20.0, 20.0, 30.0), (1.0,) * 4, _ANGLE + "20.0"),
+    ((10.0, 30.0, 20.0, 25.0), (1.0,) * 4, _ANGLE + "20.0"),
+    ((10.0, 20.0, 15.0, 200.0), (math.inf,) * 4, _ANGLE + "15.0"),  # the angles come first
+    ((10.0,), (math.inf,), "non-finite cross section inf"),
+    ((10.0, 20.0, 30.0), (1.0, math.inf, math.nan), "non-finite cross section inf"),
+    ((10.0, 20.0), (-math.inf, 1.0), "non-finite cross section -inf"),
+    ((10.0, 20.0, 30.0), (1e308, 1e308, math.nan), "non-finite cross section nan"),
+], ids=["decreasing-pair", "past-180", "nan-angle", "zero", "180", "180-last", "repeated",
+        "decreasing", "angles-first", "inf-alone", "inf-value", "minus-inf-value",
+        "nan-after-overflow"])
+def test_curve_names_the_first_offender(thetas, values, message):
+    with pytest.raises(DomainError) as info:
+        CrossSectionCurve(thetas, values, MottParams(a=1.0, eta=SQRT2, spin=Spin(0)))
+    assert str(info.value) == message == _first_offender(thetas, values)
+
+
+def test_finite_values_whose_sum_overflows_make_a_curve():
+    # the sum of the values is inf, but each value is finite
+    _check_curve((10.0, 20.0, 30.0), (1e308, 1.7976931348623157e308, 1e308))
+
+
+_OFFENDERS = st.sampled_from([math.nan, 0.0, -0.0, 180.0, 1e300, math.inf, -math.inf, "repeat",
+                              "decrease"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(angles=st.lists(st.floats(min_value=1e-300, max_value=179.99999999999997), min_size=1,
+                       max_size=40, unique=True),
+       values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=40,
+                       max_size=40),
+       angle_faults=st.lists(st.tuples(st.integers(0, 39), _OFFENDERS), max_size=3),
+       value_faults=st.lists(st.tuples(st.integers(0, 39),
+                                       st.sampled_from([math.nan, math.inf, -math.inf])),
+                             max_size=3))
+def test_curve_checks_agree_with_the_per_item_checks(angles, values, angle_faults, value_faults):
+    thetas = sorted(angles)
+    for i, fault in angle_faults:
+        i %= len(thetas)
+        if fault == "repeat":
+            thetas[i] = thetas[i - 1]
+        elif fault == "decrease":
+            thetas[i] = thetas[i - 1] / 2.0
+        else:
+            thetas[i] = fault
+    values = values[:len(thetas)]
+    for i, fault in value_faults:
+        values[i % len(values)] = fault
+    _check_curve(tuple(thetas), tuple(values))
+
+
+def _mirrored(thetas):
+    return all(abs(thetas[i] + thetas[len(thetas) - 1 - i] - 180.0) < 1e-9
+               for i in range(len(thetas) // 2 + 1))
+
+
+# Offsets of a mirror from 180 - theta: exact, a few float steps either side
+# of the 1e-9 tolerance, and far past it
+_SKEWS = st.one_of(st.just(0.0), st.sampled_from([1e-9, -1e-9]).flatmap(
+    lambda tol: st.integers(-3, 3).map(lambda k: tol + k * math.ulp(180.0))),
+    st.sampled_from([1e-6, -1e-6, 1e-12]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(steps=st.lists(st.integers(1, 89_999), min_size=1, max_size=30, unique=True),
+       skews=st.lists(_SKEWS, min_size=31, max_size=31), middle=st.booleans())
+@example(steps=[45_000], skews=[1e-9] * 31, middle=True)
+@example(steps=[45_000], skews=[0.0] * 30 + [1e-9], middle=True)
+def test_symmetric_grid_agrees_with_the_per_pair_form(steps, skews, middle):
+    # the left half at multiples of 0.001 deg, each mirrored about 90 deg
+    # with a skew; the middle angle, if any, is 90 deg with the last skew
+    left = [k / 1000.0 for k in sorted(steps)]
+    right = [180.0 - t + skew for t, skew in zip(left, skews)]
+    thetas = (*left, *([90.0 + skews[-1] / 2.0] if middle else []), *reversed(right))
+    curve = CrossSectionCurve(thetas, (1.0,) * len(thetas), MottParams(1.0, SQRT2, Spin(0)))
+    assert curve.is_symmetric_grid() == _mirrored(thetas)
 
 
 # --------------------------------------------------------------------- plateau

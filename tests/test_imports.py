@@ -4,8 +4,9 @@ is a dataclass, only constants.Record stores fields past Record.__setattr__,
 one phase-shift ladder builds the only Bessel table, one finite-difference
 kernel makes the only stencil call, every CLI command takes the parsed
 options alone, one mode table covers every option of each CLI command with
-a choice of modes, no call passes a statistics that the spin decides, and
-importing the CLI loads only what it uses.
+a choice of modes, no call passes a statistics that the spin decides,
+importing the CLI loads only what it uses, and rendering a document loads
+no hashlib, though its constants fingerprint equals hashlib's SHA-256.
 
 The package __init__ is exempt from the first two: its imports are the
 public re-exports.  For the third, a re-export is not a use: a name that
@@ -14,12 +15,18 @@ only __init__ imports must be on the allowlist REEXPORT_ONLY.
 
 import ast
 import inspect
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mott_ti import DEFAULT_CONSTANTS, DomainError, PhysicalConstants
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mott_ti"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -387,11 +394,11 @@ def test_the_check_sees_an_upward_import():
 
 
 def test_cli_import_leaves_hashlib_unloaded():
-    # the constants fingerprint imports hashlib when a document is rendered,
-    # and the envelope imports json when it renders JSON, so a command that
-    # exits before rendering never pays for either, nor a CSV command for
-    # json; no module imports dataclasses, and the CLI is argparse's, so
-    # neither click nor the inspect it pulls in loads
+    # no module imports hashlib (the constants fingerprint takes CPython's
+    # builtin SHA-256 when a document is rendered), and the envelope imports
+    # json when it renders JSON, so a command that exits before rendering
+    # never pays for json, nor a CSV command; no module imports dataclasses,
+    # and the CLI is argparse's, so neither click nor the inspect it pulls in loads
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     names = ("hashlib", "dataclasses", "json", "click", "inspect")
     code = f"import sys, mott_ti.cli; print([m in sys.modules for m in {names}])"
@@ -413,3 +420,84 @@ def test_cli_import_loads_only_what_it_uses():
     assert loaded.isdisjoint({"pathlib", "importlib.resources", "tempfile", "typing"})
     package = {"mott_ti"} | {f"mott_ti.{p.stem}" for p in MODULES}
     assert loaded - package <= {"__future__", "cmath", "collections.abc", "math"}
+
+
+def test_a_rendered_document_leaves_hashlib_unloaded():
+    # python -S, so no site hook loads it either: the fingerprint of the
+    # rendered document hashes with the builtin _sha2 (3.12+) or _sha256
+    # module, not hashlib and the OpenSSL _hashlib it loads (~2.5 ms)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    env.pop("MOTT_TI_CONSTANTS", None)
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "mott_ti.cli",
+                           "critical", "--spin", "1"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "# constants_fingerprint=1446ed781204\n" in proc.stdout
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "mott_ti.output" in imported
+    assert imported.isdisjoint({"hashlib", "_hashlib"})
+
+
+def _fingerprint_oracle(constants):
+    """sha256 of the name=repr(value) list in slot order, from hashlib: a test-only oracle."""
+    import hashlib
+
+    text = ",".join(f"{name}={getattr(constants, name)!r}"
+                    for name in PhysicalConstants.__slots__)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def test_default_fingerprint_equals_hashlib():
+    assert DEFAULT_CONSTANTS.fingerprint() == _fingerprint_oracle(DEFAULT_CONSTANTS)
+
+
+def test_fingerprint_without_the_builtin_module_takes_hashlib(monkeypatch):
+    # an interpreter built without its builtin SHA-256: a None entry makes the import fail
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert DEFAULT_CONSTANTS.fingerprint() == "1446ed781204"
+
+
+_POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hbar_c=st.floats(min_value=1e-300, max_value=1e300),
+       inverse_alpha=st.floats(min_value=136.6, max_value=137.4),
+       amu=_POSITIVE, nucleon_mass=_POSITIVE, r0=_POSITIVE)
+def test_fingerprint_equals_hashlib_for_any_constants(hbar_c, inverse_alpha, amu,
+                                                      nucleon_mass, r0):
+    constants = PhysicalConstants(hbar_c, hbar_c / inverse_alpha, amu, nucleon_mass, r0)
+    assert constants.fingerprint() == _fingerprint_oracle(constants)
+
+
+def _python313():
+    """The path of a working python3.13, or None: a pyenv shim may name no installed version."""
+    path = shutil.which("python3.13")
+    if path is None:
+        return None
+    ok = subprocess.run([path, "-S", "-c", "pass"], capture_output=True).returncode == 0
+    return path if ok else None
+
+
+PYTHON313 = _python313()
+
+
+@pytest.mark.skipif(PYTHON313 is None, reason="python3.13 is not installed")
+def test_python313_takes_sha2_for_the_same_fingerprint_and_golden():
+    # on 3.12+ the builtin SHA-256 lives in _sha2, not _sha256
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    env.pop("MOTT_TI_CONSTANTS", None)
+    code = ("import sys\nfrom mott_ti import DEFAULT_CONSTANTS\n"
+            "print(DEFAULT_CONSTANTS.fingerprint(), *[m in sys.modules for m in "
+            "('_sha2', 'hashlib', '_hashlib')])")
+    out = subprocess.run([PYTHON313, "-S", "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "1446ed781204 True False False\n"
+    golden = Path(__file__).parent / "golden"
+    case = "angular-6Li-json"  # a JSON table, with the fingerprint in its metadata
+    cases = json.loads((golden / "cases.json").read_text())
+    argv = next(c["argv"] for c in cases if c["name"] == case)
+    proc = subprocess.run([PYTHON313, "-m", "mott_ti.cli", *argv], env=env, capture_output=True)
+    assert proc.returncode == int((golden / f"{case}.exit").read_text())
+    assert proc.stdout == (golden / f"{case}.out").read_bytes()

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mott_ti import DEFAULT_CONSTANTS
+from mott_ti import output
 from mott_ti.output import OutputEnvelope, _csv_cell, _csv_table, format_number
 
 
@@ -207,18 +208,63 @@ def _mott_rows(n):
             for i in range(n)]
 
 
-@pytest.mark.parametrize("columns, rows", [
-    (["theta_deg", "sigma", "ratio"], _mott_rows(n)) for n in (357, 713, 1781)
-] + [
-    (["%s", "{}", "a,b"], [("%", "{}", '"q"'), ("x\ny", True, 7), (None, math.inf, "%(x)s"),
-                           ("%%", False, -0.0)]),
-    (["t", "%.9g"], [(math.inf, "%d"), (-math.inf, "{0}"), (math.nan, None), (5e-324, 10**30)]),
-    (["x"], []),
-], ids=["mott-357", "mott-713", "mott-1781", "mixed", "specials", "no-rows"])
+class _Float(float):
+    """A float subclass whose repr is not float's: a cell is rendered by its value."""
+
+    def __repr__(self):
+        return "_Float()"
+
+
+# Tables whose bytes both renderings keep: every kind of cell, each in a
+# column of its own and mixed with the others
+TABLES = {
+    **{f"mott-{n}": (["theta_deg", "sigma", "ratio"], _mott_rows(n)) for n in (357, 713, 1781)},
+    "mixed": (["%s", "{}", "a,b"], [("%", "{}", '"q"'), ("x\ny", True, 7),
+                                    (None, math.inf, "%(x)s"), ("%%", False, -0.0)]),
+    "specials": (["t", "%.9g"], [(math.inf, "%d"), (-math.inf, "{0}"), (math.nan, None),
+                                 (5e-324, 10**30)]),
+    "text": (["s", "t"], [("%", "naïve σ/Ω 😀"), ('"quoted", "twice"', "a,b\nc"),
+                          ("%(x)s %% %.9g", "\u2028\0")]),
+    "kinds": (["bool", "none", "int", "subclass"], [(True, None, 0, _Float(0.5)),
+                                                   (False, None, -7, _Float(-0.0)),
+                                                   (True, None, 10**30, _Float(1e308))]),
+    "non-finite": (["nan", "inf", "-inf"], [(math.nan, math.inf, -math.inf),
+                                            (math.nan, 0.5, -0.5)]),
+    "sum-overflows": (["big", "t"], [(1e308, 0.5), (1.7976931348623157e308, -0.0)]),
+    "no-rows": (["x"], []),
+}
+
+
+@pytest.mark.parametrize("columns, rows", TABLES.values(), ids=TABLES)
 def test_csv_table_keeps_the_bytes_of_the_str_format_render(columns, rows):
     # the printf-style template renders the bytes the {:.9g}/{} template did,
     # a % or braces in a cell or a column name included
     assert _csv_table(columns, rows) == _str_format_table(columns, rows)
+
+
+def _transposing_table(rows, width, float_field, cell_text, cell_break, row_break):
+    """output._table as it was: columns by zip(*rows), the arguments back by zip(*cells)."""
+    if set(map(len, rows)) - {width}:
+        raise ValueError(f"every row must hold {width} cells, one per column")
+    fields, cells = [], []
+    for column in zip(*rows):
+        if set(map(type, column)) == {float} and math.isfinite(sum(column)):
+            fields.append(float_field)
+            cells.append(column)
+        else:
+            fields.append("%s")
+            cells.append(map(cell_text, column))
+    template = row_break.join([cell_break.join(fields)] * len(rows))
+    return template % tuple(chain.from_iterable(zip(*cells)))
+
+
+@pytest.mark.parametrize("columns, rows", TABLES.values(), ids=TABLES)
+def test_json_keeps_the_bytes_of_the_transposing_render(columns, rows, monkeypatch):
+    # the strided row-major table renders the JSON document the transposing one did
+    env = _envelope(columns, rows)
+    text = env.to_json()
+    monkeypatch.setattr(output, "_table", _transposing_table)
+    assert text == env.to_json()
 
 
 def _json_rows(rows):
