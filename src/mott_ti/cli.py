@@ -99,9 +99,9 @@ def _spin(text: str) -> Spin:
 SPIN = ("--spin", {"type": _spin, "required": True, "metavar": "SPIN",
                    "help": "Spin as 0, 1, 1/2, 9/2, ..."})
 POLARIZATION = ("--polarization", {
-    "type": Polarization, "default": Polarization.UNPOLARIZED.value,
+    "type": Polarization, "default": Polarization.UNPOLARIZED,
     "metavar": "{" + ",".join(p.value for p in Polarization) + "}",
-    "help": "Spin preparation of the pair. [default: %(default)s]",
+    "help": f"Spin preparation of the pair. [default: {Polarization.UNPOLARIZED.value}]",
 })
 ETA = ("--eta", {"type": float, "help": "Sommerfeld parameter (a = 1 fm)."})
 KR = ("--kr", {"type": float, "help": "kR of a hard-sphere curve."})
@@ -320,19 +320,13 @@ def _check_mode(name: str, options, args) -> None:
 
     A command without an entry has one mode, which reads every option, so
     there is nothing to check.  An option is given when its parsed value
-    differs from its default, which argparse passes through the option's
-    type when it is a string.
+    differs from its default.
     """
     modes = MODES.get(name)
     if modes is None:
         return
-    given = []
-    for flag, spec in options:
-        default = spec.get("default")
-        if isinstance(default, str) and "type" in spec:
-            default = spec["type"](default)
-        if getattr(args, flag[2:].replace("-", "_")) != default:
-            given.append(flag)
+    given = [flag for flag, spec in options
+             if getattr(args, flag[2:].replace("-", "_")) != spec.get("default")]
     picks = [flag for flag in given if any(flag in mode[0] for mode in modes)]
     found = [mode for mode in modes if set(mode[0]) == set(picks)]
     if not found:
@@ -382,9 +376,10 @@ def main(args=None, prog_name=None):
     sys.exit(0)
 
 
-# main ends in SystemExit, as click's standalone mode does: click.testing.CliRunner,
-# the in-process oracle of bench/, calls main.main and reads main.name.  Both
-# attributes go once that oracle calls main itself (ROADMAP item 1).
+# main ends in SystemExit, as click's standalone mode does.  The tests call main
+# directly; only bench/'s in-process oracle, click.testing.CliRunner, calls
+# main.main and reads main.name.  Both attributes go once that oracle calls main
+# itself (ROADMAP item 1).
 main.name = "mott-ti"
 main.main = main
 

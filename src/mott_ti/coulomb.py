@@ -34,7 +34,8 @@ import sys
 
 from .constants import Record
 from .errors import DivergenceError, DomainError
-from .numerics import HALF_ANGLE_FACTOR, bisect_root, half_angle_curvature, second_derivative
+from .numerics import (HALF_ANGLE_FACTOR, bisect_root, half_angle_curvature, second_derivative,
+                       stencil)
 from .species import Polarization, Spin, Statistics, check_statistics, exchange_weight
 
 # Angle step (degrees) of the finite-difference cross-check curvature_at_90_fd.
@@ -58,9 +59,8 @@ A_MIN = 3e-154
 # Degrees to radians, as math.radians multiplies.
 _TO_RAD = math.pi / 180.0
 
-# The 7 angles 90 + k h, h = CURVATURE_STEP_DEG/2, at which
-# numerics.second_derivative reads f: the stencil of _fd_curvature.
-_STENCIL = tuple(90.0 + k * (CURVATURE_STEP_DEG / 2.0) for k in (-4, -2, -1, 0, 1, 2, 4))
+# The 7 angles at which numerics.second_derivative reads f: the stencil of _fd_curvature.
+_STENCIL = stencil(90.0, CURVATURE_STEP_DEG)
 
 # Smallest normal float: a C^2 below it puts sigma past float range (see
 # mott_cross_sections).

@@ -10,27 +10,21 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mott_ti import hardsphere
 from mott_ti.analysis import angle_grid
-from mott_ti.cli import COMMANDS, MODES, THETA, build_parser, main
+from mott_ti.cli import COMMANDS, MODES, THETA, build_parser
 from mott_ti.constants import DEFAULT_CONSTANTS, load_constants
 from mott_ti.hardsphere import find_critical_kR
 from mott_ti.species import MASS_MAX, MASS_MIN, TWICE_S_MAX, Z_MAX
-from test_golden import strict_json
+from test_golden import run, strict_json
 
 SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
 BUILTIN_CATALOG = SRC / "mott_ti" / "data" / "species.txt"
 README = SRC.parent / "README.md"
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def parse_csv(text):
@@ -54,39 +48,39 @@ def csv_table(text):
 
 # -------------------------------------------------------------------- critical
 
-def test_critical_spin0(runner):
-    result = runner.invoke(main, ["critical", "--spin", "0"])
-    assert result.exit_code == 0
-    table = csv_table(result.output)
+def test_critical_spin0():
+    code, stdout, _ = run(["critical", "--spin", "0"])
+    assert code == 0
+    table = csv_table(stdout)
     assert float(table[0]["eta_critical"]) == pytest.approx(SQRT2, rel=1e-8)
-    assert "1.41421356" in result.output
+    assert "1.41421356" in stdout
 
 
-def test_critical_numeric_agrees(runner):
-    result = runner.invoke(main, ["critical", "--spin", "1", "--numeric"])
-    assert result.exit_code == 0
-    row = csv_table(result.output)[0]
+def test_critical_numeric_agrees():
+    code, stdout, _ = run(["critical", "--spin", "1", "--numeric"])
+    assert code == 0
+    row = csv_table(stdout)[0]
     assert abs(float(row["difference"])) < 1e-6
     assert float(row["eta_critical"]) == pytest.approx(math.sqrt(5.0), rel=1e-8)
 
 
-def test_critical_negative_spin_usage_error(runner):
-    result = runner.invoke(main, ["critical", "--spin", "-1"])
-    assert result.exit_code == 2
+def test_critical_negative_spin_usage_error():
+    code, _, _ = run(["critical", "--spin", "-1"])
+    assert code == 2
 
 
-def test_critical_numeric_bad_bracket_exits_3(runner):
+def test_critical_numeric_bad_bracket_exits_3():
     # eta_C = sqrt(17) lies past the one bracket the search takes, (0.5, 4)
-    result = runner.invoke(main, ["critical", "--spin", "5", "--numeric"])
-    assert result.exit_code == 3
-    assert result.stdout == ""
-    assert "[0.5, 4.0]" in result.stderr
+    code, stdout, stderr = run(["critical", "--spin", "5", "--numeric"])
+    assert code == 3
+    assert stdout == ""
+    assert "[0.5, 4.0]" in stderr
 
 
-def test_critical_numeric_fermion_exits_3(runner):
+def test_critical_numeric_fermion_exits_3():
     # fermions have no Coulomb transition; asserting a root is a numerical failure
-    result = runner.invoke(main, ["critical", "--spin", "1/2", "--numeric"])
-    assert result.exit_code == 3
+    code, _, _ = run(["critical", "--spin", "1/2", "--numeric"])
+    assert code == 3
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1B: a fermion has no critical eta")
@@ -95,54 +89,54 @@ def test_critical_numeric_fermion_exits_3(runner):
     ["plateau", "--spin", "1/2", "--eta-critical"],
     ["sweep", "--spin", "1/2"],
 ])
-def test_no_critical_eta_for_fermions(runner, argv):
+def test_no_critical_eta_for_fermions(argv):
     # each exits 0 today, and critical prints eta_C 1.87082869
-    assert runner.invoke(main, argv).exit_code == 2
+    assert run(argv)[0] == 2
 
 
 # --------------------------------------------------------------------- angular
 
-def test_angular_normalized_90_is_4(runner):
-    result = runner.invoke(main, [
+def test_angular_normalized_90_is_4():
+    code, stdout, _ = run([
         "angular", "--eta", "1.4142135623730951", "--spin", "0",
         "--normalize", "rutherford90",
         "--theta-min", "89", "--theta-max", "91", "--theta-step", "1",
     ])
-    assert result.exit_code == 0
-    table = {row["theta_deg"]: row for row in csv_table(result.output)}
+    assert code == 0
+    table = {row["theta_deg"]: row for row in csv_table(stdout)}
     assert float(table["90"]["sigma_over_ruth90"]) == pytest.approx(4.0, rel=1e-8)
 
 
-def test_angular_incoherent_only_90_is_2(runner):
-    result = runner.invoke(main, [
+def test_angular_incoherent_only_90_is_2():
+    code, stdout, _ = run([
         "angular", "--eta", "1.0", "--incoherent-only", "--normalize", "rutherford90",
         "--theta-min", "90", "--theta-max", "91", "--theta-step", "0.5",
     ])
-    assert result.exit_code == 0
-    table = csv_table(result.output)
+    assert code == 0
+    table = csv_table(stdout)
     assert float(table[0]["sigma_over_ruth90"]) == pytest.approx(2.0, rel=1e-8)
 
 
-def test_angular_incoherent_only_keeps_its_digits_next_to_180(runner):
+def test_angular_incoherent_only_keeps_its_digits_next_to_180():
     # 1e-7 deg from the pole, against 50-digit values; JSON, since CSV prints both angles as 180
-    result = runner.invoke(main, [
+    code, stdout, _ = run([
         "angular", "--eta", "1", "--incoherent-only", "--theta-min", "179.9999998",
         "--theta-max", "179.9999999", "--theta-step", "0.0000001", "--format", "json",
     ])
-    assert result.exit_code == 0
-    rows = json.loads(result.output)["data"]["rows"]
+    assert code == 0
+    rows = json.loads(stdout)["data"]["rows"]
     assert [row[0] for row in rows] == [179.9999998, 179.9999999]
     for row, expected in zip(rows, (2.6942050227194535e+34, 4.3107280363511256e+35)):
         assert row[1] == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
-def test_angular_dimensional_alpha_system(runner):
-    result = runner.invoke(main, [
+def test_angular_dimensional_alpha_system():
+    code, stdout, _ = run([
         "angular", "--system", "alpha-alpha", "--energy", "397",
         "--theta-min", "60", "--theta-max", "120", "--theta-step", "30",
     ])
-    assert result.exit_code == 0
-    comments, header, rows = parse_csv(result.output)
+    assert code == 0
+    comments, header, rows = parse_csv(stdout)
     assert header == ["theta_deg", "sigma_fm2_per_sr", "sigma_barn_per_sr"]
     a = 4 * 1.4399645 / (2 * 0.397)  # q^2/(2E) ~ 7.254 fm
     assert float(comments["a_fm"]) == pytest.approx(a, rel=1e-8)
@@ -154,21 +148,21 @@ def test_angular_dimensional_alpha_system(runner):
     assert float(table["60"][1]) == pytest.approx(float(table["120"][1]), rel=1e-10)
 
 
-def test_angular_aligned_fermions_next_to_90_are_not_negative(runner):
+def test_angular_aligned_fermions_next_to_90_are_not_negative():
     # all five angles print as 90 in CSV, so the grid is refused; the five
     # values themselves are checked on build_curve in test_analysis.py
     args = ["angular", "--eta", "0.001", "--spin", "1/2", "--polarization", "aligned",
             "--theta-min", "89.99999998", "--theta-max", "90.00000002",
             "--theta-step", "0.00000001"]
-    result = runner.invoke(main, args)
-    assert result.exit_code == 2
-    assert result.stdout == ""
+    code, stdout, stderr = run(args)
+    assert code == 2
+    assert stdout == ""
     assert ("mott-ti angular: error: theta grid points 89.99999998 and 89.99999998999999 "
-            "both print as 90; use a coarser --theta-step\n") in result.output
+            "both print as 90; use a coarser --theta-step\n") in stderr
     # JSON writes each angle's repr, so the same grid prints five distinct angles
-    result = runner.invoke(main, args + ["--format", "json"])
-    assert result.exit_code == 0
-    assert len({row[0] for row in json.loads(result.output)["data"]["rows"]}) == 5
+    code, stdout, _ = run(args + ["--format", "json"])
+    assert code == 0
+    assert len({row[0] for row in json.loads(stdout)["data"]["rows"]}) == 5
 
 
 @pytest.mark.parametrize("command", [
@@ -177,19 +171,19 @@ def test_angular_aligned_fermions_next_to_90_are_not_negative(runner):
     ["sweep", "--spin", "0"],
     ["hardsphere", "--kr", "1", "--spin", "0"],
 ])
-def test_grids_that_print_repeated_angles_are_refused(runner, command):
+def test_grids_that_print_repeated_angles_are_refused(command):
     # 1e-8 apart next to 30 deg: at 9 significant digits every point prints as 30
-    result = runner.invoke(main, command + ["--theta-min", "29.99999999", "--theta-max",
-                                            "30.00000001", "--theta-step", "0.00000001"])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert "both print as 30" in result.output
+    code, stdout, stderr = run(command + ["--theta-min", "29.99999999", "--theta-max",
+                               "30.00000001", "--theta-step", "0.00000001"])
+    assert code == 2
+    assert stdout == ""
+    assert "both print as 30" in stderr
 
 
-def test_angular_endpoint_grid_rejected(runner):
-    result = runner.invoke(main, ["angular", "--eta", "1", "--spin", "0",
-                                  "--theta-min", "0", "--theta-max", "90"])
-    assert result.exit_code == 2
+def test_angular_endpoint_grid_rejected():
+    code, _, _ = run(["angular", "--eta", "1", "--spin", "0",
+                     "--theta-min", "0", "--theta-max", "90"])
+    assert code == 2
 
 
 @pytest.mark.parametrize("command", [
@@ -200,51 +194,50 @@ def test_angular_endpoint_grid_rejected(runner):
 ])
 @pytest.mark.parametrize("spin,stat", [("0", "fermion"), ("1/2", "boson"),
                                        ("0", "boson"), ("1/2", "fermion")])
-def test_angular_stat_mismatch_rejected(runner, command, spin, stat):
+def test_angular_stat_mismatch_rejected(command, spin, stat):
     # the spin decides the statistics: no command takes --stat, matching or not
-    result = runner.invoke(main, command + ["--spin", spin, "--stat", stat])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert f"mott-ti: error: unrecognized arguments: --stat {stat}\n" in result.output
+    code, stdout, stderr = run(command + ["--spin", spin, "--stat", stat])
+    assert code == 2
+    assert stdout == ""
+    assert f"mott-ti: error: unrecognized arguments: --stat {stat}\n" in stderr
 
 
-def test_angular_unknown_species(runner):
-    result = runner.invoke(main, ["angular", "--system", "muon", "--energy", "10"])
-    assert result.exit_code == 2
-    assert result.stdout == ""
+def test_angular_unknown_species():
+    code, stdout, stderr = run(["angular", "--system", "muon", "--energy", "10"])
+    assert code == 2
+    assert stdout == ""
     assert ("mott-ti angular: error: unknown species 'muon' (catalog has: d, 6Li, alpha)\n"
-            in result.output)
+            in stderr)
 
 
-def test_a_stray_key_error_is_a_bug_not_a_usage_error(runner, monkeypatch):
+def test_a_stray_key_error_is_a_bug_not_a_usage_error(monkeypatch):
     # only DomainError and RootNotFoundError map to exit codes; anything else
     # surfaces as the exception it is (exit 1)
     def broken(*args):
         raise KeyError("spin")
 
     monkeypatch.setattr("mott_ti.cli.table_one", broken)
-    result = runner.invoke(main, ["table"])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, KeyError)
-    assert result.exception.args == ("spin",)
+    with pytest.raises(KeyError) as caught:
+        run(["table"])
+    assert caught.value.args == ("spin",)
 
 
-def test_angular_custom_catalog(runner, tmp_path):
+def test_angular_custom_catalog(tmp_path):
     cat = tmp_path / "cat.txt"
     cat.write_text("t 1 3 1\n")
-    result = runner.invoke(main, [
+    code, _, _ = run([
         "angular", "--system", "t", "--energy", "10", "--catalog", str(cat),
         "--theta-min", "89", "--theta-max", "91", "--theta-step", "1",
     ])
-    assert result.exit_code == 0
+    assert code == 0
 
 
 # ----------------------------------------------------------------------- table
 
-def test_table_output(runner):
-    result = runner.invoke(main, ["table"])
-    assert result.exit_code == 0
-    table = {row["name"]: row for row in csv_table(result.output)}
+def test_table_output():
+    code, stdout, _ = run(["table"])
+    assert code == 0
+    table = {row["name"]: row for row in csv_table(stdout)}
     assert set(table) == {"d", "alpha", "6Li"}
     assert float(table["alpha"]["e_critical_kev"]) == pytest.approx(400.0, rel=0.05)
     assert float(table["alpha"]["barrier_kev"]) == pytest.approx(1260.0, rel=0.05)
@@ -253,51 +246,50 @@ def test_table_output(runner):
     assert table["6Li"]["note"] == ""
 
 
-def test_table_note_needs_both_forms_off_the_reference(runner, tmp_path):
+def test_table_note_needs_both_forms_off_the_reference(tmp_path):
     # a d of mass number 4: the scaling form gives 842.5 barn, but the direct
     # one lies 4% from the reference 135
     cat = tmp_path / "cat.txt"
     cat.write_text("d 1 4 2\n")
-    result = runner.invoke(main, ["table", "--catalog", str(cat)])
-    assert result.exit_code == 0
-    [row] = csv_table(result.output)
+    code, stdout, _ = run(["table", "--catalog", str(cat)])
+    assert code == 0
+    [row] = csv_table(stdout)
     assert float(row["sigma90_direct_barn"]) == pytest.approx(140.45, rel=1e-4)
     assert row["note"] == ""
 
 
 # --------------------------------------------------------------------- plateau
 
-def test_plateau_critical_spin0(runner):
-    result = runner.invoke(main, ["plateau", "--spin", "0", "--eta-critical",
-                                  "--epsilon", "0.05"])
-    assert result.exit_code == 0
-    row = csv_table(result.output)[0]
+def test_plateau_critical_spin0():
+    code, stdout, _ = run(["plateau", "--spin", "0", "--eta-critical",
+                          "--epsilon", "0.05"])
+    assert code == 0
+    row = csv_table(stdout)[0]
     assert float(row["theta_lo_deg"]) <= 66.0
     assert float(row["theta_hi_deg"]) >= 114.0
 
 
-def test_plateau_requires_eta_choice(runner):
-    assert runner.invoke(main, ["plateau", "--spin", "0"]).exit_code == 2
-    assert runner.invoke(main, ["plateau", "--spin", "0", "--eta", "1",
-                                "--eta-critical"]).exit_code == 2
+def test_plateau_requires_eta_choice():
+    assert run(["plateau", "--spin", "0"])[0] == 2
+    assert run(["plateau", "--spin", "0", "--eta", "1", "--eta-critical"])[0] == 2
 
 
-def test_plateau_hard_sphere_mode(runner):
-    result = runner.invoke(main, ["plateau", "--spin", "0", "--kr", "1.447",
-                                  "--epsilon", "0.05"])
-    assert result.exit_code == 0
-    row = csv_table(result.output)[0]
+def test_plateau_hard_sphere_mode():
+    code, stdout, _ = run(["plateau", "--spin", "0", "--kr", "1.447",
+                          "--epsilon", "0.05"])
+    assert code == 0
+    row = csv_table(stdout)[0]
     assert float(row["width_deg"]) > 30.0  # near-critical kR is flat
 
 
 # ----------------------------------------------------------------------- sweep
 
-def test_sweep_classification_line(runner):
-    result = runner.invoke(main, ["sweep", "--spin", "0", "--delta", "0.05",
-                                  "--theta-min", "80", "--theta-max", "100",
-                                  "--theta-step", "1"])
-    assert result.exit_code == 0
-    comments, header, rows = parse_csv(result.output)
+def test_sweep_classification_line():
+    code, stdout, _ = run(["sweep", "--spin", "0", "--delta", "0.05",
+                          "--theta-min", "80", "--theta-max", "100",
+                          "--theta-step", "1"])
+    assert code == 0
+    comments, header, rows = parse_csv(stdout)
     assert comments["classification"] == "min,flat,max"
     assert float(comments["energy_shift_first_order"]) == pytest.approx(0.10)
     branches = {row[0] for row in rows}
@@ -307,42 +299,42 @@ def test_sweep_classification_line(runner):
 
 # ------------------------------------------------------------------ hardsphere
 
-def test_hardsphere_scan_boson(runner):
-    result = runner.invoke(main, ["hardsphere", "--critical-scan", "0.2", "3",
-                                  "--spin", "0"])
-    assert result.exit_code == 0
-    row = csv_table(result.output)[0]
+def test_hardsphere_scan_boson():
+    code, stdout, _ = run(["hardsphere", "--critical-scan", "0.2", "3",
+                          "--spin", "0"])
+    assert code == 0
+    row = csv_table(stdout)[0]
     assert float(row["critical_kR"]) == pytest.approx(1.5, abs=0.5)
 
 
-def test_hardsphere_scan_none_result(runner):
-    result = runner.invoke(main, ["hardsphere", "--critical-scan", "0.2", "3",
-                                  "--spin", "1/2"])
-    assert result.exit_code == 0  # absence is a result, not a failure
-    row = csv_table(result.output)[0]
+def test_hardsphere_scan_none_result():
+    code, stdout, _ = run(["hardsphere", "--critical-scan", "0.2", "3",
+                          "--spin", "1/2"])
+    assert code == 0  # absence is a result, not a failure
+    row = csv_table(stdout)[0]
     assert row["critical_kR"] == "none"
 
 
-def test_hardsphere_scan_step_below_the_float_spacing_exits_2(runner, monkeypatch):
+def test_hardsphere_scan_step_below_the_float_spacing_exits_2(monkeypatch):
     # the scan could not advance past 2: refused before eps w is taken, so
     # before any loop runs
     def no_scan(*args):
         raise AssertionError("the scan started")
 
     monkeypatch.setattr(hardsphere, "exchange_weight", no_scan)
-    result = runner.invoke(main, ["hardsphere", "--spin", "0", "--critical-scan", "2",
-                                  "2.0000000000000004", "--step", "1e-20"])
-    assert result.exit_code == 2, result.output
-    assert result.stdout == ""
-    assert "step 1e-20 is at most half the float spacing" in result.output
+    code, stdout, stderr = run(["hardsphere", "--spin", "0", "--critical-scan", "2",
+                               "2.0000000000000004", "--step", "1e-20"])
+    assert code == 2, stderr
+    assert stdout == ""
+    assert "step 1e-20 is at most half the float spacing" in stderr
 
 
-def test_hardsphere_curve(runner):
-    result = runner.invoke(main, ["hardsphere", "--kr", "1.5", "--spin", "0",
-                                  "--theta-min", "30", "--theta-max", "150",
-                                  "--theta-step", "30"])
-    assert result.exit_code == 0
-    table = {row["theta_deg"]: row for row in csv_table(result.output)}
+def test_hardsphere_curve():
+    code, stdout, _ = run(["hardsphere", "--kr", "1.5", "--spin", "0",
+                          "--theta-min", "30", "--theta-max", "150",
+                          "--theta-step", "30"])
+    assert code == 0
+    table = {row["theta_deg"]: row for row in csv_table(stdout)}
     assert float(table["60"]["sigma_over_R2"]) == pytest.approx(
         float(table["120"]["sigma_over_R2"]), rel=1e-9
     )
@@ -352,10 +344,10 @@ def test_hardsphere_curve(runner):
     ["angular", "--eta", "1e5", "--spin", "0"],
     ["plateau", "--spin", "0", "--eta", "1e6"],
 ])
-def test_large_eta_curves_exit_0(runner, argv):
+def test_large_eta_curves_exit_0(argv):
     # inside the documented eta domain; the two halves agree only to a few 1e-16 eta
-    result = runner.invoke(main, argv)
-    assert result.exit_code == 0, result.output
+    code, _, stderr = run(argv)
+    assert code == 0, stderr
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -387,11 +379,11 @@ def test_large_eta_curves_exit_0(runner, argv):
     (["angular", "--system", "d", "--energy", "400", "--incoherent-only", "--polarization",
       "aligned"], "angular --system --incoherent-only takes no --polarization"),
 ])
-def test_mode_conflicts_and_plateau_grids_exit_2(runner, argv, message):
-    result = runner.invoke(main, argv)
-    assert result.exit_code == 2, result.output
-    assert result.stdout == ""
-    assert message in result.output
+def test_mode_conflicts_and_plateau_grids_exit_2(argv, message):
+    code, stdout, stderr = run(argv)
+    assert code == 2, stderr
+    assert stdout == ""
+    assert message in stderr
 
 
 def mode_flags(names):
@@ -444,15 +436,15 @@ README_EXAMPLES = readme_examples()
 
 @pytest.mark.parametrize("argv,quoted", README_EXAMPLES,
                          ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
-def test_readme_examples_run(runner, argv, quoted):
-    result = runner.invoke(main, argv, env={"MOTT_TI_CONSTANTS": None})
-    assert result.exit_code == 0, result.output
+def test_readme_examples_run(argv, quoted):
+    code, stdout, stderr = run(argv)
+    assert code == 0, stderr
     if quoted:
-        assert data_lines(result.stdout)[-1] == quoted
+        assert data_lines(stdout)[-1] == quoted
 
 
-def test_hardsphere_requires_mode(runner):
-    assert runner.invoke(main, ["hardsphere", "--spin", "0"]).exit_code == 2
+def test_hardsphere_requires_mode():
+    assert run(["hardsphere", "--spin", "0"])[0] == 2
 
 
 # The probe: from one baseline per mode of cli.MODES, and one per command it
@@ -513,7 +505,7 @@ def test_the_probe_covers_every_mode_and_option():
 
 @pytest.mark.parametrize("baseline,flag", PROBE_CASES,
                          ids=[f"{' '.join(b)} + {f}" for b, f in PROBE_CASES])
-def test_an_option_given_exits_2_or_changes_the_data(runner, tmp_path, baseline, flag):
+def test_an_option_given_exits_2_or_changes_the_data(tmp_path, baseline, flag):
     catalog = tmp_path / "cat.txt"
     catalog.write_text("d 2 2 2\n")
     values = [str(catalog) if v == "CATALOG" else v for v in PROBE_VALUES[flag]]
@@ -523,12 +515,12 @@ def test_an_option_given_exits_2_or_changes_the_data(runner, tmp_path, baseline,
         argv[start:start + len(values)] = values
     else:
         argv += [flag, *values]
-    base = runner.invoke(main, baseline)
-    assert base.exit_code == 0, base.output
-    result = runner.invoke(main, argv)
-    assert result.exit_code in (0, 2), result.output
-    same = result.exit_code == 0 and data_lines(result.stdout) == data_lines(base.stdout)
-    assert same == ((" ".join(baseline), flag) in PROBE_COINCIDENCES), result.output
+    base_code, base, base_stderr = run(baseline)
+    assert base_code == 0, base_stderr
+    code, stdout, stderr = run(argv)
+    assert code in (0, 2), stderr
+    same = code == 0 and data_lines(stdout) == data_lines(base)
+    assert same == ((" ".join(baseline), flag) in PROBE_COINCIDENCES), stdout + stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -570,10 +562,10 @@ def test_an_option_given_exits_2_or_changes_the_data(runner, tmp_path, baseline,
     ["critical", "--spin", "1" * 400],
     ["critical", "--spin", f"{2**53 + 1}/2", "--format", "json"],
 ])
-def test_invalid_numbers_exit_2(runner, argv):
-    result = runner.invoke(main, argv)
-    assert result.exit_code == 2
-    assert result.stdout == ""
+def test_invalid_numbers_exit_2(argv):
+    code, stdout, _ = run(argv)
+    assert code == 2
+    assert stdout == ""
 
 
 # Each case runs one subcommand with one numeric option drawn ("X"); the other
@@ -623,9 +615,9 @@ GUARD_CASES = [
 @example(value=1e-300)
 @example(value=-1e300)
 def test_numeric_options_never_traceback(argv, value):
-    result = CliRunner().invoke(main, [repr(value) if a == "X" else a for a in argv])
-    assert result.exit_code in {0, 2, 3}, result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    # any exception but SystemExit propagates from run, and fails the test
+    code, _, stderr = run([repr(value) if a == "X" else a for a in argv])
+    assert code in {0, 2, 3}, stderr
 
 
 # ------------------------------------------------------- values read from files
@@ -636,24 +628,24 @@ FILE_COMMANDS = [
 ]
 
 
-def assert_refused(result, field):
+def assert_refused(argv, field):
     # exit 2 with no document and a message naming the field; never a traceback
-    assert result.exit_code == 2, result.output
-    assert result.stdout == ""
-    assert field in result.output
+    code, stdout, stderr = run(argv)
+    assert code == 2, stderr
+    assert stdout == ""
+    assert field in stderr
 
 
 @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
 @pytest.mark.parametrize("field", DEFAULT_CONSTANTS.__slots__)
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
-def test_constants_file_values_are_checked(runner, tmp_path, argv, field, value):
+def test_constants_file_values_are_checked(monkeypatch, tmp_path, argv, field, value):
     consts = tmp_path / "consts.txt"
     consts.write_text(f"{field} {value}\n")
     catalog = tmp_path / "cat.txt"
     catalog.write_text("x 2 4 0\n")
-    result = runner.invoke(main, argv + ["--catalog", str(catalog)],
-                           env={"MOTT_TI_CONSTANTS": str(consts)})
-    assert_refused(result, f"constant {field}")
+    monkeypatch.setenv("MOTT_TI_CONSTANTS", str(consts))
+    assert_refused(argv + ["--catalog", str(catalog)], f"constant {field}")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -661,13 +653,12 @@ def test_constants_file_values_are_checked(runner, tmp_path, argv, field, value)
     ("nucleon_mass", "5e-324"), # (M/m0)^(1/3) overflows to inf, so V_B = 0
     ("r0", "5e-324"),           # R_B is subnormal, so V_B = inf
 ])
-def test_constants_that_push_the_barrier_out_of_range_are_checked(runner, tmp_path,
+def test_constants_that_push_the_barrier_out_of_range_are_checked(monkeypatch, tmp_path,
                                                                   field, value):
     consts = tmp_path / "consts.txt"
     consts.write_text(f"{field} {value}\n")
-    result = runner.invoke(main, ["table", "--format", "json"],
-                           env={"MOTT_TI_CONSTANTS": str(consts)})
-    assert_refused(result, "Coulomb barrier")
+    monkeypatch.setenv("MOTT_TI_CONSTANTS", str(consts))
+    assert_refused(["table", "--format", "json"], "Coulomb barrier")
 
 
 @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
@@ -678,12 +669,10 @@ def test_constants_that_push_the_barrier_out_of_range_are_checked(runner, tmp_pa
     ("0", "4", "atomic number"),
     (str(10**160), "4", "atomic number"),
 ], ids=lambda text: text if len(text) < 16 else f"{text[0]}x{len(text)}")
-def test_catalog_file_values_are_checked(runner, tmp_path, argv, z, mass, field):
+def test_catalog_file_values_are_checked(tmp_path, argv, z, mass, field):
     catalog = tmp_path / "cat.txt"
     catalog.write_text(f"x {z} {mass} 0\n")
-    result = runner.invoke(main, argv + ["--catalog", str(catalog)],
-                           env={"MOTT_TI_CONSTANTS": None})
-    assert_refused(result, field)
+    assert_refused(argv + ["--catalog", str(catalog)], field)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -711,12 +700,12 @@ def test_species_extremes_exit_2_or_give_strict_json(tmp_path_factory, z, mass, 
         (["table", "--format", "json", "--catalog", str(catalog)], row_field),
         (["critical", f"--spin={twice_s}/2", "--format", "json"], spin_field),
     ):
-        result = CliRunner().invoke(main, argv, env={"MOTT_TI_CONSTANTS": None})
         if field:
-            assert_refused(result, field)
+            assert_refused(argv, field)
         else:
-            assert result.exit_code == 0, result.output
-            strict_json(result.stdout)
+            code, stdout, stderr = run(argv)
+            assert code == 0, stderr
+            strict_json(stdout)
 
 
 # --------------------------------------------------------------- option vocabulary
@@ -755,8 +744,9 @@ def test_option_defaults_are_the_library_defaults():
 
 # ------------------------------------------- the subprocess and the in-process run
 
-# bench/ checks every `python -m mott_ti.cli` op against the same argv run
-# in-process through CliRunner, as here: same exit code, same stdout bytes.
+# The in-process side is cli.main itself, through run: each argv gives the
+# same exit code and the same stdout bytes as `python -m mott_ti.cli`.  bench/
+# makes the same check of every op of its cli workload.
 PARITY_CASES = [
     *((argv + ["--format", fmt], 0) for argv in (
         ["critical", "--spin", "1"],
@@ -775,13 +765,13 @@ PARITY_CASES = [
 
 
 @pytest.mark.parametrize("argv,code", PARITY_CASES, ids=[" ".join(c[0]) for c in PARITY_CASES])
-def test_subprocess_and_cli_runner_agree(argv, code):
+def test_subprocess_and_in_process_run_agree(argv, code):
     env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-m", "mott_ti.cli", *argv], cwd=SRC.parent, env=env,
                           capture_output=True, check=False)
-    result = CliRunner().invoke(main, argv, env={"MOTT_TI_CONSTANTS": None})
-    assert (proc.returncode, result.exit_code) == (code, code), proc.stderr
-    assert result.stdout_bytes == proc.stdout
+    in_process, stdout, _ = run(argv)
+    assert (proc.returncode, in_process) == (code, code), proc.stderr
+    assert stdout.encode() == proc.stdout
     assert bool(proc.stdout) == (code == 0)
 
 
@@ -799,45 +789,43 @@ def test_subprocess_and_cli_runner_agree(argv, code):
     (["angular", "--eta", "-1", "--spin", "0"], "eta must lie in (0, 1e+06], got -1.0"),
     ([], "the following arguments are required: COMMAND"),
 ])
-def test_argparse_usage_errors_exit_2(runner, argv, message):
-    result = runner.invoke(main, argv)
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert message in result.stderr
+def test_argparse_usage_errors_exit_2(argv, message):
+    code, stdout, stderr = run(argv)
+    assert code == 2
+    assert stdout == ""
+    assert message in stderr
 
 
-def test_version_line(runner):
-    result = runner.invoke(main, ["--version"])
-    assert result.exit_code == 0
-    assert result.stdout == "mott-ti, version 0.1.0\n"
+def test_version_line():
+    code, stdout, _ = run(["--version"])
+    assert code == 0
+    assert stdout == "mott-ti, version 0.1.0\n"
 
 
 @pytest.mark.parametrize("name", ["missing.txt", "."])
-def test_catalog_that_is_no_file_exits_2(runner, tmp_path, name):
+def test_catalog_that_is_no_file_exits_2(tmp_path, name):
     path = tmp_path / name
     for argv in (["table"], ["angular", "--system", "alpha", "--energy", "400"]):
-        result = runner.invoke(main, argv + ["--catalog", str(path)])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert f"cannot load catalog {path}: " in result.stderr
+        code, stdout, stderr = run(argv + ["--catalog", str(path)])
+        assert code == 2
+        assert stdout == ""
+        assert f"cannot load catalog {path}: " in stderr
 
 
 # ------------------------------------------------------- envelope and formats
 
-def test_outputs_are_deterministic(runner):
+def test_outputs_are_deterministic():
     args = ["table"]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args)
-    assert first.output == second.output
+    assert run(args) == run(args)
     args = ["angular", "--eta", "2", "--spin", "1", "--theta-min", "10",
             "--theta-max", "170", "--theta-step", "10"]
-    assert runner.invoke(main, args).output == runner.invoke(main, args).output
+    assert run(args) == run(args)
 
 
-def test_json_and_csv_agree_numerically(runner):
+def test_json_and_csv_agree_numerically():
     base = ["critical", "--spin", "0", "--numeric"]
-    csv_out = runner.invoke(main, base).output
-    json_out = json.loads(runner.invoke(main, base + ["--format", "json"]).output)
+    csv_out = run(base)[1]
+    json_out = json.loads(run(base + ["--format", "json"])[1])
     row = csv_table(csv_out)[0]
     assert float(row["eta_critical"]) == pytest.approx(
         json_out["data"]["eta_critical"], rel=1e-8
@@ -847,8 +835,8 @@ def test_json_and_csv_agree_numerically(runner):
     )
 
 
-def test_json_envelope_structure(runner):
-    out = runner.invoke(main, ["table", "--format", "json"]).output
+def test_json_envelope_structure():
+    out = run(["table", "--format", "json"])[1]
     doc = json.loads(out)
     assert set(doc) == {"metadata", "params", "data"}
     assert doc["metadata"]["tool"] == "mott-ti"
@@ -857,26 +845,26 @@ def test_json_envelope_structure(runner):
     assert doc["data"]["columns"][0] == "name"
 
 
-def test_csv_embeds_parameters(runner):
-    out = runner.invoke(main, ["angular", "--eta", "2.5", "--spin", "0",
-                               "--theta-min", "45", "--theta-max", "135",
-                               "--theta-step", "45"]).output
+def test_csv_embeds_parameters():
+    out = run(["angular", "--eta", "2.5", "--spin", "0", "--theta-min", "45", "--theta-max",
+               "135", "--theta-step", "45"])[1]
     comments, _, _ = parse_csv(out)
     assert comments["eta"] == "2.5"
     assert comments["command"] == "angular"
     assert "constants_fingerprint" in comments
 
 
-def test_constants_env_override(runner, tmp_path):
+def test_constants_env_override(monkeypatch, tmp_path):
     consts = tmp_path / "alt.txt"
     consts.write_text("e_squared 1.44\n")
     args = ["angular", "--system", "alpha", "--energy", "400",
             "--theta-min", "90", "--theta-max", "91", "--theta-step", "1"]
-    plain = runner.invoke(main, args)
-    alt = runner.invoke(main, args, env={"MOTT_TI_CONSTANTS": str(consts)})
-    assert plain.exit_code == 0 and alt.exit_code == 0
-    c_plain, _, _ = parse_csv(plain.output)
-    c_alt, _, _ = parse_csv(alt.output)
+    plain_code, plain, _ = run(args)
+    monkeypatch.setenv("MOTT_TI_CONSTANTS", str(consts))
+    alt_code, alt, _ = run(args)
+    assert plain_code == 0 and alt_code == 0
+    c_plain, _, _ = parse_csv(plain)
+    c_alt, _, _ = parse_csv(alt)
     assert c_plain["constants_fingerprint"] != c_alt["constants_fingerprint"]
     # a = q^2/(2E) scales with e_squared
     assert float(c_alt["a_fm"]) == pytest.approx(
@@ -901,29 +889,30 @@ CONSTANTS_CASES = [
 
 @pytest.mark.parametrize("argv,refused", CONSTANTS_CASES,
                          ids=[" ".join(c[0][:2]) for c in CONSTANTS_CASES])
-def test_every_command_runs_on_the_constants_file(runner, tmp_path, argv, refused):
+def test_every_command_runs_on_the_constants_file(monkeypatch, tmp_path, argv, refused):
     # the document fingerprints the file's constants, and a file that does not
     # load is the error reported even when the command would refuse its options
     consts = tmp_path / "alt.txt"
     consts.write_text("e_squared 1.44\n")
     fingerprint = load_constants(consts).fingerprint()
     assert fingerprint != DEFAULT_CONSTANTS.fingerprint()
-    result = runner.invoke(main, argv + ["--format", "json"],
-                           env={"MOTT_TI_CONSTANTS": str(consts)})
-    assert result.exit_code == 0, result.output
-    assert json.loads(result.stdout)["metadata"]["constants_fingerprint"] == fingerprint
+    monkeypatch.setenv("MOTT_TI_CONSTANTS", str(consts))
+    code, stdout, stderr = run(argv + ["--format", "json"])
+    assert code == 0, stderr
+    assert json.loads(stdout)["metadata"]["constants_fingerprint"] == fingerprint
 
-    plain = runner.invoke(main, refused, env={"MOTT_TI_CONSTANTS": None})
-    assert plain.exit_code in (2, 3) and "cannot load constants" not in plain.output
+    monkeypatch.delenv("MOTT_TI_CONSTANTS")
+    code, _, stderr = run(refused)
+    assert code in (2, 3) and "cannot load constants" not in stderr
     (tmp_path / "bad.txt").write_text("nonsense 1 2 3\n")
-    bad = runner.invoke(main, refused, env={"MOTT_TI_CONSTANTS": str(tmp_path / "bad.txt")})
-    assert bad.exit_code == 2
-    assert "cannot load constants from MOTT_TI_CONSTANTS" in bad.output
+    monkeypatch.setenv("MOTT_TI_CONSTANTS", str(tmp_path / "bad.txt"))
+    code, _, stderr = run(refused)
+    assert code == 2
+    assert "cannot load constants from MOTT_TI_CONSTANTS" in stderr
 
 
-def test_constants_env_bad_file(runner, tmp_path):
+def test_constants_env_bad_file(monkeypatch, tmp_path):
     consts = tmp_path / "bad.txt"
     consts.write_text("nonsense 1 2 3\n")
-    result = runner.invoke(main, ["critical", "--spin", "0"],
-                           env={"MOTT_TI_CONSTANTS": str(consts)})
-    assert result.exit_code == 2
+    monkeypatch.setenv("MOTT_TI_CONSTANTS", str(consts))
+    assert run(["critical", "--spin", "0"])[0] == 2

@@ -26,7 +26,8 @@ from mott_ti import (
 )
 from mott_ti import coulomb
 from mott_ti.coulomb import A_MAX, A_MIN, CURVATURE_STEP_DEG, ETA_MAX
-from mott_ti.numerics import MAX_EVALS, bisect_root, half_angle_curvature, second_derivative
+from mott_ti.numerics import (MAX_EVALS, bisect_root, half_angle_curvature, second_derivative,
+                              stencil)
 from mott_ti.species import exchange_weight
 
 SQRT2 = math.sqrt(2.0)
@@ -475,6 +476,7 @@ def test_second_derivative_calls_f_at_7_distinct_points_with_the_two_stencils_bi
         lambda x: reference_calls.append(x) or smooth(x), x0, step)
     assert len(calls) == len(set(calls)) == 7
     assert set(calls) == set(reference_calls)
+    assert tuple(calls) == stencil(x0, step)  # the points of stencil, in its order
     assert repr(got) == repr(expected)
 
 

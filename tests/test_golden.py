@@ -8,14 +8,18 @@ intended output change, rewrite the files of the named cases with
 
 (no names: every case) and review the diff: every changed file is a
 behaviour change.
+
+run(argv) is the suite's one way to run the CLI in-process.
 """
 
+import io
 import json
+import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from mott_ti.cli import main
 
@@ -24,15 +28,27 @@ CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 def run(argv):
-    result = CliRunner().invoke(main, argv, env={"MOTT_TI_CONSTANTS": None})
-    return result.exit_code, result.stdout_bytes
+    """main(argv) as `python -m mott_ti.cli` runs it: (exit code, stdout, stderr).
+
+    main always ends in SystemExit, whose code is the exit code.  Any other
+    exception propagates, where `python -m` would print its traceback and
+    exit 1.  MOTT_TI_CONSTANTS is read as it stands: conftest.py unsets it
+    for the session.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_golden_output(case):
-    code, stdout = run(case["argv"])
+    code, stdout, _ = run(case["argv"])
     assert code == int((GOLDEN / f"{case['name']}.exit").read_text())
-    assert stdout == (GOLDEN / f"{case['name']}.out").read_bytes()
+    assert stdout.encode() == (GOLDEN / f"{case['name']}.out").read_bytes()
 
 
 def test_every_golden_file_belongs_to_a_case():
@@ -61,9 +77,9 @@ def test_json_goldens_are_strict_json(name):
 ])
 def test_json_output_is_strict_json(argv):
     # a non-finite input is refused (exit 2, no document), never echoed as NaN
-    code, stdout = run(argv)
+    code, stdout, _ = run(argv)
     if stdout:
-        strict_json(stdout.decode())
+        strict_json(stdout)
     assert code == 2
 
 
@@ -72,9 +88,10 @@ if __name__ == "__main__":
     unknown = set(names) - {c["name"] for c in CASES}
     if unknown:
         sys.exit(f"no such case: {', '.join(sorted(unknown))}")
+    os.environ.pop("MOTT_TI_CONSTANTS", None)  # the goldens hold the built-in constants
     for case in CASES:
         if names and case["name"] not in names:
             continue
-        code, stdout = run(case["argv"])
-        (GOLDEN / f"{case['name']}.out").write_bytes(stdout)
+        code, stdout, _ = run(case["argv"])
+        (GOLDEN / f"{case['name']}.out").write_bytes(stdout.encode())
         (GOLDEN / f"{case['name']}.exit").write_text(f"{code}\n")

@@ -6,7 +6,6 @@ from operator import add, mul
 
 import mpmath
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
@@ -29,7 +28,6 @@ from mott_ti import (
 )
 from mott_ti import hardsphere
 from mott_ti.analysis import angle_grid, build_curve
-from mott_ti.cli import main
 from mott_ti.hardsphere import KR_MAX, KR_MIN, TRUNCATION_TOL
 from mott_ti.numerics import (
     HALF_ANGLE_FACTOR,
@@ -46,6 +44,7 @@ from reference import (
     two_pass_curvature_at_90,
     two_table_phase_shifts,
 )
+from test_golden import run
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -511,9 +510,9 @@ def test_critical_kR_does_not_depend_on_a_small_lo():
 def test_cli_keeps_the_small_kR_digits(argv, line):
     # mpmath: curvature 1.0666666570e-15 at kR = 1e-4 (the kR^4 term alone
     # would round to ...67), and the scans find the root, not their lo
-    result = CliRunner().invoke(main, argv, env={"MOTT_TI_CONSTANTS": None})
-    assert result.exit_code == 0
-    assert line in result.stdout.splitlines()
+    code, stdout, _ = run(argv)
+    assert code == 0
+    assert line in stdout.splitlines()
 
 
 def test_kR_above_bound_rejected():

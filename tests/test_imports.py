@@ -5,8 +5,9 @@ one phase-shift ladder builds the only Bessel table, one finite-difference
 kernel makes the only stencil call, every CLI command takes the parsed
 options alone, one mode table covers every option of each CLI command with
 a choice of modes, no call passes a statistics that the spin decides,
-importing the CLI loads only what it uses, and rendering a document loads
-no hashlib, though its constants fingerprint equals hashlib's SHA-256.
+importing the CLI loads only what it uses, rendering a document loads no
+hashlib, though its constants fingerprint equals hashlib's SHA-256, and no
+test module imports click.
 
 The package __init__ is exempt from the first two: its imports are the
 public re-exports.  For the third, a re-export is not a use: a name that
@@ -30,6 +31,7 @@ from mott_ti import DEFAULT_CONSTANTS, DomainError, PhysicalConstants
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mott_ti"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -391,6 +393,33 @@ def test_the_check_sees_an_upward_import():
     source = ("from . import __version__\nfrom .species import Spin\n"
               "from .coulomb import A_MAX\nimport mott_ti.analysis\n")
     assert upward_imports("kinematics", source) == ["coulomb (line 3)", "analysis (line 4)"]
+
+
+def click_imports(source: str) -> list[str]:
+    """Each import of click or of a module in it, by name and line."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += [f"{name} (line {node.lineno})" for name in names if name.split(".")[0] == "click"]
+    return out
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_no_test_module_imports_click(path):
+    # the suite runs the CLI through test_golden.run, which calls cli.main
+    # itself, so it runs without click; only bench/'s in-process oracle uses it
+    assert click_imports(path.read_text()) == []
+
+
+def test_the_check_sees_a_click_import():
+    source = ("import clickhouse\nfrom click.testing import CliRunner\nimport os, click\n"
+              "from .click import x\n")
+    assert click_imports(source) == ["click.testing (line 2)", "click (line 3)"]
 
 
 def test_cli_import_leaves_hashlib_unloaded():

@@ -9,7 +9,10 @@ From it alone this module derives the half-angle curvature at 90 degrees,
 the critical eta where it vanishes and the quartic coefficient of
 sigma/sigma(90) there, then holds curvature_at_90 and critical_eta to them:
 exactly where the float arithmetic is exact, and within a few float steps at
-random inputs.  sympy is a test-only oracle: without it the module skips.
+random inputs.  From the non-relativistic kinematics of the pair it derives
+eta(E), the half closest approach a and the critical energy E_C, and holds
+sommerfeld_eta, half_closest_approach and critical_energy to them at random
+inputs.  sympy is a test-only oracle: without it the module skips.
 """
 
 import math
@@ -19,13 +22,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mott_ti import MottParams, Polarization, Spin, critical_eta, curvature_at_90
+from mott_ti import (CollisionSystem, MottParams, ParticleSpecies, PhysicalConstants, Polarization,
+                     Spin, critical_energy, critical_eta, curvature_at_90, half_closest_approach,
+                     sommerfeld_eta)
 from mott_ti.coulomb import A_MIN, ETA_MAX
 
 sp = pytest.importorskip("sympy")
 
 a, eta, w, S, phi = sp.symbols("a eta w S phi", positive=True)  # w: the boson eps w
 eps_w = sp.Symbol("eps_w", real=True)
+# E and M in MeV, q^2 = Z^2 e^2 and hbar c in MeV fm, the distance d in fm, v in units of c
+E, M, q2, hbar_c, v, d = sp.symbols("E M q2 hbar_c v d", positive=True)
 
 
 def sigma(cos_theta, sin_theta_squared):
@@ -143,3 +150,47 @@ def test_critical_eta_within_two_steps_at_every_spin(forms):
             square = _exact_eta_c2(forms, abs(_exact_eps_w(twice_s, polarization)))
             steps = 2 * Fraction(math.ulp(x))
             assert (Fraction(x) - steps) ** 2 <= square <= (Fraction(x) + steps) ** 2, twice_s
+
+
+@pytest.fixture(scope="module")
+def kinematics(forms):
+    """eta(E), a and E_C derived from E = mu v^2/2, mu = M/2, and eta = q^2/(hbar v)."""
+    [speed] = sp.solve(sp.Eq(E, (M / 2) * v**2 / 2), v)
+    eta_of_e = q2 / (hbar_c * speed)
+    # head on, the pair stops where the Coulomb energy q^2/d has taken all of E
+    [closest] = sp.solve(sp.Eq(E, q2 / d), d)
+    # eta(E_C) = eta_C, with the eta_C^2 = (w + 3)/(2w) that forms derived
+    [e_c] = sp.solve(sp.Eq(eta_of_e**2, forms["eta_c2"]), E)
+    return {"eta": eta_of_e, "a": closest / 2, "e_c": 1000 * e_c}  # E_C in keV
+
+
+def _relative_error(x, exact):
+    """|x - exact|/exact, in float steps of 2^-53, for a positive sympy expression exact."""
+    return float((abs(sp.Rational(x) - exact) / exact * 2**53).evalf(30))
+
+
+# Each bound adds up, to first order, the roundings of the function's float
+# operations, each at most half a float step (2^-53 relative): one under a
+# square root counts half, and one in a value that enters squared (q^2, and
+# eta_C in E_C) counts twice.
+KINEMATIC_STEPS = {"eta": 5, "a": 3, "e_c": 14}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(z=st.integers(1, 120), mass=st.floats(min_value=1e-3, max_value=1e6),
+       energy=st.floats(min_value=1e-6, max_value=1e6), twice_s=st.integers(0, 88),
+       hbar_c_value=st.floats(min_value=1.0, max_value=1e3),
+       inverse_alpha=st.floats(min_value=136.6, max_value=137.4))
+def test_kinematics_within_a_few_steps_at_random_inputs(kinematics, z, mass, energy, twice_s,
+                                                        hbar_c_value, inverse_alpha):
+    constants = PhysicalConstants(hbar_c_value, hbar_c_value / inverse_alpha)
+    species = ParticleSpecies("x", z, mass, Spin(twice_s))
+    system = CollisionSystem(species, energy)  # in keV, E in MeV
+    exact = {M: sp.Rational(mass), E: sp.Rational(energy) / 1000,
+             q2: z * z * sp.Rational(constants.e_squared), hbar_c: sp.Rational(hbar_c_value),
+             w: sp.Rational(1, twice_s + 1)}  # the unpolarized w of critical_energy
+    got = {"eta": sommerfeld_eta(system, constants),
+           "a": half_closest_approach(system, constants),
+           "e_c": critical_energy(species, constants)}
+    for name, x in got.items():
+        assert _relative_error(x, kinematics[name].subs(exact)) <= KINEMATIC_STEPS[name], name
