@@ -21,10 +21,10 @@ polarizations, 16 a^2 [3 + eps w (1 - 2 eta^2)] (eps = +1 for bosons, -1
 for fermions; w = 1 aligned, 1/(2s+1) unpolarized); its sign classifies
 90 degrees as a local minimum (> 0) or maximum (< 0).  Finite differences
 serve only as the independent check of that form, through one kernel,
-_fd_curvature: one _cross_sections call at the module-level 7-angle stencil
-_STENCIL, then second_derivative.  curvature_at_90_fd applies it to one
-MottParams; critical_eta_numeric checks eta at its bracket and takes eps w
-once per search, then applies it at each eta with no MottParams.
+_fd_curvature: second_derivative of the values of one _cross_sections call
+at the module-level 7-angle stencil _STENCIL.  curvature_at_90_fd applies
+it to one MottParams; critical_eta_numeric checks eta at its bracket and
+takes eps w once per search, then applies it at each eta with no MottParams.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ A_MIN = 3e-154
 # Degrees to radians, as math.radians multiplies.
 _TO_RAD = math.pi / 180.0
 
-# The 7 angles at which numerics.second_derivative reads f: the stencil of _fd_curvature.
+# The 7 angles of _fd_curvature, in the order numerics.second_derivative takes their values.
 _STENCIL = stencil(90.0, CURVATURE_STEP_DEG)
 
 # Smallest normal float: a C^2 below it puts sigma past float range (see
@@ -189,11 +189,11 @@ def incoherent_cross_sections(thetas: tuple[float, ...], a: float) -> tuple[floa
 def _fd_curvature(a: float, eta: float, eps_w: float) -> float:
     """The one finite-difference kernel: curvature_at_90_fd at a, eta and eps w.
 
-    `a` and `eta` are checked by the caller.  One _cross_sections call takes
-    the 7 stencil angles _STENCIL; second_derivative reads its values back.
+    `a` and `eta` are checked by the caller.  second_derivative takes the
+    values of one _cross_sections call at the 7 stencil angles _STENCIL.
     """
-    sigma = dict(zip(_STENCIL, _cross_sections(_STENCIL, a, eta, eps_w)))
-    return half_angle_curvature(second_derivative(sigma.__getitem__, 90.0, CURVATURE_STEP_DEG))
+    sigma = _cross_sections(_STENCIL, a, eta, eps_w)
+    return half_angle_curvature(second_derivative(sigma, CURVATURE_STEP_DEG))
 
 
 def curvature_at_90_fd(params: MottParams) -> float:
@@ -201,10 +201,10 @@ def curvature_at_90_fd(params: MottParams) -> float:
 
     The independent check of curvature_at_90; production paths use the
     closed form.  It is the one kernel _fd_curvature at the params' a, eta
-    and eps w: the 7 stencil angles 90 + k h of second_derivative (h =
-    CURVATURE_STEP_DEG/2, module-level in _STENCIL) go through one
-    _cross_sections call, whose fold makes 90 - k h and 90 + k h one value:
-    4 of the 7 are computed, each with the bits of identical_cross_section.
+    and eps w: the 7 stencil angles 90 + k h (h = CURVATURE_STEP_DEG/2, in
+    _STENCIL) go through one _cross_sections call, whose fold makes 90 - k h
+    and 90 + k h one value: 4 of the 7 are computed, each with the bits of
+    identical_cross_section, and second_derivative takes all 7 in order.
     """
     eps_w = exchange_weight(params.spin, params.polarization)
     return _fd_curvature(params.a, params.eta, eps_w)

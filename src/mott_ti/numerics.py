@@ -23,22 +23,20 @@ MAX_EVALS = 64
 
 
 def stencil(x0: float, step: float) -> tuple[float, ...]:
-    """The 7 points x0 + k h, h = step/2, k = -4, -2, -1, 0, 1, 2, 4, at which
-    second_derivative(f, x0, step) calls f, in that order.
-    """
+    """The 7 points x0 + k step/2, k = -4, -2, -1, 0, 1, 2, 4, in second_derivative's order."""
     h = step / 2.0
     return (x0 - 4.0 * h, x0 - 2.0 * h, x0 - h, x0, x0 + h, x0 + 2.0 * h, x0 + 4.0 * h)
 
 
-def second_derivative(f: Callable[[float], float], x0: float, step: float) -> float:
+def second_derivative(values: tuple[float, ...], step: float) -> float:
     """Second derivative by the 5-point central stencil with Richardson extrapolation.
 
-    The stencil at step and at h = step/2 shares 3 of its points, so f is
-    called once at each of the 7 distinct points of stencil(x0, step).
+    `values` are f at the 7 points of stencil(x0, step), in its order: the
+    stencils at step and at h = step/2 share 3 of their points.
     Extrapolating the two removes the leading O(step^4) error term.
     """
     h = step / 2.0
-    m4, m2, m1, mid, p1, p2, p4 = map(f, stencil(x0, step))
+    m4, m2, m1, mid, p1, p2, p4 = values
     coarse = (-m4 + 16.0 * m2 - 30.0 * mid + 16.0 * p2 - p4) / (12.0 * step * step)
     fine = (-m2 + 16.0 * m1 - 30.0 * mid + 16.0 * p1 - p2) / (12.0 * h * h)
     return (16.0 * fine - coarse) / 15.0

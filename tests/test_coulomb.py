@@ -64,9 +64,13 @@ def test_sigma_int_90_is_2a2_for_any_eta():
             assert _sigma_int(90.0, a, eta) == pytest.approx(2.0 * a * a, rel=1e-10)
 
 
+# sigma_int(60 deg) at a = 1 and eta = sqrt 2, frozen from mpmath: prefactor 8/3
+# times cos(2 sqrt2 ln tan30); test_symbolic derives it as well
+SIGMA_INT_60_SQRT2 = 0.045661577363025778
+
+
 def test_sigma_int_60_sqrt2_value():
-    # frozen from mpmath: prefactor 8/3 times cos(2 sqrt2 ln tan30)
-    assert _sigma_int(60.0, 1.0, SQRT2) == pytest.approx(0.045661577363025778, rel=1e-10)
+    assert _sigma_int(60.0, 1.0, SQRT2) == pytest.approx(SIGMA_INT_60_SQRT2, rel=1e-10)
 
 
 def test_sigma_int_symmetric_pairs():
@@ -421,16 +425,11 @@ def test_curvature_closed_form_matches_finite_differences(eta, twice_s):
             # At a zero the stencil's own rounding is all that is left: the
             # reference is the same stencil on the 60-digit values rounded to
             # floats, and each value of the kernel is within an ulp of those
-            points, rounded = [], []
+            points = stencil(90.0, CURVATURE_STEP_DEG)
             eps_w = exchange_weight(spin, polarization)
-
-            def f(theta):
-                points.append(theta)
-                rounded.append(float(_mp_sigma(theta, p.a, p.eta, eps_w)))
-                return rounded[-1]
-
-            reference = half_angle_curvature(second_derivative(f, 90.0, CURVATURE_STEP_DEG))
-            values = mott_cross_sections(tuple(points), p)
+            rounded = [float(_mp_sigma(theta, p.a, p.eta, eps_w)) for theta in points]
+            reference = half_angle_curvature(second_derivative(rounded, CURVATURE_STEP_DEG))
+            values = mott_cross_sections(points, p)
             assert all(abs(v - r) <= math.ulp(r) for v, r in zip(values, rounded))
             spread = _stencil_spread(max(rounded))
             assert abs(fd - reference) <= spread
@@ -465,25 +464,27 @@ def _two_stencil_second_derivative(f, x0, step):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(x0=st.floats(-200.0, 200.0), step=st.floats(1e-6, 10.0))
 @example(x0=90.0, step=CURVATURE_STEP_DEG)
-def test_second_derivative_calls_f_at_7_distinct_points_with_the_two_stencils_bits(x0, step):
-    calls, reference_calls = [], []
+def test_second_derivative_of_the_stencil_values_keeps_the_two_stencils_bits(x0, step):
+    # stencil's 7 distinct points are those of the two stencils' 10 calls
+    reference_calls = []
 
     def smooth(x):
         return math.sin(x) * math.exp(0.01 * x)
 
-    got = second_derivative(lambda x: calls.append(x) or smooth(x), x0, step)
+    points = stencil(x0, step)
+    got = second_derivative(tuple(map(smooth, points)), step)
     expected = _two_stencil_second_derivative(
         lambda x: reference_calls.append(x) or smooth(x), x0, step)
-    assert len(calls) == len(set(calls)) == 7
-    assert set(calls) == set(reference_calls)
-    assert tuple(calls) == stencil(x0, step)  # the points of stencil, in its order
+    assert len(set(points)) == 7
+    assert set(points) == set(reference_calls)
     assert repr(got) == repr(expected)
 
 
 def _seven_call_curvature_at_90_fd(params):
     """curvature_at_90_fd as it was: one identical_cross_section call per stencil angle."""
-    return half_angle_curvature(second_derivative(
-        lambda theta: identical_cross_section(theta, params), 90.0, CURVATURE_STEP_DEG))
+    values = [identical_cross_section(theta, params)
+              for theta in stencil(90.0, CURVATURE_STEP_DEG)]
+    return half_angle_curvature(second_derivative(values, CURVATURE_STEP_DEG))
 
 
 def test_fd_curvature_keeps_the_bits_of_the_seven_call_form(monkeypatch):

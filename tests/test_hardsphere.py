@@ -35,6 +35,7 @@ from mott_ti.numerics import (
     bisect_root,
     half_angle_curvature,
     second_derivative,
+    stencil,
 )
 from mott_ti.species import exchange_weight
 from reference import (
@@ -478,11 +479,16 @@ def test_cross_sections_match_mpmath_up_to_kr_max(kR, spin, polarization, eps_w)
         assert abs(value - exact) <= 5e-12 * max(plus, minus), theta
 
 
-@pytest.mark.parametrize("twice_s, polarization, limit", [
+# (2s, polarization, the kR^4 coefficient of hs_curvature_at_90 as kR -> 0);
+# test_symbolic derives the coefficients as well
+THRESHOLD_LIMITS = [
     (0, Polarization.UNPOLARIZED, 32.0 / 3.0),  # eps w = 1
     (1, Polarization.ALIGNED, 32.0),            # eps w = -1
     (1, Polarization.UNPOLARIZED, 80.0 / 3.0),  # eps w = -1/2
-])
+]
+
+
+@pytest.mark.parametrize("twice_s, polarization, limit", THRESHOLD_LIMITS)
 def test_curvature_follows_the_threshold_law(twice_s, polarization, limit):
     # delta_l ~ -x^{2l+1}/((2l+1)!! (2l-1)!!) (DLMF 10.52) gives the curvature
     # kR^4 [16 (1 - eps w) + (16/3)(1 + eps w)] as kR -> 0, up to O(kR^2)
@@ -609,9 +615,9 @@ def test_exact_curvature_matches_finite_differences(kR, twice_s, polarization):
     params = HardSphereParams(kR=kR, spin=spin, statistics=spin.statistics,
                               polarization=polarization)
     exact = hs_curvature_at_90(params)
-    fd = half_angle_curvature(second_derivative(
-        lambda t: hs_identical_cross_section(t, params), 90.0, 0.25))
-    scale = max(abs(exact), 4.0 * hs_identical_cross_section(90.0, params))
+    sigma = hs_cross_sections(stencil(90.0, 0.25), params)  # one ladder; sigma[3] is at 90
+    fd = half_angle_curvature(second_derivative(sigma, 0.25))
+    scale = max(abs(exact), 4.0 * sigma[3])
     assert abs(exact - fd) <= 1e-7 * scale
 
 

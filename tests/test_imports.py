@@ -2,9 +2,10 @@
 every module-level name is used, nothing is cached between calls, no record
 is a dataclass, only constants.Record stores fields past Record.__setattr__,
 one phase-shift ladder builds the only Bessel table, one finite-difference
-kernel makes the only stencil call, every CLI command takes the parsed
-options alone, one mode table covers every option of each CLI command with
-a choice of modes, no call passes a statistics that the spin decides,
+kernel makes the only stencil call, on the values of one cross-section call
+with no dict or callback, every CLI command takes the parsed options alone,
+one mode table covers every option of each CLI command with a choice of
+modes, no call passes a statistics that the spin decides,
 importing the CLI loads only what it uses, rendering a document loads no
 hashlib, though its constants fingerprint equals hashlib's SHA-256, and no
 test module imports click.
@@ -145,15 +146,49 @@ def test_one_phase_shift_ladder():
     assert call_sites(sources, "spherical_bessel_y_table") == []
 
 
+def fd_kernel_faults(source: str) -> list[str]:
+    """How coulomb._fd_curvature in `source` departs from one _cross_sections
+    call whose values second_derivative takes: a count other than one of
+    either call, and each dict it builds, by line.
+    """
+    kernel = next(node for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_fd_curvature")
+    body = {"_fd_curvature": ast.get_source_segment(source, kernel)}
+    out = [f"{name}: {count} calls" for name in ("_cross_sections", "second_derivative")
+           if (count := len(call_sites(body, name))) != 1]
+    return out + [f"dict (line {node.lineno})" for node in ast.walk(kernel)
+                  if isinstance(node, (ast.Dict, ast.DictComp))
+                  or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict"]
+
+
 def test_one_finite_difference_kernel():
     # coulomb._fd_curvature makes the one stencil call, through which
-    # curvature_at_90_fd and critical_eta_numeric both evaluate
+    # curvature_at_90_fd and critical_eta_numeric both evaluate, and hands
+    # it the values of one cross-section call: no callback, no dict
+    from mott_ti.numerics import second_derivative
+
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert len(call_sites(sources, "second_derivative")) == 1
-    kernel = next(node for node in ast.parse(sources["coulomb"]).body
-                  if isinstance(node, ast.FunctionDef) and node.name == "_fd_curvature")
-    body = ast.get_source_segment(sources["coulomb"], kernel)
-    assert len(call_sites({"coulomb": body}, "second_derivative")) == 1
+    assert list(inspect.signature(second_derivative).parameters) == ["values", "step"]
+    assert fd_kernel_faults(sources["coulomb"]) == []
+
+
+def test_the_check_sees_a_dict_kernel():
+    # the form that looked its values up by angle in a dict, a literal dict,
+    # and a second pair of calls
+    head = "def _fd_curvature(a, eta, eps_w):\n"
+    by_dict = head + (
+        "    sigma = dict(zip(_STENCIL, _cross_sections(_STENCIL, a, eta, eps_w)))\n"
+        "    return half_angle_curvature(second_derivative(sigma.__getitem__, 90.0, STEP))\n")
+    values = head + (
+        "    sigma = _cross_sections(_STENCIL, a, eta, eps_w)\n"
+        "    return half_angle_curvature(second_derivative(sigma, STEP))\n")
+    literal = values.replace("    sigma =", "    seen = {}\n    sigma =")
+    twice = values + "    second_derivative(_cross_sections(_STENCIL, a, eta, 0.0), STEP)\n"
+    assert fd_kernel_faults(by_dict) == ["dict (line 2)"]
+    assert fd_kernel_faults(values) == []
+    assert fd_kernel_faults(literal) == ["dict (line 2)"]
+    assert fd_kernel_faults(twice) == ["_cross_sections: 2 calls", "second_derivative: 2 calls"]
 
 
 def test_one_command_shape():

@@ -12,7 +12,10 @@ exactly where the float arithmetic is exact, and within a few float steps at
 random inputs.  From the non-relativistic kinematics of the pair it derives
 eta(E), the half closest approach a and the critical energy E_C, and holds
 sommerfeld_eta, half_closest_approach and critical_energy to them at random
-inputs.  sympy is a test-only oracle: without it the module skips.
+inputs.  It derives the value of sigma_int(60 deg) that test_coulomb freezes,
+and from the threshold phase shifts of a hard sphere the kR^4 law of its 90
+degree curvature, whose coefficients test_hardsphere types in.  sympy is a
+test-only oracle: without it the module skips.
 """
 
 import math
@@ -26,6 +29,8 @@ from mott_ti import (CollisionSystem, MottParams, ParticleSpecies, PhysicalConst
                      Spin, critical_energy, critical_eta, curvature_at_90, half_closest_approach,
                      sommerfeld_eta)
 from mott_ti.coulomb import A_MIN, ETA_MAX
+from test_coulomb import SIGMA_INT_60_SQRT2
+from test_hardsphere import THRESHOLD_LIMITS
 
 sp = pytest.importorskip("sympy")
 
@@ -33,6 +38,7 @@ a, eta, w, S, phi = sp.symbols("a eta w S phi", positive=True)  # w: the boson e
 eps_w = sp.Symbol("eps_w", real=True)
 # E and M in MeV, q^2 = Z^2 e^2 and hbar c in MeV fm, the distance d in fm, v in units of c
 E, M, q2, hbar_c, v, d = sp.symbols("E M q2 hbar_c v d", positive=True)
+kR, X = sp.symbols("kR X", positive=True)  # X: cos(theta) of a hard-sphere amplitude
 
 
 def sigma(cos_theta, sin_theta_squared):
@@ -194,3 +200,45 @@ def test_kinematics_within_a_few_steps_at_random_inputs(kinematics, z, mass, ene
            "e_c": critical_energy(species, constants)}
     for name, x in got.items():
         assert _relative_error(x, kinematics[name].subs(exact)) <= KINEMATIC_STEPS[name], name
+
+
+def test_sigma_int_60_sqrt2_is_the_derived_value():
+    # sigma is linear in eps w, and sigma_int is its coefficient; the frozen
+    # value is the float nearest the derived one
+    derived = sp.diff(sigma(sp.Rational(1, 2), sp.Rational(3, 4)), eps_w)
+    assert float(derived.subs({a: 1, eta: sp.sqrt(2)}).evalf(40)) == SIGMA_INT_60_SQRT2
+
+
+@pytest.fixture(scope="module")
+def threshold():
+    """The hard-sphere 90 degree half-angle curvature as kR -> 0, through kR^5.
+
+    In units of R, k f = sum_l (2l+1) e^{i delta_l} sin(delta_l) P_l(cos theta),
+    with delta_0 = -kR exactly and delta_l ~ -kR^{2l+1}/((2l+1)!! (2l-1)!!)
+    for l = 1, 2 (DLMF 10.52): the next orders of delta_1 and delta_2, and
+    the waves past l = 2, enter the curvature at kR^6 and beyond.  The pair's
+    cross section is |f(theta)|^2 + |f(180 - theta)|^2 + 2 eps w
+    Re f(theta) f*(180 - theta), taken in the real and imaginary parts of f;
+    at 90 degrees its second derivative in theta/2 takes P_l(0), P_l'(0)
+    and P_l''(0).
+    """
+    deltas = [-kR] + [-kR ** (2 * l + 1) / (sp.factorial2(2 * l + 1) * sp.factorial2(2 * l - 1))
+                      for l in (1, 2)]
+    parts = [sum((2 * l + 1) * sp.sin(delta) * trig(delta) * sp.legendre(l, X)
+                 for l, delta in enumerate(deltas)) / kR for trig in (sp.cos, sp.sin)]
+    cos_theta = sp.cos(2 * phi)
+    xs = sum(p.subs(X, cos_theta) ** 2 + p.subs(X, -cos_theta) ** 2
+             + 2 * eps_w * p.subs(X, cos_theta) * p.subs(X, -cos_theta) for p in parts)
+    curvature = sp.diff(xs, phi, 2).subs(phi, sp.pi / 4)
+    return sp.expand(sp.series(curvature, kR, 0, 6).removeO())
+
+
+def test_threshold_curvature_is_16_kR4_times_4_3_less_2_eps_w_3(threshold):
+    assert sp.simplify(threshold - 16 * (sp.Rational(4, 3) - 2 * eps_w / 3) * kR**4) == 0
+
+
+@pytest.mark.parametrize("twice_s, polarization, limit", THRESHOLD_LIMITS)
+def test_threshold_limits_are_the_derived_coefficient(threshold, twice_s, polarization, limit):
+    # the limits of test_hardsphere's test_curvature_follows_the_threshold_law
+    exact = threshold.coeff(kR, 4).subs(eps_w, sp.Rational(_exact_eps_w(twice_s, polarization)))
+    assert float(exact) == limit
